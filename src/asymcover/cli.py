@@ -26,14 +26,13 @@ from .constructions import (
     random_code_nu,
     semi_direct_sum,
 )
-from .cube import Code, covers, level_profile, uncovered, weight
+from .cube import Code, cover_steps, covers, level_profile, weight
 from .exact import exact_kplus
 from .ipsolve import BudgetExceededError
 from .linear import (
     RADIUS_MAX_N,
     a_code,
     asym_covering_radius,
-    code_covering_radius,
     is_self_complementary,
     min_linear_dim,
 )
@@ -186,6 +185,30 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _sweep(code: Code, R: int | None, want_radius: bool):
+    """One covering sweep: (vertices uncovered at radius R, covering radius).
+
+    Either part is None when not asked for; the sweep stops at R steps when
+    the radius is not wanted.
+    """
+    if R is not None and R < 0:
+        raise ValueError(f"radius must be >= 0, got {R}")
+    if R is None and not want_radius:
+        return None, None
+    size = 1 << code.n
+    misses = None
+    for steps, covered in enumerate(cover_steps(code)):
+        if steps == R:
+            misses = size - covered.bit_count()
+            if not want_radius:
+                return misses, None
+    left = size - covered.bit_count()
+    if R is not None and R > steps:  # the sweep stopped early: radius R covers the last set
+        misses = left
+    radius = steps if left == 0 else float("inf")
+    return misses, radius if want_radius else None
+
+
 def cmd_verify(args) -> int:
     code = codefiles.load_code(args.file)
     radius_claim = args.r if args.r is not None else code.r
@@ -205,19 +228,18 @@ def cmd_verify(args) -> int:
         f"zeros total: {zeros}",
         f"ones total: {ones}",
     ]
-    if code.n <= RADIUS_MAX_N:
-        rad = code_covering_radius(code)
+    misses, rad = _sweep(code, radius_claim, code.n <= RADIUS_MAX_N)
+    if rad is not None:
         payload["radius"] = None if rad == float("inf") else rad
         lines.append(f"radius: {rad if rad != float('inf') else 'inf'}")
     ok = True
     if radius_claim is not None:
-        ok = covers(code, radius_claim)
+        ok = misses == 0
         payload["r"] = radius_claim
         payload["covers"] = ok
         if ok:
             lines.append(f"covers: true (R={radius_claim})")
         else:
-            misses = len(uncovered(code, radius_claim))
             payload["uncovered"] = misses
             lines.append(f"covers: false (R={radius_claim}), {misses} uncovered")
     _emit(args, payload, "\n".join(lines))

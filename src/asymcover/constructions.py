@@ -16,20 +16,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cube import (
-    BITMAP_MAX_N,
     Code,
     DimensionCapError,
     MAX_DIMENSION,
     all_ones,
-    ball_down,
+    ball,
     ball_size_down,
     ball_size_up,
     binomial,
+    full_set,
     uncovered,
     weight,
 )
 
-GREEDY_MAX_N = 26  # greedy / sampling sweeps touch every vertex of Q_n
+GREEDY_MAX_N = 16  # greedy rescores candidate balls: about 45 s at the cap
+SAMPLE_MAX_N = 26  # the samplers draw once per vertex of Q_n: about 8 s at the cap
 ALPHA_DEFAULT_CAP = 40
 
 
@@ -154,11 +155,11 @@ def estimate_alpha(R: int, n_cap: int = ALPHA_DEFAULT_CAP) -> Fraction:
     return max(nu(m, R) * m**R / Fraction(2**m) for m in range(1, n_cap + 1))
 
 
-def _check_sweep_dim(n: int) -> None:
+def _check_sweep_dim(n: int, cap: int) -> None:
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if n > GREEDY_MAX_N:
-        raise DimensionCapError(f"dimension {n} exceeds the sweep cap {GREEDY_MAX_N}")
+    if n > cap:
+        raise DimensionCapError(f"dimension {n} exceeds the sweep cap {cap}")
 
 
 def patched_level_probs(n: int, R: int, delta: Fraction, alpha: Fraction) -> tuple[float, ...]:
@@ -184,7 +185,7 @@ def random_patched(n: int, R: int, delta, seed: int) -> PatchedCode:
     """Sample S levelwise, then patch: T = everything S fails to cover."""
     if R < 1:
         raise ValueError("radius must be at least 1")
-    _check_sweep_dim(n)
+    _check_sweep_dim(n, SAMPLE_MAX_N)
     d = Fraction(delta)
     if d < 0:
         raise ValueError("delta must be nonnegative")
@@ -239,8 +240,8 @@ def inductive_power2(m: int, R: int, seed: int, trials: int = 32) -> Code:
         raise ValueError("m must be nonnegative")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if (1 << m) > GREEDY_MAX_N:
-        raise DimensionCapError(f"2^{m} exceeds the sweep cap {GREEDY_MAX_N}")
+    if (1 << m) > SAMPLE_MAX_N:
+        raise DimensionCapError(f"2^{m} exceeds the sweep cap {SAMPLE_MAX_N}")
     code = Code.from_words(1, [1], r=R)
     for j in range(m):
         nj = 1 << j
@@ -265,7 +266,7 @@ def random_code_nu(n: int, R: int, seed: int) -> Code:
     """
     if R < 1:
         raise ValueError("radius must be at least 1")
-    _check_sweep_dim(n)
+    _check_sweep_dim(n, SAMPLE_MAX_N)
     measure = nu(n, R)
     log_term = math.log(float(Fraction(2**n) / measure))
     probs = tuple(
@@ -295,29 +296,19 @@ def greedy_code(n: int, R: int) -> Code:
     """Classic greedy set cover over downward R-balls.
 
     Repeatedly selects the center covering the most still-uncovered vertices,
-    breaking ties toward the smallest mask.  Lazy evaluation: candidates are
-    streamed in optimistic-gain order (initial gain depends only on weight)
-    and re-queued with their refreshed gain when stale, which never changes
-    the selection because stored gains only overestimate.
+    breaking ties toward the smallest mask.  The uncovered vertices are one
+    2^n-bit set, and a center's gain is the popcount of its kernel ball
+    intersected with it.  Lazy evaluation: candidates are streamed in
+    optimistic-gain order (initial gain depends only on weight) and
+    re-queued with their refreshed gain when stale, which never changes the
+    selection because stored gains only overestimate.  Capped at
+    n <= GREEDY_MAX_N, where one call takes up to a minute.
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
-    _check_sweep_dim(n)
-    size = 1 << n
-    covered = bytearray(size)
-    remaining = size
+    _check_sweep_dim(n, GREEDY_MAX_N)
+    left = full_set(n)
     chosen = []
-
-    def gain(c: int) -> int:
-        return sum(1 for v in ball_down(c, R, n) if not covered[v])
-
-    def mark(c: int) -> int:
-        hits = 0
-        for v in ball_down(c, R, n):
-            if not covered[v]:
-                covered[v] = 1
-                hits += 1
-        return hits
 
     def stream():
         for w in range(n, -1, -1):
@@ -328,16 +319,17 @@ def greedy_code(n: int, R: int) -> Code:
     fresh = stream()
     pending = next(fresh, None)
     heap: list[tuple[int, int]] = []
-    while remaining:
+    while left:
         if pending is not None and (not heap or pending <= heap[0]):
             key, pending = pending, next(fresh, None)
         else:
             key = heapq.heappop(heap)
         stored, mask = -key[0], key[1]
-        actual = gain(mask)
+        hit = ball(mask, R, n) & left
+        actual = hit.bit_count()
         if actual == stored:
             chosen.append(mask)
-            remaining -= mark(mask)
+            left ^= hit
         elif actual > 0:
             heapq.heappush(heap, (-actual, mask))
     return Code.from_words(n, chosen, r=R)

@@ -2,16 +2,28 @@
 
 Vertices are int bitmasks; coordinate 1 is the least significant bit.  A word c
 downward R-covers y when y <= c coordinate-wise and weight(c) - weight(y) <= R.
+
+A set of vertices is one 2^n-bit int whose bit v is set when vertex v is in
+the set.  Every covering question is answered by one kernel, a downward step
+that adds to a set every vertex one step below a member:
+S | OR_i (S & M_i) >> 2^i, where M_i is the set of vertices with bit i set.
+`step_down` takes it over all n coordinates for the covering sweeps, `ball`
+over the set bits of one word.  A sweep derives each M_i from the one before
+inside the step, so it holds about six 2^n-bit ints at its peak (13 MB at
+n = 24).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import islice
 
 MAX_DIMENSION = 62  # masks and binomials stay inside unsigned 64-bit range
-BITMAP_MAX_N = 30   # covers()/uncovered() allocate one flag per vertex of Q_n
+BITMAP_MAX_N = 28   # covers()/uncovered() step 2^n-bit sets: 32 MB each at the cap
+BALL_MAX_N = 20     # ball() keeps n masks of 2^n bits: 2.6 MB at the cap
 
 
 class DimensionCapError(ValueError):
@@ -63,24 +75,90 @@ def _check_level(n: int, l: int, R: int) -> None:
         raise ValueError(f"radius must be >= 0, got {R}")
 
 
-def ball_down(c: int, R: int, n: int) -> list[int]:
-    """All vertices downward R-covered by c, ascending.
+def _masks(n: int):
+    """Yield (2^i, M_i) for i = n-1 down to 0.
 
-    Enumerates subsets of at most R set bits of c to clear, so the cost is the
-    ball size itself rather than 2^n.
+    M_i is the set of vertices of Q_n with bit i set.  Starting from the full
+    set as M_n, each is derived from the one before as M_{i+1} ^ (M_{i+1} >>
+    2^i): v and v + 2^i differ in bit i+1 exactly when bit i of v is set.
+    Only the current mask is alive at a time.
+    """
+    mask = full_set(n)
+    for i in range(n - 1, -1, -1):
+        mask ^= mask >> (1 << i)
+        yield 1 << i, mask
+
+
+def _step(s: int, masks) -> int:
+    """One downward step of the set s over the (2^i, M_i) pairs in `masks`."""
+    out = s
+    for shift, mask in masks:
+        out |= (s & mask) >> shift
+    return out
+
+
+def step_down(s: int, n: int) -> int:
+    """The set s plus every vertex of Q_n one downward step below a member."""
+    return _step(s, _masks(n))
+
+
+@lru_cache(maxsize=2)
+def _mask_table(n: int) -> tuple[int, ...]:
+    """M_0, ..., M_{n-1} of Q_n, kept for the many small balls of one n."""
+    return tuple(reversed([mask for _, mask in _masks(n)]))
+
+
+def ball(c: int, R: int, n: int) -> int:
+    """The set of vertices downward R-covered by c.
+
+    Steps from {c} over the set bits of c only.  The ball lies below c, so
+    each step costs in the width of c, not of Q_n.
     """
     _check_vertex(c, n)
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
-    positions = [i for i in range(n) if c >> i & 1]
+    if n > BALL_MAX_N:
+        raise DimensionCapError(
+            f"balls use a table of {n} masks of 2^{n} bits; cap is n <= {BALL_MAX_N}"
+        )
+    table = _mask_table(n)
+    masks = [(1 << i, table[i]) for i in range(c.bit_length()) if c >> i & 1]
+    s = 1 << c
+    for _ in range(min(R, len(masks))):
+        s = _step(s, masks)
+    return s
+
+
+def ball_down(c: int, R: int, n: int) -> list[int]:
+    """All vertices downward R-covered by c, ascending."""
+    return members(ball(c, R, n))
+
+
+def full_set(n: int) -> int:
+    """The set of every vertex of Q_n."""
+    return (1 << (1 << n)) - 1
+
+
+def vertex_set(n: int, vertices) -> int:
+    """The set holding the given vertices of Q_n."""
+    flags = bytearray(((1 << n) + 7) // 8)
+    for v in vertices:
+        flags[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(flags, "little")
+
+
+_NONZERO_RUN = re.compile(rb"[^\x00]+")
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def members(s: int) -> list[int]:
+    """The vertices of the set s, ascending."""
+    data = s.to_bytes((s.bit_length() + 7) // 8, "little")
     out = []
-    for j in range(min(R, len(positions)) + 1):
-        for drop in combinations(positions, j):
-            m = c
-            for p in drop:
-                m ^= 1 << p
-            out.append(m)
-    out.sort()
+    for run in _NONZERO_RUN.finditer(data):
+        base = run.start()
+        for k, byte in enumerate(run.group(), base):
+            out.extend(8 * k + i for i in _BYTE_BITS[byte])
     return out
 
 
@@ -145,45 +223,47 @@ def level_profile(code: Code) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _cover_flags(code: Code, R: int) -> tuple[bytearray, int]:
-    """Marking sweep over downward balls; returns (flags, marked count)."""
+def cover_steps(code: Code):
+    """Yield the sets downward 0-, 1-, 2-, ... covered by `code`.
+
+    Each set is `step_down` of the one before.  The sweep stops after the full
+    cube, or after a set that a step leaves unchanged: every larger radius
+    covers that same set.  So the number of sets yielded, less one, is the
+    covering radius when the last set is full.
+    """
     n = code.n
     if n > BITMAP_MAX_N:
         raise DimensionCapError(
-            f"covering sweep allocates 2^{n} flags; cap is n <= {BITMAP_MAX_N}"
+            f"covering sweep steps sets of 2^{n} bits; cap is n <= {BITMAP_MAX_N}"
         )
+    size = 1 << n
+    s = vertex_set(n, code.words)
+    yield s
+    while s.bit_count() < size:
+        nxt = step_down(s, n)
+        if nxt == s:
+            return
+        s = nxt
+        yield s
+
+
+def _covered(code: Code, R: int) -> int:
+    """The set of vertices downward R-covered by some codeword."""
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
-    flags = bytearray(1 << n)
-    marked = 0
-    total = 1 << n
-    for c in code.words:
-        positions = [i for i in range(n) if c >> i & 1]
-        for j in range(min(R, len(positions)) + 1):
-            for drop in combinations(positions, j):
-                m = c
-                for p in drop:
-                    m ^= 1 << p
-                if not flags[m]:
-                    flags[m] = 1
-                    marked += 1
-        if marked == total:
-            break
-    return flags, marked
+    for s in islice(cover_steps(code), R + 1):
+        pass
+    return s
 
 
 def covers(code: Code, R: int) -> bool:
     """True iff every vertex of Q_n is downward R-covered by some codeword."""
-    _, marked = _cover_flags(code, R)
-    return marked == (1 << code.n)
+    return _covered(code, R).bit_count() == 1 << code.n
 
 
 def uncovered(code: Code, R: int) -> list[int]:
     """Vertices not downward R-covered, ascending; empty iff covers(code, R)."""
-    flags, marked = _cover_flags(code, R)
-    if marked == (1 << code.n):
-        return []
-    return [v for v in range(1 << code.n) if not flags[v]]
+    return members(_covered(code, R) ^ full_set(code.n))
 
 
 def contraction(code: Code, i: int) -> Code:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import ipsolve
 from .bounds import asym_sphere_bound, diff_chain_lower
 from .constructions import greedy_code
-from .cube import Code, all_ones, ball_down, ball_size_down, covers, weight
+from .cube import Code, all_ones, ball, ball_size_down, covers, weight
 
 EXACT_MAX_N = 7
 TT_CAP = 5_000_000
@@ -94,12 +94,7 @@ def exact_kplus(
     proven_lower = max(lowers)
 
     size = 1 << n
-    ball_mask = [0] * size
-    for c in range(size):
-        m = 0
-        for v in ball_down(c, R, n):
-            m |= 1 << v
-        ball_mask[c] = m
+    ball_mask = [ball(c, R, n) for c in range(size)]
     candidates_of = [_upset_candidates(y, n, R) for y in range(size)]
     level_mask = [0] * (n + 1)
     for v in range(size):

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cube import Code, DimensionCapError, all_ones, covers, weight
+from .cube import Code, DimensionCapError, all_ones, cover_steps, covers
 
 SPAN_MAX_GENS = 20
-RADIUS_MAX_N = 20
+RADIUS_MAX_N = 26  # a radius sweep may take n steps: about 5 s at the cap
 SUBSPACE_ENUM_MAX_N = 6
 
 
@@ -82,32 +82,15 @@ def is_self_complementary(code: LinearCode) -> bool:
 def code_covering_radius(code: Code) -> int | float:
     """Smallest R at which `code` downward R-covers Q_n; inf if none exists.
 
-    Computed as the max over vertices of the fewest ones that must be
-    dropped from some codeword to reach the vertex, by a downward sweep
-    from high masks to low.  The value is finite iff 1̂ is a codeword.
+    Counts the steps of the cube kernel's covering sweep until the covered
+    set is full; if a step stops growing the set first, no radius covers.
+    The value is finite iff 1̂ is a codeword.
     """
-    n = code.n
-    if n > RADIUS_MAX_N:
+    if code.n > RADIUS_MAX_N:
         raise DimensionCapError(f"covering radius sweep capped at n = {RADIUS_MAX_N}")
-    size = 1 << n
-    dist = [math.inf] * size
-    for w in code.words:
-        dist[w] = 0
-    worst = 0
-    for v in range(size - 1, -1, -1):
-        d = dist[v]
-        if d > 0:
-            free = all_ones(n) & ~v
-            while free:
-                bit = free & -free
-                parent = dist[v | bit] + 1
-                if parent < d:
-                    d = parent
-                free ^= bit
-            dist[v] = d
-        if d > worst:
-            worst = d
-    return worst
+    for radius, covered in enumerate(cover_steps(code)):
+        pass
+    return radius if covered.bit_count() == 1 << code.n else math.inf
 
 
 def asym_covering_radius(code: LinearCode) -> int | float:

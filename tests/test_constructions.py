@@ -1,11 +1,14 @@
 """Constructions checked against brute-force oracles and frozen small values."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
 from asymcover.constructions import (
+    GREEDY_MAX_N,
+    SAMPLE_MAX_N,
     PatchedCode,
     RandomModel,
     _masks_of_weight,
@@ -24,7 +27,7 @@ from asymcover.constructions import (
     random_patched,
     semi_direct_sum,
 )
-from asymcover.cube import Code, all_ones, ball_down, covers, dominated, uncovered, weight
+from asymcover.cube import Code, DimensionCapError, all_ones, covers, dominated, uncovered, weight
 
 
 def brute_nu(n, R):
@@ -42,16 +45,20 @@ def brute_nu(n, R):
 
 def eager_greedy(n, R):
     """Reference greedy: rescore every mask each round, smallest mask wins ties."""
+    balls = [
+        [v for v in range(1 << n) if dominated(v, c) and weight(c) - weight(v) <= R]
+        for c in range(1 << n)
+    ]
     covered = [False] * (1 << n)
     chosen = []
     while not all(covered):
         best_gain, best_mask = -1, None
         for c in range(1 << n):
-            g = sum(1 for v in ball_down(c, R, n) if not covered[v])
+            g = sum(1 for v in balls[c] if not covered[v])
             if g > best_gain:
                 best_gain, best_mask = g, c
         chosen.append(best_mask)
-        for v in ball_down(best_mask, R, n):
+        for v in balls[best_mask]:
             covered[v] = True
     return sorted(chosen)
 
@@ -267,6 +274,23 @@ def test_greedy_matches_eager_reference(n, R):
     assert list(lazy.words) == eager_greedy(n, R)
     assert covers(lazy, R)
     assert lazy.r == R
+
+
+def test_greedy_pinned_12_3():
+    # the words greedy chose at (12, 3) before its gains moved to bitsets
+    code = greedy_code(12, 3)
+    digest = hashlib.sha256(",".join(map(str, code.words)).encode()).hexdigest()
+    assert len(code) == 105
+    assert digest == "9140e2b9b4fabf014d2a0c8439fc6cfb9b44c1a4d1f33fa4526f9beec752c562"
+
+
+def test_sweep_caps():
+    with pytest.raises(DimensionCapError):
+        greedy_code(GREEDY_MAX_N + 1, 3)
+    with pytest.raises(DimensionCapError):
+        random_code_nu(SAMPLE_MAX_N + 1, 3, seed=0)
+    with pytest.raises(DimensionCapError):
+        random_patched(SAMPLE_MAX_N + 1, 3, 1, seed=0)
 
 
 def test_greedy_radius_zero():

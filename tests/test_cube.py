@@ -1,16 +1,19 @@
 """Hypercube primitives checked against brute-force set oracles."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
 
 from asymcover.cube import (
+    BALL_MAX_N,
     BITMAP_MAX_N,
     Code,
     DimensionCapError,
     MAX_DIMENSION,
     all_ones,
+    ball,
     ball_down,
     ball_size_down,
     ball_size_up,
@@ -19,9 +22,13 @@ from asymcover.cube import (
     contraction,
     covers,
     dominated,
+    full_set,
     level_profile,
+    members,
     shortening,
+    step_down,
     uncovered,
+    vertex_set,
     weight,
 )
 
@@ -80,10 +87,10 @@ def test_ball_size_duality():
 
 
 def test_ball_down_matches_brute_force():
-    n = 6
-    for c in [0, 0b1, 0b101101, all_ones(6), 0b110010]:
-        for R in range(n + 1):
-            assert ball_down(c, R, n) == brute_ball_down(c, R, n)
+    for n in range(1, 9):
+        for c in range(1 << n):
+            for R in (0, 1, n // 2, n, n + 1):
+                assert ball_down(c, R, n) == brute_ball_down(c, R, n)
 
 
 def test_ball_down_is_sorted_and_deduped():
@@ -106,6 +113,10 @@ def test_dimension_cap():
     big = Code.from_words(BITMAP_MAX_N + 1, [all_ones(BITMAP_MAX_N + 1)])
     with pytest.raises(DimensionCapError):
         covers(big, 1)
+    with pytest.raises(DimensionCapError):
+        uncovered(big, 1)
+    with pytest.raises(DimensionCapError):
+        ball(0, 1, BALL_MAX_N + 1)
 
 
 def test_code_basics():
@@ -140,20 +151,34 @@ def test_diagonal_style_cover_q3():
     assert uncovered(c, 0) == [0, 2, 3, 4, 5]
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
+def random_codes(n, count, seed):
+    """Seeded random codes of Q_n: varied sizes, with and without the top word."""
+    rng = random.Random(seed)
+    size = 1 << n
+    for _ in range(count):
+        k = rng.randint(1, min(size, 12))
+        yield Code.from_words(n, rng.sample(range(size), k))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_covers_matches_brute_force(n):
+    top = all_ones(n)
     codes = [
-        Code.from_words(n, [all_ones(n)]),
-        Code.from_words(n, [all_ones(n), 0b1]),
+        Code.from_words(n, [top]),  # single word, the top
+        Code.from_words(n, [0]),  # single word, the bottom
+        Code.from_words(n, [top ^ 1, top >> 1]),  # no top word
+        Code.from_words(n, [top, 0b1]),
         Code.from_words(n, list(range(0, 1 << n, 3))),
+        Code.from_words(n, range(1 << n)),  # every vertex
+        *random_codes(n, 6, seed=n),
     ]
     for code in codes:
-        for R in range(n + 1):
+        for R in range(n + 2):  # R = 0 through R > n
             brute_miss = [
                 x for x in range(1 << n) if not brute_covered(code, x, R)
             ]
-            assert uncovered(code, R) == brute_miss
-            assert covers(code, R) == (not brute_miss)
+            assert uncovered(code, R) == brute_miss, (code, R)
+            assert covers(code, R) == (not brute_miss), (code, R)
 
 
 def test_cover_monotone_in_radius():
@@ -211,3 +236,29 @@ def test_complement_ones_involution():
     assert flipped.words == (0, 10, 15)
     assert complement_ones(flipped).words == c.words
     assert flipped.r == 2
+
+
+def test_top_is_never_covered_without_the_top_word():
+    for n in range(1, 9):
+        code = Code.from_words(n, range(all_ones(n)))  # everything but the top
+        for R in (0, n, n + 3):
+            assert uncovered(code, R) == [all_ones(n)]
+            assert not covers(code, R)
+
+
+def test_step_down_adds_exactly_the_one_step_shadow():
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for _ in range(5):
+            words = rng.sample(range(1 << n), rng.randint(1, 1 << n))
+            want = set(words) | {w & ~(1 << i) for w in words for i in range(n) if w >> i & 1}
+            assert members(step_down(vertex_set(n, words), n)) == sorted(want)
+
+
+def test_vertex_set_and_members_round_trip():
+    rng = random.Random(3)
+    assert members(0) == []
+    assert members(full_set(4)) == list(range(16))
+    for n in (1, 5, 9, 13):
+        words = sorted(rng.sample(range(1 << n), rng.randint(1, min(1 << n, 40))))
+        assert members(vertex_set(n, words)) == words

@@ -1,12 +1,14 @@
 """Linear covers: canonical bases, spans, radii, subspace enumeration."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
 
 from asymcover.cube import Code, DimensionCapError, all_ones, covers, dominated, weight
 from asymcover.linear import (
+    RADIUS_MAX_N,
     LinearCode,
     a_code,
     asym_covering_radius,
@@ -104,6 +106,33 @@ def test_code_covering_radius_infinite_without_top():
     code = Code.from_words(3, [3, 5])
     assert code_covering_radius(code) == math.inf
     assert asym_covering_radius(span([0b011], 3)) == math.inf
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_code_covering_radius_matches_brute_force_on_random_codes(n):
+    rng = random.Random(100 + n)
+    top = all_ones(n)
+    codes = [
+        Code.from_words(n, [top]),  # single word: radius n
+        Code.from_words(n, [0]),  # single word without the top: inf
+        Code.from_words(n, range(1 << n)),  # radius 0
+    ]
+    for _ in range(8):
+        words = rng.sample(range(1 << n), rng.randint(1, min(1 << n, 10)))
+        codes.append(Code.from_words(n, words))
+        codes.append(Code.from_words(n, words + [top]))
+    for code in codes:
+        radius = code_covering_radius(code)
+        assert radius == brute_radius(code), code
+        assert (radius == math.inf) == (top not in code.words)
+        if radius != math.inf:
+            assert covers(code, radius) and (radius == 0 or not covers(code, radius - 1))
+
+
+def test_code_covering_radius_cap():
+    big = Code.from_words(RADIUS_MAX_N + 1, [all_ones(RADIUS_MAX_N + 1)])
+    with pytest.raises(DimensionCapError):
+        code_covering_radius(big)
 
 
 def test_a_code_shape_and_radius():
