@@ -17,7 +17,6 @@ from functools import lru_cache
 from . import ipsolve
 from .constructions import (
     GREEDY_MAX_N,
-    SAMPLE_MAX_N,
     diagonal_code,
     general_upper_size,
     greedy_code,
@@ -202,7 +201,7 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
         uppers.append((general_upper_size(n, r), "general"))
     if budget.use_greedy and n <= GREEDY_MAX_N:
         uppers.append((len(greedy_code(n, R)), "g"))
-    if budget.nu_seeds > 0 and n <= SAMPLE_MAX_N:
+    if budget.nu_seeds > 0 and n <= GREEDY_MAX_N:
         best_nu = min(
             len(random_code_nu(n, R, budget.seed + t)) for t in range(budget.nu_seeds)
         )

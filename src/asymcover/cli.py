@@ -26,7 +26,7 @@ from .constructions import (
     random_code_nu,
     semi_direct_sum,
 )
-from .cube import Code, cover_steps, covers, level_profile, weight
+from .cube import Code, covers, level_profile, sweep, weight
 from .exact import exact_kplus
 from .ipsolve import BudgetExceededError
 from .linear import (
@@ -185,30 +185,6 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _sweep(code: Code, R: int | None, want_radius: bool):
-    """One covering sweep: (vertices uncovered at radius R, covering radius).
-
-    Either part is None when not asked for; the sweep stops at R steps when
-    the radius is not wanted.
-    """
-    if R is not None and R < 0:
-        raise ValueError(f"radius must be >= 0, got {R}")
-    if R is None and not want_radius:
-        return None, None
-    size = 1 << code.n
-    misses = None
-    for steps, covered in enumerate(cover_steps(code)):
-        if steps == R:
-            misses = size - covered.bit_count()
-            if not want_radius:
-                return misses, None
-    left = size - covered.bit_count()
-    if R is not None and R > steps:  # the sweep stopped early: radius R covers the last set
-        misses = left
-    radius = steps if left == 0 else float("inf")
-    return misses, radius if want_radius else None
-
-
 def cmd_verify(args) -> int:
     code = codefiles.load_code(args.file)
     radius_claim = args.r if args.r is not None else code.r
@@ -228,12 +204,15 @@ def cmd_verify(args) -> int:
         f"zeros total: {zeros}",
         f"ones total: {ones}",
     ]
-    misses, rad = _sweep(code, radius_claim, code.n <= RADIUS_MAX_N)
-    if rad is not None:
+    want_radius = code.n <= RADIUS_MAX_N
+    if want_radius or radius_claim is not None:  # one sweep answers both
+        covered, rad = sweep(code, radius_claim, want_radius)
+    if want_radius:
         payload["radius"] = None if rad == float("inf") else rad
         lines.append(f"radius: {rad if rad != float('inf') else 'inf'}")
     ok = True
     if radius_claim is not None:
+        misses = (1 << code.n) - covered.bit_count()
         ok = misses == 0
         payload["r"] = radius_claim
         payload["covers"] = ok

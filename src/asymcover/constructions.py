@@ -16,11 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cube import (
+    BALL_MAX_N,
     Code,
     DimensionCapError,
     MAX_DIMENSION,
     all_ones,
     ball,
+    ball_down,
     ball_size_down,
     ball_size_up,
     binomial,
@@ -29,8 +31,8 @@ from .cube import (
     weight,
 )
 
-GREEDY_MAX_N = 16  # greedy rescores candidate balls: about 45 s at the cap
-SAMPLE_MAX_N = 26  # the samplers draw once per vertex of Q_n: about 8 s at the cap
+GREEDY_MAX_N = 26  # greedy / sampling sweeps touch every vertex of Q_n
+GREEDY_BITSET_RATIO = 2000  # bitset/enumeration cost crossover of greedy, measured
 ALPHA_DEFAULT_CAP = 40
 
 
@@ -155,11 +157,11 @@ def estimate_alpha(R: int, n_cap: int = ALPHA_DEFAULT_CAP) -> Fraction:
     return max(nu(m, R) * m**R / Fraction(2**m) for m in range(1, n_cap + 1))
 
 
-def _check_sweep_dim(n: int, cap: int) -> None:
+def _check_sweep_dim(n: int) -> None:
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if n > cap:
-        raise DimensionCapError(f"dimension {n} exceeds the sweep cap {cap}")
+    if n > GREEDY_MAX_N:
+        raise DimensionCapError(f"dimension {n} exceeds the sweep cap {GREEDY_MAX_N}")
 
 
 def patched_level_probs(n: int, R: int, delta: Fraction, alpha: Fraction) -> tuple[float, ...]:
@@ -185,7 +187,7 @@ def random_patched(n: int, R: int, delta, seed: int) -> PatchedCode:
     """Sample S levelwise, then patch: T = everything S fails to cover."""
     if R < 1:
         raise ValueError("radius must be at least 1")
-    _check_sweep_dim(n, SAMPLE_MAX_N)
+    _check_sweep_dim(n)
     d = Fraction(delta)
     if d < 0:
         raise ValueError("delta must be nonnegative")
@@ -240,8 +242,8 @@ def inductive_power2(m: int, R: int, seed: int, trials: int = 32) -> Code:
         raise ValueError("m must be nonnegative")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if (1 << m) > SAMPLE_MAX_N:
-        raise DimensionCapError(f"2^{m} exceeds the sweep cap {SAMPLE_MAX_N}")
+    if (1 << m) > GREEDY_MAX_N:
+        raise DimensionCapError(f"2^{m} exceeds the sweep cap {GREEDY_MAX_N}")
     code = Code.from_words(1, [1], r=R)
     for j in range(m):
         nj = 1 << j
@@ -266,7 +268,7 @@ def random_code_nu(n: int, R: int, seed: int) -> Code:
     """
     if R < 1:
         raise ValueError("radius must be at least 1")
-    _check_sweep_dim(n, SAMPLE_MAX_N)
+    _check_sweep_dim(n)
     measure = nu(n, R)
     log_term = math.log(float(Fraction(2**n) / measure))
     probs = tuple(
@@ -292,22 +294,54 @@ def _masks_of_weight(n: int, w: int):
         v = ripple | (((v ^ ripple) >> 2) // low)
 
 
+def _greedy_uses_bitset(n: int, R: int) -> bool:
+    """Whether greedy scores candidates with kernel balls or by enumeration.
+
+    A kernel ball costs about R * n masked shifts of 2^n-bit ints, an
+    enumerated one a Python step per member; GREEDY_BITSET_RATIO is where
+    the two greedy runs took the same time.
+    """
+    cost = max(min(R, n), 1) * n << n
+    return n <= BALL_MAX_N and cost <= GREEDY_BITSET_RATIO * ball_size_down(n, n, R)
+
+
 def greedy_code(n: int, R: int) -> Code:
     """Classic greedy set cover over downward R-balls.
 
     Repeatedly selects the center covering the most still-uncovered vertices,
-    breaking ties toward the smallest mask.  The uncovered vertices are one
-    2^n-bit set, and a center's gain is the popcount of its kernel ball
-    intersected with it.  Lazy evaluation: candidates are streamed in
-    optimistic-gain order (initial gain depends only on weight) and
-    re-queued with their refreshed gain when stale, which never changes the
-    selection because stored gains only overestimate.  Capped at
-    n <= GREEDY_MAX_N, where one call takes up to a minute.
+    breaking ties toward the smallest mask.  Lazy evaluation: candidates are
+    streamed in optimistic-gain order (initial gain depends only on weight)
+    and re-queued with their refreshed gain when stale, which never changes
+    the selection because stored gains only overestimate.  A center's gain is
+    the popcount of its kernel ball in the 2^n-bit set of uncovered vertices
+    while the cube is small, and a count over `ball_down` against one flag
+    per vertex above that, where the bitset costs more than the ball.
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
-    _check_sweep_dim(n, GREEDY_MAX_N)
-    left = full_set(n)
+    _check_sweep_dim(n)
+    if _greedy_uses_bitset(n, R):
+        left = full_set(n)
+        count = int.bit_count
+
+        def hits(c: int) -> int:
+            return ball(c, R, n) & left
+
+        def take(hit: int) -> None:
+            nonlocal left
+            left ^= hit
+    else:
+        covered = bytearray(1 << n)
+        count = len
+
+        def hits(c: int) -> list[int]:
+            return [v for v in ball_down(c, R, n) if not covered[v]]
+
+        def take(hit: list[int]) -> None:
+            for v in hit:
+                covered[v] = 1
+
+    remaining = 1 << n
     chosen = []
 
     def stream():
@@ -319,17 +353,18 @@ def greedy_code(n: int, R: int) -> Code:
     fresh = stream()
     pending = next(fresh, None)
     heap: list[tuple[int, int]] = []
-    while left:
+    while remaining:
         if pending is not None and (not heap or pending <= heap[0]):
             key, pending = pending, next(fresh, None)
         else:
             key = heapq.heappop(heap)
         stored, mask = -key[0], key[1]
-        hit = ball(mask, R, n) & left
-        actual = hit.bit_count()
+        hit = hits(mask)
+        actual = count(hit)
         if actual == stored:
             chosen.append(mask)
-            left ^= hit
+            remaining -= actual
+            take(hit)
         elif actual > 0:
             heapq.heappush(heap, (-actual, mask))
     return Code.from_words(n, chosen, r=R)

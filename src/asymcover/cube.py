@@ -7,19 +7,20 @@ A set of vertices is one 2^n-bit int whose bit v is set when vertex v is in
 the set.  Every covering question is answered by one kernel, a downward step
 that adds to a set every vertex one step below a member:
 S | OR_i (S & M_i) >> 2^i, where M_i is the set of vertices with bit i set.
-`step_down` takes it over all n coordinates for the covering sweeps, `ball`
-over the set bits of one word.  A sweep derives each M_i from the one before
-inside the step, so it holds about six 2^n-bit ints at its peak (13 MB at
-n = 24).
+`step_down` takes it over all n coordinates for `sweep`, which answers
+`covers`, `uncovered` and the covering radius; `ball` takes it over the set
+bits of one word.  A sweep derives each M_i from the one before inside the
+step, so it holds about six 2^n-bit ints at its peak (13 MB at n = 24).
+`ball_down` lists a ball by enumeration instead, at the cost of its size,
+which is cheaper for the small balls of a large cube.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import combinations
 
 MAX_DIMENSION = 62  # masks and binomials stay inside unsigned 64-bit range
 BITMAP_MAX_N = 28   # covers()/uncovered() step 2^n-bit sets: 32 MB each at the cap
@@ -112,7 +113,8 @@ def ball(c: int, R: int, n: int) -> int:
     """The set of vertices downward R-covered by c.
 
     Steps from {c} over the set bits of c only.  The ball lies below c, so
-    each step costs in the width of c, not of Q_n.
+    each step costs in the width of c, not of Q_n; for a small ball in a
+    large cube `ball_down` is cheaper.
     """
     _check_vertex(c, n)
     if R < 0:
@@ -130,8 +132,24 @@ def ball(c: int, R: int, n: int) -> int:
 
 
 def ball_down(c: int, R: int, n: int) -> list[int]:
-    """All vertices downward R-covered by c, ascending."""
-    return members(ball(c, R, n))
+    """All vertices downward R-covered by c, ascending.
+
+    Enumerates subsets of at most R set bits of c to clear, so the cost is the
+    ball size itself rather than 2^n, at every n up to MAX_DIMENSION.
+    """
+    _check_vertex(c, n)
+    if R < 0:
+        raise ValueError(f"radius must be >= 0, got {R}")
+    positions = [i for i in range(n) if c >> i & 1]
+    out = []
+    for j in range(min(R, len(positions)) + 1):
+        for drop in combinations(positions, j):
+            m = c
+            for p in drop:
+                m ^= 1 << p
+            out.append(m)
+    out.sort()
+    return out
 
 
 def full_set(n: int) -> int:
@@ -147,18 +165,14 @@ def vertex_set(n: int, vertices) -> int:
     return int.from_bytes(flags, "little")
 
 
-_NONZERO_RUN = re.compile(rb"[^\x00]+")
-_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
-
-
 def members(s: int) -> list[int]:
     """The vertices of the set s, ascending."""
-    data = s.to_bytes((s.bit_length() + 7) // 8, "little")
+    bits = bin(s)[:1:-1]
     out = []
-    for run in _NONZERO_RUN.finditer(data):
-        base = run.start()
-        for k, byte in enumerate(run.group(), base):
-            out.extend(8 * k + i for i in _BYTE_BITS[byte])
+    v = bits.find("1")
+    while v >= 0:
+        out.append(v)
+        v = bits.find("1", v + 1)
     return out
 
 
@@ -223,47 +237,53 @@ def level_profile(code: Code) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def cover_steps(code: Code):
-    """Yield the sets downward 0-, 1-, 2-, ... covered by `code`.
+def sweep(code: Code, R: int | None = None, want_radius: bool = False):
+    """One covering sweep of `code`: (covered set at radius R, covering radius).
 
-    Each set is `step_down` of the one before.  The sweep stops after the full
-    cube, or after a set that a step leaves unchanged: every larger radius
-    covers that same set.  So the number of sets yielded, less one, is the
-    covering radius when the last set is full.
+    Grows the covered set from the code's words one `step_down` at a time.
+    The sweep stops after the full cube, or after a step that leaves the set
+    unchanged: every larger radius covers that same set, so if that happens
+    before R steps the last set is the one at R.  Without `want_radius` it
+    also stops after R steps.  The radius is the number of steps to the full
+    cube, inf if the set stalls first.  The set is None when R is None, the
+    radius None when it is not wanted.
     """
     n = code.n
+    if R is not None and R < 0:
+        raise ValueError(f"radius must be >= 0, got {R}")
     if n > BITMAP_MAX_N:
         raise DimensionCapError(
             f"covering sweep steps sets of 2^{n} bits; cap is n <= {BITMAP_MAX_N}"
         )
     size = 1 << n
+    limit = None if want_radius else R or 0
     s = vertex_set(n, code.words)
-    yield s
-    while s.bit_count() < size:
+    at_R = s if R == 0 else None
+    steps = 0
+    while steps != limit and s.bit_count() < size:
         nxt = step_down(s, n)
         if nxt == s:
-            return
+            break
         s = nxt
-        yield s
-
-
-def _covered(code: Code, R: int) -> int:
-    """The set of vertices downward R-covered by some codeword."""
-    if R < 0:
-        raise ValueError(f"radius must be >= 0, got {R}")
-    for s in islice(cover_steps(code), R + 1):
-        pass
-    return s
+        steps += 1
+        if steps == R:
+            at_R = s
+    if R is not None and at_R is None:
+        at_R = s
+    radius = None
+    if want_radius:
+        radius = steps if s.bit_count() == size else math.inf
+    return at_R, radius
 
 
 def covers(code: Code, R: int) -> bool:
     """True iff every vertex of Q_n is downward R-covered by some codeword."""
-    return _covered(code, R).bit_count() == 1 << code.n
+    return sweep(code, R)[0].bit_count() == 1 << code.n
 
 
 def uncovered(code: Code, R: int) -> list[int]:
     """Vertices not downward R-covered, ascending; empty iff covers(code, R)."""
-    return members(_covered(code, R) ^ full_set(code.n))
+    return members(sweep(code, R)[0] ^ full_set(code.n))
 
 
 def contraction(code: Code, i: int) -> Code:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cube import Code, DimensionCapError, all_ones, cover_steps, covers
+from .cube import Code, DimensionCapError, all_ones, covers, sweep
 
 SPAN_MAX_GENS = 20
 RADIUS_MAX_N = 26  # a radius sweep may take n steps: about 5 s at the cap
@@ -88,9 +88,7 @@ def code_covering_radius(code: Code) -> int | float:
     """
     if code.n > RADIUS_MAX_N:
         raise DimensionCapError(f"covering radius sweep capped at n = {RADIUS_MAX_N}")
-    for radius, covered in enumerate(cover_steps(code)):
-        pass
-    return radius if covered.bit_count() == 1 << code.n else math.inf
+    return sweep(code, want_radius=True)[1]
 
 
 def asym_covering_radius(code: LinearCode) -> int | float:

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from asymcover import constructions
 from asymcover.constructions import (
     GREEDY_MAX_N,
-    SAMPLE_MAX_N,
     PatchedCode,
     RandomModel,
     _masks_of_weight,
@@ -27,7 +27,16 @@ from asymcover.constructions import (
     random_patched,
     semi_direct_sum,
 )
-from asymcover.cube import Code, DimensionCapError, all_ones, covers, dominated, uncovered, weight
+from asymcover.cube import (
+    Code,
+    DimensionCapError,
+    all_ones,
+    ball_down,
+    covers,
+    dominated,
+    uncovered,
+    weight,
+)
 
 
 def brute_nu(n, R):
@@ -45,20 +54,16 @@ def brute_nu(n, R):
 
 def eager_greedy(n, R):
     """Reference greedy: rescore every mask each round, smallest mask wins ties."""
-    balls = [
-        [v for v in range(1 << n) if dominated(v, c) and weight(c) - weight(v) <= R]
-        for c in range(1 << n)
-    ]
     covered = [False] * (1 << n)
     chosen = []
     while not all(covered):
         best_gain, best_mask = -1, None
         for c in range(1 << n):
-            g = sum(1 for v in balls[c] if not covered[v])
+            g = sum(1 for v in ball_down(c, R, n) if not covered[v])
             if g > best_gain:
                 best_gain, best_mask = g, c
         chosen.append(best_mask)
-        for v in balls[best_mask]:
+        for v in ball_down(best_mask, R, n):
             covered[v] = True
     return sorted(chosen)
 
@@ -284,13 +289,29 @@ def test_greedy_pinned_12_3():
     assert digest == "9140e2b9b4fabf014d2a0c8439fc6cfb9b44c1a4d1f33fa4526f9beec752c562"
 
 
+def test_greedy_gain_counts_pick_the_same_words(monkeypatch):
+    # bitset gains and enumerated gains are two counts of the same number
+    for n, R in [(1, 0), (6, 0), (7, 1), (8, 2), (9, 4), (10, 10), (12, 3)]:
+        picks = []
+        for bitset in (True, False):
+            monkeypatch.setattr(
+                constructions, "_greedy_uses_bitset", lambda n, R, b=bitset: b
+            )
+            picks.append(greedy_code(n, R).words)
+        assert picks[0] == picks[1], (n, R)
+
+
+def test_greedy_runs_at_n_20():
+    assert greedy_code(20, 20).words == (all_ones(20),)
+
+
 def test_sweep_caps():
     with pytest.raises(DimensionCapError):
         greedy_code(GREEDY_MAX_N + 1, 3)
     with pytest.raises(DimensionCapError):
-        random_code_nu(SAMPLE_MAX_N + 1, 3, seed=0)
+        random_code_nu(GREEDY_MAX_N + 1, 3, seed=0)
     with pytest.raises(DimensionCapError):
-        random_patched(SAMPLE_MAX_N + 1, 3, 1, seed=0)
+        random_patched(GREEDY_MAX_N + 1, 3, 1, seed=0)
 
 
 def test_greedy_radius_zero():

@@ -27,6 +27,7 @@ from asymcover.cube import (
     members,
     shortening,
     step_down,
+    sweep,
     uncovered,
     vertex_set,
     weight,
@@ -91,6 +92,21 @@ def test_ball_down_matches_brute_force():
         for c in range(1 << n):
             for R in (0, 1, n // 2, n, n + 1):
                 assert ball_down(c, R, n) == brute_ball_down(c, R, n)
+
+
+def test_ball_matches_brute_force():
+    for n in range(1, 9):
+        for c in range(1 << n):
+            for R in (0, 1, n // 2, n, n + 1):
+                assert members(ball(c, R, n)) == brute_ball_down(c, R, n)
+
+
+def test_ball_down_works_past_the_bitset_caps():
+    assert ball_down(3, 1, 40) == [1, 2, 3]
+    top = all_ones(MAX_DIMENSION)
+    got = ball_down(top, 1, MAX_DIMENSION)
+    assert got == sorted([top] + [top ^ 1 << i for i in range(MAX_DIMENSION)])
+    assert len(ball_down(top, 2, MAX_DIMENSION)) == ball_size_down(MAX_DIMENSION, MAX_DIMENSION, 2)
 
 
 def test_ball_down_is_sorted_and_deduped():
@@ -179,6 +195,29 @@ def test_covers_matches_brute_force(n):
             ]
             assert uncovered(code, R) == brute_miss, (code, R)
             assert covers(code, R) == (not brute_miss), (code, R)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sweep_matches_brute_force(n):
+    top = all_ones(n)
+    codes = [
+        Code.from_words(n, [top]),
+        Code.from_words(n, [top ^ 1]),  # no top word: radius inf
+        Code.from_words(n, range(1 << n)),
+        *random_codes(n, 4, seed=50 + n),
+    ]
+    for code in codes:
+        radius = next(
+            (R for R in range(n + 1) if all(brute_covered(code, x, R) for x in range(1 << n))),
+            math.inf,
+        )
+        assert sweep(code, want_radius=True) == (None, radius)
+        assert sweep(code) == (None, None)
+        for R in range(n + 3):  # past the step where the sweep stops
+            want = [x for x in range(1 << n) if brute_covered(code, x, R)]
+            got, got_radius = sweep(code, R, True)
+            assert members(got) == want and got_radius == radius, (code, R)
+            assert sweep(code, R) == (got, None)
 
 
 def test_cover_monotone_in_radius():

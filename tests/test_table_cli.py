@@ -9,8 +9,7 @@ from asymcover import cli
 from asymcover.bounds import BoundRecord, Budget, FULL_BUDGET
 from asymcover.codefiles import load_code, save_code
 from asymcover.constructions import diagonal_code
-from asymcover.cube import Code, uncovered
-from asymcover.linear import code_covering_radius
+from asymcover.cube import Code
 from asymcover.table import (
     TableSpec,
     build_grid,
@@ -160,23 +159,6 @@ def test_cli_construct_and_verify(tmp_path, capsys):
     rc, out, _ = run_cli(["verify", out_path, "--r", "2"], capsys)
     assert rc == 2
     assert "covers: false (R=2)" in out
-
-
-def test_verify_sweep_agrees_with_the_separate_checks():
-    codes = [
-        diagonal_code(6, 3),
-        Code.from_words(5, [31, 21, 10, 4]),
-        Code.from_words(4, [3, 5, 12]),  # no top word: radius inf
-        Code.from_words(1, [1]),
-    ]
-    for code in codes:
-        radius = code_covering_radius(code)
-        assert cli._sweep(code, None, True) == (None, radius)
-        assert cli._sweep(code, None, False) == (None, None)
-        for R in range(code.n + 3):  # past the step where the sweep stops
-            misses = len(uncovered(code, R))
-            assert cli._sweep(code, R, True) == (misses, radius)
-            assert cli._sweep(code, R, False) == (misses, None)
 
 
 def test_cli_construct_needs_inputs(tmp_path, capsys):
