@@ -16,7 +16,7 @@ from itertools import combinations
 from .cube import Code, DimensionCapError, all_ones, covers, sweep
 
 SPAN_MAX_GENS = 20
-RADIUS_MAX_N = 26  # a radius sweep may take n steps: about 5 s at the cap
+RADIUS_MAX_N = 26  # a radius sweep may take n steps: about 8 s at the cap
 SUBSPACE_ENUM_MAX_N = 6
 
 
