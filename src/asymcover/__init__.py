@@ -46,7 +46,7 @@ from .cube import (
     weight,
 )
 from .exact import ExactResult, exact_kplus, verify_optimal
-from .ipsolve import CoveringIP, ip_phi, ip_plus, lp_relax_lower
+from .ipsolve import CoveringIP, ip_phi, ip_plus
 from .linear import (
     LinearCode,
     a_code,
@@ -93,7 +93,6 @@ __all__ = [
     "ip_phi",
     "ip_plus",
     "load_code",
-    "lp_relax_lower",
     "min_linear_dim",
     "nu",
     "project_code",

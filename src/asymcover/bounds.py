@@ -231,21 +231,11 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
     return BoundRecord(n, R, lower, upper, ltag, utag)
 
 
-def _virtual_lower(grid, n: int, R: int) -> int | None:
+def _virtual(grid, n: int, R: int, field: str) -> int | None:
+    """The grid's `field` ("lower" or "upper") at (n, R), or its definitional value."""
     rec = grid.get((n, R))
     if rec is not None:
-        return rec.lower
-    if R >= n:
-        return 1
-    if R == 0:
-        return 1 << n
-    return None
-
-
-def _virtual_upper(grid, n: int, R: int) -> int | None:
-    rec = grid.get((n, R))
-    if rec is not None:
-        return rec.upper
+        return getattr(rec, field)
     if R >= n:
         return 1
     if R == 0:
@@ -272,13 +262,13 @@ def propagate(grid: dict[tuple[int, int], BoundRecord]) -> dict[tuple[int, int],
             lower, ltag = rec.lower, rec.lower_tag
             upper, utag = rec.upper, rec.upper_tag
             if R < n:
-                for src in (_virtual_lower(out, n - 1, R), _virtual_lower(out, n, R + 1)):
+                for src in (_virtual(out, n - 1, R, "lower"), _virtual(out, n, R + 1, "lower")):
                     if src is not None and src + 1 > lower:
                         lower, ltag = src + 1, "mono"
             for n1 in range(1, n):
                 for r1 in range(R + 1):
-                    u1 = _virtual_upper(out, n1, r1)
-                    u2 = _virtual_upper(out, n - n1, R - r1)
+                    u1 = _virtual(out, n1, r1, "upper")
+                    u2 = _virtual(out, n - n1, R - r1, "upper")
                     if u1 is not None and u2 is not None and u1 * u2 < upper:
                         upper, utag = u1 * u2, "s"
             if lower > upper:

@@ -12,27 +12,24 @@ import hashlib
 import heapq
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cube import (
-    BALL_MAX_N,
     Code,
     DimensionCapError,
     MAX_DIMENSION,
     all_ones,
-    ball,
     ball_down,
     ball_size_down,
     ball_size_up,
     binomial,
-    full_set,
     uncovered,
     weight,
 )
 
 GREEDY_MAX_N = 26  # greedy / sampling sweeps touch every vertex of Q_n
-GREEDY_BITSET_RATIO = 2000  # bitset/enumeration cost crossover of greedy, measured
 ALPHA_DEFAULT_CAP = 40
 
 
@@ -294,17 +291,6 @@ def _masks_of_weight(n: int, w: int):
         v = ripple | (((v ^ ripple) >> 2) // low)
 
 
-def _greedy_uses_bitset(n: int, R: int) -> bool:
-    """Whether greedy scores candidates with kernel balls or by enumeration.
-
-    A kernel ball costs about R * n masked shifts of 2^n-bit ints, an
-    enumerated one a Python step per member; GREEDY_BITSET_RATIO is where
-    the two greedy runs took the same time.
-    """
-    cost = max(min(R, n), 1) * n << n
-    return n <= BALL_MAX_N and cost <= GREEDY_BITSET_RATIO * ball_size_down(n, n, R)
-
-
 def greedy_code(n: int, R: int) -> Code:
     """Classic greedy set cover over downward R-balls.
 
@@ -313,40 +299,24 @@ def greedy_code(n: int, R: int) -> Code:
     streamed in optimistic-gain order (initial gain depends only on weight)
     and re-queued with their refreshed gain when stale, which never changes
     the selection because stored gains only overestimate.  A center's gain is
-    the popcount of its kernel ball in the 2^n-bit set of uncovered vertices
-    while the cube is small, and a count over `ball_down` against one flag
-    per vertex above that, where the bitset costs more than the ball.
+    its ball size less lost[c], the count of covered vertices in its ball,
+    kept exact as words are chosen: each vertex a chosen word newly covers
+    adds one to every center of its up-set.  Each ball and each up-set is
+    listed by `ball_down` once, and lost takes 4 * 2^n bytes.
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
     _check_sweep_dim(n)
-    if _greedy_uses_bitset(n, R):
-        left = full_set(n)
-        count = int.bit_count
-
-        def hits(c: int) -> int:
-            return ball(c, R, n) & left
-
-        def take(hit: int) -> None:
-            nonlocal left
-            left ^= hit
-    else:
-        covered = bytearray(1 << n)
-        count = len
-
-        def hits(c: int) -> list[int]:
-            return [v for v in ball_down(c, R, n) if not covered[v]]
-
-        def take(hit: list[int]) -> None:
-            for v in hit:
-                covered[v] = 1
-
+    top = all_ones(n)
+    sizes = [ball_size_down(n, w, R) for w in range(n + 1)]
+    covered = bytearray(1 << n)
+    lost = array("I", [0]) * (1 << n)
     remaining = 1 << n
     chosen = []
 
     def stream():
         for w in range(n, -1, -1):
-            g = ball_size_down(n, w, R)
+            g = sizes[w]
             for mask in _masks_of_weight(n, w):
                 yield (-g, mask)
 
@@ -359,12 +329,17 @@ def greedy_code(n: int, R: int) -> Code:
         else:
             key = heapq.heappop(heap)
         stored, mask = -key[0], key[1]
-        hit = hits(mask)
-        actual = count(hit)
+        actual = sizes[mask.bit_count()] - lost[mask]
         if actual == stored:
             chosen.append(mask)
             remaining -= actual
-            take(hit)
+            if not remaining:
+                break
+            for v in ball_down(mask, R, n):
+                if not covered[v]:
+                    covered[v] = 1
+                    for x in ball_down(top ^ v, R, n):
+                        lost[top ^ x] += 1
         elif actual > 0:
             heapq.heappush(heap, (-actual, mask))
     return Code.from_words(n, chosen, r=R)

@@ -4,27 +4,29 @@ Vertices are int bitmasks; coordinate 1 is the least significant bit.  A word c
 downward R-covers y when y <= c coordinate-wise and weight(c) - weight(y) <= R.
 
 A set of vertices is one 2^n-bit int whose bit v is set when vertex v is in
-the set.  Every covering question is answered by one kernel, a downward step
-that adds to a set every vertex one step below a member:
-S | OR_i (S & M_i) >> 2^i, where M_i is the set of vertices with bit i set.
-`step_down` takes it over all n coordinates for `sweep`, which answers
-`covers`, `uncovered` and the covering radius; `ball` takes it over the set
-bits of one word.  A sweep derives each M_i from the one before inside the
-step, so it holds about six 2^n-bit ints at its peak (13 MB at n = 24).
-`ball_down` lists a ball by enumeration instead, at the cost of its size,
-which is cheaper for the small balls of a large cube.
+the set.  Every covering question about a whole code is answered by one
+kernel, a downward step that adds to a set every vertex one step below a
+member: S | OR_i (S & M_i) >> 2^i, where M_i is the set of vertices with bit
+i set.  `step_down` takes it over all n coordinates for `sweep`, which
+answers `covers`, `uncovered` and the covering radius.  A sweep derives each
+M_i from the one before inside the step, so it holds about six 2^n-bit ints
+at its peak (13 MB at n = 24).
+
+A single ball is listed by `ball_down`, at the cost of its size, for every n
+up to MAX_DIMENSION.  Its mirror image is the up-set of v, the centers that
+cover v: top ^ x for x in ball_down(top ^ v, R, n), with top the all-ones
+word.  Greedy's gains and exact search's balls and candidates are built
+from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 MAX_DIMENSION = 62  # masks and binomials stay inside unsigned 64-bit range
 BITMAP_MAX_N = 28   # covers()/uncovered() step 2^n-bit sets: 32 MB each at the cap
-BALL_MAX_N = 20     # ball() keeps n masks of 2^n bits: 2.6 MB at the cap
 
 
 class DimensionCapError(ValueError):
@@ -90,64 +92,30 @@ def _masks(n: int):
         yield 1 << i, mask
 
 
-def _step(s: int, masks) -> int:
-    """One downward step of the set s over the (2^i, M_i) pairs in `masks`."""
-    out = s
-    for shift, mask in masks:
-        out |= (s & mask) >> shift
-    return out
-
-
 def step_down(s: int, n: int) -> int:
     """The set s plus every vertex of Q_n one downward step below a member."""
-    return _step(s, _masks(n))
-
-
-@lru_cache(maxsize=2)
-def _mask_table(n: int) -> tuple[int, ...]:
-    """M_0, ..., M_{n-1} of Q_n, kept for the many small balls of one n."""
-    return tuple(reversed([mask for _, mask in _masks(n)]))
-
-
-def ball(c: int, R: int, n: int) -> int:
-    """The set of vertices downward R-covered by c.
-
-    Steps from {c} over the set bits of c only.  The ball lies below c, so
-    each step costs in the width of c, not of Q_n; for a small ball in a
-    large cube `ball_down` is cheaper.
-    """
-    _check_vertex(c, n)
-    if R < 0:
-        raise ValueError(f"radius must be >= 0, got {R}")
-    if n > BALL_MAX_N:
-        raise DimensionCapError(
-            f"balls use a table of {n} masks of 2^{n} bits; cap is n <= {BALL_MAX_N}"
-        )
-    table = _mask_table(n)
-    masks = [(1 << i, table[i]) for i in range(c.bit_length()) if c >> i & 1]
-    s = 1 << c
-    for _ in range(min(R, len(masks))):
-        s = _step(s, masks)
-    return s
+    out = s
+    for shift, mask in _masks(n):
+        out |= (s & mask) >> shift
+    return out
 
 
 def ball_down(c: int, R: int, n: int) -> list[int]:
     """All vertices downward R-covered by c, ascending.
 
-    Enumerates subsets of at most R set bits of c to clear, so the cost is the
-    ball size itself rather than 2^n, at every n up to MAX_DIMENSION.
+    Clears each subset of at most R set bits of c with one XOR of the
+    subset's sum, so the cost is the ball size itself rather than 2^n, at
+    every n up to MAX_DIMENSION.
     """
     _check_vertex(c, n)
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
-    positions = [i for i in range(n) if c >> i & 1]
-    out = []
-    for j in range(min(R, len(positions)) + 1):
-        for drop in combinations(positions, j):
-            m = c
-            for p in drop:
-                m ^= 1 << p
-            out.append(m)
+    bits = [1 << i for i in range(n) if c >> i & 1]
+    out = [
+        c ^ sum(drop)
+        for j in range(min(R, len(bits)) + 1)
+        for drop in combinations(bits, j)
+    ]
     out.sort()
     return out
 

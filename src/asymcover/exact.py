@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import ipsolve
 from .bounds import asym_sphere_bound, diff_chain_lower
 from .constructions import greedy_code
-from .cube import Code, all_ones, ball, ball_size_down, covers, weight
+from .cube import Code, all_ones, ball_down, covers, vertex_set, weight
 
 EXACT_MAX_N = 7
 TT_CAP = 5_000_000
@@ -40,21 +39,6 @@ class ExactResult:
 
 class _BudgetHit(Exception):
     pass
-
-
-def _upset_candidates(y: int, n: int, R: int) -> list[int]:
-    """Centers that can cover y: supersets of y with at most R extra ones."""
-    free = all_ones(n) & ~y
-    found = []
-    sub = free
-    while True:
-        if weight(sub) <= R:
-            found.append(y | sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
-    found.sort()
-    return found
 
 
 def exact_kplus(
@@ -94,14 +78,17 @@ def exact_kplus(
     proven_lower = max(lowers)
 
     size = 1 << n
-    ball_mask = [ball(c, R, n) for c in range(size)]
-    candidates_of = [_upset_candidates(y, n, R) for y in range(size)]
+    ball_mask = [vertex_set(n, ball_down(c, R, n)) for c in range(size)]
+    # the centers that can cover y, ascending: the mirror image of a ball
+    candidates_of = [
+        [top ^ x for x in reversed(ball_down(top ^ y, R, n))] for y in range(size)
+    ]
     level_mask = [0] * (n + 1)
     for v in range(size):
         level_mask[weight(v)] |= 1 << v
-    # fixed dual vector: any extra centers covering u_l vertices per level
-    # cost at least sum u_l / b-(min(l+R,n),R), by weak duality
-    dual = [Fraction(1, ball_size_down(n, min(l + R, n), R)) for l in range(n + 1)]
+    # the profile program's dual prices: any extra centers covering u_l
+    # vertices per level cost at least sum u_l * y_l, by weak duality
+    dual = ipsolve._dual_vector(ipsolve.CoveringIP.size_objective(n, R))
 
     universe = (1 << size) - 1
     root = universe & ~ball_mask[top]  # the top word is forced into every cover
@@ -109,7 +96,7 @@ def exact_kplus(
     nodes = 0
 
     def state_lb(u: int) -> int:
-        total = Fraction(0)
+        total = 0
         for l in range(n + 1):
             cnt = (u & level_mask[l]).bit_count()
             if cnt:

@@ -7,8 +7,8 @@ For any code that downward R-covers Q_n, the level counts a_l must satisfy
 because a codeword at level l+j covers at most C(l+j, j) vertices of level l.
 Minimizing sum a_l over nonnegative integers with a_l <= C(n, l) lower-bounds
 K+(n, R); minimizing sum (n-l) a_l lower-bounds the total zero count phi(n, R).
-The same machinery solves instances with an arbitrary demand vector, which the
-exact search uses as an admissible node bound.
+The dual prices of the size program also bound the exact search: it prices
+each still-uncovered vertex of level l at y_l.
 """
 
 from __future__ import annotations
@@ -121,6 +121,19 @@ def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
     memo: dict[tuple[int, tuple[int, ...]], tuple[float, int]] = {}
     nodes = 0
 
+    def child_window(l: int, window: tuple[int, ...], v: int) -> tuple[int, ...]:
+        # residuals of rows l-1..l-R once a_l = v pays C(l, j) * v to row l-j
+        child = []
+        for j2 in range(R):
+            t = l - 1 - j2
+            if t < 0:
+                child.append(0)
+                continue
+            src = window[j2 + 1] if j2 + 1 < R else rhs[t]
+            pay = cvar[l][j2 + 1] * v
+            child.append(src - pay if src > pay else 0)
+        return tuple(child)
+
     def dual_bound(l: int, window: tuple[int, ...]) -> Fraction:
         # rows l..l-R+1 carry window residuals; rows below are untouched
         total = suffix[l - R + 1] if l - R + 1 > 0 else Fraction(0)
@@ -157,16 +170,7 @@ def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
                 raise BudgetExceededError(f"IP node budget {node_cap} exceeded")
             if cost_l and cost_l * v >= best:
                 break
-            child = []
-            for j2 in range(R):
-                t = l - 1 - j2
-                if t < 0:
-                    child.append(0)
-                    continue
-                src = window[j2 + 1] if j2 + 1 < R else rhs[t]
-                pay = cvar[l][j2 + 1] * v
-                child.append(src - pay if src > pay else 0)
-            child_t = tuple(child)
+            child_t = child_window(l, window, v)
             if best is not INF and cost_l * v + dual_bound(l - 1, child_t) >= best:
                 continue
             sub = rec(l - 1, child_t)
@@ -187,16 +191,7 @@ def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
     while l >= 0:
         v = memo[(l, window)][1]
         profile[l] = v
-        child = []
-        for j2 in range(R):
-            t = l - 1 - j2
-            if t < 0:
-                child.append(0)
-                continue
-            src = window[j2 + 1] if j2 + 1 < R else rhs[t]
-            pay = cvar[l][j2 + 1] * v
-            child.append(src - pay if src > pay else 0)
-        l, window = l - 1, tuple(child)
+        l, window = l - 1, child_window(l, window, v)
     return IPSolution(int(value), tuple(profile), nodes)
 
 
@@ -215,38 +210,3 @@ def ip_phi(n: int, R: int, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
     """Exact minimum of sum (n-l) a_l: the lower bound on phi(n, R)."""
     _check_params(n, R)
     return solve(CoveringIP.zeros_objective(n, R), node_cap)
-
-
-def lp_relax_lower(ip: CoveringIP, partial: dict[int, int] | None = None) -> Fraction | float:
-    """Admissible rational bound on the optimum given a fixed top-down prefix.
-
-    partial maps levels {n, n-1, ..., k} to chosen values.  The result is the
-    prefix cost plus the dual value of the outstanding demands; it never
-    exceeds the best integer completion and grows monotonically as the prefix
-    is extended (math.inf when the prefix already violates a settled row).
-    """
-    partial = partial or {}
-    n, R = ip.n, ip.R
-    expected = set(range(n - len(partial) + 1, n + 1))
-    if set(partial) != expected:
-        raise ValueError(f"prefix must cover levels {sorted(expected)} contiguously from n")
-    for l, v in partial.items():
-        if v < 0 or v > ip.caps[l]:
-            raise ValueError(f"a_{l} = {v} outside 0..{ip.caps[l]}")
-
-    lmin = n - len(partial) + 1  # lowest fixed level; n+1 when prefix empty
-    residual = list(ip.rhs)
-    for l, v in partial.items():
-        for j in range(min(R, l) + 1):
-            residual[l - j] -= binomial(l, j) * v
-    fixed_cost = sum(ip.objective[l] * v for l, v in partial.items())
-
-    y = _dual_vector(ip)
-    bound = Fraction(0)
-    for t in range(n + 1):
-        if residual[t] <= 0:
-            continue
-        if t >= lmin:  # every variable of this row is fixed
-            return INF
-        bound += y[t] * residual[t]
-    return fixed_cost + bound

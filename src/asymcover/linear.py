@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cube import Code, DimensionCapError, all_ones, covers, sweep
+from .cube import MAX_DIMENSION, Code, DimensionCapError, all_ones, covers, sweep
 
 SPAN_MAX_GENS = 20
 RADIUS_MAX_N = 26  # a radius sweep may take n steps: about 8 s at the cap
@@ -66,12 +66,7 @@ def span(generators, n: int) -> LinearCode:
         raise DimensionCapError(
             f"span of dimension {len(basis)} exceeds the 2^{SPAN_MAX_GENS} cap"
         )
-    words = [0]
-    for g in basis:
-        words += [w ^ g for w in words]
-    return LinearCode(
-        n=n, generators=tuple(basis), dim=len(basis), span=Code.from_words(n, words)
-    )
+    return LinearCode(n=n, generators=tuple(basis), dim=len(basis), span=_close(basis, n))
 
 
 def is_self_complementary(code: LinearCode) -> bool:
@@ -149,6 +144,7 @@ def enumerate_subspaces(n: int, dim: int):
 
 
 def _close(rows: list[int], n: int) -> Code:
+    """Every XOR combination of the rows, as a code."""
     words = [0]
     for g in rows:
         words += [w ^ g for w in words]
@@ -165,8 +161,8 @@ def min_linear_dim(n: int, R: int, exhaustive: bool = False) -> int:
     if n < 1 or R < 1:
         raise ValueError("need n >= 1 and R >= 1")
     if not exhaustive:
-        if n > RADIUS_MAX_N:
-            raise DimensionCapError(f"formula branch capped at n = {RADIUS_MAX_N}")
+        if n > MAX_DIMENSION:
+            raise DimensionCapError(f"formula branch capped at n = {MAX_DIMENSION}")
         return max(1, n - R)
     if n > SUBSPACE_ENUM_MAX_N:
         raise DimensionCapError(

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from asymcover import constructions
 from asymcover.constructions import (
     GREEDY_MAX_N,
     PatchedCode,
@@ -272,7 +271,11 @@ def test_greedy_pinned_q3():
 
 
 @pytest.mark.parametrize(
-    "n,R", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (6, 1)]
+    "n,R",
+    [
+        (1, 0), (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2),
+        (6, 0), (6, 1), (7, 1), (8, 2), (9, 4), (10, 10),
+    ],
 )
 def test_greedy_matches_eager_reference(n, R):
     lazy = greedy_code(n, R)
@@ -289,16 +292,19 @@ def test_greedy_pinned_12_3():
     assert digest == "9140e2b9b4fabf014d2a0c8439fc6cfb9b44c1a4d1f33fa4526f9beec752c562"
 
 
-def test_greedy_gain_counts_pick_the_same_words(monkeypatch):
-    # bitset gains and enumerated gains are two counts of the same number
-    for n, R in [(1, 0), (6, 0), (7, 1), (8, 2), (9, 4), (10, 10), (12, 3)]:
-        picks = []
-        for bitset in (True, False):
-            monkeypatch.setattr(
-                constructions, "_greedy_uses_bitset", lambda n, R, b=bitset: b
-            )
-            picks.append(greedy_code(n, R).words)
-        assert picks[0] == picks[1], (n, R)
+@pytest.mark.parametrize(
+    "n,R,size,digest",
+    [
+        (14, 2, 874, "b6697ef8f9593bdf3c1978a527e0f72fffe99c40a7449bf08a390986d8da7bd6"),
+        (16, 1, 10933, "29b185ed4b2ded5bd7dd7d76930cd9b545d35d8a339f4ece70b50e91225858d7"),
+    ],
+    ids=["14-2", "16-1"],
+)
+def test_greedy_pinned_large(n, R, size, digest):
+    # the words greedy chose when it counted these gains over ball_down per candidate
+    code = greedy_code(n, R)
+    assert len(code) == size
+    assert hashlib.sha256(",".join(map(str, code.words)).encode()).hexdigest() == digest
 
 
 def test_greedy_runs_at_n_20():

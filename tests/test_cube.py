@@ -7,13 +7,11 @@ from itertools import combinations
 import pytest
 
 from asymcover.cube import (
-    BALL_MAX_N,
     BITMAP_MAX_N,
     Code,
     DimensionCapError,
     MAX_DIMENSION,
     all_ones,
-    ball,
     ball_down,
     ball_size_down,
     ball_size_up,
@@ -94,13 +92,6 @@ def test_ball_down_matches_brute_force():
                 assert ball_down(c, R, n) == brute_ball_down(c, R, n)
 
 
-def test_ball_matches_brute_force():
-    for n in range(1, 9):
-        for c in range(1 << n):
-            for R in (0, 1, n // 2, n, n + 1):
-                assert members(ball(c, R, n)) == brute_ball_down(c, R, n)
-
-
 def test_ball_down_works_past_the_bitset_caps():
     assert ball_down(3, 1, 40) == [1, 2, 3]
     top = all_ones(MAX_DIMENSION)
@@ -131,8 +122,6 @@ def test_dimension_cap():
         covers(big, 1)
     with pytest.raises(DimensionCapError):
         uncovered(big, 1)
-    with pytest.raises(DimensionCapError):
-        ball(0, 1, BALL_MAX_N + 1)
 
 
 def test_code_basics():

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from asymcover.cube import Code, DimensionCapError, all_ones, covers, dominated, weight
+from asymcover.cube import MAX_DIMENSION, Code, DimensionCapError, all_ones, covers, dominated, weight
 from asymcover.linear import (
     RADIUS_MAX_N,
     LinearCode,
@@ -183,6 +183,12 @@ def test_min_linear_dim_validation():
         min_linear_dim(3, 0)
     with pytest.raises(DimensionCapError):
         min_linear_dim(7, 1, exhaustive=True)
+
+
+def test_min_linear_dim_formula_runs_past_the_radius_cap():
+    assert min_linear_dim(27, 3) == 24
+    with pytest.raises(DimensionCapError):
+        min_linear_dim(MAX_DIMENSION + 1, 3)
 
 
 def test_linear_cover_beats_no_smaller_subspace():

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import asymcover
 from asymcover import cli
 from asymcover.bounds import BoundRecord, Budget, FULL_BUDGET
 from asymcover.codefiles import load_code, save_code
@@ -20,6 +21,11 @@ from asymcover.table import (
 )
 
 SMALL = TableSpec(n_min=2, n_max=5, r_min=1, r_max=4, budget=FULL_BUDGET)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in asymcover.__all__ if not hasattr(asymcover, name)]
+    assert missing == []
 
 
 def test_tablespec_domain_includes_working_margin():
