@@ -30,7 +30,6 @@ from .constructions import (
     greedy_code,
     inductive_power2,
     nu,
-    project_code,
     random_code_nu,
     random_patched,
     semi_direct_sum,
@@ -95,7 +94,6 @@ __all__ = [
     "load_code",
     "min_linear_dim",
     "nu",
-    "project_code",
     "propagate",
     "random_code_nu",
     "random_patched",

@@ -10,14 +10,13 @@ Every bound value is computed with exact integer or rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from . import ipsolve
 from .constructions import (
     GREEDY_MAX_N,
-    diagonal_code,
     general_upper_size,
     greedy_code,
     random_code_nu,
@@ -26,6 +25,7 @@ from .cube import ball_size_down, binomial
 
 LOWER_TAG_ORDER = ("superdiag", "i", "e", "mono", "sphere")
 UPPER_TAG_ORDER = ("d", "e", "g", "nu", "s", "general", "sphere")
+EXACT_SEARCH_MAX_N = 6  # best_bounds runs exact search on cells up to this n
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,26 @@ class BoundRecord:
     def exact(self) -> bool:
         return self.lower == self.upper
 
+    def to_dict(self) -> dict:
+        """The record as a JSON object: its fields plus the derived `exact`."""
+        return {**asdict(self), "exact": self.exact}
+
+    @classmethod
+    def from_dict(cls, d) -> "BoundRecord":
+        """Inverse of to_dict; raises ValueError naming the first bad key."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a record must be a JSON object, got {type(d).__name__}")
+        for key in ("n", "R", "lower", "upper", "lower_tag", "upper_tag"):
+            if key not in d:
+                raise ValueError(f"record has no {key!r}")
+        for key in ("n", "R", "lower", "upper"):
+            if type(d[key]) is not int:
+                raise ValueError(f"record {key!r} must be an int, got {d[key]!r}")
+        for key, order in (("lower_tag", LOWER_TAG_ORDER), ("upper_tag", UPPER_TAG_ORDER)):
+            if d[key] not in order:
+                raise ValueError(f"record {key!r} must be one of {order}, got {d[key]!r}")
+        return cls(d["n"], d["R"], d["lower"], d["upper"], d["lower_tag"], d["upper_tag"])
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -59,15 +79,14 @@ class Budget:
     use_ip: bool = True
     use_greedy: bool = True
     use_exact: bool = False
-    exact_max_n: int = 6
     exact_time_limit: float = 60.0
     exact_node_limit: int | None = None
     nu_seeds: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.exact_max_n < 1 or self.nu_seeds < 0:
-            raise ValueError("budget fields must be nonnegative")
+        if self.nu_seeds < 0:
+            raise ValueError("nu_seeds must be nonnegative")
         if self.exact_time_limit is not None and self.exact_time_limit <= 0:
             raise ValueError("exact_time_limit must be positive")
 
@@ -121,20 +140,6 @@ def superdiag_exact(n: int, R: int) -> bool:
     _check_cell(n, R)
     r = n - R
     return r <= 0 or n >= r * (r + 1) // 2
-
-
-def general_upper_value(n: int, coradius: int) -> int:
-    """Formula target (floor(r/M)+1)^M with M = ceil(r^2/(2n-r)).
-
-    This is the split-size formula evaluated at the smallest part count; in
-    dimensions where no exact coradius split fits that part count the
-    constructive size exceeds it, so bound aggregation uses the constructed
-    size (general_upper_size), never this formula.
-    """
-    if not 1 <= coradius <= n:
-        raise ValueError("need 1 <= coradius <= n")
-    m = max(1, -(-(coradius * coradius) // (2 * n - coradius)))
-    return (coradius // m + 1) ** m
 
 
 def diff_lower(n: int, R: int, lower_prev: int, phi_lb: int) -> int:
@@ -206,7 +211,7 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
             len(random_code_nu(n, R, budget.seed + t)) for t in range(budget.nu_seeds)
         )
         uppers.append((best_nu, "nu"))
-    if budget.use_exact and n <= min(budget.exact_max_n, 7):
+    if budget.use_exact and n <= EXACT_SEARCH_MAX_N:
         from . import exact as exact_search  # imported here to break the module cycle
 
         res = exact_search.exact_kplus(

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import codefiles
-from .bounds import BoundRecord, Budget, best_bounds
+from .bounds import Budget, best_bounds
 from .constructions import (
     PatchedCode,
     diagonal_code,
@@ -36,7 +36,7 @@ from .linear import (
     is_self_complementary,
     min_linear_dim,
 )
-from .table import CACHE_ENV, TableSpec, build_grid, render_table
+from .table import CACHE_ENV, TableSpec, build_grid, cell_dicts, render_cell, render_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,7 +59,8 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="base PRNG seed")
     common.add_argument("--time-limit", type=float, default=None, help="seconds per exact solve")
     common.add_argument("--node-limit", type=int, default=None, help="search node cap")
-    common.add_argument("--workers", type=int, default=1, help="parallel cells for table")
+    # accepted and ignored, so that older command lines still parse: cells run in one loop
+    common.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     common.add_argument("--cache", default=None, help="bounds cache file (table)")
     return common
 
@@ -94,29 +95,9 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _record_payload(rec: BoundRecord) -> dict:
-    return {
-        "n": rec.n,
-        "R": rec.R,
-        "lower": rec.lower,
-        "upper": rec.upper,
-        "lower_tag": rec.lower_tag,
-        "upper_tag": rec.upper_tag,
-        "exact": rec.exact,
-    }
-
-
-def _render_bound(rec: BoundRecord) -> str:
-    if rec.R == 0 or rec.R >= rec.n:
-        return str(rec.lower)
-    if rec.exact:
-        return f"{rec.lower} [{rec.lower_tag}/{rec.upper_tag}]"
-    return f"{rec.lower}-{rec.upper} [{rec.lower_tag}/{rec.upper_tag}]"
-
-
 def cmd_bound(args) -> int:
     rec = best_bounds(args.n, args.r, _budget(args))
-    _emit(args, _record_payload(rec), _render_bound(rec))
+    _emit(args, rec.to_dict(), render_cell(rec))
     return EXIT_OK
 
 
@@ -235,14 +216,8 @@ def cmd_table(args) -> int:
         budget=_budget(args),
         cache_path=cache,
     )
-    grid = build_grid(spec, workers=args.workers)
-    if args.json:
-        payload = {
-            f"{n},{R}": _record_payload(rec) for (n, R), rec in sorted(grid.items())
-        }
-        print(json.dumps(payload, indent=1, sort_keys=True))
-    else:
-        print(render_table(grid, spec))
+    grid = build_grid(spec)
+    _emit(args, cell_dicts(grid), render_table(grid, spec))
     return EXIT_OK
 
 

@@ -1,8 +1,8 @@
 """Constructions of downward covering codes.
 
-Deterministic builders (diagonal codes, direct sums, projections, coradius
-splits) plus the randomized ones (patched sampling, the nu-based sampler,
-the inductive power-of-two recursion) and greedy set cover.  Every randomized
+Deterministic builders (diagonal codes, direct sums, coradius splits) plus
+the randomized ones (patched sampling, the nu-based sampler, the inductive
+power-of-two recursion) and greedy set cover.  Every randomized
 operation takes an explicit seed and is reproducible bit for bit.
 """
 
@@ -64,22 +64,6 @@ def direct_sum(c1: Code, c2: Code) -> Code:
     r = c1.r + c2.r if c1.r is not None and c2.r is not None else None
     words = [x | (y << c1.n) for y in c2.words for x in c1.words]
     return Code.from_words(n, words, r=r)
-
-
-def project_code(code: Code, target_n: int) -> Code:
-    """Truncate every word to its first target_n coordinates and deduplicate.
-
-    A code that downward R-covers Q_n projects to one that downward R-covers
-    Q_target_n: covering witnesses survive truncation coordinatewise.
-    """
-    if target_n < 1:
-        raise ValueError("target dimension must be at least 1")
-    if target_n > code.n:
-        raise ValueError("projection cannot increase the dimension")
-    if target_n == code.n:
-        return code
-    mask = (1 << target_n) - 1
-    return Code.from_words(target_n, {w & mask for w in code.words}, r=code.r)
 
 
 @dataclass(frozen=True)

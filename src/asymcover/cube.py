@@ -252,38 +252,3 @@ def covers(code: Code, R: int) -> bool:
 def uncovered(code: Code, R: int) -> list[int]:
     """Vertices not downward R-covered, ascending; empty iff covers(code, R)."""
     return members(sweep(code, R)[0] ^ full_set(code.n))
-
-
-def contraction(code: Code, i: int) -> Code:
-    """Keep words with a 1 at coordinate i, then delete that coordinate.
-
-    Preserves downward R-covering of the smaller cube.
-    """
-    _check_coordinate(code, i)
-    if code.n < 2:
-        raise ValueError("contraction needs n >= 2")
-    return Code.from_words(code.n - 1, (_drop_bit(w, i) for w in code.words if w >> (i - 1) & 1), code.r)
-
-
-def shortening(code: Code, i: int) -> Code:
-    """Keep words with a 0 at coordinate i, then delete that coordinate."""
-    _check_coordinate(code, i)
-    if code.n < 2:
-        raise ValueError("shortening needs n >= 2")
-    return Code.from_words(code.n - 1, (_drop_bit(w, i) for w in code.words if not w >> (i - 1) & 1), code.r)
-
-
-def _check_coordinate(code: Code, i: int) -> None:
-    if not 1 <= i <= code.n:
-        raise ValueError(f"coordinate {i} outside 1..{code.n}")
-
-
-def _drop_bit(w: int, i: int) -> int:
-    low = w & ((1 << (i - 1)) - 1)
-    return low | (w >> i) << (i - 1)
-
-
-def complement_ones(code: Code) -> Code:
-    """Flip every coordinate of every word (the 1's complement image)."""
-    top = all_ones(code.n)
-    return Code.from_words(code.n, (top ^ w for w in code.words), code.r)

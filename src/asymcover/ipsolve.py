@@ -60,21 +60,6 @@ class CoveringIP:
         binoms = tuple(binomial(n, l) for l in range(n + 1))
         return cls(n, R, tuple(n - l for l in range(n + 1)), binoms, binoms)
 
-    def row_coefficient(self, l: int, j: int) -> int:
-        """Weight of a_{l+j} in row l."""
-        return binomial(l + j, j)
-
-    def constraint_matrix_csv(self) -> str:
-        """Rows as CSV: row label, coefficients of a_0..a_n, rhs."""
-        lines = ["row," + ",".join(f"a{m}" for m in range(self.n + 1)) + ",rhs"]
-        for l in range(self.n + 1):
-            coeffs = [0] * (self.n + 1)
-            for j in range(self.R + 1):
-                if l + j <= self.n:
-                    coeffs[l + j] = self.row_coefficient(l, j)
-            lines.append(f"{l}," + ",".join(map(str, coeffs)) + f",{self.rhs[l]}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class IPSolution:

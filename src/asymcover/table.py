@@ -3,7 +3,9 @@
 The working grid always spans n = 1..n_max with the radius-zero column and
 every R up to min(n, r_max), so monotonicity chains and direct-sum splits
 have their neighbors available; rendering then restricts to the requested
-window.  The cache is a JSON map "n,R" -> record, written atomically.
+window.  The cache is a JSON object written atomically: the budget its cells
+were computed under, and the map "n,R" -> record.  A cache is reused only
+under an equal budget; any other budget recomputes every cell.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .bounds import BoundRecord, Budget, best_bounds, propagate
 
@@ -45,35 +46,40 @@ class TableSpec:
         ]
 
 
-def load_cache(path: str) -> dict[tuple[int, int], BoundRecord]:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    grid = {}
-    for key, rec in raw.items():
-        n_text, r_text = key.split(",")
-        n, R = int(n_text), int(r_text)
-        grid[(n, R)] = BoundRecord(
-            n=n,
-            R=R,
-            lower=rec["lower"],
-            upper=rec["upper"],
-            lower_tag=rec["lower_tag"],
-            upper_tag=rec["upper_tag"],
-        )
-    return grid
+def cell_dicts(grid: dict[tuple[int, int], BoundRecord]) -> dict[str, dict]:
+    """The grid as JSON: "n,R" -> record, in cell order."""
+    return {f"{n},{R}": rec.to_dict() for (n, R), rec in sorted(grid.items())}
 
 
-def save_cache(path: str, grid: dict[tuple[int, int], BoundRecord]) -> None:
-    payload = {
-        f"{n},{R}": {
-            "lower": rec.lower,
-            "upper": rec.upper,
-            "lower_tag": rec.lower_tag,
-            "upper_tag": rec.upper_tag,
-            "exact": rec.exact,
-        }
-        for (n, R), rec in sorted(grid.items())
-    }
+def load_cache(path: str, budget: Budget) -> dict[tuple[int, int], BoundRecord]:
+    """The cells cached at `path` if they were computed under `budget`, else {}.
+
+    Raises ValueError naming the path when the file is not a bound cache, so
+    that build_grid never overwrites it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not (
+            isinstance(raw, dict)
+            and raw.keys() == {"budget", "cells"}
+            and isinstance(raw["budget"], dict)
+            and isinstance(raw["cells"], dict)
+        ):
+            raise ValueError('expected an object with "budget" and "cells"')
+        grid = {}
+        for key, d in raw["cells"].items():
+            rec = BoundRecord.from_dict(d)
+            if key != f"{rec.n},{rec.R}":
+                raise ValueError(f"cell {key!r} holds the record of n={rec.n}, R={rec.R}")
+            grid[(rec.n, rec.R)] = rec
+    except ValueError as exc:
+        raise ValueError(f"{path} is not a bound cache: {exc}") from None
+    return grid if raw["budget"] == asdict(budget) else {}
+
+
+def save_cache(path: str, grid: dict[tuple[int, int], BoundRecord], budget: Budget) -> None:
+    payload = {"budget": asdict(budget), "cells": cell_dicts(grid)}
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-", suffix=".json")
     try:
@@ -86,26 +92,18 @@ def save_cache(path: str, grid: dict[tuple[int, int], BoundRecord]) -> None:
         raise
 
 
-def build_grid(spec: TableSpec, workers: int = 1) -> dict[tuple[int, int], BoundRecord]:
+def build_grid(spec: TableSpec) -> dict[tuple[int, int], BoundRecord]:
     """Aggregate per-cell bounds (cache hits skip the work), then propagate."""
     cached: dict[tuple[int, int], BoundRecord] = {}
     if spec.cache_path and os.path.exists(spec.cache_path):
-        cached = load_cache(spec.cache_path)
-    cells = spec.cells()
-    missing = [cell for cell in cells if cell not in cached]
-    grid = {cell: cached[cell] for cell in cells if cell in cached}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda cell: best_bounds(cell[0], cell[1], spec.budget), missing
-            )
-            grid.update(zip(missing, results))
-    else:
-        for n, R in missing:
-            grid[(n, R)] = best_bounds(n, R, spec.budget)
+        cached = load_cache(spec.cache_path, spec.budget)
+    grid = {}
+    for n, R in spec.cells():
+        rec = cached.get((n, R))
+        grid[(n, R)] = rec if rec is not None else best_bounds(n, R, spec.budget)
     grid = propagate(grid)
     if spec.cache_path:
-        save_cache(spec.cache_path, grid)
+        save_cache(spec.cache_path, grid, spec.budget)
     return grid
 
 

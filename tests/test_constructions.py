@@ -21,7 +21,6 @@ from asymcover.constructions import (
     inductive_power2,
     nu,
     patched_level_probs,
-    project_code,
     random_code_nu,
     random_patched,
     semi_direct_sum,
@@ -85,6 +84,18 @@ def min_split_product(n, coradius):
     return best[0]
 
 
+def general_upper_value(n, coradius):
+    """Formula target (floor(r/M)+1)^M with M = ceil(r^2/(2n-r)).
+
+    This is the split-size formula evaluated at the smallest part count; in
+    dimensions where no exact coradius split fits that part count the
+    constructive size exceeds it, so bound aggregation uses the constructed
+    size (general_upper_size), never this formula.
+    """
+    m = max(1, -(-(coradius * coradius) // (2 * n - coradius)))
+    return (coradius // m + 1) ** m
+
+
 def test_diagonal_pinned_q3():
     code = diagonal_code(3, 2)
     assert code.words == (1, 6, 7)
@@ -130,17 +141,6 @@ def test_direct_sum_radius_needs_both_annotations():
     c1 = diagonal_code(3, 2)
     bare = Code.from_words(2, [3])
     assert direct_sum(c1, bare).r is None
-
-
-def test_project_code():
-    code = diagonal_code(6, 3)
-    small = project_code(code, 4)
-    assert small.n == 4
-    assert set(small.words) == {w & 0b1111 for w in code.words}
-    assert covers(small, 3)
-    assert project_code(code, 6) is code
-    with pytest.raises(ValueError):
-        project_code(code, 7)
 
 
 @pytest.mark.parametrize("n,R", [(3, 1), (4, 1), (4, 2), (5, 2)])
@@ -373,8 +373,6 @@ def test_general_upper_never_beats_best_split():
 def test_general_upper_equals_formula_on_divisible_fits():
     # when the minimal part count divides the coradius and its balanced split
     # fits, the constructed size matches the closed-form target
-    from asymcover.bounds import general_upper_value
-
     for n in range(1, 21):
         for c in range(1, n + 1):
             m0 = max(1, math.ceil(c * c / (2 * n - c)))
@@ -388,7 +386,6 @@ def test_formula_target_is_not_a_valid_bound():
     # at n=8, coradius 5 the closed form gives 8, but no exact split attains
     # it and the profile program already proves 9 codewords are required;
     # bound aggregation therefore only ever uses constructed sizes
-    from asymcover.bounds import general_upper_value
     from asymcover.ipsolve import ip_plus
 
     assert general_upper_value(8, 5) == 8

@@ -16,14 +16,11 @@ from asymcover.cube import (
     ball_size_down,
     ball_size_up,
     binomial,
-    complement_ones,
-    contraction,
     covers,
     dominated,
     full_set,
     level_profile,
     members,
-    shortening,
     step_down,
     sweep,
     uncovered,
@@ -222,48 +219,6 @@ def test_full_ball_covers_alone():
         top = Code.from_words(n, [all_ones(n)])
         assert covers(top, n)
         assert not covers(top, n - 1) or n == 0
-
-
-def test_contraction_keeps_ones_and_drops_coordinate():
-    c = Code.from_words(3, [0b101, 0b011, 0b110], r=1)
-    # coordinate 1 is the low bit: words with low bit set are 101 and 011
-    got = contraction(c, 1)
-    assert got.n == 2
-    assert got.words == (0b01, 0b10)
-    assert got.r == 1
-
-
-def test_shortening_keeps_zeros_and_drops_coordinate():
-    c = Code.from_words(3, [0b101, 0b011, 0b110])
-    got = shortening(c, 1)
-    assert got.n == 2
-    assert got.words == (0b11,)
-
-
-def test_contraction_preserves_covering():
-    c = Code.from_words(4, [15, 7, 11, 13, 14, 1, 2, 4, 8, 0])
-    R = 1
-    assert covers(c, R)
-    for i in range(1, 5):
-        assert covers(contraction(c, i), R)
-
-
-def test_contraction_coordinate_bounds():
-    c = Code.from_words(3, [7])
-    with pytest.raises(ValueError):
-        contraction(c, 0)
-    with pytest.raises(ValueError):
-        contraction(c, 4)
-    with pytest.raises(ValueError):
-        contraction(Code.from_words(1, [1]), 1)
-
-
-def test_complement_ones_involution():
-    c = Code.from_words(4, [0, 5, 15], r=2)
-    flipped = complement_ones(c)
-    assert flipped.words == (0, 10, 15)
-    assert complement_ones(flipped).words == c.words
-    assert flipped.r == 2
 
 
 def test_top_is_never_covered_without_the_top_word():

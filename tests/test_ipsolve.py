@@ -44,7 +44,7 @@ def oracle_minimum(n, R, objective):
 def profile_is_feasible(ip, profile):
     for l in range(ip.n + 1):
         row = sum(
-            ip.row_coefficient(l, j) * profile[l + j]
+            math.comb(l + j, j) * profile[l + j]
             for j in range(ip.R + 1)
             if l + j <= ip.n
         )
@@ -86,22 +86,6 @@ def test_ip_plus_reference_values():
 def test_ip_plus_profile_41():
     sol = ip_plus(4, 1)
     assert sol.profile == (1, 0, 3, 1, 1)
-
-
-def test_row_coefficients():
-    ip = CoveringIP.size_objective(5, 2)
-    for l in range(6):
-        for j in range(3):
-            assert ip.row_coefficient(l, j) == math.comb(l + j, j)
-
-
-def test_constraint_matrix_csv_shape():
-    ip = CoveringIP.size_objective(3, 1)
-    lines = ip.constraint_matrix_csv().strip().splitlines()
-    assert lines[0] == "row,a0,a1,a2,a3,rhs"
-    assert len(lines) == 5
-    # row 0 constrains a_0 + a_1 >= 1
-    assert lines[1] == "0,1,1,0,0,1"
 
 
 def test_validation_rejects_bad_vectors():

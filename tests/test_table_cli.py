@@ -1,5 +1,6 @@
 """Grid assembly, cache files, rendering, and the command-line surface."""
 
+import dataclasses
 import json
 import os
 
@@ -87,6 +88,13 @@ def test_render_table_layout():
     assert corner == ["4", "1", "1"]
 
 
+def test_record_dict_round_trip():
+    for rec in build_grid(SMALL).values():
+        d = rec.to_dict()
+        assert d["exact"] is rec.exact
+        assert BoundRecord.from_dict(d) == rec
+
+
 def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "cache.json")
     spec = TableSpec(
@@ -94,27 +102,19 @@ def test_cache_round_trip(tmp_path):
     )
     first = build_grid(spec)
     assert os.path.exists(path)
-    reloaded = load_cache(path)
-    assert set(reloaded) == set(first)
-    for key, rec in first.items():
-        assert reloaded[key] == rec
+    assert load_cache(path, FULL_BUDGET) == first
+    assert load_cache(path, Budget()) == {}  # another budget reuses nothing
     second = build_grid(spec)
     assert second == first
 
 
 def test_cache_write_is_clean(tmp_path):
     path = str(tmp_path / "c.json")
-    save_cache(path, {(2, 1): BoundRecord(2, 1, 2, 2, "e", "e")})
+    save_cache(path, {(2, 1): BoundRecord(2, 1, 2, 2, "e", "e")}, FULL_BUDGET)
     assert sorted(os.listdir(tmp_path)) == ["c.json"]
     raw = json.load(open(path))
-    assert raw["2,1"]["exact"] is True
-
-
-def test_build_grid_workers_match_serial():
-    spec = TableSpec(n_min=2, n_max=5, r_min=1, r_max=4, budget=Budget())
-    serial = build_grid(spec, workers=1)
-    threaded = build_grid(spec, workers=3)
-    assert serial == threaded
+    assert raw["budget"] == dataclasses.asdict(FULL_BUDGET)
+    assert raw["cells"]["2,1"]["exact"] is True
 
 
 def run_cli(args, capsys):
@@ -126,7 +126,7 @@ def run_cli(args, capsys):
 def test_cli_bound_text(capsys):
     rc, out, _ = run_cli(["bound", "--n", "6", "--r", "3"], capsys)
     assert rc == 0
-    assert out.strip() == "4 [superdiag/d]"
+    assert out.strip() == "4[superdiag/d]"
 
 
 def test_cli_bound_json(capsys):
@@ -243,3 +243,61 @@ def test_cli_table_json(capsys):
     assert rc == 0
     data = json.loads(out)
     assert data["4,1"]["lower"] == 6
+
+
+def test_cli_table_json_is_the_cache_cells(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    rc, out, _ = run_cli(
+        ["table", "--n-max", "5", "--r-max", "3", "--json", "--cache", str(cache)], capsys
+    )
+    assert rc == 0
+    assert json.loads(out) == json.loads(cache.read_text())["cells"]
+
+
+def test_cli_table_recomputes_a_cache_from_another_budget(tmp_path, capsys):
+    args = ["table", "--n-max", "7", "--r-max", "3", "--json"]
+    weak = ["--no-ip", "--no-greedy", "--no-exact"]
+    cache = str(tmp_path / "cache.json")
+    _, fresh, _ = run_cli(args, capsys)
+    rc, weak_out, _ = run_cli(args + weak + ["--cache", cache], capsys)
+    assert rc == 0 and weak_out != fresh
+    rc, reused, _ = run_cli(args + ["--cache", cache], capsys)
+    assert rc == 0
+    assert reused == fresh
+    assert json.load(open(cache))["budget"]["use_ip"] is True  # overwritten
+
+
+GOOD_CELL = {"n": 2, "R": 1, "lower": 2, "upper": 2, "lower_tag": "i", "upper_tag": "g",
+             "exact": True}
+
+
+def _cache_text(cell):
+    return json.dumps({"budget": dataclasses.asdict(Budget()), "cells": {"2,1": cell}})
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        (_cache_text({k: v for k, v in GOOD_CELL.items() if k != "upper"}), "'upper'"),
+        (_cache_text({**GOOD_CELL, "lower": "2"}), "'lower'"),
+        (_cache_text({**GOOD_CELL, "n": True}), "'n'"),
+        (_cache_text({**GOOD_CELL, "upper_tag": "x"}), "'upper_tag'"),
+        (_cache_text({**GOOD_CELL, "n": 3}), "'2,1'"),
+        (_cache_text([GOOD_CELL]), "JSON object"),
+        (json.dumps([GOOD_CELL]), "budget"),
+        (json.dumps({"2,1": GOOD_CELL}), "budget"),  # a cache without its budget
+        (json.dumps({"budget": [], "cells": {}}), "budget"),
+        ('{"n": 2, "words": ["11"]}', "budget"),  # a code file
+        ("11\n01\n", "not a bound cache"),
+    ],
+    ids=["missing-field", "string-lower", "bool-n", "unknown-tag", "key-mismatch",
+         "list-record", "top-level-list", "no-budget", "list-budget", "code-json",
+         "code-text"],
+)
+def test_cli_table_refuses_a_malformed_cache(tmp_path, capsys, text, named):
+    cache = tmp_path / "cache.json"
+    cache.write_text(text)
+    rc, out, err = run_cli(["table", "--n-max", "3", "--r-max", "2", "--cache", str(cache)], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and str(cache) in err and named in err
+    assert cache.read_text() == text  # never overwritten
