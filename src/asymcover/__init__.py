@@ -12,8 +12,6 @@ from .bounds import (
     FULL_BUDGET,
     asym_sphere_bound,
     best_bounds,
-    diff_chain_lower,
-    diff_lower,
     propagate,
     sphere_bound_symmetric,
     superdiag_exact,
@@ -44,8 +42,8 @@ from .cube import (
     uncovered,
     weight,
 )
-from .exact import ExactResult, exact_kplus, verify_optimal
-from .ipsolve import CoveringIP, ip_phi, ip_plus
+from .exact import ExactResult, exact_kplus
+from .ipsolve import CoveringIP, diff_chain_lower, diff_lower, ip_phi, ip_plus
 from .linear import (
     LinearCode,
     a_code,
@@ -105,6 +103,5 @@ __all__ = [
     "superdiag_exact",
     "superdiag_lower",
     "uncovered",
-    "verify_optimal",
     "weight",
 ]

@@ -4,24 +4,21 @@ Lower bounds: the two sphere-covering bounds, the superdiagonal values, the
 covering integer program, and a difference chain built from the zero-count
 program.  Upper bounds: diagonal codes, coradius splits, greedy and sampled
 codes, exact search, and direct-sum splits applied during grid propagation.
-Every bound value is computed with exact integer or rational arithmetic.
+Every bound value is computed with exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, replace
-from fractions import Fraction
-from functools import lru_cache
 
-from . import ipsolve
+from . import exact, ipsolve
 from .constructions import (
     GREEDY_MAX_N,
     general_upper_size,
     greedy_code,
     random_code_nu,
 )
-from .cube import ball_size_down, binomial
+from .cube import ball_size_down
 
 LOWER_TAG_ORDER = ("superdiag", "i", "e", "mono", "sphere")
 UPPER_TAG_ORDER = ("d", "e", "g", "nu", "s", "general", "sphere")
@@ -107,17 +104,15 @@ def sphere_bound_symmetric(n: int, R: int) -> int:
 
 
 def asym_sphere_bound(n: int, R: int) -> int:
-    """Levelwise sphere bound with exact rational accumulation.
+    """Levelwise sphere bound: the size program's dual prices on its full demand.
 
     Vertices of weight l can only be covered from levels l..l+R, giving the
     per-level denominator sum_{j<=R} C(min(n, l+R), j).
     """
     _check_cell(n, R)
-    total = sum(
-        Fraction(binomial(n, l), ball_size_down(n, min(n, l + R), R))
-        for l in range(n + 1)
-    )
-    return math.ceil(total)
+    ip = ipsolve.CoveringIP.size_objective(n, R)
+    price, D = ipsolve.dual_prices(ip)
+    return -(-sum(p * demand for p, demand in zip(price, ip.rhs)) // D)
 
 
 def superdiag_lower(n: int, R: int) -> int:
@@ -126,13 +121,7 @@ def superdiag_lower(n: int, R: int) -> int:
     With coradius r = n - R: K+(n,R) = r+1 once n >= r(r+1)/2, and
     K+(n,R) >= r+2 below that threshold.
     """
-    _check_cell(n, R)
-    r = n - R
-    if r <= 0:
-        return 1
-    if n >= r * (r + 1) // 2:
-        return r + 1
-    return r + 2
+    return max(n - R, 0) + (1 if superdiag_exact(n, R) else 2)
 
 
 def superdiag_exact(n: int, R: int) -> bool:
@@ -140,38 +129,6 @@ def superdiag_exact(n: int, R: int) -> bool:
     _check_cell(n, R)
     r = n - R
     return r <= 0 or n >= r * (r + 1) // 2
-
-
-def diff_lower(n: int, R: int, lower_prev: int, phi_lb: int) -> int:
-    """Lift a K+(n-1,R) lower bound by ceil(phi_lb / n).
-
-    Valid whenever phi_lb is at most the largest total zero count over
-    minimum codes: deleting a coordinate of a minimum code loses at most
-    one word per zero, averaged over the n coordinates.
-    """
-    if n < 1 or phi_lb < 0:
-        raise ValueError("need n >= 1 and phi_lb >= 0")
-    return lower_prev + -((-phi_lb) // n)
-
-
-@lru_cache(maxsize=None)
-def _ip_plus_value(n: int, R: int) -> int:
-    return ipsolve.ip_plus(n, R).value
-
-
-@lru_cache(maxsize=None)
-def _ip_phi_value(n: int, R: int) -> int:
-    return ipsolve.ip_phi(n, R).value
-
-
-def diff_chain_lower(n: int, R: int) -> int:
-    """Chain diff_lower from the anchor K+(max(1,R), R) = 1 up to n."""
-    if R < 1 or n < R:
-        raise ValueError("need 1 <= R <= n")
-    value = 1
-    for k in range(max(1, R) + 1, n + 1):
-        value = diff_lower(k, R, value, _ip_phi_value(k, R))
-    return value
 
 
 def _pick(candidates: list[tuple[int, str]], order: tuple[str, ...], best) -> tuple[int, str]:
@@ -195,12 +152,12 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
         (superdiag_lower(n, R), "superdiag"),
     ]
     if budget.use_ip and n <= ipsolve.MAX_IP_DIMENSION:
-        lowers.append((_ip_plus_value(n, R), "i"))
-        lowers.append((diff_chain_lower(n, R), "mono"))
+        lowers.append((ipsolve.ip_plus_value(n, R), "i"))
+        lowers.append((ipsolve.diff_chain_lower(n, R), "mono"))
 
     r = n - R
     uppers: list[tuple[int, str]] = []
-    if r <= 0 or n >= r * (r + 1) // 2:
+    if superdiag_exact(n, R):
         uppers.append((max(1, r + 1), "d"))
     if r >= 1:
         uppers.append((general_upper_size(n, r), "general"))
@@ -212,9 +169,7 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
         )
         uppers.append((best_nu, "nu"))
     if budget.use_exact and n <= EXACT_SEARCH_MAX_N:
-        from . import exact as exact_search  # imported here to break the module cycle
-
-        res = exact_search.exact_kplus(
+        res = exact.exact_kplus(
             n,
             R,
             time_limit=budget.exact_time_limit,

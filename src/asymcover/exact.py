@@ -3,9 +3,10 @@
 The universe of Q_n vertices is one big bitmask; candidate centers for an
 uncovered vertex y are the supersets of y within R extra ones.  Search is
 iterative deepening on the code size with a transposition table of proven
-infeasibility depths, a fixed rational dual bound per state, and dominance
-filtering among branch candidates.  Budgets never produce a wrong exact
-claim: exhausting them yields a bracket.
+infeasibility depths, a lower bound per state from the size program's integer
+dual prices on its uncovered levels, and dominance filtering among branch
+candidates.  Budgets never produce a wrong exact claim: exhausting them
+yields a bracket.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import time
 from dataclasses import dataclass
 
 from . import ipsolve
-from .bounds import asym_sphere_bound, diff_chain_lower
 from .constructions import greedy_code
-from .cube import Code, all_ones, ball_down, covers, vertex_set, weight
+from .cube import Code, all_ones, ball_down, vertex_set, weight
 
 EXACT_MAX_N = 7
 TT_CAP = 5_000_000
@@ -63,21 +63,18 @@ def exact_kplus(
     start = time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
 
+    size = 1 << n
     top = all_ones(n)
-    if R >= n:
-        witness = Code.from_words(n, [top], r=R)
-        return ExactResult(n, R, "exact", 1, None, witness, 0, time.monotonic() - start)
+    if R == 0 or R >= n:
+        witness = Code.from_words(n, range(size) if R == 0 else [top], r=R)
+        elapsed = time.monotonic() - start
+        return ExactResult(n, R, "exact", len(witness), None, witness, 0, elapsed)
 
     incumbent = greedy_code(n, R)
     best = len(incumbent)
+    # by weak duality ip_plus already dominates the sphere bound
+    proven_lower = max(ipsolve.ip_plus_value(n, R), ipsolve.diff_chain_lower(n, R))
 
-    lowers = [asym_sphere_bound(n, R), 1]
-    if R >= 1:
-        lowers.append(ipsolve.ip_plus(n, R).value)
-        lowers.append(diff_chain_lower(n, R))
-    proven_lower = max(lowers)
-
-    size = 1 << n
     ball_mask = [vertex_set(n, ball_down(c, R, n)) for c in range(size)]
     # the centers that can cover y, ascending: the mirror image of a ball
     candidates_of = [
@@ -87,8 +84,8 @@ def exact_kplus(
     for v in range(size):
         level_mask[weight(v)] |= 1 << v
     # the profile program's dual prices: any extra centers covering u_l
-    # vertices per level cost at least sum u_l * y_l, by weak duality
-    dual = ipsolve._dual_vector(ipsolve.CoveringIP.size_objective(n, R))
+    # vertices per level cost at least ceil(sum u_l * p_l / D), by weak duality
+    price, D = ipsolve.dual_prices(ipsolve.CoveringIP.size_objective(n, R))
 
     universe = (1 << size) - 1
     root = universe & ~ball_mask[top]  # the top word is forced into every cover
@@ -100,8 +97,8 @@ def exact_kplus(
         for l in range(n + 1):
             cnt = (u & level_mask[l]).bit_count()
             if cnt:
-                total += cnt * dual[l]
-        return -((-total.numerator) // total.denominator) if total else 0
+                total += cnt * price[l]
+        return -(-total // D)
 
     def dfs(u: int, budget: int) -> list[int] | None:
         nonlocal nodes
@@ -174,21 +171,3 @@ def exact_kplus(
     return ExactResult(
         n, R, "bracket", None, (proven_lower, best), incumbent, nodes, elapsed
     )
-
-
-def verify_optimal(result: ExactResult) -> bool:
-    """Independent sanity check of an exact result.
-
-    Confirms the witness covers, its size equals the claimed value, and the
-    covering integer program does not contradict the claim.  Minimality
-    itself is the search's certificate and is not re-proven here.
-    """
-    if result.status != "exact":
-        raise ValueError("verify_optimal expects an exact result")
-    if len(result.witness) != result.value:
-        return False
-    if not covers(result.witness, result.R):
-        return False
-    if result.R >= 1 and ipsolve.ip_plus(result.n, result.R).value > result.value:
-        return False
-    return True

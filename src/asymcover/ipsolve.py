@@ -7,14 +7,20 @@ For any code that downward R-covers Q_n, the level counts a_l must satisfy
 because a codeword at level l+j covers at most C(l+j, j) vertices of level l.
 Minimizing sum a_l over nonnegative integers with a_l <= C(n, l) lower-bounds
 K+(n, R); minimizing sum (n-l) a_l lower-bounds the total zero count phi(n, R).
-The dual prices of the size program also bound the exact search: it prices
-each still-uncovered vertex of level l at y_l.
+
+One set of feasible dual prices, kept as integers over a common denominator,
+gives every lower bound built on these programs: priced over the full demand
+of the size program it is the asymmetric sphere bound, over a residual window
+it prunes the branch and bound, and over the uncovered vertices of each level
+it bounds the exact search.  The cached program values and the difference
+chain built from the zero-count program live here too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 from .cube import ball_size_down, binomial
 
@@ -72,20 +78,23 @@ def _ceildiv(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _dual_vector(ip: CoveringIP) -> list[Fraction]:
-    """Feasible dual prices y_t, one per row.
+def dual_prices(ip: CoveringIP) -> tuple[tuple[int, ...], int]:
+    """Feasible dual prices y_t = p_t / D, one per row, as (p, D).
 
-    y_t = (min objective coefficient among row t's variables) / b-(min(t+R,n), R).
-    For any variable a_m: sum_{j<=R} C(m,j) y_{m-j} <= cost_m, since each
-    denominator is at least b-(m, R) and each numerator at most cost_m, so
-    sum res_t * y_t never exceeds the cost of any feasible completion.
+    y_t = (min objective coefficient among row t's variables) / b-(min(t+R,n), R),
+    and D is the LCM of those ball sizes.  For any variable a_m:
+    sum_{j<=R} C(m,j) y_{m-j} <= cost_m, since each denominator is at least
+    b-(m, R) and each numerator at most cost_m, so sum res_t * y_t never
+    exceeds the cost of any feasible completion, and neither does its ceiling
+    ceil(sum res_t * p_t / D), the cost being an integer.
     """
     n, R = ip.n, ip.R
-    out = []
-    for t in range(n + 1):
-        cmin = min(ip.objective[m] for m in range(t, min(t + R, n) + 1))
-        out.append(Fraction(cmin, ball_size_down(n, min(t + R, n), R)))
-    return out
+    sizes = [ball_size_down(n, min(t + R, n), R) for t in range(n + 1)]
+    D = math.lcm(*sizes)
+    prices = tuple(
+        min(ip.objective[t : min(t + R, n) + 1]) * (D // size) for t, size in enumerate(sizes)
+    )
+    return prices, D
 
 
 def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
@@ -93,15 +102,16 @@ def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
 
     State is the residual-demand window of the R partially paid rows; states
     are memoized, values branch ascending from the row-l implied minimum, and
-    a rational dual bound prunes non-improving values.
+    the ceiling of the integer-priced residual demand prunes non-improving
+    values.
     """
     n, R = ip.n, ip.R
     rhs, caps, costs = ip.rhs, ip.caps, ip.objective
     cvar = [[binomial(l, j) for j in range(R + 1)] for l in range(n + 1)]
-    y = _dual_vector(ip)
-    suffix = [Fraction(0)] * (n + 2)  # suffix[k+1] = sum_{t<=k} y_t * rhs_t
+    price, D = dual_prices(ip)
+    suffix = [0] * (n + 2)  # suffix[k+1] = sum_{t<=k} p_t * rhs_t
     for t in range(n + 1):
-        suffix[t + 1] = suffix[t] + y[t] * rhs[t]
+        suffix[t + 1] = suffix[t] + price[t] * rhs[t]
 
     memo: dict[tuple[int, tuple[int, ...]], tuple[float, int]] = {}
     nodes = 0
@@ -119,14 +129,15 @@ def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
             child.append(src - pay if src > pay else 0)
         return tuple(child)
 
-    def dual_bound(l: int, window: tuple[int, ...]) -> Fraction:
-        # rows l..l-R+1 carry window residuals; rows below are untouched
-        total = suffix[l - R + 1] if l - R + 1 > 0 else Fraction(0)
+    def dual_bound(l: int, window: tuple[int, ...]) -> int:
+        # rows l..l-R+1 carry window residuals; rows below are untouched.
+        # Every completion costs an integer, so the ceiling still bounds it.
+        total = suffix[l - R + 1] if l - R + 1 > 0 else 0
         for j in range(R):
             t = l - j
             if t >= 0 and window[j]:
-                total += y[t] * window[j]
-        return total
+                total += price[t] * window[j]
+        return _ceildiv(total, D)
 
     def rec(l: int, window: tuple[int, ...]) -> float | int:
         nonlocal nodes
@@ -195,3 +206,37 @@ def ip_phi(n: int, R: int, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
     """Exact minimum of sum (n-l) a_l: the lower bound on phi(n, R)."""
     _check_params(n, R)
     return solve(CoveringIP.zeros_objective(n, R), node_cap)
+
+
+@lru_cache(maxsize=None)
+def ip_plus_value(n: int, R: int) -> int:
+    """ip_plus(n, R).value, solved once per cell."""
+    return ip_plus(n, R).value
+
+
+@lru_cache(maxsize=None)
+def ip_phi_value(n: int, R: int) -> int:
+    """ip_phi(n, R).value, solved once per cell."""
+    return ip_phi(n, R).value
+
+
+def diff_lower(n: int, R: int, lower_prev: int, phi_lb: int) -> int:
+    """Lift a K+(n-1,R) lower bound by ceil(phi_lb / n).
+
+    Valid whenever phi_lb is at most the largest total zero count over
+    minimum codes: deleting a coordinate of a minimum code loses at most
+    one word per zero, averaged over the n coordinates.
+    """
+    if n < 1 or phi_lb < 0:
+        raise ValueError("need n >= 1 and phi_lb >= 0")
+    return lower_prev + _ceildiv(phi_lb, n)
+
+
+def diff_chain_lower(n: int, R: int) -> int:
+    """Chain diff_lower from the anchor K+(R, R) = 1 up to n."""
+    if R < 1 or n < R:
+        raise ValueError("need 1 <= R <= n")
+    value = 1
+    for k in range(R + 1, n + 1):
+        value = diff_lower(k, R, value, ip_phi_value(k, R))
+    return value

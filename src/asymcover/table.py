@@ -103,7 +103,8 @@ def build_grid(spec: TableSpec) -> dict[tuple[int, int], BoundRecord]:
         grid[(n, R)] = rec if rec is not None else best_bounds(n, R, spec.budget)
     grid = propagate(grid)
     if spec.cache_path:
-        save_cache(spec.cache_path, grid, spec.budget)
+        # cached cells outside this window stay for the runs that need them
+        save_cache(spec.cache_path, {**cached, **grid}, spec.budget)
     return grid
 
 

@@ -13,15 +13,13 @@ from asymcover.bounds import (
     UPPER_TAG_ORDER,
     asym_sphere_bound,
     best_bounds,
-    diff_chain_lower,
-    diff_lower,
     propagate,
     sphere_bound_symmetric,
     superdiag_exact,
     superdiag_lower,
 )
 from asymcover.cube import dominated, weight
-from asymcover.ipsolve import ip_plus
+from asymcover.ipsolve import diff_chain_lower, diff_lower, ip_plus
 
 
 def brute_ball_down_size(n, l, R):
@@ -50,6 +48,21 @@ def test_sphere_bound_symmetric():
 def test_asym_sphere_matches_brute_force(n):
     for R in range(n + 1):
         assert asym_sphere_bound(n, R) == brute_asym_sphere(n, R)
+
+
+def fraction_asym_sphere(n, R):
+    """The levelwise sphere bound summed in Fractions, the reference formula."""
+    total = sum(
+        Fraction(math.comb(n, l), sum(math.comb(min(n, l + R), j) for j in range(R + 1)))
+        for l in range(n + 1)
+    )
+    return math.ceil(total)
+
+
+def test_asym_sphere_matches_fraction_formula():
+    for n in range(1, 41):
+        for R in range(n + 1):
+            assert asym_sphere_bound(n, R) == fraction_asym_sphere(n, R), (n, R)
 
 
 def test_asym_sphere_dominates_symmetric():

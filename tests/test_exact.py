@@ -1,11 +1,27 @@
 """Exact minimum covers checked against a subset-enumeration oracle."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
 
 from asymcover.cube import Code, ball_down, covers
-from asymcover.exact import EXACT_MAX_N, ExactResult, exact_kplus, verify_optimal
+from asymcover.exact import EXACT_MAX_N, ExactResult, exact_kplus
+from asymcover.ipsolve import ip_plus
+
+
+def verify_optimal(result):
+    """The witness has the claimed size and covers, and the program allows the claim.
+
+    Minimality itself is the search's certificate and is not re-proven here.
+    """
+    if result.status != "exact":
+        raise ValueError("verify_optimal expects an exact result")
+    return (
+        len(result.witness) == result.value
+        and covers(result.witness, result.R)
+        and (result.R == 0 or ip_plus(result.n, result.R).value <= result.value)
+    )
 
 
 def brute_kplus(n, R):
@@ -125,8 +141,8 @@ def test_progress_callback_sees_increasing_lowers():
 
 
 def test_verify_optimal():
-    res = exact_kplus(4, 1)
-    assert verify_optimal(res)
+    for n, R in ((4, 1), (4, 0), (5, 5), (6, 2)):
+        assert verify_optimal(exact_kplus(n, R))
     bracket = exact_kplus(6, 1, node_limit=100)
     with pytest.raises(ValueError):
         verify_optimal(bracket)
@@ -141,3 +157,20 @@ def test_verify_optimal():
         elapsed=0.0,
     )
     assert not verify_optimal(fake)
+
+
+# (status, value, bracket, nodes, SHA-256 of the witness words), node limit per cell
+EXACT_PINS = {
+    (5, 1, None): ("exact", 10, None, 12, "26f966fa79d8e498"),
+    (6, 1, None): ("exact", 18, None, 18446, "46bd09f549d12971"),
+    (6, 2, None): ("exact", 8, None, 8, "e4681bd3d8b79c80"),
+    (7, 3, None): ("exact", 7, None, 221540, "cbadf07f83a4571e"),
+    (7, 2, 20_000): ("bracket", None, (13, 15), 20480, "2461c3108caa0082"),
+}
+
+
+@pytest.mark.parametrize("n,R,limit", list(EXACT_PINS))
+def test_exact_pinned(n, R, limit):
+    res = exact_kplus(n, R, time_limit=None, node_limit=limit)
+    digest = hashlib.sha256(repr(res.witness.words).encode()).hexdigest()[:16]
+    assert (res.status, res.value, res.bracket, res.nodes, digest) == EXACT_PINS[n, R, limit]

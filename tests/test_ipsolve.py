@@ -1,13 +1,15 @@
 """Level-profile covering programs checked against an exhaustive enumerator."""
 
+import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 
 from asymcover.ipsolve import (
     BudgetExceededError,
     CoveringIP,
-    _dual_vector,
+    dual_prices,
     ip_phi,
     ip_plus,
     solve,
@@ -103,8 +105,8 @@ def test_lp_relaxation_is_a_lower_bound():
     # the dual prices are LP-feasible, so pricing the full demand bounds the optimum
     for n in range(2, 8):
         for R in range(1, n):
-            y = _dual_vector(CoveringIP.size_objective(n, R))
-            lp = sum(y[t] * math.comb(n, t) for t in range(n + 1))
+            price, D = dual_prices(CoveringIP.size_objective(n, R))
+            lp = sum(Fraction(price[t] * math.comb(n, t), D) for t in range(n + 1))
             assert lp <= ip_plus(n, R).value
 
 
@@ -115,3 +117,26 @@ def test_node_budget_raises():
 
 def test_solution_reports_node_count():
     assert ip_plus(5, 2).node_count > 0
+
+
+def test_dual_prices_are_the_ball_size_ratios():
+    # y_t = (cheapest cost of row t's variables) / b-(min(t+R, n), R)
+    for n in range(1, 10):
+        for R in range(n + 1):
+            for ip in (CoveringIP.size_objective(n, R), CoveringIP.zeros_objective(n, R)):
+                price, D = dual_prices(ip)
+                for t in range(n + 1):
+                    top = min(t + R, n)
+                    ball = sum(math.comb(top, j) for j in range(R + 1))
+                    assert Fraction(price[t], D) == Fraction(min(ip.objective[t : top + 1]), ball)
+
+
+def test_profile_programs_pinned():
+    # SHA-256 of every (value, profile) for n = 2..12, 1 <= R <= n, as solved
+    # with rational dual prices before they became integers
+    digest = hashlib.sha256()
+    for n in range(2, 13):
+        for R in range(1, n + 1):
+            a, b = ip_plus(n, R), ip_phi(n, R)
+            digest.update(repr((n, R, a.value, a.profile, b.value, b.profile)).encode())
+    assert digest.hexdigest() == "15abb99cca1a5c3a584f44cfe220a1a8a048200905fef990649d8a2b48b749ff"

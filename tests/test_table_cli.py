@@ -267,6 +267,16 @@ def test_cli_table_recomputes_a_cache_from_another_budget(tmp_path, capsys):
     assert json.load(open(cache))["budget"]["use_ip"] is True  # overwritten
 
 
+def test_cli_table_keeps_cached_cells_outside_its_window(tmp_path, capsys):
+    cache = str(tmp_path / "cache.json")
+    args = ["table", "--r-max", "3", "--no-exact", "--json", "--cache", cache]
+    rc, _, _ = run_cli(args + ["--n-max", "7"], capsys)
+    assert rc == 0 and len(json.load(open(cache))["cells"]) == 25
+    rc, small, _ = run_cli(args + ["--n-max", "4"], capsys)
+    assert rc == 0 and len(json.load(open(cache))["cells"]) == 25
+    assert len(json.loads(small)) == 13
+
+
 GOOD_CELL = {"n": 2, "R": 1, "lower": 2, "upper": 2, "lower_tag": "i", "upper_tag": "g",
              "exact": True}
 
