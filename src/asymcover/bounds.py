@@ -1,9 +1,10 @@
 """Analytic bounds on K+(n,R) and bound aggregation.
 
-Lower bounds: the two sphere-covering bounds, the superdiagonal values, the
-covering integer program, and a difference chain built from the zero-count
-program.  Upper bounds: diagonal codes, coradius splits, greedy and sampled
-codes, exact search, and direct-sum splits applied during grid propagation.
+Lower bounds: the levelwise sphere-covering bound, the superdiagonal values,
+the covering integer program, and a difference chain built from the
+zero-count program.  Upper bounds: diagonal codes, coradius splits, greedy
+and sampled codes, exact search, and direct-sum splits applied during grid
+propagation.
 Every bound value is computed with exact integer arithmetic.
 """
 
@@ -18,7 +19,6 @@ from .constructions import (
     greedy_code,
     random_code_nu,
 )
-from .cube import ball_size_down
 
 LOWER_TAG_ORDER = ("superdiag", "i", "e", "mono", "sphere")
 UPPER_TAG_ORDER = ("d", "e", "g", "nu", "s", "general", "sphere")
@@ -94,13 +94,6 @@ FULL_BUDGET = Budget(use_exact=True, nu_seeds=4)
 def _check_cell(n: int, R: int) -> None:
     if n < 1 or R < 0 or R > n:
         raise ValueError("need 1 <= n and 0 <= R <= n")
-
-
-def sphere_bound_symmetric(n: int, R: int) -> int:
-    """ceil(2^n / sum_{j<=R} C(n,j)): every ball has the same size."""
-    _check_cell(n, R)
-    denom = ball_size_down(n, n, R)
-    return -((-(1 << n)) // denom)
 
 
 def asym_sphere_bound(n: int, R: int) -> int:
@@ -206,36 +199,34 @@ def _virtual(grid, n: int, R: int, field: str) -> int | None:
 def propagate(grid: dict[tuple[int, int], BoundRecord]) -> dict[tuple[int, int], BoundRecord]:
     """Tighten a grid to its monotonicity / direct-sum fixed point.
 
-    Rules, applied until nothing moves: for R < n, lower(n,R) must exceed
-    both lower(n-1,R) and lower(n,R+1); upper(n,R) is at most the best
-    product upper(n1,R1) * upper(n-n1,R-R1) over all splits.  Cells absent
-    from the grid contribute their definitional values when R = 0 or R >= n.
+    Rules: for R < n, lower(n,R) must exceed both lower(n-1,R) and
+    lower(n,R+1); upper(n,R) is at most the best product
+    upper(n1,R1) * upper(n-n1,R-R1) over all splits.  Cells absent from the
+    grid contribute their definitional values when R = 0 or R >= n.  Every
+    rule reads cells of smaller n, or of the same n and larger R, so one pass
+    in that order (n ascending, R descending) reaches the fixed point.
     Never loosens a bound; raises on lower > upper.
     """
     out = dict(grid)
-    changed = True
-    while changed:
-        changed = False
-        for key in sorted(out):
-            n, R = key
-            rec = out[key]
-            lower, ltag = rec.lower, rec.lower_tag
-            upper, utag = rec.upper, rec.upper_tag
-            if R < n:
-                for src in (_virtual(out, n - 1, R, "lower"), _virtual(out, n, R + 1, "lower")):
-                    if src is not None and src + 1 > lower:
-                        lower, ltag = src + 1, "mono"
-            for n1 in range(1, n):
-                for r1 in range(R + 1):
-                    u1 = _virtual(out, n1, r1, "upper")
-                    u2 = _virtual(out, n - n1, R - r1, "upper")
-                    if u1 is not None and u2 is not None and u1 * u2 < upper:
-                        upper, utag = u1 * u2, "s"
-            if lower > upper:
-                raise ValueError(
-                    f"inconsistent bounds at (n={n}, R={R}): lower {lower} > upper {upper}"
-                )
-            if lower != rec.lower or upper != rec.upper:
-                out[key] = replace(rec, lower=lower, upper=upper, lower_tag=ltag, upper_tag=utag)
-                changed = True
+    for key in sorted(out, key=lambda cell: (cell[0], -cell[1])):
+        n, R = key
+        rec = out[key]
+        lower, ltag = rec.lower, rec.lower_tag
+        upper, utag = rec.upper, rec.upper_tag
+        if R < n:
+            for src in (_virtual(out, n - 1, R, "lower"), _virtual(out, n, R + 1, "lower")):
+                if src is not None and src + 1 > lower:
+                    lower, ltag = src + 1, "mono"
+        for n1 in range(1, n):
+            for r1 in range(R + 1):
+                u1 = _virtual(out, n1, r1, "upper")
+                u2 = _virtual(out, n - n1, R - r1, "upper")
+                if u1 is not None and u2 is not None and u1 * u2 < upper:
+                    upper, utag = u1 * u2, "s"
+        if lower > upper:
+            raise ValueError(
+                f"inconsistent bounds at (n={n}, R={R}): lower {lower} > upper {upper}"
+            )
+        if lower != rec.lower or upper != rec.upper:
+            out[key] = replace(rec, lower=lower, upper=upper, lower_tag=ltag, upper_tag=utag)
     return out

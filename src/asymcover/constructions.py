@@ -261,62 +261,40 @@ def random_code_nu(n: int, R: int, seed: int) -> Code:
     return Code.from_words(n, list(base.words) + missing, r=R)
 
 
-def _masks_of_weight(n: int, w: int):
-    """Masks of fixed popcount in increasing numeric order."""
-    if w == 0:
-        yield 0
-        return
-    v = (1 << w) - 1
-    limit = 1 << n
-    while v < limit:
-        yield v
-        low = v & -v
-        ripple = v + low
-        v = ripple | (((v ^ ripple) >> 2) // low)
-
-
 def greedy_code(n: int, R: int) -> Code:
     """Classic greedy set cover over downward R-balls.
 
     Repeatedly selects the center covering the most still-uncovered vertices,
-    breaking ties toward the smallest mask.  Lazy evaluation: candidates are
-    streamed in optimistic-gain order (initial gain depends only on weight)
-    and re-queued with their refreshed gain when stale, which never changes
-    the selection because stored gains only overestimate.  A center's gain is
-    its ball size less lost[c], the count of covered vertices in its ball,
+    breaking ties toward the smallest mask.  The queue is one heap of int
+    keys (most - gain) << n | mask, with most the top ball size; since
+    mask < 2^n, keys sort like (-gain, mask).  It starts as every vertex
+    keyed by its ball size, sorted, which is already a heap.  A center's gain
+    is its ball size less lost[c], the count of covered vertices in its ball,
     kept exact as words are chosen: each vertex a chosen word newly covers
-    adds one to every center of its up-set.  Each ball and each up-set is
-    listed by `ball_down` once, and lost takes 4 * 2^n bytes.
+    adds one to every center of its up-set.  A popped key whose gain has
+    dropped is pushed back with its exact gain, which never changes the
+    selection because stored gains only overestimate.  Each ball and each
+    up-set is listed by `ball_down` once; the queue holds one int per vertex
+    and lost takes 4 * 2^n bytes.
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
     _check_sweep_dim(n)
     top = all_ones(n)
     sizes = [ball_size_down(n, w, R) for w in range(n + 1)]
+    most = sizes[n]
     covered = bytearray(1 << n)
     lost = array("I", [0]) * (1 << n)
     remaining = 1 << n
     chosen = []
-
-    def stream():
-        for w in range(n, -1, -1):
-            g = sizes[w]
-            for mask in _masks_of_weight(n, w):
-                yield (-g, mask)
-
-    fresh = stream()
-    pending = next(fresh, None)
-    heap: list[tuple[int, int]] = []
+    heap = sorted((most - sizes[mask.bit_count()]) << n | mask for mask in range(1 << n))
     while remaining:
-        if pending is not None and (not heap or pending <= heap[0]):
-            key, pending = pending, next(fresh, None)
-        else:
-            key = heapq.heappop(heap)
-        stored, mask = -key[0], key[1]
-        actual = sizes[mask.bit_count()] - lost[mask]
-        if actual == stored:
+        key = heapq.heappop(heap)
+        mask = key & top
+        gain = sizes[mask.bit_count()] - lost[mask]
+        if gain == most - (key >> n):
             chosen.append(mask)
-            remaining -= actual
+            remaining -= gain
             if not remaining:
                 break
             for v in ball_down(mask, R, n):
@@ -324,8 +302,8 @@ def greedy_code(n: int, R: int) -> Code:
                     covered[v] = 1
                     for x in ball_down(top ^ v, R, n):
                         lost[top ^ x] += 1
-        elif actual > 0:
-            heapq.heappush(heap, (-actual, mask))
+        elif gain > 0:
+            heapq.heappush(heap, (most - gain) << n | mask)
     return Code.from_words(n, chosen, r=R)
 
 

@@ -43,11 +43,6 @@ def weight(v: int) -> int:
     return v.bit_count()
 
 
-def dominated(x: int, c: int) -> bool:
-    """True iff x lies below c coordinate-wise."""
-    return x & c == x
-
-
 def binomial(n: int, k: int) -> int:
     """Exact C(n, k), zero outside 0 <= k <= n."""
     if not 0 <= n <= MAX_DIMENSION:

@@ -41,13 +41,12 @@ class CoveringIP:
     R: int
     objective: tuple[int, ...]
     rhs: tuple[int, ...]
-    caps: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = self.n
         if not 0 <= self.R <= n:
             raise ValueError(f"need 0 <= R <= n, got R={self.R}, n={n}")
-        for name in ("objective", "rhs", "caps"):
+        for name in ("objective", "rhs"):
             vec = getattr(self, name)
             if len(vec) != n + 1:
                 raise ValueError(f"{name} must have length n+1 = {n + 1}")
@@ -58,13 +57,13 @@ class CoveringIP:
     def size_objective(cls, n: int, R: int) -> "CoveringIP":
         """Objective sum a_l: lower bound on K+(n, R)."""
         binoms = tuple(binomial(n, l) for l in range(n + 1))
-        return cls(n, R, (1,) * (n + 1), binoms, binoms)
+        return cls(n, R, (1,) * (n + 1), binoms)
 
     @classmethod
     def zeros_objective(cls, n: int, R: int) -> "CoveringIP":
         """Objective sum (n-l) a_l: lower bound on the zero count phi(n, R)."""
         binoms = tuple(binomial(n, l) for l in range(n + 1))
-        return cls(n, R, tuple(n - l for l in range(n + 1)), binoms, binoms)
+        return cls(n, R, tuple(n - l for l in range(n + 1)), binoms)
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
     values.
     """
     n, R = ip.n, ip.R
-    rhs, caps, costs = ip.rhs, ip.caps, ip.objective
+    rhs, costs = ip.rhs, ip.objective
     cvar = [[binomial(l, j) for j in range(R + 1)] for l in range(n + 1)]
     price, D = dual_prices(ip)
     suffix = [0] * (n + 2)  # suffix[k+1] = sum_{t<=k} p_t * rhs_t
@@ -156,11 +155,11 @@ def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
                 d = _ceildiv(res_t, cvar[l][j])
                 if d > needed:
                     needed = d
-        hi = caps[l] if caps[l] < needed else needed
         best: float | int = INF
         best_v = -1
         cost_l = costs[l]
-        for v in range(lo, hi + 1):
+        # needed <= C(n, l) when rhs_t <= C(n, t): C(n, l-j) <= C(n, l) * C(l, j)
+        for v in range(lo, needed + 1):
             nodes += 1
             if nodes > node_cap:
                 raise BudgetExceededError(f"IP node budget {node_cap} exceeded")

@@ -12,7 +12,6 @@ from asymcover.bounds import (
     Budget,
     asym_sphere_bound,
     propagate,
-    sphere_bound_symmetric,
     superdiag_lower,
 )
 from asymcover.bounds import BoundRecord
@@ -62,6 +61,11 @@ REFERENCE_BRACKETS = {
 SETTLED_CELLS = [
     (3, 1), (4, 2), (6, 3), (7, 4), (8, 5), (10, 6), (11, 7), (12, 8), (13, 9),
 ]
+
+
+def symmetric_sphere_bound(n, R):
+    """ceil(2^n / sum_{j<=R} C(n,j)): the bound when every ball has the same size."""
+    return -(-(1 << n) // sum(math.comb(n, j) for j in range(R + 1)))
 
 
 def report(num, ok, detail):
@@ -224,7 +228,7 @@ def test_criterion_9_property_sweep():
                     bad.append(("duality", n, l, R))
     for n in range(1, 13):
         for R in range(1, n + 1):
-            if asym_sphere_bound(n, R) < sphere_bound_symmetric(n, R):
+            if asym_sphere_bound(n, R) < symmetric_sphere_bound(n, R):
                 bad.append(("sphere", n, R))
     for n in range(2, 8):
         for R in range(1, n):

@@ -1,6 +1,7 @@
 """Analytic bounds, their aggregation, and grid propagation."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,18 +15,17 @@ from asymcover.bounds import (
     asym_sphere_bound,
     best_bounds,
     propagate,
-    sphere_bound_symmetric,
     superdiag_exact,
     superdiag_lower,
 )
-from asymcover.cube import dominated, weight
+from asymcover.cube import weight
 from asymcover.ipsolve import diff_chain_lower, diff_lower, ip_plus
 
 
 def brute_ball_down_size(n, l, R):
     c = (1 << l) - 1
     return sum(
-        1 for v in range(1 << n) if dominated(v, c) and l - weight(v) <= R
+        1 for v in range(1 << n) if v & c == v and l - weight(v) <= R
     )
 
 
@@ -35,13 +35,6 @@ def brute_asym_sphere(n, R):
         denom = brute_ball_down_size(n, min(n, l + R), R)
         total += Fraction(math.comb(n, l), denom)
     return math.ceil(total)
-
-
-def test_sphere_bound_symmetric():
-    for n in range(1, 9):
-        for R in range(n + 1):
-            want = math.ceil((1 << n) / sum(math.comb(n, j) for j in range(R + 1)))
-            assert sphere_bound_symmetric(n, R) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -65,10 +58,15 @@ def test_asym_sphere_matches_fraction_formula():
             assert asym_sphere_bound(n, R) == fraction_asym_sphere(n, R), (n, R)
 
 
+def symmetric_sphere_bound(n, R):
+    """ceil(2^n / sum_{j<=R} C(n,j)): the bound when every ball has the same size."""
+    return -(-(1 << n) // sum(math.comb(n, j) for j in range(R + 1)))
+
+
 def test_asym_sphere_dominates_symmetric():
     for n in range(1, 13):
         for R in range(1, n + 1):
-            assert asym_sphere_bound(n, R) >= sphere_bound_symmetric(n, R)
+            assert asym_sphere_bound(n, R) >= symmetric_sphere_bound(n, R)
 
 
 def test_superdiag_values():
@@ -174,6 +172,59 @@ def seed_grid(n_max, r_max):
                 n, R, superdiag_lower(n, R), 1 << n, "superdiag", "sphere"
             )
     return grid
+
+
+def looped_propagate(grid):
+    """Reference: apply propagate's rules over the whole grid until nothing moves."""
+
+    def value(cells, n, R, field):
+        rec = cells.get((n, R))
+        if rec is not None:
+            return getattr(rec, field)
+        return 1 if R >= n else (1 << n) if R == 0 else None
+
+    out = dict(grid)
+    changed = True
+    while changed:
+        changed = False
+        for key in sorted(out):
+            n, R = key
+            rec = out[key]
+            lower, ltag = rec.lower, rec.lower_tag
+            upper, utag = rec.upper, rec.upper_tag
+            if R < n:
+                for src in (value(out, n - 1, R, "lower"), value(out, n, R + 1, "lower")):
+                    if src is not None and src + 1 > lower:
+                        lower, ltag = src + 1, "mono"
+            for n1 in range(1, n):
+                for r1 in range(R + 1):
+                    u1 = value(out, n1, r1, "upper")
+                    u2 = value(out, n - n1, R - r1, "upper")
+                    if u1 is not None and u2 is not None and u1 * u2 < upper:
+                        upper, utag = u1 * u2, "s"
+            if lower != rec.lower or upper != rec.upper:
+                out[key] = replace(rec, lower=lower, upper=upper, lower_tag=ltag, upper_tag=utag)
+                changed = True
+    return out
+
+
+def chain_grid():
+    # (3,2) lifts (4,2), which in turn lifts (4,1); with (3,1) absent, a pass
+    # that visits (4,1) before (4,2) stops short of the fixed point
+    return {
+        (3, 2): BoundRecord(3, 2, 2, 2, "e", "e"),
+        (4, 1): BoundRecord(4, 1, 1, 16, "sphere", "sphere"),
+        (4, 2): BoundRecord(4, 2, 1, 16, "sphere", "sphere"),
+    }
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [seed_grid(10, 9), seed_grid(13, 12), chain_grid()],
+    ids=["seed-10", "seed-13", "chain"],
+)
+def test_propagate_one_pass_matches_the_fixed_point_loop(grid):
+    assert propagate(grid) == looped_propagate(grid)
 
 
 def test_propagate_reaches_13_8():

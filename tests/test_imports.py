@@ -1,12 +1,15 @@
-"""Every module of the package uses each name it imports, and reads no other
-module's underscore names."""
+"""Every module of the package uses each name it imports and reads no other
+module's underscore names, and every public name is read or documented."""
 
 import ast
+import re
+import symtable
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "asymcover"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "asymcover"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -54,6 +57,66 @@ def private_reads(source: str) -> list[str]:
     return sorted(found)
 
 
+def global_reads(source: str) -> set[str]:
+    """Names the module reads as module globals, annotations included.
+
+    A function's own locals and closure variables are not global reads, so a
+    local that shares a public name's spelling does not count as reading it.
+    """
+    reads = set()
+    tables = [symtable.symtable(source, "module", "exec")]
+    while tables:
+        table = tables.pop()
+        tables += table.get_children()
+        reads |= {s.get_name() for s in table.get_symbols() if s.is_referenced() and s.is_global()}
+    for node in ast.walk(ast.parse(source)):
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if note is not None:
+                reads |= {n.id for n in ast.walk(note) if isinstance(n, ast.Name)}
+    return reads
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and constants whose names have no underscore prefix."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def unread_public_names(sources: dict[str, str], readme: str) -> list[str]:
+    """`module.name` for each public name that no module reads and README's code
+    spans do not name; a definition is not a read of itself."""
+    documented = set(re.findall(r"\w+", " ".join(re.findall(r"`+([^`]+)`+", readme))))
+    reads = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        origin = {}  # bound name -> (module, name), or (module, None) for a module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    origin[bound] = (node.module, alias.name) if node.module else (alias.name, None)
+        reads |= {origin.get(name, (module, name)) for name in global_reads(source)}
+        reads |= {
+            (origin[node.value.id][0], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and origin.get(node.value.id, ("", ""))[1] is None
+        }
+    return sorted(
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name in public_definitions(ast.parse(source))
+        if (module, name) not in reads and name not in documented
+    )
+
+
 def test_guard_sees_an_unused_import():
     source = "from .cube import Code, weight\nimport os\n\nweight(Code)\n"
     assert unused_imports(source) == ["os (line 2)"]
@@ -68,6 +131,18 @@ def test_guard_sees_a_private_read():
     assert private_reads(source) == ["cube._step (line 2)", "ipsolve._dual_vector (line 4)"]
 
 
+def test_guard_sees_an_unread_public_name():
+    sources = {
+        "cube": "LIMIT = 3\n\n\ndef dominated(x, c):\n    return x & c == x\n\n\n"
+        "def weight(v):\n    return v\n\n\nclass Code:\n    pass\n",
+        "exact": "from .cube import Code, weight as w\n\n\ndef search(v) -> Code:\n"
+        "    dominated = w(v) > 0\n    return dominated\n",
+        "bounds": "from . import cube\n\nCAP = cube.LIMIT\nSPARE = 1\n",
+    }
+    readme = "Call `search` on ```python\nac.CAP\n``` and ignore SPARE."
+    assert unread_public_names(sources, readme) == ["bounds.SPARE", "cube.dominated"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -76,3 +151,9 @@ def test_module_uses_every_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_no_private_name_of_another(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_public_name_is_read_or_documented():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unread_public_names(sources, readme) == []

@@ -52,7 +52,7 @@ def profile_is_feasible(ip, profile):
         )
         if row < ip.rhs[l]:
             return False
-    return all(profile[l] <= ip.caps[l] for l in range(ip.n + 1))
+    return all(profile[l] <= math.comb(ip.n, l) for l in range(ip.n + 1))
 
 
 @pytest.mark.parametrize(
@@ -92,9 +92,11 @@ def test_ip_plus_profile_41():
 
 def test_validation_rejects_bad_vectors():
     with pytest.raises(ValueError):
-        CoveringIP(3, 1, (1, 1, 1), (1, 3, 3, 1), (1, 3, 3, 1))
+        CoveringIP(3, 1, (1, 1, 1), (1, 3, 3, 1))
     with pytest.raises(ValueError):
-        CoveringIP(3, 4, (1,) * 4, (1, 3, 3, 1), (1, 3, 3, 1))
+        CoveringIP(3, 1, (1,) * 4, (1, 3, -3, 1))
+    with pytest.raises(ValueError):
+        CoveringIP(3, 4, (1,) * 4, (1, 3, 3, 1))
     with pytest.raises(ValueError):
         ip_plus(0, 1)
     with pytest.raises(ValueError):
@@ -133,10 +135,15 @@ def test_dual_prices_are_the_ball_size_ratios():
 
 def test_profile_programs_pinned():
     # SHA-256 of every (value, profile) for n = 2..12, 1 <= R <= n, as solved
-    # with rational dual prices before they became integers
+    # with rational dual prices before they became integers, and the node
+    # counts summed over those cells as searched with an explicit a_l <= C(n, l)
     digest = hashlib.sha256()
+    nodes_plus = nodes_phi = 0
     for n in range(2, 13):
         for R in range(1, n + 1):
             a, b = ip_plus(n, R), ip_phi(n, R)
             digest.update(repr((n, R, a.value, a.profile, b.value, b.profile)).encode())
+            nodes_plus += a.node_count
+            nodes_phi += b.node_count
     assert digest.hexdigest() == "15abb99cca1a5c3a584f44cfe220a1a8a048200905fef990649d8a2b48b749ff"
+    assert (nodes_plus, nodes_phi) == (444_427, 447_360)

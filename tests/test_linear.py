@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from asymcover.cube import MAX_DIMENSION, Code, DimensionCapError, all_ones, covers, dominated, weight
+from asymcover.cube import MAX_DIMENSION, Code, DimensionCapError, all_ones, covers, weight
 from asymcover.linear import (
     RADIUS_MAX_N,
     LinearCode,
@@ -33,7 +33,7 @@ def brute_radius(code):
     for v in range(1 << code.n):
         best = math.inf
         for c in code.words:
-            if dominated(v, c):
+            if v & c == v:
                 best = min(best, weight(c) - weight(v))
         worst = max(worst, best)
     return worst
