@@ -3,10 +3,10 @@
 The universe of Q_n vertices is one big bitmask; candidate centers for an
 uncovered vertex y are the supersets of y within R extra ones.  Search is
 iterative deepening on the code size with a transposition table of proven
-infeasibility depths, a lower bound per state from the size program's integer
-dual prices on its uncovered levels, and dominance filtering among branch
-candidates.  Budgets never produce a wrong exact claim: exhausting them
-yields a bracket.
+infeasibility depths, a lower bound per state from the size program's LP
+dual prices (certified in integers) on its uncovered levels, and dominance
+filtering among branch candidates.  Budgets never produce a wrong exact
+claim: exhausting them yields a bracket.
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ def exact_kplus(
     level_mask = [0] * (n + 1)
     for v in range(size):
         level_mask[weight(v)] |= 1 << v
-    # the profile program's dual prices: any extra centers covering u_l
+    # the size program's LP dual prices: any extra centers covering u_l
     # vertices per level cost at least ceil(sum u_l * p_l / D), by weak duality
-    price, D = ipsolve.dual_prices(ipsolve.CoveringIP.size_objective(n, R))
+    price, D = ipsolve.lp_prices(ipsolve.CoveringIP.size_objective(n, R))
 
     universe = (1 << size) - 1
     root = universe & ~ball_mask[top]  # the top word is forced into every cover

@@ -8,18 +8,20 @@ because a codeword at level l+j covers at most C(l+j, j) vertices of level l.
 Minimizing sum a_l over nonnegative integers with a_l <= C(n, l) lower-bounds
 K+(n, R); minimizing sum (n-l) a_l lower-bounds the total zero count phi(n, R).
 
-One set of feasible dual prices, kept as integers over a common denominator,
-gives every lower bound built on these programs: priced over the full demand
-of the size program it is the asymmetric sphere bound, over a residual window
-it prunes the branch and bound, and over the uncovered vertices of each level
-it bounds the exact search.  The cached program values and the difference
-chain built from the zero-count program live here too.
+Feasible dual prices, kept as integers over a common denominator, give every
+lower bound built on these programs.  Two price vectors are used: the
+ball-size prices, which priced over the full demand of the size program are
+the asymmetric sphere bound, and the LP-optimal prices, which priced over a
+residual window prune the branch and bound and over the uncovered vertices
+of each level bound the exact search.  The cached program values and the
+difference chain built from the zero-count program live here too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .cube import ball_size_down, binomial
@@ -96,6 +98,87 @@ def dual_prices(ip: CoveringIP) -> tuple[tuple[int, ...], int]:
     return prices, D
 
 
+def _simplex_max(c: list[float], A: list[list[float]], b: list[float]) -> list[float]:
+    """Maximize c.y subject to A y <= b, y >= 0, for b >= 0 and a bounded
+    program: a dense tableau started from the slack basis, pivoting by
+    Bland's rule so that degenerate vertices cannot cycle."""
+    rows, cols = len(A), len(c)
+    width = cols + rows
+    tab = [A[i] + [1.0 if k == i else 0.0 for k in range(rows)] + [b[i]] for i in range(rows)]
+    z = [-x for x in c] + [0.0] * (rows + 1)
+    basis = [cols + i for i in range(rows)]
+    eps = 1e-12 * max(map(abs, c), default=1.0)
+    for _ in range(50 * width):  # Bland's rule terminates; this only caps float noise
+        enter = next((k for k in range(width) if z[k] < -eps), None)
+        if enter is None:
+            break
+        leave, best = -1, INF
+        for i in range(rows):
+            a = tab[i][enter]
+            if a > 1e-12:
+                ratio = tab[i][-1] / a
+                if ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave < 0:
+            raise ValueError("unbounded program")
+        pivot = tab[leave]
+        inv = 1.0 / pivot[enter]
+        pivot[:] = [x * inv for x in pivot]
+        for row in [*tab, z]:
+            f = row[enter]
+            if row is not pivot and f:
+                row[:] = [x - f * p for x, p in zip(row, pivot)]
+        basis[leave] = enter
+    y = [0.0] * cols
+    for i, var in enumerate(basis):
+        if var < cols:
+            y[var] = tab[i][-1]
+    return y
+
+
+def lp_prices(ip: CoveringIP) -> tuple[tuple[int, ...], int]:
+    """Optimal dual prices of the program's LP relaxation on its full demand, as (p, D).
+
+    Maximizes sum rhs_t * y_t subject to sum_{j<=R} C(m,j) * y_{m-j} <= cost_m
+    for every variable a_m and y >= 0 in floats, then repairs the result in
+    integers: each y_t * 2^40 is floored, the rows that a zero-cost variable
+    covers are priced 0, and all prices are scaled by min_m cost_m * D / lhs_m where
+    that is below 1, so every column is feasible by exact arithmetic and a
+    float error can only weaken the bound.  Where the ball-size prices of
+    `dual_prices` price the full demand higher, those are returned instead.
+    """
+    n, R, costs = ip.n, ip.R, ip.objective
+    cols = [[(m - j, binomial(m, j)) for j in range(min(R, m) + 1)] for m in range(n + 1)]
+    A = [[0.0] * (n + 1) for _ in cols]
+    for row, col in zip(A, cols):
+        for t, coef in col:
+            row[t] = float(coef)
+    y = _simplex_max([float(x) for x in ip.rhs], A, [float(x) for x in costs])
+
+    scale = 1 << 40
+    p = [max(0, math.floor(v * scale)) for v in y]
+    for m, col in enumerate(cols):
+        if costs[m] == 0:
+            for t, _ in col:
+                p[t] = 0
+    D = scale
+    lhs = [sum(coef * p[t] for t, coef in col) for col in cols]
+    tight = min(
+        (m for m in range(n + 1) if lhs[m]), key=lambda m: Fraction(costs[m], lhs[m]), default=None
+    )
+    if tight is not None and costs[tight] * D < lhs[tight]:
+        p = [x * costs[tight] for x in p]
+        D = lhs[tight]
+    g = math.gcd(D, *p)
+    p, D = [x // g for x in p], D // g
+
+    ball, D_ball = dual_prices(ip)
+    value = sum(x * r for x, r in zip(p, ip.rhs))
+    if sum(x * r for x, r in zip(ball, ip.rhs)) * D > value * D_ball:
+        return ball, D_ball
+    return tuple(p), D
+
+
 def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
     """Depth-first branch and bound, levels fixed from n down to 0.
 
@@ -107,7 +190,7 @@ def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
     n, R = ip.n, ip.R
     rhs, costs = ip.rhs, ip.objective
     cvar = [[binomial(l, j) for j in range(R + 1)] for l in range(n + 1)]
-    price, D = dual_prices(ip)
+    price, D = lp_prices(ip)
     suffix = [0] * (n + 2)  # suffix[k+1] = sum_{t<=k} p_t * rhs_t
     for t in range(n + 1):
         suffix[t + 1] = suffix[t] + price[t] * rhs[t]

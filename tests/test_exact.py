@@ -1,10 +1,13 @@
 """Exact minimum covers checked against a subset-enumeration oracle."""
 
 import hashlib
+import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from asymcover import cli
 from asymcover.cube import Code, ball_down, covers
 from asymcover.exact import EXACT_MAX_N, ExactResult, exact_kplus
 from asymcover.ipsolve import ip_plus
@@ -126,9 +129,10 @@ def test_bracket_mode_on_tiny_node_budget():
 
 
 def test_bracket_mode_on_tiny_time_budget():
-    res = exact_kplus(6, 1, time_limit=0.01)
+    # (6,1) now settles in about 10 ms, before the first clock check; (7,1) needs a second
+    res = exact_kplus(7, 1, time_limit=0.01)
     assert res.status == "bracket"
-    assert res.bracket[0] <= 18 <= res.bracket[1]
+    assert res.bracket[0] <= 31 <= res.bracket[1]
 
 
 def test_progress_callback_sees_increasing_lowers():
@@ -162,10 +166,11 @@ def test_verify_optimal():
 # (status, value, bracket, nodes, SHA-256 of the witness words), node limit per cell
 EXACT_PINS = {
     (5, 1, None): ("exact", 10, None, 12, "26f966fa79d8e498"),
-    (6, 1, None): ("exact", 18, None, 18446, "46bd09f549d12971"),
+    (6, 1, None): ("exact", 18, None, 6474, "46bd09f549d12971"),
     (6, 2, None): ("exact", 8, None, 8, "e4681bd3d8b79c80"),
-    (7, 3, None): ("exact", 7, None, 221540, "cbadf07f83a4571e"),
+    (7, 3, None): ("exact", 7, None, 46996, "cbadf07f83a4571e"),
     (7, 2, 20_000): ("bracket", None, (13, 15), 20480, "2461c3108caa0082"),
+    (7, 1, 20_000): ("bracket", None, (29, 31), 20480, "25339eef745efd63"),
 }
 
 
@@ -174,3 +179,30 @@ def test_exact_pinned(n, R, limit):
     res = exact_kplus(n, R, time_limit=None, node_limit=limit)
     digest = hashlib.sha256(repr(res.witness.words).encode()).hexdigest()[:16]
     assert (res.status, res.value, res.bracket, res.nodes, digest) == EXACT_PINS[n, R, limit]
+
+
+def test_exact_proves_kplus_7_1():
+    res = exact_kplus(7, 1, time_limit=None)
+    assert (res.status, res.value, len(res.witness)) == ("exact", 31, 31)
+    assert covers(res.witness, 1)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("R,size", [(1, 31), (2, 14)])
+def test_shipped_witness_verifies(R, size, capsys):
+    # K+(7,1) = 31 is proved above; K+(7,2) = 14 by an 8.8 M-node search too slow for this suite
+    assert cli.main(["verify", str(DATA / f"kplus-7-{R}.json"), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["covers"], out["size"], out["r"]) == (True, size, R)
+
+
+def test_published_kplus_7_2_witness_covers():
+    # the 14 words as ROADMAP.md prints them, coordinate 1 rightmost
+    words = (
+        "0010110 0011111 0100001 0101101 0111010 1001010 1001101 1010011 "
+        "1100111 1110101 1111000 1111011 1111110 1111111"
+    ).split()
+    code = Code.from_words(7, [int(w, 2) for w in words], r=2)
+    assert len(code) == 14 and covers(code, 2)

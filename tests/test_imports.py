@@ -1,9 +1,11 @@
-"""Every module of the package uses each name it imports and reads no other
-module's underscore names, and every public name is read or documented."""
+"""Every module of the package uses each name it imports, imports nothing
+outside the standard library and itself, and reads no other module's
+underscore names, and every public name is read or documented."""
 
 import ast
 import re
 import symtable
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,24 @@ def unused_imports(source: str) -> list[str]:
     return sorted(
         f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used
     )
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Imported modules that are neither in the standard library nor the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue  # a relative import stays inside the package
+        found += [
+            f"{name} (line {node.lineno})"
+            for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names | {PACKAGE.name}
+        ]
+    return sorted(found)
 
 
 def private_reads(source: str) -> list[str]:
@@ -122,6 +142,15 @@ def test_guard_sees_an_unused_import():
     assert unused_imports(source) == ["os (line 2)"]
 
 
+def test_guard_sees_a_foreign_import():
+    source = (
+        "from __future__ import annotations\nimport math, numpy as np\n"
+        "from scipy.optimize import linprog\nfrom . import cube\n"
+        "from asymcover.ipsolve import lp_prices\nfrom fractions import Fraction\n"
+    )
+    assert foreign_imports(source) == ["numpy (line 2)", "scipy.optimize (line 3)"]
+
+
 def test_guard_sees_a_private_read():
     source = (
         "from . import ipsolve\nfrom .cube import _step, weight\n\n"
@@ -146,6 +175,11 @@ def test_guard_sees_an_unread_public_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from asymcover.bounds import asym_sphere_bound
 from asymcover.ipsolve import (
+    MAX_IP_DIMENSION,
     BudgetExceededError,
     CoveringIP,
     dual_prices,
     ip_phi,
     ip_plus,
+    lp_prices,
     solve,
 )
 
@@ -103,13 +106,41 @@ def test_validation_rejects_bad_vectors():
         ip_plus(4, 5)
 
 
+def full_demand_value(ip, prices):
+    price, D = prices
+    return Fraction(sum(p * demand for p, demand in zip(price, ip.rhs)), D)
+
+
 def test_lp_relaxation_is_a_lower_bound():
-    # the dual prices are LP-feasible, so pricing the full demand bounds the optimum
+    # both price vectors are LP-feasible, so pricing the full demand bounds the optimum
     for n in range(2, 8):
         for R in range(1, n):
-            price, D = dual_prices(CoveringIP.size_objective(n, R))
-            lp = sum(Fraction(price[t] * math.comb(n, t), D) for t in range(n + 1))
-            assert lp <= ip_plus(n, R).value
+            ip = CoveringIP.size_objective(n, R)
+            for prices in (dual_prices(ip), lp_prices(ip)):
+                assert full_demand_value(ip, prices) <= ip_plus(n, R).value
+
+
+@pytest.mark.parametrize("n", range(1, MAX_IP_DIMENSION + 1))
+def test_lp_prices_are_feasible_and_dominate_the_ball_prices(n):
+    # every column checked in integers: sum_j C(m, j) * p_{m-j} <= cost_m * D
+    for R in range(n + 1):
+        for ip in (CoveringIP.size_objective(n, R), CoveringIP.zeros_objective(n, R)):
+            price, D = lp_prices(ip)
+            assert min(price) >= 0 and D > 0
+            for m in range(n + 1):
+                lhs = sum(math.comb(m, j) * price[m - j] for j in range(min(R, m) + 1))
+                assert lhs <= ip.objective[m] * D, (n, R, m)
+            assert full_demand_value(ip, (price, D)) >= full_demand_value(ip, dual_prices(ip))
+
+
+@pytest.mark.parametrize(
+    "n,R,sphere,lp", [(14, 6, 7, 15), (20, 10, 5, 16), (24, 8, 130, 228), (40, 12, 7222, 12483)]
+)
+def test_lp_prices_reach_the_lp_bound(n, R, sphere, lp):
+    # the LP optimum of the size program, against the paper's sphere bound
+    ip = CoveringIP.size_objective(n, R)
+    assert math.ceil(full_demand_value(ip, lp_prices(ip))) == lp
+    assert asym_sphere_bound(n, R) == sphere
 
 
 def test_node_budget_raises():
@@ -135,8 +166,8 @@ def test_dual_prices_are_the_ball_size_ratios():
 
 def test_profile_programs_pinned():
     # SHA-256 of every (value, profile) for n = 2..12, 1 <= R <= n, as solved
-    # with rational dual prices before they became integers, and the node
-    # counts summed over those cells as searched with an explicit a_l <= C(n, l)
+    # with rational ball-size dual prices before they became integers, and the
+    # node counts summed over those cells as pruned by the LP prices
     digest = hashlib.sha256()
     nodes_plus = nodes_phi = 0
     for n in range(2, 13):
@@ -146,4 +177,4 @@ def test_profile_programs_pinned():
             nodes_plus += a.node_count
             nodes_phi += b.node_count
     assert digest.hexdigest() == "15abb99cca1a5c3a584f44cfe220a1a8a048200905fef990649d8a2b48b749ff"
-    assert (nodes_plus, nodes_phi) == (444_427, 447_360)
+    assert (nodes_plus, nodes_phi) == (395_646, 445_838)
