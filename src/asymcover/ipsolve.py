@@ -144,8 +144,7 @@ def lp_prices(ip: CoveringIP) -> tuple[tuple[int, ...], int]:
     integers: each y_t * 2^40 is floored, the rows that a zero-cost variable
     covers are priced 0, and all prices are scaled by min_m cost_m * D / lhs_m where
     that is below 1, so every column is feasible by exact arithmetic and a
-    float error can only weaken the bound.  Where the ball-size prices of
-    `dual_prices` price the full demand higher, those are returned instead.
+    float error can only weaken the bound.
     """
     n, R, costs = ip.n, ip.R, ip.objective
     cols = [[(m - j, binomial(m, j)) for j in range(min(R, m) + 1)] for m in range(n + 1)]
@@ -170,13 +169,7 @@ def lp_prices(ip: CoveringIP) -> tuple[tuple[int, ...], int]:
         p = [x * costs[tight] for x in p]
         D = lhs[tight]
     g = math.gcd(D, *p)
-    p, D = [x // g for x in p], D // g
-
-    ball, D_ball = dual_prices(ip)
-    value = sum(x * r for x, r in zip(p, ip.rhs))
-    if sum(x * r for x, r in zip(ball, ip.rhs)) * D > value * D_ball:
-        return ball, D_ball
-    return tuple(p), D
+    return tuple(x // g for x in p), D // g
 
 
 def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:

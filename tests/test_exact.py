@@ -196,13 +196,3 @@ def test_shipped_witness_verifies(R, size, capsys):
     assert cli.main(["verify", str(DATA / f"kplus-7-{R}.json"), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["covers"], out["size"], out["r"]) == (True, size, R)
-
-
-def test_published_kplus_7_2_witness_covers():
-    # the 14 words as ROADMAP.md prints them, coordinate 1 rightmost
-    words = (
-        "0010110 0011111 0100001 0101101 0111010 1001010 1001101 1010011 "
-        "1100111 1110101 1111000 1111011 1111110 1111111"
-    ).split()
-    code = Code.from_words(7, [int(w, 2) for w in words], r=2)
-    assert len(code) == 14 and covers(code, 2)
