@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .cube import ball_size_down, binomial
@@ -160,14 +159,12 @@ def lp_prices(ip: CoveringIP) -> tuple[tuple[int, ...], int]:
         if costs[m] == 0:
             for t, _ in col:
                 p[t] = 0
-    D = scale
-    lhs = [sum(coef * p[t] for t, coef in col) for col in cols]
-    tight = min(
-        (m for m in range(n + 1) if lhs[m]), key=lambda m: Fraction(costs[m], lhs[m]), default=None
-    )
-    if tight is not None and costs[tight] * D < lhs[tight]:
-        p = [x * costs[tight] for x in p]
-        D = lhs[tight]
+    c, D = 1, scale  # scale factor c * scale / D, compared by cross-multiplying
+    for col, cost in zip(cols, costs):
+        lhs = sum(coef * p[t] for t, coef in col)
+        if cost * D < c * lhs:
+            c, D = cost, lhs
+    p = [x * c for x in p]
     g = math.gcd(D, *p)
     return tuple(x // g for x in p), D // g
 
