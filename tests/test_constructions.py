@@ -256,6 +256,54 @@ def test_random_code_nu_always_covers():
     assert random_code_nu(7, 2, 1) == random_code_nu(7, 2, 1)
 
 
+def words_digest(code):
+    return hashlib.sha256(",".join(map(str, code.words)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n,R,seed,size,digest",
+    [
+        (7, 2, 0, 31, "4d9291b3311770629d2404eb30bfea7e43e3454cee9623202b70311ea6355187"),
+        (7, 2, 1, 38, "eb7828209b973bdb34b67a2df6391ab79ce8bb188a7562d1f94672ffd695706a"),
+        (7, 2, 2, 35, "47fa63c318da5d11cf393a5052aeb140bbca2eb16749220b85509b9bec179a60"),
+        (12, 3, 0, 502, "3830cb618dae0256eb68029665fee3be9cc3aeb119a1ca1346f24338c78d37bc"),
+        (12, 3, 1, 522, "bafd61590327296af065ad6b76c4276a3c72fb6bb5d442c8deec1620b3676bf0"),
+        (12, 3, 2, 482, "2d48b5a0cd455eaa92ffeb9704d68f36a6dafabac4c02cd7e69a5cc0102e724d"),
+        (16, 4, 0, 3427, "33e11eb32c806284a200165224a64bca3aada50ce3a1eb5a7fed0981ad36f5c9"),
+        (16, 4, 1, 3475, "1d7b2725b447121c08a1827bfcae2c41b0c41105f2ae455e6c262f7f186ac908"),
+        (16, 4, 2, 3406, "a91c4e36da7020195e180854260cc00839ef3690c14a7531a23fdcd29474f8e7"),
+    ],
+)
+def test_random_code_nu_pinned(n, R, seed, size, digest):
+    # the words the nu sampler drew when it walked Q_n through RandomModel
+    code = random_code_nu(n, R, seed)
+    assert len(code) == size
+    assert words_digest(code) == digest
+
+
+def test_random_patched_pinned():
+    p = random_patched(6, 1, Fraction(1, 2), seed=5)
+    assert len(p.S) == 10
+    assert words_digest(p.S) == "147d1bcb7bc2fa2d3b7e01fc4c1de870299a1cf530ee088044a005d3a548e576"
+    assert len(p.T) == 24
+    assert words_digest(p.T) == "3f30bcffefa3b1407b9f2cb01c03c25df26fbec450212f7f61d3a66ff2002db2"
+
+
+@pytest.mark.parametrize(
+    "m,size,digest",
+    [
+        (1, 2, "46584c88c62d575eca10a01b7c96b76ee70c876d24e57e8448b4fade22eba959"),
+        (2, 6, "cfbed55925bc7b6f1f3874b8dc0ad75de62c8887615bbd91c04405296bca3d0a"),
+        (3, 82, "cdec46d6a465779379101097b91ecd2dc27cf6b75ec658946eb7b9a3bbca566e"),
+        (4, 17470, "c4d93702c89d902db53baef75324a8e0990e7e384599c2eb543438a6398c8d71"),
+    ],
+)
+def test_inductive_power2_pinned(m, size, digest):
+    code = inductive_power2(m, 1, seed=4)
+    assert len(code) == size
+    assert words_digest(code) == digest
+
+
 def test_greedy_pinned_q3():
     assert greedy_code(3, 1).words == (1, 6, 7)
 
