@@ -263,6 +263,10 @@ def words_digest(code):
 @pytest.mark.parametrize(
     "n,R,seed,size,digest",
     [
+        # ln(2^n / nu) < 1 at these two, so even the top word is drawn with
+        # probability below 1 and the patch may add words it would cover
+        (3, 1, 1, 6, "b7bcded7172f128ad30be97adad7cb2d6375d3dbc175af610f749069602b7382"),
+        (4, 1, 2, 9, "48f9b6e1d67023287dcfaf8ade76ba0648e6217add165229d28e1b2669f48b97"),
         (7, 2, 0, 31, "4d9291b3311770629d2404eb30bfea7e43e3454cee9623202b70311ea6355187"),
         (7, 2, 1, 38, "eb7828209b973bdb34b67a2df6391ab79ce8bb188a7562d1f94672ffd695706a"),
         (7, 2, 2, 35, "47fa63c318da5d11cf393a5052aeb140bbca2eb16749220b85509b9bec179a60"),
