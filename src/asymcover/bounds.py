@@ -10,6 +10,7 @@ Every bound value is computed with exact integer arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 from . import exact, ipsolve
@@ -19,6 +20,7 @@ from .constructions import (
     greedy_code,
     random_code_nu,
 )
+from .cube import ball_size_down, binomial
 
 LOWER_TAG_ORDER = ("superdiag", "i", "e", "mono", "sphere")
 UPPER_TAG_ORDER = ("d", "e", "g", "nu", "s", "general", "sphere")
@@ -97,15 +99,16 @@ def _check_cell(n: int, R: int) -> None:
 
 
 def asym_sphere_bound(n: int, R: int) -> int:
-    """Levelwise sphere bound: the size program's dual prices on its full demand.
+    """Levelwise sphere bound: ceil of sum_l C(n,l) / b-(min(n, l+R), R).
 
-    Vertices of weight l can only be covered from levels l..l+R, giving the
-    per-level denominator sum_{j<=R} C(min(n, l+R), j).
+    Vertices of weight l can only be covered from levels l..l+R, and a word
+    there covers at most b-(min(n, l+R), R) = sum_{j<=R} C(min(n, l+R), j)
+    of them.  The sum is taken in integers over the LCM of those ball sizes.
     """
     _check_cell(n, R)
-    ip = ipsolve.CoveringIP.size_objective(n, R)
-    price, D = ipsolve.dual_prices(ip)
-    return -(-sum(p * demand for p, demand in zip(price, ip.rhs)) // D)
+    sizes = [ball_size_down(n, min(l + R, n), R) for l in range(n + 1)]
+    D = math.lcm(*sizes)
+    return -(-sum(binomial(n, l) * (D // size) for l, size in enumerate(sizes)) // D)
 
 
 def superdiag_lower(n: int, R: int) -> int:
@@ -139,6 +142,10 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
     if R == 0:
         full = 1 << n
         return BoundRecord(n, R, full, full, "sphere", "sphere")
+    r = n - R
+    if superdiag_exact(n, R):
+        # the coradius theorem settles the cell, and its tags head both orders
+        return BoundRecord(n, R, r + 1, r + 1, "superdiag", "d")
 
     lowers = [
         (asym_sphere_bound(n, R), "sphere"),
@@ -148,12 +155,7 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
         lowers.append((ipsolve.ip_plus_value(n, R), "i"))
         lowers.append((ipsolve.diff_chain_lower(n, R), "mono"))
 
-    r = n - R
-    uppers: list[tuple[int, str]] = []
-    if superdiag_exact(n, R):
-        uppers.append((max(1, r + 1), "d"))
-    if r >= 1:
-        uppers.append((general_upper_size(n, r), "general"))
+    uppers = [(general_upper_size(n, r), "general")]
     if budget.use_greedy and n <= GREEDY_MAX_N:
         uppers.append((len(greedy_code(n, R)), "g"))
     if budget.nu_seeds > 0 and n <= GREEDY_MAX_N:

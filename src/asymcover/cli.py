@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import codefiles
 from .bounds import Budget, best_bounds
@@ -132,7 +131,7 @@ def _build_construction(args) -> Code:
         inner = codefiles.load_code(args.code_in)
         if inner.r is None:
             inner = Code.from_words(inner.n, inner.words, r=args.r)
-        patched = PatchedCode(n=s.n, R=args.r, S=s, T=t, delta=Fraction(args.delta))
+        patched = PatchedCode(n=s.n, R=args.r, S=s, T=t)
         if not patched.is_valid():
             raise _VerificationFailure(
                 "patch invalid: some vertex is neither covered by S nor in T"
@@ -312,7 +311,6 @@ def build_parser() -> _Parser:
     p.add_argument("--coradius", type=int)
     p.add_argument("--m", type=int, help="power2 exponent: the cube is Q_{2^m}")
     p.add_argument("--trials", type=int, default=32)
-    p.add_argument("--delta", default="0", help="patch weight for semidirect, e.g. 1/4")
     p.add_argument("--in1", help="first directsum input file")
     p.add_argument("--in2", help="second directsum input file")
     p.add_argument("--s-in", dest="s_in", help="semidirect covering part S")

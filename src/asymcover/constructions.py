@@ -2,12 +2,14 @@
 
 Deterministic builders (diagonal codes, direct sums, coradius splits) plus
 the randomized ones (patched sampling, the nu-based sampler, the inductive
-power-of-two recursion) and greedy set cover.  Every randomized
-operation takes an explicit seed and is reproducible bit for bit.
+power-of-two recursion) and greedy set cover.  Both samplers draw through
+one sample-and-patch helper.  Every randomized operation takes an explicit
+seed and is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import math
@@ -26,11 +28,9 @@ from .cube import (
     ball_size_up,
     binomial,
     uncovered,
-    weight,
 )
 
 GREEDY_MAX_N = 26  # greedy / sampling sweeps touch every vertex of Q_n
-ALPHA_DEFAULT_CAP = 40
 
 
 def diagonal_code(n: int, coradius: int) -> Code:
@@ -68,51 +68,23 @@ def direct_sum(c1: Code, c2: Code) -> Code:
 
 @dataclass(frozen=True)
 class PatchedCode:
-    """Pair (S, T) where S covers everything outside the patch set T.
-
-    delta is the weight put on patch members when comparing candidates:
-    delta_weight = |S| + delta * |T|.
-    """
+    """Pair (S, T) where S covers everything outside the patch set T."""
 
     n: int
     R: int
     S: Code
     T: Code
-    delta: Fraction
 
     def __post_init__(self) -> None:
         if self.S.n != self.n or self.T.n != self.n:
             raise ValueError("S and T must live in the same cube as the patched code")
         if self.R < 0:
             raise ValueError("radius must be nonnegative")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
-
-    def delta_weight(self) -> Fraction:
-        return len(self.S) + self.delta * len(self.T)
 
     def is_valid(self) -> bool:
         """True when every vertex is covered by S or belongs to T."""
         patch = set(self.T.words)
         return all(v in patch for v in uncovered(self.S, self.R))
-
-
-@dataclass(frozen=True)
-class RandomModel:
-    """Levelwise sampling model: vertex v enters with probability p_{w(v)}."""
-
-    seed: int
-    level_probs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(p < 0 or p > 1 for p in self.level_probs):
-            raise ValueError("level probabilities must lie in [0, 1]")
-
-    def sample(self) -> list[int]:
-        """Walk Q_n in mask order, keeping each vertex independently."""
-        n = len(self.level_probs) - 1
-        rng = random.Random(self.seed)
-        return [v for v in range(1 << n) if rng.random() < self.level_probs[weight(v)]]
 
 
 def nu(n: int, R: int) -> Fraction:
@@ -124,18 +96,18 @@ def nu(n: int, R: int) -> Fraction:
     )
 
 
-def estimate_alpha(R: int, n_cap: int = ALPHA_DEFAULT_CAP) -> Fraction:
+@functools.cache
+def estimate_alpha(R: int) -> Fraction:
     """Empirical surrogate for the sampling constant: max of nu(m,R) m^R / 2^m.
 
-    The true constant is a supremum over all m with no closed form; capping
-    the scan keeps the value exact and is safe for the sampler because the
-    patch step restores covering regardless of the constant used.
+    The true constant is a supremum over all m with no closed form; scanning
+    m <= 40 keeps the value exact and is safe for the sampler because the
+    patch step restores covering regardless of the constant used.  Memoized
+    per R: every trial of inductive_power2 needs it.
     """
     if R < 1:
         raise ValueError("radius must be at least 1")
-    if not 1 <= n_cap <= ALPHA_DEFAULT_CAP:
-        raise ValueError(f"n_cap must be between 1 and {ALPHA_DEFAULT_CAP}")
-    return max(nu(m, R) * m**R / Fraction(2**m) for m in range(1, n_cap + 1))
+    return max(nu(m, R) * m**R / Fraction(2**m) for m in range(1, 41))
 
 
 def _check_sweep_dim(n: int) -> None:
@@ -145,38 +117,39 @@ def _check_sweep_dim(n: int) -> None:
         raise DimensionCapError(f"dimension {n} exceeds the sweep cap {GREEDY_MAX_N}")
 
 
-def patched_level_probs(n: int, R: int, delta: Fraction, alpha: Fraction) -> tuple[float, ...]:
-    """Sampling probabilities min{ln(delta n^R / alpha) / b+(j,R), 1}, p_n = 1.
+def _level_probs(n: int, R: int, ratio: Fraction) -> list[float]:
+    """Probabilities min{ln(ratio) / b+(j,R), 1} for the levels j = 0..n.
 
-    The log argument can dip to or below 1 for small delta; the probability
-    is then clamped to 0 and the patch absorbs the slack.
+    A ratio at or below 1 gives probability 0; the patch absorbs the slack.
     """
-    probs = []
-    for j in range(n + 1):
-        if j == n:
-            probs.append(1.0)
-            continue
-        arg = delta * n**R / alpha
-        if arg <= 1:
-            probs.append(0.0)
-        else:
-            probs.append(min(1.0, math.log(arg) / ball_size_up(n, j, R)))
-    return tuple(probs)
+    log_term = math.log(max(ratio, 1))
+    return [min(1.0, log_term / ball_size_up(n, j, R)) for j in range(n + 1)]
+
+
+def _sample_and_patch(n: int, R: int, probs: list[float], seed: int) -> tuple[Code, list[int]]:
+    """Keep each vertex v of Q_n with probability probs[w(v)], then list the misses.
+
+    One draw per vertex in mask order, so a seed fixes the sample bit for bit.
+    Returns the sample S and every vertex S fails to R-cover.
+    """
+    rng = random.Random(seed)
+    sample = [v for v in range(1 << n) if rng.random() < probs[v.bit_count()]]
+    s_code = Code.from_words(n, sample, r=R)
+    return s_code, uncovered(s_code, R)
 
 
 def random_patched(n: int, R: int, delta, seed: int) -> PatchedCode:
-    """Sample S levelwise, then patch: T = everything S fails to cover."""
+    """Sample S at ln(delta n^R / alpha) / b+(j,R), then patch: T = what S misses."""
     if R < 1:
         raise ValueError("radius must be at least 1")
     _check_sweep_dim(n)
     d = Fraction(delta)
     if d < 0:
         raise ValueError("delta must be nonnegative")
-    probs = patched_level_probs(n, R, d, estimate_alpha(R))
-    model = RandomModel(seed=seed, level_probs=probs)
-    s_code = Code.from_words(n, model.sample(), r=R)
-    t_code = Code.from_words(n, uncovered(s_code, R))
-    return PatchedCode(n=n, R=R, S=s_code, T=t_code, delta=d)
+    probs = _level_probs(n, R, d * n**R / estimate_alpha(R))
+    probs[n] = 1.0  # the top word is covered only by itself, so S always keeps it
+    s_code, missing = _sample_and_patch(n, R, probs, seed)
+    return PatchedCode(n=n, R=R, S=s_code, T=Code.from_words(n, missing))
 
 
 def semi_direct_sum(p: PatchedCode, c: Code) -> Code:
@@ -214,7 +187,7 @@ def inductive_power2(m: int, R: int, seed: int, trials: int = 32) -> Code:
 
     Step j doubles a cover C of Q_{2^j} by pairing it with the best of
     `trials` sampled patched codes at delta = |C| / 2^{2^j}; "best" means
-    least delta-weight, first trial winning ties.  The output is verified
+    least |S| + delta |T|, first trial winning ties.  The output is verified
     to cover before it is returned.
     """
     if R < 1:
@@ -232,7 +205,7 @@ def inductive_power2(m: int, R: int, seed: int, trials: int = 32) -> Code:
         best = None
         for t in range(trials):
             cand = random_patched(nj, R, delta, _subseed(seed + j, t))
-            w = cand.delta_weight()
+            w = len(cand.S) + delta * len(cand.T)
             if best is None or w < best[0]:
                 best = (w, cand)
         code = semi_direct_sum(best[1], code)
@@ -250,15 +223,9 @@ def random_code_nu(n: int, R: int, seed: int) -> Code:
     if R < 1:
         raise ValueError("radius must be at least 1")
     _check_sweep_dim(n)
-    measure = nu(n, R)
-    log_term = math.log(float(Fraction(2**n) / measure))
-    probs = tuple(
-        min(1.0, log_term / ball_size_up(n, j, R)) for j in range(n + 1)
-    )
-    model = RandomModel(seed=seed, level_probs=probs)
-    base = Code.from_words(n, model.sample(), r=R)
-    missing = uncovered(base, R)
-    return Code.from_words(n, list(base.words) + missing, r=R)
+    probs = _level_probs(n, R, Fraction(2**n) / nu(n, R))
+    s_code, missing = _sample_and_patch(n, R, probs, seed)
+    return Code.from_words(n, list(s_code.words) + missing, r=R)
 
 
 def greedy_code(n: int, R: int) -> Code:

@@ -22,6 +22,7 @@ from it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -182,14 +183,8 @@ class Code:
         return iter(self.words)
 
     def __contains__(self, v: int) -> bool:
-        lo, hi = 0, len(self.words)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.words[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.words) and self.words[lo] == v
+        i = bisect_left(self.words, v)
+        return i < len(self.words) and self.words[i] == v
 
 
 def level_profile(code: Code) -> tuple[int, ...]:

@@ -8,13 +8,11 @@ because a codeword at level l+j covers at most C(l+j, j) vertices of level l.
 Minimizing sum a_l over nonnegative integers with a_l <= C(n, l) lower-bounds
 K+(n, R); minimizing sum (n-l) a_l lower-bounds the total zero count phi(n, R).
 
-Feasible dual prices, kept as integers over a common denominator, give every
-lower bound built on these programs.  Two price vectors are used: the
-ball-size prices, which priced over the full demand of the size program are
-the asymmetric sphere bound, and the LP-optimal prices, which priced over a
-residual window prune the branch and bound and over the uncovered vertices
-of each level bound the exact search.  The cached program values and the
-difference chain built from the zero-count program live here too.
+One price vector, the LP-optimal dual prices kept as integers over a common
+denominator, prunes the branch and bound (priced over a residual window) and
+bounds the exact search (priced over the uncovered vertices of each level).
+The cached program values and the difference chain built from the
+zero-count program live here too.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cube import ball_size_down, binomial
+from .cube import binomial
 
 DEFAULT_NODE_CAP = 10**8
 MAX_IP_DIMENSION = 40
@@ -76,25 +74,6 @@ class IPSolution:
 
 def _ceildiv(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def dual_prices(ip: CoveringIP) -> tuple[tuple[int, ...], int]:
-    """Feasible dual prices y_t = p_t / D, one per row, as (p, D).
-
-    y_t = (min objective coefficient among row t's variables) / b-(min(t+R,n), R),
-    and D is the LCM of those ball sizes.  For any variable a_m:
-    sum_{j<=R} C(m,j) y_{m-j} <= cost_m, since each denominator is at least
-    b-(m, R) and each numerator at most cost_m, so sum res_t * y_t never
-    exceeds the cost of any feasible completion, and neither does its ceiling
-    ceil(sum res_t * p_t / D), the cost being an integer.
-    """
-    n, R = ip.n, ip.R
-    sizes = [ball_size_down(n, min(t + R, n), R) for t in range(n + 1)]
-    D = math.lcm(*sizes)
-    prices = tuple(
-        min(ip.objective[t : min(t + R, n) + 1]) * (D // size) for t, size in enumerate(sizes)
-    )
-    return prices, D
 
 
 def _simplex_max(c: list[float], A: list[list[float]], b: list[float]) -> list[float]:

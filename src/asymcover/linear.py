@@ -50,14 +50,6 @@ class LinearCode:
     dim: int
     span: Code
 
-    def __contains__(self, v: int) -> bool:
-        for g in self.generators:
-            if v == 0:
-                break
-            if v.bit_length() == g.bit_length():
-                v ^= g
-        return v == 0
-
 
 def span(generators, n: int) -> LinearCode:
     """Reduce the generators and enumerate the full subspace."""
@@ -71,7 +63,7 @@ def span(generators, n: int) -> LinearCode:
 
 def is_self_complementary(code: LinearCode) -> bool:
     """A subspace equals its ones-complement exactly when it contains 1̂."""
-    return all_ones(code.n) in code
+    return all_ones(code.n) in code.span
 
 
 def code_covering_radius(code: Code) -> int | float:

@@ -121,6 +121,24 @@ def test_best_bounds_pinned_cells():
     assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (6, 6, "i", "e")
 
 
+def test_best_bounds_settles_superdiag_cells_without_search(monkeypatch):
+    from asymcover import bounds, exact, ipsolve
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a settled cell ran a bound source")
+
+    monkeypatch.setattr(bounds, "greedy_code", forbidden)
+    monkeypatch.setattr(bounds, "random_code_nu", forbidden)
+    monkeypatch.setattr(ipsolve, "ip_plus_value", forbidden)
+    monkeypatch.setattr(ipsolve, "diff_chain_lower", forbidden)
+    monkeypatch.setattr(exact, "exact_kplus", forbidden)
+    settled = [(n, R) for n in range(1, 12) for R in range(1, n + 1) if superdiag_exact(n, R)]
+    for n, R in settled:
+        r = n - R
+        want = BoundRecord(n, R, r + 1, r + 1, "superdiag", "d")
+        assert best_bounds(n, R, FULL_BUDGET) == want
+
+
 def test_best_bounds_radius_zero():
     rec = best_bounds(5, 0)
     assert (rec.lower, rec.upper) == (32, 32)

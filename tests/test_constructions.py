@@ -9,7 +9,6 @@ import pytest
 from asymcover.constructions import (
     GREEDY_MAX_N,
     PatchedCode,
-    RandomModel,
     coradius_split,
     diagonal_code,
     direct_sum,
@@ -19,7 +18,6 @@ from asymcover.constructions import (
     greedy_code,
     inductive_power2,
     nu,
-    patched_level_probs,
     random_code_nu,
     random_patched,
     semi_direct_sum,
@@ -151,39 +149,31 @@ def test_nu_pinned():
 
 
 def test_alpha_pinned_and_oracle():
-    assert estimate_alpha(1, 1) == Fraction(3, 4)
     for R in (1, 2):
-        want = max(brute_nu(m, R) * m**R / Fraction(2**m) for m in range(1, 9))
-        assert estimate_alpha(R, 8) == want
+        terms = [brute_nu(m, R) * m**R / Fraction(2**m) for m in range(1, 9)]
+        assert estimate_alpha(R) >= max(terms)
+    assert nu(1, 1) / 2 == Fraction(3, 4)  # the first term of the scan at R = 1
 
 
 def test_alpha_grows_with_scan_cap():
-    # the scanned quantity increases toward its limit, so a longer scan can
-    # only raise the estimate; the default cap value is frozen here
-    assert estimate_alpha(1, 10) <= estimate_alpha(1, 30) <= estimate_alpha(1)
+    # the scanned quantity increases toward its limit, so the estimate is the
+    # last term of the scan; its value is frozen here
+    def term(m):
+        return nu(m, 1) * m / Fraction(2**m)
+
+    assert term(10) <= term(30) <= estimate_alpha(1) == term(40)
     assert float(estimate_alpha(1)) == pytest.approx(1.951219, abs=1e-5)
     assert float(estimate_alpha(2)) == pytest.approx(8.410212, abs=1e-5)
 
 
-def test_patched_level_probs_shape():
-    alpha = estimate_alpha(1)
-    probs = patched_level_probs(6, 1, Fraction(1, 2), alpha)
-    assert len(probs) == 7
-    assert probs[-1] == 1.0
-    assert all(0.0 <= p <= 1.0 for p in probs)
-    assert list(probs) == sorted(probs)  # larger weight, smaller upward ball
-    tiny = patched_level_probs(6, 1, Fraction(1, 10**9), alpha)
-    assert tiny[:-1] == (0.0,) * 6 and tiny[-1] == 1.0
-
-
-def test_random_model():
-    with pytest.raises(ValueError):
-        RandomModel(seed=0, level_probs=(0.5, 1.2))
-    everything = RandomModel(seed=3, level_probs=(1.0,) * 4)
-    assert everything.sample() == list(range(8))
-    a = RandomModel(seed=9, level_probs=(0.4,) * 5).sample()
-    b = RandomModel(seed=9, level_probs=(0.4,) * 5).sample()
-    assert a == b
+def test_random_patched_small_delta_keeps_only_the_top_word():
+    # delta n^R / alpha <= 1 puts probability 0 below the top level, and the
+    # top word is always kept; the patch takes everything else it misses
+    for delta in (0, Fraction(1, 10**9)):
+        p = random_patched(6, 1, delta, seed=3)
+        assert p.S.words == (all_ones(6),)
+        assert set(p.T.words) == set(uncovered(p.S, 1))
+        assert p.is_valid()
 
 
 def test_random_patched_is_valid_and_deterministic():
@@ -192,21 +182,20 @@ def test_random_patched_is_valid_and_deterministic():
     assert p1 == p2
     assert p1.is_valid()
     assert set(p1.T.words) == set(uncovered(p1.S, 1))
-    assert p1.delta_weight() == len(p1.S) + Fraction(1, 2) * len(p1.T)
 
 
 def test_patched_code_validation():
     s = Code.from_words(2, [3])
     with pytest.raises(ValueError):
-        PatchedCode(n=3, R=1, S=s, T=s, delta=Fraction(0))
+        PatchedCode(n=3, R=1, S=s, T=s)
     with pytest.raises(ValueError):
-        PatchedCode(n=2, R=1, S=s, T=s, delta=Fraction(-1))
+        PatchedCode(n=2, R=-1, S=s, T=s)
+    with pytest.raises(ValueError):
+        random_patched(3, 1, Fraction(-1), seed=0)
 
 
 def test_semi_direct_sum_smallest_case():
-    p = PatchedCode(
-        n=1, R=1, S=Code.from_words(1, [1]), T=Code.from_words(1, []), delta=Fraction(0)
-    )
+    p = PatchedCode(n=1, R=1, S=Code.from_words(1, [1]), T=Code.from_words(1, []))
     inner = Code.from_words(1, [1], r=1)
     out = semi_direct_sum(p, inner)
     assert out.n == 2

@@ -11,7 +11,6 @@ from asymcover.ipsolve import (
     MAX_IP_DIMENSION,
     BudgetExceededError,
     CoveringIP,
-    dual_prices,
     ip_phi,
     ip_plus,
     lp_prices,
@@ -106,6 +105,15 @@ def test_validation_rejects_bad_vectors():
         ip_plus(4, 5)
 
 
+def ball_prices(ip):
+    """Reference dual prices y_t = (cheapest cost of row t) / b-(min(t+R, n), R), as (p, D)."""
+    n, R = ip.n, ip.R
+    sizes = [sum(math.comb(min(t + R, n), j) for j in range(R + 1)) for t in range(n + 1)]
+    D = math.lcm(*sizes)
+    price = tuple(min(ip.objective[t : min(t + R, n) + 1]) * (D // s) for t, s in enumerate(sizes))
+    return price, D
+
+
 def full_demand_value(ip, prices):
     price, D = prices
     return Fraction(sum(p * demand for p, demand in zip(price, ip.rhs)), D)
@@ -116,7 +124,7 @@ def test_lp_relaxation_is_a_lower_bound():
     for n in range(2, 8):
         for R in range(1, n):
             ip = CoveringIP.size_objective(n, R)
-            for prices in (dual_prices(ip), lp_prices(ip)):
+            for prices in (ball_prices(ip), lp_prices(ip)):
                 assert full_demand_value(ip, prices) <= ip_plus(n, R).value
 
 
@@ -130,7 +138,7 @@ def test_lp_prices_are_feasible_and_dominate_the_ball_prices(n):
             for m in range(n + 1):
                 lhs = sum(math.comb(m, j) * price[m - j] for j in range(min(R, m) + 1))
                 assert lhs <= ip.objective[m] * D, (n, R, m)
-            assert full_demand_value(ip, (price, D)) >= full_demand_value(ip, dual_prices(ip))
+            assert full_demand_value(ip, (price, D)) >= full_demand_value(ip, ball_prices(ip))
 
 
 @pytest.mark.parametrize(
@@ -157,11 +165,16 @@ def test_dual_prices_are_the_ball_size_ratios():
     for n in range(1, 10):
         for R in range(n + 1):
             for ip in (CoveringIP.size_objective(n, R), CoveringIP.zeros_objective(n, R)):
-                price, D = dual_prices(ip)
+                price, D = ball_prices(ip)
                 for t in range(n + 1):
                     top = min(t + R, n)
                     ball = sum(math.comb(top, j) for j in range(R + 1))
                     assert Fraction(price[t], D) == Fraction(min(ip.objective[t : top + 1]), ball)
+            # the sphere bound is these prices on the size program's full demand
+            size_ip = CoveringIP.size_objective(n, R)
+            assert asym_sphere_bound(n, R) == math.ceil(
+                full_demand_value(size_ip, ball_prices(size_ip))
+            )
 
 
 def test_profile_programs_pinned():

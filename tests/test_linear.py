@@ -73,14 +73,15 @@ def test_span_matches_brute_force():
         assert set(lc.span.words) == brute_span(gens)
         assert len(lc.span) == 1 << lc.dim
         for w in lc.span.words:
-            assert w in lc  # membership via xor reduction
+            assert w in lc.span
 
 
 def test_span_contains_and_rejects():
     lc = span([0b110, 0b011], 3)
-    assert 0 in lc
-    assert 0b101 in lc
-    assert 0b100 not in lc
+    assert 0 in lc.span
+    assert 0b101 in lc.span
+    assert 0b100 not in lc.span
+    assert 0b111 not in lc.span  # above the largest word
 
 
 def test_self_complementary():
