@@ -52,16 +52,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0, help="base PRNG seed")
-    common.add_argument("--time-limit", type=float, default=None, help="seconds per exact solve")
-    common.add_argument("--node-limit", type=int, default=None, help="search node cap")
-    # accepted and ignored, so that older command lines still parse: cells run in one loop
-    common.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
-    common.add_argument("--cache", default=None, help="bounds cache file (table)")
-    return common
+def _positive(kind):
+    """An argparse type: `kind(text)`, refused unless it is above zero."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
+def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
+    """Parent parsers: --json (every command), --seed, and the search limits."""
+    json_flag, seed, limits = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    json_flag.add_argument("--json", action="store_true", help="machine-readable output")
+    seed.add_argument("--seed", type=int, default=0, help="base PRNG seed")
+    limits.add_argument("--time-limit", type=_positive(float), default=None,
+                        help="seconds per exact solve")
+    limits.add_argument("--node-limit", type=_positive(int), default=None,
+                        help="search node cap")
+    return json_flag, seed, limits
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser, exact_default: bool) -> None:
@@ -290,17 +303,17 @@ def cmd_linear(args) -> int:
 
 
 def build_parser() -> _Parser:
-    common = _common_flags()
+    json_flag, seed, limits = _flag_groups()
     parser = _Parser(prog="asymcover", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = subs.add_parser("bound", parents=[common], help="best bounds for one cell")
+    p = subs.add_parser("bound", parents=[json_flag, seed, limits], help="best bounds for one cell")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     _add_budget_flags(p, exact_default=False)
     p.set_defaults(func=cmd_bound)
 
-    p = subs.add_parser("construct", parents=[common], help="build and save a code")
+    p = subs.add_parser("construct", parents=[json_flag, seed], help="build and save a code")
     p.add_argument(
         "--method",
         required=True,
@@ -320,12 +333,15 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_construct)
 
-    p = subs.add_parser("verify", parents=[common], help="check a code file")
+    p = subs.add_parser("verify", parents=[json_flag], help="check a code file")
     p.add_argument("file", help="code file (json or plain text)")
     p.add_argument("--r", type=int, default=None, help="radius to verify at")
     p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("table", parents=[common], help="bound table over a grid")
+    p = subs.add_parser("table", parents=[json_flag, seed, limits], help="bound table over a grid")
+    p.add_argument("--cache", default=None, help="bounds cache file")
+    # accepted and ignored, so that older command lines still parse: cells run in one loop
+    p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--r-min", type=int, default=1)
@@ -333,13 +349,13 @@ def build_parser() -> _Parser:
     _add_budget_flags(p, exact_default=True)
     p.set_defaults(func=cmd_table)
 
-    p = subs.add_parser("exact", parents=[common], help="exact K+(n,R) by search")
+    p = subs.add_parser("exact", parents=[json_flag, limits], help="exact K+(n,R) by search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--out", default=None, help="write the witness code here")
     p.set_defaults(func=cmd_exact)
 
-    p = subs.add_parser("linear", parents=[common], help="minimum-dimension linear cover")
+    p = subs.add_parser("linear", parents=[json_flag], help="minimum-dimension linear cover")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true", help="confirm by subspace enumeration (n <= 6)")

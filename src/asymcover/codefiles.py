@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 
 from .cube import Code
 
@@ -102,15 +103,27 @@ def load_code(path: str) -> Code:
         return loads(fh.read(), origin=path)
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over
+    `path`; on any failure the temporary file is removed and `path` is left
+    as it was."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_code(path: str, code: Code, fmt: str = "json") -> None:
-    """Write atomically (temp file + rename)."""
+    """Write the code in `fmt` ("json" or "text") atomically."""
     if fmt == "json":
         payload = to_json_text(code)
     elif fmt == "text":
         payload = to_plain_text(code)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    write_atomic(path, payload)

@@ -85,7 +85,7 @@ def exact_kplus(
         level_mask[weight(v)] |= 1 << v
     # the size program's LP dual prices: any extra centers covering u_l
     # vertices per level cost at least ceil(sum u_l * p_l / D), by weak duality
-    price, D = ipsolve.lp_prices(ipsolve.CoveringIP.size_objective(n, R))
+    price, D = ipsolve.lp_prices(n, R, (1,) * (n + 1))
 
     universe = (1 << size) - 1
     root = universe & ~ball_mask[top]  # the top word is forced into every cover

@@ -1,12 +1,15 @@
-"""Exact solvers for the banded level-profile covering programs.
+"""Exact solvers for the level-profile covering programs of K+(n, R).
 
 For any code that downward R-covers Q_n, the level counts a_l must satisfy
 
     sum_{j=0..R, l+j<=n}  C(l+j, j) * a_{l+j}  >=  C(n, l)      for 0 <= l <= n
 
 because a codeword at level l+j covers at most C(l+j, j) vertices of level l.
-Minimizing sum a_l over nonnegative integers with a_l <= C(n, l) lower-bounds
-K+(n, R); minimizing sum (n-l) a_l lower-bounds the total zero count phi(n, R).
+The rows and their demand C(n, l) are fixed by (n, R); only the cost vector
+varies.  `solve(n, R, costs)` minimizes sum costs_l * a_l over nonnegative
+integers: `ip_plus` uses costs 1 and lower-bounds K+(n, R), `ip_phi` uses
+costs n - l and lower-bounds the total zero count phi(n, R).  Every residual
+demand stays at most C(n, t), so an optimal profile has a_l <= C(n, l).
 
 One price vector, the LP-optimal dual prices kept as integers over a common
 denominator, prunes the branch and bound (priced over a residual window) and
@@ -30,39 +33,6 @@ INF = float("inf")
 
 class BudgetExceededError(RuntimeError):
     """The node budget ran out before the search finished."""
-
-
-@dataclass(frozen=True)
-class CoveringIP:
-    """A banded covering instance over the level variables a_0..a_n."""
-
-    n: int
-    R: int
-    objective: tuple[int, ...]
-    rhs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = self.n
-        if not 0 <= self.R <= n:
-            raise ValueError(f"need 0 <= R <= n, got R={self.R}, n={n}")
-        for name in ("objective", "rhs"):
-            vec = getattr(self, name)
-            if len(vec) != n + 1:
-                raise ValueError(f"{name} must have length n+1 = {n + 1}")
-            if any(x < 0 for x in vec):
-                raise ValueError(f"{name} entries must be >= 0")
-
-    @classmethod
-    def size_objective(cls, n: int, R: int) -> "CoveringIP":
-        """Objective sum a_l: lower bound on K+(n, R)."""
-        binoms = tuple(binomial(n, l) for l in range(n + 1))
-        return cls(n, R, (1,) * (n + 1), binoms)
-
-    @classmethod
-    def zeros_objective(cls, n: int, R: int) -> "CoveringIP":
-        """Objective sum (n-l) a_l: lower bound on the zero count phi(n, R)."""
-        binoms = tuple(binomial(n, l) for l in range(n + 1))
-        return cls(n, R, tuple(n - l for l in range(n + 1)), binoms)
 
 
 @dataclass(frozen=True)
@@ -114,23 +84,22 @@ def _simplex_max(c: list[float], A: list[list[float]], b: list[float]) -> list[f
     return y
 
 
-def lp_prices(ip: CoveringIP) -> tuple[tuple[int, ...], int]:
+def lp_prices(n: int, R: int, costs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Optimal dual prices of the program's LP relaxation on its full demand, as (p, D).
 
-    Maximizes sum rhs_t * y_t subject to sum_{j<=R} C(m,j) * y_{m-j} <= cost_m
+    Maximizes sum C(n, t) * y_t subject to sum_{j<=R} C(m,j) * y_{m-j} <= cost_m
     for every variable a_m and y >= 0 in floats, then repairs the result in
     integers: each y_t * 2^40 is floored, the rows that a zero-cost variable
     covers are priced 0, and all prices are scaled by min_m cost_m * D / lhs_m where
     that is below 1, so every column is feasible by exact arithmetic and a
     float error can only weaken the bound.
     """
-    n, R, costs = ip.n, ip.R, ip.objective
     cols = [[(m - j, binomial(m, j)) for j in range(min(R, m) + 1)] for m in range(n + 1)]
     A = [[0.0] * (n + 1) for _ in cols]
     for row, col in zip(A, cols):
         for t, coef in col:
             row[t] = float(coef)
-    y = _simplex_max([float(x) for x in ip.rhs], A, [float(x) for x in costs])
+    y = _simplex_max([float(binomial(n, t)) for t in range(n + 1)], A, [float(x) for x in costs])
 
     scale = 1 << 40
     p = [max(0, math.floor(v * scale)) for v in y]
@@ -148,21 +117,23 @@ def lp_prices(ip: CoveringIP) -> tuple[tuple[int, ...], int]:
     return tuple(x // g for x in p), D // g
 
 
-def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
-    """Depth-first branch and bound, levels fixed from n down to 0.
+def solve(n: int, R: int, costs: tuple[int, ...], node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
+    """Minimize sum costs_l * a_l over the program for K+(n, R), for
+    nonnegative integer costs: depth-first branch and bound, levels fixed
+    from n down to 0.
 
     State is the residual-demand window of the R partially paid rows; states
     are memoized, values branch ascending from the row-l implied minimum, and
     the ceiling of the integer-priced residual demand prunes non-improving
     values.
     """
-    n, R = ip.n, ip.R
-    rhs, costs = ip.rhs, ip.objective
+    _check_params(n, R)
+    demand = [binomial(n, t) for t in range(n + 1)]
     cvar = [[binomial(l, j) for j in range(R + 1)] for l in range(n + 1)]
-    price, D = lp_prices(ip)
-    suffix = [0] * (n + 2)  # suffix[k+1] = sum_{t<=k} p_t * rhs_t
+    price, D = lp_prices(n, R, costs)
+    suffix = [0] * (n + 2)  # suffix[k+1] = sum_{t<=k} p_t * C(n, t)
     for t in range(n + 1):
-        suffix[t + 1] = suffix[t] + price[t] * rhs[t]
+        suffix[t + 1] = suffix[t] + price[t] * demand[t]
 
     memo: dict[tuple[int, tuple[int, ...]], tuple[float, int]] = {}
     nodes = 0
@@ -175,7 +146,7 @@ def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
             if t < 0:
                 child.append(0)
                 continue
-            src = window[j2 + 1] if j2 + 1 < R else rhs[t]
+            src = window[j2 + 1] if j2 + 1 < R else demand[t]
             pay = cvar[l][j2 + 1] * v
             child.append(src - pay if src > pay else 0)
         return tuple(child)
@@ -198,11 +169,11 @@ def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
         hit = memo.get(key)
         if hit is not None:
             return hit[0]
-        res_l = window[0] if R else rhs[l]
+        res_l = window[0]
         lo = res_l if res_l > 0 else 0
         needed = lo
         for j in range(1, min(R, l) + 1):
-            res_t = window[j] if j < R else rhs[l - R]
+            res_t = window[j] if j < R else demand[l - R]
             if res_t > 0:
                 d = _ceildiv(res_t, cvar[l][j])
                 if d > needed:
@@ -210,7 +181,7 @@ def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
         best: float | int = INF
         best_v = -1
         cost_l = costs[l]
-        # needed <= C(n, l) when rhs_t <= C(n, t): C(n, l-j) <= C(n, l) * C(l, j)
+        # needed <= C(n, l): each residual is at most C(n, t), and C(n, l-j) <= C(n, l) * C(l, j)
         for v in range(lo, needed + 1):
             nodes += 1
             if nodes > node_cap:
@@ -228,10 +199,8 @@ def solve(ip: CoveringIP, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
         memo[key] = (best, best_v)
         return best
 
-    window0 = tuple(rhs[n - j] if n - j >= 0 else 0 for j in range(R))
-    value = rec(n, window0)
-    if value is INF:
-        raise ValueError("infeasible covering instance")
+    window0 = tuple(demand[n - j] for j in range(R))  # R <= n
+    value = rec(n, window0)  # finite: a_l = C(n, l) is always feasible
 
     profile = [0] * (n + 1)
     l, window = n, window0
@@ -249,14 +218,12 @@ def _check_params(n: int, R: int) -> None:
 
 def ip_plus(n: int, R: int, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
     """Exact minimum of sum a_l: the level-profile lower bound on K+(n, R)."""
-    _check_params(n, R)
-    return solve(CoveringIP.size_objective(n, R), node_cap)
+    return solve(n, R, (1,) * (n + 1), node_cap)
 
 
 def ip_phi(n: int, R: int, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
     """Exact minimum of sum (n-l) a_l: the lower bound on phi(n, R)."""
-    _check_params(n, R)
-    return solve(CoveringIP.zeros_objective(n, R), node_cap)
+    return solve(n, R, tuple(n - l for l in range(n + 1)), node_cap)
 
 
 @lru_cache(maxsize=None)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 
 from .bounds import BoundRecord, Budget, best_bounds, propagate
+from .codefiles import write_atomic
 
 CACHE_ENV = "ASYMCOVER_CACHE"
 
@@ -80,16 +80,7 @@ def load_cache(path: str, budget: Budget) -> dict[tuple[int, int], BoundRecord]:
 
 def save_cache(path: str, grid: dict[tuple[int, int], BoundRecord], budget: Budget) -> None:
     payload = {"budget": asdict(budget), "cells": cell_dicts(grid)}
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def build_grid(spec: TableSpec) -> dict[tuple[int, int], BoundRecord]:

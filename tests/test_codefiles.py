@@ -86,6 +86,26 @@ def test_save_is_atomic_no_stray_temp(tmp_path):
     assert os.listdir(tmp_path) == ["c.json"]
 
 
+def test_failed_save_leaves_the_directory_unchanged(tmp_path, monkeypatch):
+    code = Code.from_words(2, [3], r=1)
+    (tmp_path / "d").mkdir()
+    with pytest.raises(OSError):
+        codefiles.save_code(str(tmp_path / "d"), code)  # a directory is in the way
+    assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
+
+    path = tmp_path / "c.json"
+    path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(codefiles.os, "replace", refuse)
+    with pytest.raises(OSError):
+        codefiles.save_code(str(path), code)
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "d"]
+    assert path.read_text() == "old\n"
+
+
 def test_save_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         codefiles.save_code(str(tmp_path / "x"), Code.from_words(1, [1]), fmt="xml")

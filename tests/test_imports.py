@@ -154,7 +154,7 @@ def test_guard_sees_a_foreign_import():
 def test_guard_sees_a_private_read():
     source = (
         "from . import ipsolve\nfrom .cube import _step, weight\n\n"
-        "dual = ipsolve._dual_vector(ipsolve.CoveringIP)\n"
+        "dual = ipsolve._dual_vector(ipsolve.IPSolution)\n"
         "x = _step(weight.__name__)\n"
     )
     assert private_reads(source) == ["cube._step (line 2)", "ipsolve._dual_vector (line 4)"]

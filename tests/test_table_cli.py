@@ -145,6 +145,41 @@ def test_cli_usage_errors(capsys):
     assert run_cli(["bound", "--n", "80", "--r", "1"], capsys)[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--n", "4", "--r", "1", "--seed", "1"],
+        ["linear", "--n", "4", "--r", "1", "--time-limit", "1"],
+        ["bound", "--n", "4", "--r", "1", "--cache", "c.json"],
+        ["construct", "--method", "greedy", "--n", "3", "--r", "1", "--out", "g.json",
+         "--node-limit", "5"],
+        ["verify", "g.json", "--seed", "9"],
+        ["exact", "--n", "4", "--r", "1", "--workers", "1"],
+    ],
+)
+def test_cli_rejects_a_flag_its_command_does_not_read(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1 and out == "" and "unrecognized arguments" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["exact", "--n", "6", "--r", "1"],
+        ["bound", "--n", "6", "--r", "1", "--exact"],
+        ["table", "--n-max", "3"],
+    ],
+)
+def test_cli_rejects_a_non_positive_limit(command, capsys):
+    for flag in ("--time-limit", "--node-limit"):
+        for value in ("-1", "0"):
+            rc, out, err = run_cli([*command, flag, value], capsys)
+            assert (rc, out) == (1, ""), (flag, value)
+            assert f"argument {flag}: must be positive" in err
+
+
 def test_cli_construct_and_verify(tmp_path, capsys):
     out_path = str(tmp_path / "d.json")
     rc, out, _ = run_cli(
