@@ -88,15 +88,19 @@ def _add_budget_flags(sub: argparse.ArgumentParser, exact_default: bool) -> None
                      help="number of randomized-construction seeds to try")
 
 
+def _given(**limits) -> dict:
+    """The limits set on the command line; the library's defaults fill in the rest."""
+    return {key: value for key, value in limits.items() if value is not None}
+
+
 def _budget(args) -> Budget:
     return Budget(
         use_ip=args.ip,
         use_greedy=args.greedy,
         use_exact=args.exact,
-        exact_time_limit=args.time_limit if args.time_limit is not None else 60.0,
-        exact_node_limit=args.node_limit,
         nu_seeds=args.nu_seeds,
         seed=args.seed,
+        **_given(exact_time_limit=args.time_limit, exact_node_limit=args.node_limit),
     )
 
 
@@ -240,9 +244,8 @@ def cmd_exact(args) -> int:
     res = exact_kplus(
         args.n,
         args.r,
-        time_limit=args.time_limit if args.time_limit is not None else 600.0,
-        node_limit=args.node_limit,
         on_progress=progress,
+        **_given(time_limit=args.time_limit, node_limit=args.node_limit),
     )
     print(f"nodes: {res.nodes}, elapsed: {res.elapsed:.2f}s", file=sys.stderr)
     if args.out:

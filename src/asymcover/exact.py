@@ -3,10 +3,11 @@
 The universe of Q_n vertices is one big bitmask; candidate centers for an
 uncovered vertex y are the supersets of y within R extra ones.  Search is
 iterative deepening on the code size with a transposition table of proven
-infeasibility depths, a lower bound per state from the size program's LP
-dual prices (certified in integers) on its uncovered levels, and dominance
-filtering among branch candidates.  Budgets never produce a wrong exact
-claim: exhausting them yields a bracket.
+infeasibility depths and a lower bound per state from the size program's LP
+dual prices (certified in integers) on its uncovered levels.  Each node
+branches on every center that covers one vertex of its top uncovered level,
+largest gain first.  Budgets never produce a wrong exact claim: exhausting
+them yields a bracket.
 """
 
 from __future__ import annotations
@@ -122,24 +123,8 @@ def exact_kplus(
             if at_level:
                 y = (at_level & -at_level).bit_length() - 1
                 break
-        cands = []
-        for c in candidates_of[y]:
-            rem = ball_mask[c] & u
-            if rem:
-                cands.append((c, rem))
-        kept = []
-        for i, (c, rem) in enumerate(cands):
-            dominated = False
-            for j, (c2, rem2) in enumerate(cands):
-                if i == j or rem & ~rem2:
-                    continue
-                if rem != rem2 or c2 < c:
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append((c, rem))
-        kept.sort(key=lambda cr: (-cr[1].bit_count(), cr[0]))
-        for c, _ in kept:
+        # largest gain first; the sort is stable, so ties keep ascending center order
+        for c in sorted(candidates_of[y], key=lambda c: -(ball_mask[c] & u).bit_count()):
             sol = dfs(u & ~ball_mask[c], budget - 1)
             if sol is not None:
                 return [c] + sol

@@ -7,15 +7,15 @@ For any code that downward R-covers Q_n, the level counts a_l must satisfy
 because a codeword at level l+j covers at most C(l+j, j) vertices of level l.
 The rows and their demand C(n, l) are fixed by (n, R); only the cost vector
 varies.  `solve(n, R, costs)` minimizes sum costs_l * a_l over nonnegative
-integers: `ip_plus` uses costs 1 and lower-bounds K+(n, R), `ip_phi` uses
-costs n - l and lower-bounds the total zero count phi(n, R).  Every residual
-demand stays at most C(n, t), so an optimal profile has a_l <= C(n, l).
+integers by a memoized DP over residual windows: `ip_plus` uses costs 1 and
+lower-bounds K+(n, R), `ip_phi` uses costs n - l and lower-bounds the total
+zero count phi(n, R).  Every residual demand stays at most C(n, t), so an
+optimal profile has a_l <= C(n, l).
 
-One price vector, the LP-optimal dual prices kept as integers over a common
-denominator, prunes the branch and bound (priced over a residual window) and
-bounds the exact search (priced over the uncovered vertices of each level).
-The cached program values and the difference chain built from the
-zero-count program live here too.
+`lp_prices` gives the LP-optimal dual prices kept as integers over a common
+denominator; they bound only the exact search, priced over the uncovered
+vertices of each level.  The cached program values and the difference chain
+built from the zero-count program live here too.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .cube import binomial
 
 DEFAULT_NODE_CAP = 10**8
 MAX_IP_DIMENSION = 40
-INF = float("inf")
 
 
 class BudgetExceededError(RuntimeError):
@@ -60,7 +59,7 @@ def _simplex_max(c: list[float], A: list[list[float]], b: list[float]) -> list[f
         enter = next((k for k in range(width) if z[k] < -eps), None)
         if enter is None:
             break
-        leave, best = -1, INF
+        leave, best = -1, math.inf
         for i in range(rows):
             a = tab[i][enter]
             if a > 1e-12:
@@ -119,23 +118,17 @@ def lp_prices(n: int, R: int, costs: tuple[int, ...]) -> tuple[tuple[int, ...], 
 
 def solve(n: int, R: int, costs: tuple[int, ...], node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
     """Minimize sum costs_l * a_l over the program for K+(n, R), for
-    nonnegative integer costs: depth-first branch and bound, levels fixed
-    from n down to 0.
+    nonnegative integer costs: a memoized DP over levels n down to 0.
 
-    State is the residual-demand window of the R partially paid rows; states
-    are memoized, values branch ascending from the row-l implied minimum, and
-    the ceiling of the integer-priced residual demand prunes non-improving
-    values.
+    State is the residual-demand window of the R partially paid rows.  Each
+    state tries every a_l from row l's residual up to the value that pays all
+    R rows below it, and keeps the cheapest, the smaller a_l on a tie; every
+    value tried counts as one node.
     """
     _check_params(n, R)
     demand = [binomial(n, t) for t in range(n + 1)]
     cvar = [[binomial(l, j) for j in range(R + 1)] for l in range(n + 1)]
-    price, D = lp_prices(n, R, costs)
-    suffix = [0] * (n + 2)  # suffix[k+1] = sum_{t<=k} p_t * C(n, t)
-    for t in range(n + 1):
-        suffix[t + 1] = suffix[t] + price[t] * demand[t]
-
-    memo: dict[tuple[int, tuple[int, ...]], tuple[float, int]] = {}
+    memo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
     nodes = 0
 
     def child_window(l: int, window: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -151,17 +144,7 @@ def solve(n: int, R: int, costs: tuple[int, ...], node_cap: int = DEFAULT_NODE_C
             child.append(src - pay if src > pay else 0)
         return tuple(child)
 
-    def dual_bound(l: int, window: tuple[int, ...]) -> int:
-        # rows l..l-R+1 carry window residuals; rows below are untouched.
-        # Every completion costs an integer, so the ceiling still bounds it.
-        total = suffix[l - R + 1] if l - R + 1 > 0 else 0
-        for j in range(R):
-            t = l - j
-            if t >= 0 and window[j]:
-                total += price[t] * window[j]
-        return _ceildiv(total, D)
-
-    def rec(l: int, window: tuple[int, ...]) -> float | int:
+    def rec(l: int, window: tuple[int, ...]) -> int:
         nonlocal nodes
         if l < 0:
             return 0
@@ -169,38 +152,28 @@ def solve(n: int, R: int, costs: tuple[int, ...], node_cap: int = DEFAULT_NODE_C
         hit = memo.get(key)
         if hit is not None:
             return hit[0]
-        res_l = window[0]
-        lo = res_l if res_l > 0 else 0
-        needed = lo
+        lo = needed = window[0]
         for j in range(1, min(R, l) + 1):
             res_t = window[j] if j < R else demand[l - R]
-            if res_t > 0:
+            if res_t:
                 d = _ceildiv(res_t, cvar[l][j])
                 if d > needed:
                     needed = d
-        best: float | int = INF
-        best_v = -1
         cost_l = costs[l]
+        best = best_v = -1
         # needed <= C(n, l): each residual is at most C(n, t), and C(n, l-j) <= C(n, l) * C(l, j)
         for v in range(lo, needed + 1):
             nodes += 1
             if nodes > node_cap:
                 raise BudgetExceededError(f"IP node budget {node_cap} exceeded")
-            if cost_l and cost_l * v >= best:
-                break
-            child_t = child_window(l, window, v)
-            if best is not INF and cost_l * v + dual_bound(l - 1, child_t) >= best:
-                continue
-            sub = rec(l - 1, child_t)
-            if sub is not INF:
-                total = cost_l * v + sub
-                if total < best:
-                    best, best_v = total, v
+            total = cost_l * v + rec(l - 1, child_window(l, window, v))
+            if best < 0 or total < best:
+                best, best_v = total, v
         memo[key] = (best, best_v)
         return best
 
     window0 = tuple(demand[n - j] for j in range(R))  # R <= n
-    value = rec(n, window0)  # finite: a_l = C(n, l) is always feasible
+    value = rec(n, window0)
 
     profile = [0] * (n + 1)
     l, window = n, window0
@@ -208,7 +181,7 @@ def solve(n: int, R: int, costs: tuple[int, ...], node_cap: int = DEFAULT_NODE_C
         v = memo[(l, window)][1]
         profile[l] = v
         l, window = l - 1, child_window(l, window, v)
-    return IPSolution(int(value), tuple(profile), nodes)
+    return IPSolution(value, tuple(profile), nodes)
 
 
 def _check_params(n: int, R: int) -> None:

@@ -165,10 +165,10 @@ def test_verify_optimal():
 
 # (status, value, bracket, nodes, SHA-256 of the witness words), node limit per cell
 EXACT_PINS = {
-    (5, 1, None): ("exact", 10, None, 12, "26f966fa79d8e498"),
-    (6, 1, None): ("exact", 18, None, 6474, "46bd09f549d12971"),
+    (5, 1, None): ("exact", 10, None, 15, "26f966fa79d8e498"),
+    (6, 1, None): ("exact", 18, None, 10_201, "46bd09f549d12971"),
     (6, 2, None): ("exact", 8, None, 8, "e4681bd3d8b79c80"),
-    (7, 3, None): ("exact", 7, None, 46996, "cbadf07f83a4571e"),
+    (7, 3, None): ("exact", 7, None, 80_146, "cbadf07f83a4571e"),
     (7, 2, 20_000): ("bracket", None, (13, 15), 20480, "2461c3108caa0082"),
     (7, 1, 20_000): ("bracket", None, (29, 31), 20480, "25339eef745efd63"),
 }
@@ -192,7 +192,7 @@ DATA = Path(__file__).resolve().parent / "data"
 
 @pytest.mark.parametrize("R,size", [(1, 31), (2, 14)])
 def test_shipped_witness_verifies(R, size, capsys):
-    # K+(7,1) = 31 is proved above; K+(7,2) = 14 by an 8.8 M-node search too slow for this suite
+    # K+(7,1) = 31 is proved above; K+(7,2) = 14 by a 16.4 M-node search too slow for this suite
     assert cli.main(["verify", str(DATA / f"kplus-7-{R}.json"), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["covers"], out["size"], out["r"]) == (True, size, R)

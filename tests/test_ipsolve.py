@@ -175,8 +175,9 @@ def test_dual_prices_are_the_ball_size_ratios():
 def test_profile_programs_pinned():
     # SHA-256 of every (value, profile) for n = 2..12, 1 <= R <= n, as solved
     # with rational ball-size dual prices before they became integers, and the
-    # node counts summed over those cells as pruned by the LP prices; every
-    # profile meets every row and stays within its level, a_l <= C(n, l)
+    # node counts summed over those cells; every profile meets every row and
+    # stays within its level, a_l <= C(n, l).  Unpruned, both programs visit
+    # the same states, so their node counts agree cell by cell.
     digest = hashlib.sha256()
     nodes_plus = nodes_phi = 0
     for n in range(2, 13):
@@ -184,8 +185,9 @@ def test_profile_programs_pinned():
             a, b = ip_plus(n, R), ip_phi(n, R)
             assert profile_is_feasible(n, R, a.profile), (n, R)
             assert profile_is_feasible(n, R, b.profile), (n, R)
+            assert a.node_count == b.node_count, (n, R)
             digest.update(repr((n, R, a.value, a.profile, b.value, b.profile)).encode())
             nodes_plus += a.node_count
             nodes_phi += b.node_count
     assert digest.hexdigest() == "15abb99cca1a5c3a584f44cfe220a1a8a048200905fef990649d8a2b48b749ff"
-    assert (nodes_plus, nodes_phi) == (395_646, 445_838)
+    assert (nodes_plus, nodes_phi) == (447_576, 447_576)

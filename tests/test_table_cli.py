@@ -108,11 +108,16 @@ def test_cache_round_trip(tmp_path):
     assert second == first
 
 
+def read_json(path):
+    with open(path) as f:
+        return json.load(f)
+
+
 def test_cache_write_is_clean(tmp_path):
     path = str(tmp_path / "c.json")
     save_cache(path, {(2, 1): BoundRecord(2, 1, 2, 2, "e", "e")}, FULL_BUDGET)
     assert sorted(os.listdir(tmp_path)) == ["c.json"]
-    raw = json.load(open(path))
+    raw = read_json(path)
     assert raw["budget"] == dataclasses.asdict(FULL_BUDGET)
     assert raw["cells"]["2,1"]["exact"] is True
 
@@ -228,6 +233,20 @@ def test_cli_construct_rejects_invalid_patch(tmp_path, capsys):
     assert "verification failure" in err
 
 
+def test_cli_leaves_unset_limits_to_the_library(tmp_path, capsys, monkeypatch):
+    # each search limit has one default, in the library; the CLI passes only what it is given
+    seen = []
+    real = cli.exact_kplus
+    monkeypatch.setattr(cli, "exact_kplus", lambda n, R, **kw: seen.append(kw) or real(n, R, **kw))
+    run_cli(["exact", "--n", "4", "--r", "1"], capsys)
+    run_cli(["exact", "--n", "4", "--r", "1", "--time-limit", "5"], capsys)
+    assert [sorted(kw) for kw in seen] == [["on_progress"], ["on_progress", "time_limit"]]
+    assert seen[1]["time_limit"] == 5.0
+    cache = str(tmp_path / "cache.json")
+    assert run_cli(["table", "--n-max", "3", "--cache", cache], capsys)[0] == 0
+    assert read_json(cache)["budget"] == dataclasses.asdict(Budget(use_exact=True))
+
+
 def test_cli_exact_and_witness(tmp_path, capsys):
     witness = str(tmp_path / "w.json")
     rc, out, err = run_cli(["exact", "--n", "4", "--r", "1", "--out", witness], capsys)
@@ -299,16 +318,16 @@ def test_cli_table_recomputes_a_cache_from_another_budget(tmp_path, capsys):
     rc, reused, _ = run_cli(args + ["--cache", cache], capsys)
     assert rc == 0
     assert reused == fresh
-    assert json.load(open(cache))["budget"]["use_ip"] is True  # overwritten
+    assert read_json(cache)["budget"]["use_ip"] is True  # overwritten
 
 
 def test_cli_table_keeps_cached_cells_outside_its_window(tmp_path, capsys):
     cache = str(tmp_path / "cache.json")
     args = ["table", "--r-max", "3", "--no-exact", "--json", "--cache", cache]
     rc, _, _ = run_cli(args + ["--n-max", "7"], capsys)
-    assert rc == 0 and len(json.load(open(cache))["cells"]) == 25
+    assert rc == 0 and len(read_json(cache)["cells"]) == 25
     rc, small, _ = run_cli(args + ["--n-max", "4"], capsys)
-    assert rc == 0 and len(json.load(open(cache))["cells"]) == 25
+    assert rc == 0 and len(read_json(cache)["cells"]) == 25
     assert len(json.loads(small)) == 13
 
 
