@@ -152,7 +152,7 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
         (superdiag_lower(n, R), "superdiag"),
     ]
     if budget.use_ip and n <= ipsolve.MAX_IP_DIMENSION:
-        lowers.append((ipsolve.ip_plus_value(n, R), "i"))
+        lowers.append((ipsolve.ip_plus(n, R).value, "i"))
         lowers.append((ipsolve.diff_chain_lower(n, R), "mono"))
 
     uppers = [(general_upper_size(n, r), "general")]
@@ -170,12 +170,9 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
             time_limit=budget.exact_time_limit,
             node_limit=budget.exact_node_limit,
         )
-        if res.status == "exact":
-            lowers.append((res.value, "e"))
-            uppers.append((res.value, "e"))
-        else:
-            lowers.append((res.bracket[0], "e"))
-            uppers.append((res.bracket[1], "g"))
+        lowers.append((res.lower, "e"))
+        # an unsettled search still holds greedy's code as its incumbent
+        uppers.append((res.upper, "e" if res.status == "exact" else "g"))
 
     lower, ltag = _pick(lowers, LOWER_TAG_ORDER, max)
     upper, utag = _pick(uppers, UPPER_TAG_ORDER, min)

@@ -25,16 +25,10 @@ from .constructions import (
     random_code_nu,
     semi_direct_sum,
 )
-from .cube import Code, covers, level_profile, sweep, weight
-from .exact import exact_kplus
+from .cube import RADIUS_MAX_N, Code, code_covering_radius, covers, level_profile, sweep, weight
+from .exact import DEFAULT_TIME_LIMIT, LIMIT_CHECK_NODES, exact_kplus
 from .ipsolve import BudgetExceededError
-from .linear import (
-    RADIUS_MAX_N,
-    a_code,
-    asym_covering_radius,
-    is_self_complementary,
-    min_linear_dim,
-)
+from .linear import a_code, is_self_complementary, min_linear_dim
 from .table import CACHE_ENV, TableSpec, build_grid, cell_dicts, render_cell, render_table
 
 EXIT_OK = 0
@@ -66,15 +60,19 @@ def _positive(kind):
 
 
 def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
-    """Parent parsers: --json (every command), --seed, and the search limits."""
-    json_flag, seed, limits = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    """Parent parsers: --json (every command) and --seed."""
+    json_flag, seed = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     json_flag.add_argument("--json", action="store_true", help="machine-readable output")
     seed.add_argument("--seed", type=int, default=0, help="base PRNG seed")
-    limits.add_argument("--time-limit", type=_positive(float), default=None,
-                        help="seconds per exact solve")
-    limits.add_argument("--node-limit", type=_positive(int), default=None,
-                        help="search node cap")
-    return json_flag, seed, limits
+    return json_flag, seed
+
+
+def _add_limit_flags(sub: argparse.ArgumentParser, time_help: str) -> None:
+    """The search limits; their defaults live in the library, and the help names them."""
+    sub.add_argument("--time-limit", type=_positive(float), default=None, help=time_help)
+    sub.add_argument("--node-limit", type=_positive(int), default=None,
+                     help=f"search node cap, checked every {LIMIT_CHECK_NODES:,} nodes "
+                     "(default: no cap)")
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser, exact_default: bool) -> None:
@@ -250,28 +248,28 @@ def cmd_exact(args) -> int:
     print(f"nodes: {res.nodes}, elapsed: {res.elapsed:.2f}s", file=sys.stderr)
     if args.out:
         codefiles.save_code(args.out, res.witness)
+    settled = res.status == "exact"
     payload = {
         "n": res.n,
         "R": res.R,
         "status": res.status,
-        "value": res.value,
-        "bracket": list(res.bracket) if res.bracket else None,
+        "value": res.upper if settled else None,
+        "bracket": None if settled else [res.lower, res.upper],
         "witness_size": len(res.witness),
         "nodes": res.nodes,
         "elapsed": res.elapsed,
     }
-    if res.status == "exact":
-        _emit(args, payload, str(res.value))
+    if settled:
+        _emit(args, payload, str(res.upper))
         return EXIT_OK
-    lo, hi = res.bracket
-    _emit(args, payload, f"{lo}-{hi} (bracket)")
+    _emit(args, payload, f"{res.lower}-{res.upper} (bracket)")
     return EXIT_BUDGET
 
 
 def cmd_linear(args) -> int:
     k = min_linear_dim(args.n, args.r)
     code = a_code(args.n, args.r)
-    rad = asym_covering_radius(code)
+    rad = code_covering_radius(code.span)
     verified = rad <= args.r
     agrees = None
     if args.exhaustive:
@@ -306,11 +304,13 @@ def cmd_linear(args) -> int:
 
 
 def build_parser() -> _Parser:
-    json_flag, seed, limits = _flag_groups()
+    json_flag, seed = _flag_groups()
+    per_cell = f"seconds per exact search (default {Budget.exact_time_limit:g})"
     parser = _Parser(prog="asymcover", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = subs.add_parser("bound", parents=[json_flag, seed, limits], help="best bounds for one cell")
+    p = subs.add_parser("bound", parents=[json_flag, seed], help="best bounds for one cell")
+    _add_limit_flags(p, f"{per_cell}; read only with --exact")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     _add_budget_flags(p, exact_default=False)
@@ -341,7 +341,8 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, default=None, help="radius to verify at")
     p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("table", parents=[json_flag, seed, limits], help="bound table over a grid")
+    p = subs.add_parser("table", parents=[json_flag, seed], help="bound table over a grid")
+    _add_limit_flags(p, per_cell)
     p.add_argument("--cache", default=None, help="bounds cache file")
     # accepted and ignored, so that older command lines still parse: cells run in one loop
     p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
@@ -352,7 +353,8 @@ def build_parser() -> _Parser:
     _add_budget_flags(p, exact_default=True)
     p.set_defaults(func=cmd_table)
 
-    p = subs.add_parser("exact", parents=[json_flag, limits], help="exact K+(n,R) by search")
+    p = subs.add_parser("exact", parents=[json_flag], help="exact K+(n,R) by search")
+    _add_limit_flags(p, f"seconds for the whole search (default {DEFAULT_TIME_LIMIT:g})")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--out", default=None, help="write the witness code here")

@@ -8,9 +8,9 @@ the set.  Every covering question about a whole code is answered by one
 kernel, a downward step that adds to a set every vertex one step below a
 member: S | OR_i (S & M_i) >> 2^i, where M_i is the set of vertices with bit
 i set.  `step_down` takes it over all n coordinates for `sweep`, which
-answers `covers`, `uncovered` and the covering radius.  A sweep derives each
-M_i from the one before inside the step, so it holds about six 2^n-bit ints
-at its peak (13 MB at n = 24).
+answers `covers`, `uncovered` and `code_covering_radius`.  A sweep derives
+each M_i from the one before inside the step, so it holds about six 2^n-bit
+ints at its peak (13 MB at n = 24).
 
 A single ball is listed by `ball_down`, at the cost of its size, for every n
 up to MAX_DIMENSION.  Its mirror image is the up-set of v, the centers that
@@ -28,6 +28,7 @@ from itertools import combinations
 
 MAX_DIMENSION = 62  # masks and binomials stay inside unsigned 64-bit range
 BITMAP_MAX_N = 28   # covers()/uncovered() step 2^n-bit sets: 32 MB each at the cap
+RADIUS_MAX_N = 26  # a radius sweep may take n steps: about 8 s at the cap
 
 
 class DimensionCapError(ValueError):
@@ -242,3 +243,15 @@ def covers(code: Code, R: int) -> bool:
 def uncovered(code: Code, R: int) -> list[int]:
     """Vertices not downward R-covered, ascending; empty iff covers(code, R)."""
     return members(sweep(code, R)[0] ^ full_set(code.n))
+
+
+def code_covering_radius(code: Code) -> int | float:
+    """Smallest R at which `code` downward R-covers Q_n; inf if none exists.
+
+    Counts the steps of the covering sweep until the covered set is full; if
+    a step stops growing the set first, no radius covers.  The value is
+    finite iff 1̂ is a codeword.
+    """
+    if code.n > RADIUS_MAX_N:
+        raise DimensionCapError(f"covering radius sweep capped at n = {RADIUS_MAX_N}")
+    return sweep(code, want_radius=True)[1]

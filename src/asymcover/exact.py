@@ -21,21 +21,30 @@ from .cube import Code, all_ones, ball_down, vertex_set, weight
 
 EXACT_MAX_N = 7
 TT_CAP = 5_000_000
-_TIME_CHECK_MASK = 0xFFF
+DEFAULT_TIME_LIMIT = 600.0  # seconds for the whole search
+LIMIT_CHECK_NODES = 4096  # the time and node limits are checked this often
 
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Outcome of an exact search: a proven value or an honest bracket."""
+    """Outcome of an exact search: the proven bracket lower..upper.
+
+    The witness covers with `upper` words; the value is settled, status
+    "exact", when lower == upper, and a search stopped by its limits leaves
+    status "bracket".
+    """
 
     n: int
     R: int
-    status: str  # "exact" | "bracket"
-    value: int | None
-    bracket: tuple[int, int] | None
+    lower: int
+    upper: int
     witness: Code
     nodes: int
     elapsed: float
+
+    @property
+    def status(self) -> str:
+        return "exact" if self.lower == self.upper else "bracket"
 
 
 class _BudgetHit(Exception):
@@ -45,7 +54,7 @@ class _BudgetHit(Exception):
 def exact_kplus(
     n: int,
     R: int,
-    time_limit: float | None = 600.0,
+    time_limit: float | None = DEFAULT_TIME_LIMIT,
     node_limit: int | None = None,
     on_progress=None,
 ) -> ExactResult:
@@ -55,7 +64,8 @@ def exact_kplus(
     Iterative deepening proves minimality: a value v is exact only after
     every budget below v has been exhausted.  `on_progress`, when given, is
     called with (proven_lower, incumbent_size, nodes) after each exhausted
-    size budget.
+    size budget.  A time or node limit, checked every LIMIT_CHECK_NODES
+    nodes, stops the search with the bracket proven so far.
     """
     if not 0 <= R <= n:
         raise ValueError("need 0 <= R <= n")
@@ -69,12 +79,12 @@ def exact_kplus(
     if R == 0 or R >= n:
         witness = Code.from_words(n, range(size) if R == 0 else [top], r=R)
         elapsed = time.monotonic() - start
-        return ExactResult(n, R, "exact", len(witness), None, witness, 0, elapsed)
+        return ExactResult(n, R, len(witness), len(witness), witness, 0, elapsed)
 
     incumbent = greedy_code(n, R)
     best = len(incumbent)
     # by weak duality ip_plus already dominates the sphere bound
-    proven_lower = max(ipsolve.ip_plus_value(n, R), ipsolve.diff_chain_lower(n, R))
+    proven_lower = max(ipsolve.ip_plus(n, R).value, ipsolve.diff_chain_lower(n, R))
 
     ball_mask = [vertex_set(n, ball_down(c, R, n)) for c in range(size)]
     # the centers that can cover y, ascending: the mirror image of a ball
@@ -104,7 +114,7 @@ def exact_kplus(
     def dfs(u: int, budget: int) -> list[int] | None:
         nonlocal nodes
         nodes += 1
-        if nodes & _TIME_CHECK_MASK == 0:
+        if nodes % LIMIT_CHECK_NODES == 0:
             if deadline is not None and time.monotonic() > deadline:
                 raise _BudgetHit
             if node_limit is not None and nodes > node_limit:
@@ -134,25 +144,18 @@ def exact_kplus(
                 tt[u] = budget + 1
         return None
 
-    status = "exact"
     try:
-        target = proven_lower
-        while target < best:
-            sol = dfs(root, target - 1)
+        # no cover smaller than proven_lower exists; a cover of that size settles the value
+        while proven_lower < best:
+            sol = dfs(root, proven_lower - 1)
             if sol is not None:
                 incumbent = Code.from_words(n, [top] + sol, r=R)
-                best = target
+                best = proven_lower
                 break
-            proven_lower = target + 1
-            target += 1
+            proven_lower += 1
             if on_progress is not None:
                 on_progress(proven_lower, best, nodes)
     except _BudgetHit:
-        status = "bracket"
-
+        pass
     elapsed = time.monotonic() - start
-    if status == "exact" or proven_lower == best:
-        return ExactResult(n, R, "exact", best, None, incumbent, nodes, elapsed)
-    return ExactResult(
-        n, R, "bracket", None, (proven_lower, best), incumbent, nodes, elapsed
-    )
+    return ExactResult(n, R, proven_lower, best, incumbent, nodes, elapsed)

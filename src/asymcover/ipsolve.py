@@ -14,8 +14,12 @@ optimal profile has a_l <= C(n, l).
 
 `lp_prices` gives the LP-optimal dual prices kept as integers over a common
 denominator; they bound only the exact search, priced over the uncovered
-vertices of each level.  The cached program values and the difference chain
-built from the zero-count program live here too.
+vertices of each level.  The difference chain built from the zero-count
+program lives here too.  Only phi's value is memoized, by `ip_phi_value`:
+the chain to K+(n, R) reads phi(k, R) for every k <= n, so a table's cells
+share those solves.  `ip_plus` is not: `best_bounds` and exact search each
+solve it once per cell, and a solve answered from an earlier caller's
+memo would be missing from a trace of the later one.
 """
 
 from __future__ import annotations
@@ -197,12 +201,6 @@ def ip_plus(n: int, R: int, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
 def ip_phi(n: int, R: int, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
     """Exact minimum of sum (n-l) a_l: the lower bound on phi(n, R)."""
     return solve(n, R, tuple(n - l for l in range(n + 1)), node_cap)
-
-
-@lru_cache(maxsize=None)
-def ip_plus_value(n: int, R: int) -> int:
-    """ip_plus(n, R).value, solved once per cell."""
-    return ip_plus(n, R).value
 
 
 @lru_cache(maxsize=None)

@@ -2,21 +2,20 @@
 
 Subspaces are handled as XOR-closed sets of masks with canonical reduced
 bases.  Includes the doubling construction attaining the minimum dimension
-max(1, n-R), an exhaustive minimum-dimension search over all subspaces for
-small n, and the asymmetric covering radius with an infinity sentinel for
-codes that miss the all-ones vector (whose top vertex can never be covered).
+max(1, n-R) and an exhaustive minimum-dimension search over all subspaces for
+small n.  A subspace's covering radius is the cube kernel's
+`code_covering_radius` of its span, infinite when the span misses the
+all-ones vector, whose top vertex can then never be covered.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cube import MAX_DIMENSION, Code, DimensionCapError, all_ones, covers, sweep
+from .cube import MAX_DIMENSION, Code, DimensionCapError, all_ones, covers
 
 SPAN_MAX_GENS = 20
-RADIUS_MAX_N = 26  # a radius sweep may take n steps: about 8 s at the cap
 SUBSPACE_ENUM_MAX_N = 6
 
 
@@ -64,25 +63,6 @@ def span(generators, n: int) -> LinearCode:
 def is_self_complementary(code: LinearCode) -> bool:
     """A subspace equals its ones-complement exactly when it contains 1̂."""
     return all_ones(code.n) in code.span
-
-
-def code_covering_radius(code: Code) -> int | float:
-    """Smallest R at which `code` downward R-covers Q_n; inf if none exists.
-
-    Counts the steps of the cube kernel's covering sweep until the covered
-    set is full; if a step stops growing the set first, no radius covers.
-    The value is finite iff 1̂ is a codeword.
-    """
-    if code.n > RADIUS_MAX_N:
-        raise DimensionCapError(f"covering radius sweep capped at n = {RADIUS_MAX_N}")
-    return sweep(code, want_radius=True)[1]
-
-
-def asym_covering_radius(code: LinearCode) -> int | float:
-    """Covering radius of the subspace; math.inf when 1̂ is not in the span."""
-    if not is_self_complementary(code):
-        return math.inf
-    return code_covering_radius(code.span)
 
 
 def a_code(n: int, R: int) -> LinearCode:

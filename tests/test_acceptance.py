@@ -21,10 +21,10 @@ from asymcover.constructions import (
     nu,
     random_code_nu,
 )
-from asymcover.cube import ball_size_down, ball_size_up, covers
+from asymcover.cube import ball_size_down, ball_size_up, code_covering_radius, covers
 from asymcover.exact import exact_kplus
 from asymcover.ipsolve import ip_plus
-from asymcover.linear import a_code, asym_covering_radius, min_linear_dim
+from asymcover.linear import a_code, min_linear_dim
 from asymcover.table import TableSpec, build_grid
 
 REFERENCE_BRACKETS = {
@@ -80,13 +80,13 @@ def test_criterion_1_exact_small_block():
     wrong = []
     for (n, R), want in values.items():
         res = exact_kplus(n, R, time_limit=60.0)
-        if res.status != "exact" or res.value != want or not covers(res.witness, R):
-            wrong.append(((n, R), res.status, res.value))
+        if (res.lower, res.upper) != (want, want) or not covers(res.witness, R):
+            wrong.append(((n, R), res.lower, res.upper))
     for n in range(1, 8):
-        if exact_kplus(n, n).value != 1:
-            wrong.append(((n, n), "value", None))
-        if n >= 2 and exact_kplus(n, n - 1).value != 2:
-            wrong.append(((n, n - 1), "value", None))
+        for R, want in ((n, 1), (n - 1, 2)) if n >= 2 else ((n, 1),):
+            res = exact_kplus(n, R)
+            if (res.lower, res.upper) != (want, want):
+                wrong.append(((n, R), res.lower, res.upper))
     elapsed = time.monotonic() - start
     ok = not wrong and elapsed < 60.0
     report(1, ok, f"exact small block in {elapsed:.1f}s (limit 60s), mismatches {wrong}")
@@ -96,11 +96,11 @@ def test_criterion_2_exact_6_1():
     start = time.monotonic()
     res = exact_kplus(6, 1, time_limit=600.0)
     elapsed = time.monotonic() - start
+    lo, hi = res.lower, res.upper
     if res.status == "exact":
-        ok = res.value == 18 and elapsed < 600.0
-        detail = f"K+(6,1) = {res.value} exact in {elapsed:.1f}s (limit 600s)"
+        ok = hi == 18 and elapsed < 600.0
+        detail = f"K+(6,1) = {hi} exact in {elapsed:.1f}s (limit 600s)"
     else:
-        lo, hi = res.bracket
         ok = lo <= 18 <= hi and hi - lo <= 4
         detail = f"K+(6,1) bracketed {lo}-{hi} in {elapsed:.1f}s (width limit 4)"
     report(2, ok, detail)
@@ -144,8 +144,8 @@ def test_criterion_5_diagonal_and_below_threshold():
     for coradius in (2, 3):
         n = coradius * (coradius + 1) // 2 - 1
         got = exact_kplus(n, n - coradius, time_limit=60.0)
-        if got.status != "exact" or got.value != coradius + 2:
-            bad.append(("below", coradius, got.value))
+        if (got.lower, got.upper) != (coradius + 2, coradius + 2):
+            bad.append(("below", coradius, got.lower, got.upper))
     elapsed = time.monotonic() - start
     ok = not bad and elapsed < 60.0
     report(5, ok, f"diagonal optimality checks in {elapsed:.1f}s (limit 60s), failures {bad}")
@@ -211,7 +211,7 @@ def test_criterion_8_linear_covers():
                 bad.append(("exhaustive", n, R))
     for n in range(1, 15):
         for R in range(1, n + 1):
-            if asym_covering_radius(a_code(n, R)) > R:
+            if code_covering_radius(a_code(n, R).span) > R:
                 bad.append(("radius", n, R))
     elapsed = time.monotonic() - start
     ok = not bad and elapsed < 60.0

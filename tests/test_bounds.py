@@ -129,7 +129,7 @@ def test_best_bounds_settles_superdiag_cells_without_search(monkeypatch):
 
     monkeypatch.setattr(bounds, "greedy_code", forbidden)
     monkeypatch.setattr(bounds, "random_code_nu", forbidden)
-    monkeypatch.setattr(ipsolve, "ip_plus_value", forbidden)
+    monkeypatch.setattr(ipsolve, "ip_plus", forbidden)
     monkeypatch.setattr(ipsolve, "diff_chain_lower", forbidden)
     monkeypatch.setattr(exact, "exact_kplus", forbidden)
     settled = [(n, R) for n in range(1, 12) for R in range(1, n + 1) if superdiag_exact(n, R)]

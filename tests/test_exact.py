@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from asymcover import cli
+from asymcover import cli, ipsolve
 from asymcover.cube import Code, ball_down, covers
 from asymcover.exact import EXACT_MAX_N, ExactResult, exact_kplus
 from asymcover.ipsolve import ip_plus
@@ -21,9 +21,9 @@ def verify_optimal(result):
     if result.status != "exact":
         raise ValueError("verify_optimal expects an exact result")
     return (
-        len(result.witness) == result.value
+        len(result.witness) == result.upper
         and covers(result.witness, result.R)
-        and (result.R == 0 or ip_plus(result.n, result.R).value <= result.value)
+        and (result.R == 0 or ip_plus(result.n, result.R).value <= result.upper)
     )
 
 
@@ -56,7 +56,7 @@ def test_exact_matches_enumeration(n, R):
     want = brute_kplus(n, R)
     res = exact_kplus(n, R)
     assert res.status == "exact"
-    assert res.value == want
+    assert res.lower == res.upper == want
     assert len(res.witness) == want
     assert covers(res.witness, R)
 
@@ -73,20 +73,22 @@ def test_exact_small_reference_block():
     }
     for (n, R), want in values.items():
         res = exact_kplus(n, R)
-        assert res.value == want, (n, R)
+        assert (res.lower, res.upper) == (want, want), (n, R)
         assert covers(res.witness, R)
 
 
 def test_exact_diagonal_rows():
     for n in range(1, 7):
-        assert exact_kplus(n, n).value == 1
+        res = exact_kplus(n, n)
+        assert (res.lower, res.upper) == (1, 1)
         if n >= 2:
-            assert exact_kplus(n, n - 1).value == 2
+            res = exact_kplus(n, n - 1)
+            assert (res.lower, res.upper) == (2, 2)
 
 
 def test_exact_radius_zero():
     res = exact_kplus(3, 0)
-    assert res.value == 8
+    assert res.lower == res.upper == 8
     assert covers(res.witness, 0)
 
 
@@ -104,9 +106,7 @@ def test_exact_rejects_bad_parameters():
 def test_exact_is_deterministic():
     a = exact_kplus(5, 1)
     b = exact_kplus(5, 1)
-    assert a.value == b.value
-    assert a.witness == b.witness
-    assert a.nodes == b.nodes
+    assert (a.lower, a.upper, a.witness, a.nodes) == (b.lower, b.upper, b.witness, b.nodes)
 
 
 def test_exact_reports_node_and_time():
@@ -121,10 +121,8 @@ def test_exact_reports_node_and_time():
 def test_bracket_mode_on_tiny_node_budget():
     res = exact_kplus(6, 1, node_limit=200)
     assert res.status == "bracket"
-    lo, hi = res.bracket
-    assert lo <= 18 <= hi
-    assert res.value is None
-    assert len(res.witness) == hi
+    assert res.lower <= 18 <= res.upper
+    assert len(res.witness) == res.upper
     assert covers(res.witness, 1)
 
 
@@ -132,7 +130,7 @@ def test_bracket_mode_on_tiny_time_budget():
     # (6,1) now settles in about 10 ms, before the first clock check; (7,1) needs a second
     res = exact_kplus(7, 1, time_limit=0.01)
     assert res.status == "bracket"
-    assert res.bracket[0] <= 31 <= res.bracket[1]
+    assert res.lower <= 31 <= res.upper
 
 
 def test_progress_callback_sees_increasing_lowers():
@@ -153,9 +151,8 @@ def test_verify_optimal():
     fake = ExactResult(
         n=4,
         R=1,
-        status="exact",
-        value=5,
-        bracket=None,
+        lower=5,
+        upper=5,
         witness=Code.from_words(4, [15, 14, 13, 12, 11], r=1),
         nodes=1,
         elapsed=0.0,
@@ -163,14 +160,14 @@ def test_verify_optimal():
     assert not verify_optimal(fake)
 
 
-# (status, value, bracket, nodes, SHA-256 of the witness words), node limit per cell
+# (lower, upper, nodes, SHA-256 of the witness words), node limit per cell
 EXACT_PINS = {
-    (5, 1, None): ("exact", 10, None, 15, "26f966fa79d8e498"),
-    (6, 1, None): ("exact", 18, None, 10_201, "46bd09f549d12971"),
-    (6, 2, None): ("exact", 8, None, 8, "e4681bd3d8b79c80"),
-    (7, 3, None): ("exact", 7, None, 80_146, "cbadf07f83a4571e"),
-    (7, 2, 20_000): ("bracket", None, (13, 15), 20480, "2461c3108caa0082"),
-    (7, 1, 20_000): ("bracket", None, (29, 31), 20480, "25339eef745efd63"),
+    (5, 1, None): (10, 10, 15, "26f966fa79d8e498"),
+    (6, 1, None): (18, 18, 10_201, "46bd09f549d12971"),
+    (6, 2, None): (8, 8, 8, "e4681bd3d8b79c80"),
+    (7, 3, None): (7, 7, 80_146, "cbadf07f83a4571e"),
+    (7, 2, 20_000): (13, 15, 20480, "2461c3108caa0082"),
+    (7, 1, 20_000): (29, 31, 20480, "25339eef745efd63"),
 }
 
 
@@ -178,12 +175,22 @@ EXACT_PINS = {
 def test_exact_pinned(n, R, limit):
     res = exact_kplus(n, R, time_limit=None, node_limit=limit)
     digest = hashlib.sha256(repr(res.witness.words).encode()).hexdigest()[:16]
-    assert (res.status, res.value, res.bracket, res.nodes, digest) == EXACT_PINS[n, R, limit]
+    assert (res.lower, res.upper, res.nodes, digest) == EXACT_PINS[n, R, limit]
+
+
+def test_exact_solves_the_size_program_on_every_call(monkeypatch):
+    # a cell solved before in the same process must not hide the search's own solve
+    exact_kplus(5, 1)
+    seen = []
+    real = ipsolve.ip_plus
+    monkeypatch.setattr(ipsolve, "ip_plus", lambda n, R: seen.append((n, R)) or real(n, R))
+    assert exact_kplus(5, 1).upper == 10
+    assert seen == [(5, 1)]
 
 
 def test_exact_proves_kplus_7_1():
     res = exact_kplus(7, 1, time_limit=None)
-    assert (res.status, res.value, len(res.witness)) == ("exact", 31, 31)
+    assert (res.status, res.upper, len(res.witness)) == ("exact", 31, 31)
     assert covers(res.witness, 1)
 
 

@@ -6,13 +6,19 @@ from itertools import combinations
 
 import pytest
 
-from asymcover.cube import MAX_DIMENSION, Code, DimensionCapError, all_ones, covers, weight
-from asymcover.linear import (
+from asymcover.cube import (
+    MAX_DIMENSION,
     RADIUS_MAX_N,
+    Code,
+    DimensionCapError,
+    all_ones,
+    code_covering_radius,
+    covers,
+    weight,
+)
+from asymcover.linear import (
     LinearCode,
     a_code,
-    asym_covering_radius,
-    code_covering_radius,
     enumerate_subspaces,
     is_self_complementary,
     min_linear_dim,
@@ -106,7 +112,7 @@ def test_code_covering_radius_matches_brute_force(words, n):
 def test_code_covering_radius_infinite_without_top():
     code = Code.from_words(3, [3, 5])
     assert code_covering_radius(code) == math.inf
-    assert asym_covering_radius(span([0b011], 3)) == math.inf
+    assert code_covering_radius(span([0b011], 3).span) == math.inf
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -142,7 +148,7 @@ def test_a_code_shape_and_radius():
             lc = a_code(n, R)
             assert lc.dim == max(1, n - R)
             assert is_self_complementary(lc)
-            rad = asym_covering_radius(lc)
+            rad = code_covering_radius(lc.span)
             assert rad <= R
             assert rad == brute_radius(lc.span)
 

@@ -1,6 +1,7 @@
 """Grid assembly, cache files, rendering, and the command-line surface."""
 
 import dataclasses
+import inspect
 import json
 import os
 
@@ -12,6 +13,7 @@ from asymcover.bounds import BoundRecord, Budget, FULL_BUDGET
 from asymcover.codefiles import load_code, save_code
 from asymcover.constructions import diagonal_code
 from asymcover.cube import Code
+from asymcover.exact import LIMIT_CHECK_NODES, exact_kplus
 from asymcover.table import (
     TableSpec,
     build_grid,
@@ -245,6 +247,33 @@ def test_cli_leaves_unset_limits_to_the_library(tmp_path, capsys, monkeypatch):
     cache = str(tmp_path / "cache.json")
     assert run_cli(["table", "--n-max", "3", "--cache", cache], capsys)[0] == 0
     assert read_json(cache)["budget"] == dataclasses.asdict(Budget(use_exact=True))
+
+
+PER_CELL = Budget().exact_time_limit
+WHOLE_SEARCH = inspect.signature(exact_kplus).parameters["time_limit"].default
+
+
+@pytest.mark.parametrize(
+    "command,time_help",
+    [
+        ("bound", f"seconds per exact search (default {PER_CELL:g}); read only with --exact"),
+        ("table", f"seconds per exact search (default {PER_CELL:g})"),
+        ("exact", f"seconds for the whole search (default {WHOLE_SEARCH:g})"),
+    ],
+)
+def test_cli_help_states_each_limit_default(command, time_help, capsys):
+    rc, out, _ = run_cli([command, "--help"], capsys)
+    text = " ".join(out.split())
+    assert rc == 0
+    assert f"--time-limit TIME_LIMIT {time_help} --node-limit" in text
+    assert (
+        f"--node-limit NODE_LIMIT search node cap, checked every {LIMIT_CHECK_NODES:,} nodes "
+        "(default: no cap)"
+    ) in text
+    # neither library default caps the nodes, and a limit shows only at a check
+    assert Budget().exact_node_limit is None
+    assert inspect.signature(exact_kplus).parameters["node_limit"].default is None
+    assert exact_kplus(6, 1, node_limit=1).nodes == LIMIT_CHECK_NODES
 
 
 def test_cli_exact_and_witness(tmp_path, capsys):
