@@ -88,6 +88,8 @@ class Budget:
             raise ValueError("nu_seeds must be nonnegative")
         if self.exact_time_limit is not None and self.exact_time_limit <= 0:
             raise ValueError("exact_time_limit must be positive")
+        if self.exact_node_limit is not None and self.exact_node_limit <= 0:
+            raise ValueError("exact_node_limit must be positive")
 
 
 FULL_BUDGET = Budget(use_exact=True, nu_seeds=4)

@@ -25,10 +25,12 @@ from .constructions import (
     random_code_nu,
     semi_direct_sum,
 )
-from .cube import RADIUS_MAX_N, Code, code_covering_radius, covers, level_profile, sweep, weight
+from .cube import (
+    RADIUS_MAX_N, Code, all_ones, code_covering_radius, covers, level_profile, sweep, weight
+)
 from .exact import DEFAULT_TIME_LIMIT, LIMIT_CHECK_NODES, exact_kplus
 from .ipsolve import BudgetExceededError
-from .linear import a_code, is_self_complementary, min_linear_dim
+from .linear import a_code, min_linear_dim, span
 from .table import CACHE_ENV, TableSpec, build_grid, cell_dicts, render_cell, render_table
 
 EXIT_OK = 0
@@ -268,8 +270,9 @@ def cmd_exact(args) -> int:
 
 def cmd_linear(args) -> int:
     k = min_linear_dim(args.n, args.r)
-    code = a_code(args.n, args.r)
-    rad = code_covering_radius(code.span)
+    basis = a_code(args.n, args.r)
+    code = span(basis, args.n)
+    rad = code_covering_radius(code)
     verified = rad <= args.r
     agrees = None
     if args.exhaustive:
@@ -282,21 +285,22 @@ def cmd_linear(args) -> int:
         )
     else:
         headline = f"k+ = {k}"
-    basis = " ".join(codefiles.word_to_bits(g, args.n) for g in code.generators)
+    bits = [codefiles.word_to_bits(g, args.n) for g in basis]
+    self_complementary = all_ones(args.n) in code
     lines = [
         headline,
-        f"basis: {basis}",
+        f"basis: {' '.join(bits)}",
         f"covering radius: {rad} (<= R: {str(verified).lower()})",
-        f"self-complementary: {str(is_self_complementary(code)).lower()}",
+        f"self-complementary: {str(self_complementary).lower()}",
     ]
     payload = {
         "n": args.n,
         "R": args.r,
         "k_plus": k,
-        "dim": code.dim,
-        "basis": [codefiles.word_to_bits(g, args.n) for g in code.generators],
+        "dim": len(basis),
+        "basis": bits,
         "covering_radius": rad if rad != float("inf") else None,
-        "self_complementary": is_self_complementary(code),
+        "self_complementary": self_complementary,
         "exhaustive_agrees": agrees,
     }
     _emit(args, payload, "\n".join(lines))

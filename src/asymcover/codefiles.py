@@ -69,12 +69,12 @@ def from_json_text(text: str, origin: str = "<json>") -> Code:
     except KeyError as exc:
         raise ValueError(f"{origin}: missing field {exc}") from None
     r = obj.get("r")
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError(f"{origin}: n must be an integer")
-    if r is not None and not isinstance(r, int):
+    if r is not None and type(r) is not int:
         raise ValueError(f"{origin}: r must be an integer or null")
-    if not isinstance(words, list):
-        raise ValueError(f"{origin}: words must be a list")
+    if not isinstance(words, list) or not all(type(s) is str for s in words):
+        raise ValueError(f"{origin}: words must be a list of bitstrings")
     return _dedupe(n, (bits_to_word(s, n) for s in words), r, origin)
 
 

@@ -12,14 +12,15 @@ lower-bounds K+(n, R), `ip_phi` uses costs n - l and lower-bounds the total
 zero count phi(n, R).  Every residual demand stays at most C(n, t), so an
 optimal profile has a_l <= C(n, l).
 
-`lp_prices` gives the LP-optimal dual prices kept as integers over a common
-denominator; they bound only the exact search, priced over the uncovered
-vertices of each level.  The difference chain built from the zero-count
-program lives here too.  Only phi's value is memoized, by `ip_phi_value`:
-the chain to K+(n, R) reads phi(k, R) for every k <= n, so a table's cells
-share those solves.  `ip_plus` is not: `best_bounds` and exact search each
-solve it once per cell, and a solve answered from an earlier caller's
-memo would be missing from a trace of the later one.
+`lp_prices` gives feasible dual prices of the LP relaxation, LP-optimal at
+small n, kept as integers over a common denominator; they bound only the
+exact search, priced over the uncovered vertices of each level.  The
+difference chain built from the zero-count program lives here too.  Only
+phi's value is memoized, by `ip_phi_value`: the chain to K+(n, R) reads
+phi(k, R) for every k <= n, so a table's cells share those solves.
+`ip_plus` is not: `best_bounds` and exact search each solve it once per
+cell, and a solve answered from an earlier caller's memo would be missing
+from a trace of the later one.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def _simplex_max(c: list[float], A: list[list[float]], b: list[float]) -> list[f
 
 
 def lp_prices(n: int, R: int, costs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Optimal dual prices of the program's LP relaxation on its full demand, as (p, D).
+    """Feasible dual prices of the program's LP relaxation on its full demand, as (p, D).
 
     Maximizes sum C(n, t) * y_t subject to sum_{j<=R} C(m,j) * y_{m-j} <= cost_m
     for every variable a_m and y >= 0 in floats, then repairs the result in
@@ -96,6 +97,10 @@ def lp_prices(n: int, R: int, costs: tuple[int, ...]) -> tuple[tuple[int, ...], 
     covers are priced 0, and all prices are scaled by min_m cost_m * D / lhs_m where
     that is below 1, so every column is feasible by exact arithmetic and a
     float error can only weaken the bound.
+
+    They are LP-optimal only while the float tableau is: within 1e-10 at the
+    n <= 7 that exact search uses, but at n >= 36 the tableau can stop early,
+    e.g. (40, 21) with size costs prices to 9 against an LP optimum of 71.
     """
     cols = [[(m - j, binomial(m, j)) for j in range(min(R, m) + 1)] for m in range(n + 1)]
     A = [[0.0] * (n + 1) for _ in cols]

@@ -1,16 +1,15 @@
 """GF(2) linear codes under the downward covering order.
 
-Subspaces are handled as XOR-closed sets of masks with canonical reduced
-bases.  Includes the doubling construction attaining the minimum dimension
-max(1, n-R) and an exhaustive minimum-dimension search over all subspaces for
-small n.  A subspace's covering radius is the cube kernel's
-`code_covering_radius` of its span, infinite when the span misses the
-all-ones vector, whose top vertex can then never be covered.
+A subspace is its reduced basis, a list of masks with pivots descending,
+and its span, a `Code`.  Includes the doubling construction attaining the
+minimum dimension max(1, n-R) and an exhaustive minimum-dimension search
+over all subspaces for small n.  A subspace's covering radius is the cube
+kernel's `code_covering_radius` of its span, infinite when the span misses
+the all-ones vector, whose top vertex can then never be covered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .cube import MAX_DIMENSION, Code, DimensionCapError, all_ones, covers
@@ -19,54 +18,20 @@ SPAN_MAX_GENS = 20
 SUBSPACE_ENUM_MAX_N = 6
 
 
-def reduce_basis(generators, n: int) -> list[int]:
-    """Canonical reduced basis (unique per subspace), pivots descending."""
-    pivots: dict[int, int] = {}
-    for g in generators:
-        if not 0 <= g < (1 << n):
-            raise ValueError(f"generator {g} outside Q_{n}")
-        v = g
-        while v:
-            p = v.bit_length() - 1
-            if p not in pivots:
-                pivots[p] = v
-                break
-            v ^= pivots[p]
-    rows = [pivots[p] for p in sorted(pivots, reverse=True)]
-    for i in range(len(rows)):
-        for j in range(i):
-            if rows[j] >> (rows[i].bit_length() - 1) & 1:
-                rows[j] ^= rows[i]
-    return rows
-
-
-@dataclass(frozen=True)
-class LinearCode:
-    """A subspace of Q_n: canonical generators, dimension, enumerated span."""
-
-    n: int
-    generators: tuple[int, ...]
-    dim: int
-    span: Code
-
-
-def span(generators, n: int) -> LinearCode:
-    """Reduce the generators and enumerate the full subspace."""
-    basis = reduce_basis(generators, n)
+def span(basis: list[int], n: int) -> Code:
+    """Every XOR combination of the independent basis rows, as a code."""
     if len(basis) > SPAN_MAX_GENS:
         raise DimensionCapError(
             f"span of dimension {len(basis)} exceeds the 2^{SPAN_MAX_GENS} cap"
         )
-    return LinearCode(n=n, generators=tuple(basis), dim=len(basis), span=_close(basis, n))
+    words = [0]
+    for g in basis:
+        words += [w ^ g for w in words]
+    return Code.from_words(n, words)
 
 
-def is_self_complementary(code: LinearCode) -> bool:
-    """A subspace equals its ones-complement exactly when it contains 1̂."""
-    return all_ones(code.n) in code.span
-
-
-def a_code(n: int, R: int) -> LinearCode:
-    """Doubling construction of dimension max(1, n-R) covering at radius R.
+def a_code(n: int, R: int) -> list[int]:
+    """Reduced basis of dimension max(1, n-R) whose span covers at radius R.
 
     Base: the two-word code {0̂, 1̂} on min(n, R+1) coordinates.  Each further
     coordinate is adjoined freely, which preserves the covering radius and
@@ -75,22 +40,17 @@ def a_code(n: int, R: int) -> LinearCode:
     if n < 1 or R < 1:
         raise ValueError("need n >= 1 and R >= 1")
     base = min(n, R + 1)
-    generators = [all_ones(base)]
-    generators.extend(1 << i for i in range(base, n))
-    return span(generators, n)
+    return [1 << i for i in range(n - 1, base - 1, -1)] + [all_ones(base)]
 
 
 def enumerate_subspaces(n: int, dim: int):
-    """Yield every dim-dimensional subspace of Q_n exactly once.
+    """Yield the span of every dim-dimensional subspace of Q_n exactly once.
 
     Canonical reduced bases: choose descending pivot positions, then fill
     each row's sub-pivot non-pivot positions freely.
     """
     if n > SUBSPACE_ENUM_MAX_N:
-        raise DimensionCapError(f"subspace enumeration capped at n = {SUBSPACE_ENUM_MAX_N}")
-    if dim == 0:
-        yield span([], n)
-        return
+        raise DimensionCapError(f"exhaustive search capped at n = {SUBSPACE_ENUM_MAX_N}")
     for pivots in combinations(range(n - 1, -1, -1), dim):
         pivot_set = set(pivots)
         free = [
@@ -107,20 +67,7 @@ def enumerate_subspaces(n: int, dim: int):
                         row |= 1 << p
                     used += 1
                 rows.append(row)
-            yield LinearCode(
-                n=n,
-                generators=tuple(rows),
-                dim=dim,
-                span=_close(rows, n),
-            )
-
-
-def _close(rows: list[int], n: int) -> Code:
-    """Every XOR combination of the rows, as a code."""
-    words = [0]
-    for g in rows:
-        words += [w ^ g for w in words]
-    return Code.from_words(n, words)
+            yield span(rows, n)
 
 
 def min_linear_dim(n: int, R: int, exhaustive: bool = False) -> int:
@@ -136,12 +83,7 @@ def min_linear_dim(n: int, R: int, exhaustive: bool = False) -> int:
         if n > MAX_DIMENSION:
             raise DimensionCapError(f"formula branch capped at n = {MAX_DIMENSION}")
         return max(1, n - R)
-    if n > SUBSPACE_ENUM_MAX_N:
-        raise DimensionCapError(
-            f"exhaustive search capped at n = {SUBSPACE_ENUM_MAX_N}"
-        )
     for dim in range(n + 1):
-        for candidate in enumerate_subspaces(n, dim):
-            if covers(candidate.span, R):
-                return dim
+        if any(covers(code, R) for code in enumerate_subspaces(n, dim)):
+            return dim
     raise AssertionError("unreachable: the full space covers at any radius")

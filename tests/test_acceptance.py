@@ -24,7 +24,7 @@ from asymcover.constructions import (
 from asymcover.cube import ball_size_down, ball_size_up, code_covering_radius, covers
 from asymcover.exact import exact_kplus
 from asymcover.ipsolve import ip_plus
-from asymcover.linear import a_code, min_linear_dim
+from asymcover.linear import a_code, min_linear_dim, span
 from asymcover.table import TableSpec, build_grid
 
 REFERENCE_BRACKETS = {
@@ -211,7 +211,7 @@ def test_criterion_8_linear_covers():
                 bad.append(("exhaustive", n, R))
     for n in range(1, 15):
         for R in range(1, n + 1):
-            if code_covering_radius(a_code(n, R).span) > R:
+            if code_covering_radius(span(a_code(n, R), n)) > R:
                 bad.append(("radius", n, R))
     elapsed = time.monotonic() - start
     ok = not bad and elapsed < 60.0

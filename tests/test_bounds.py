@@ -114,6 +114,21 @@ def test_bound_record_validation():
         BoundRecord(4, 1, 6, 17, "i", "g")
 
 
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {"exact_node_limit": 0},
+        {"exact_node_limit": -1},
+        {"exact_time_limit": 0},
+        {"exact_time_limit": -0.5},
+    ],
+    ids=["nodes-0", "nodes-negative", "time-0", "time-negative"],
+)
+def test_budget_refuses_non_positive_limits(limits):
+    with pytest.raises(ValueError, match="must be positive"):
+        Budget(use_exact=True, **limits)
+
+
 def test_best_bounds_pinned_cells():
     rec = best_bounds(6, 3, FULL_BUDGET)
     assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (4, 4, "superdiag", "d")

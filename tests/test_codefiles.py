@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from asymcover import codefiles
+from asymcover import cli, codefiles
 from asymcover.cube import Code
 
 
@@ -70,6 +70,30 @@ def test_reject_malformed_json():
         codefiles.from_json_text('{"n": 3}')
     with pytest.raises(ValueError):
         codefiles.from_json_text('{"n": 3, "words": ["01"]}')
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        ('{"n": 2, "r": 1, "words": ["11", 5]}', "words"),
+        ('{"n": 2, "r": 1, "words": ["11", null]}', "words"),
+        ('{"n": true, "r": 1, "words": ["1"]}', "n"),
+        ('{"n": 2, "r": true, "words": ["11"]}', "r"),
+    ],
+    ids=["int-word", "null-word", "bool-n", "bool-r"],
+)
+def test_reject_json_fields_of_the_wrong_type(text, field):
+    with pytest.raises(ValueError, match=rf"^code\.json: {field} must be"):
+        codefiles.from_json_text(text, origin="code.json")
+
+
+def test_verify_names_the_file_of_a_non_string_word(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 2, "r": 1, "words": ["11", 5]}')
+    assert cli.main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: words must be a list of bitstrings\n"
 
 
 def test_save_and_load_files(tmp_path):

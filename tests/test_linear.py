@@ -1,4 +1,4 @@
-"""Linear covers: canonical bases, spans, radii, subspace enumeration."""
+"""Linear covers: reduced bases, spans, radii, subspace enumeration."""
 
 import math
 import random
@@ -16,15 +16,7 @@ from asymcover.cube import (
     covers,
     weight,
 )
-from asymcover.linear import (
-    LinearCode,
-    a_code,
-    enumerate_subspaces,
-    is_self_complementary,
-    min_linear_dim,
-    reduce_basis,
-    span,
-)
+from asymcover.linear import a_code, enumerate_subspaces, min_linear_dim, span
 
 
 def brute_span(generators):
@@ -52,47 +44,37 @@ def gaussian_binomial(n, k):
     return out
 
 
-def test_reduce_basis_is_canonical():
-    gens = [0b1011, 0b0110, 0b1101]
-    basis = reduce_basis(gens, 4)
-    # mixing generators by invertible combinations leaves the basis unchanged
-    mixed = [gens[0] ^ gens[1], gens[1], gens[2] ^ gens[0] ^ gens[1], gens[0]]
-    assert reduce_basis(mixed, 4) == basis
-    assert len(basis) == len(set(basis))
+def is_reduced(basis):
+    """Pivots strictly descending, and no row holds another row's pivot."""
     pivots = [g.bit_length() - 1 for g in basis]
-    assert pivots == sorted(pivots, reverse=True)
-    # reduced: no row contains another row's pivot
-    for g in basis:
-        for other in basis:
-            if other is not g:
-                assert not g >> (other.bit_length() - 1) & 1
-
-
-def test_reduce_basis_drops_dependent_rows():
-    assert reduce_basis([0b11, 0b01, 0b10], 2) == reduce_basis([0b01, 0b10], 2)
-    assert reduce_basis([0, 0], 3) == []
+    return (
+        all(p >= 0 for p in pivots)
+        and pivots == sorted(set(pivots), reverse=True)
+        and all(not g >> p & 1 for g, own in zip(basis, pivots) for p in pivots if p != own)
+    )
 
 
 def test_span_matches_brute_force():
-    for gens in [[0b101, 0b011], [0b111], [], [0b1000, 0b0111, 0b1111]]:
-        lc = span(gens, 4)
-        assert set(lc.span.words) == brute_span(gens)
-        assert len(lc.span) == 1 << lc.dim
-        for w in lc.span.words:
-            assert w in lc.span
+    for basis in [[0b101, 0b011], [0b111], [], [0b1000, 0b0111]]:
+        code = span(basis, 4)
+        assert set(code.words) == brute_span(basis)
+        assert len(code) == 1 << len(basis)
+        for w in code.words:
+            assert w in code
 
 
 def test_span_contains_and_rejects():
-    lc = span([0b110, 0b011], 3)
-    assert 0 in lc.span
-    assert 0b101 in lc.span
-    assert 0b100 not in lc.span
-    assert 0b111 not in lc.span  # above the largest word
+    code = span([0b101, 0b011], 3)
+    assert 0 in code
+    assert 0b110 in code
+    assert 0b100 not in code
+    assert 0b111 not in code  # above the largest word
 
 
 def test_self_complementary():
-    assert is_self_complementary(span([0b111], 3))
-    assert not is_self_complementary(span([0b110], 3))
+    # a subspace equals its ones-complement exactly when it contains 1̂
+    assert all_ones(3) in span([0b111], 3)
+    assert all_ones(3) not in span([0b110], 3)
 
 
 @pytest.mark.parametrize(
@@ -112,7 +94,7 @@ def test_code_covering_radius_matches_brute_force(words, n):
 def test_code_covering_radius_infinite_without_top():
     code = Code.from_words(3, [3, 5])
     assert code_covering_radius(code) == math.inf
-    assert code_covering_radius(span([0b011], 3).span) == math.inf
+    assert code_covering_radius(span([0b011], 3)) == math.inf
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -145,30 +127,28 @@ def test_code_covering_radius_cap():
 def test_a_code_shape_and_radius():
     for n in range(1, 9):
         for R in range(1, n + 1):
-            lc = a_code(n, R)
-            assert lc.dim == max(1, n - R)
-            assert is_self_complementary(lc)
-            rad = code_covering_radius(lc.span)
+            basis = a_code(n, R)
+            assert is_reduced(basis)
+            assert len(basis) == max(1, n - R)
+            code = span(basis, n)
+            assert all_ones(n) in code
+            rad = code_covering_radius(code)
             assert rad <= R
-            assert rad == brute_radius(lc.span)
+            assert rad == brute_radius(code)
 
 
 def test_a_code_pinned_5_2():
-    lc = a_code(5, 2)
-    assert sorted(lc.generators) == [0b00111, 0b01000, 0b10000]
-    assert lc.dim == 3
+    assert a_code(5, 2) == [0b10000, 0b01000, 0b00111]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumerate_subspaces_counts(n):
     for dim in range(n + 1):
-        seen = [lc for lc in enumerate_subspaces(n, dim)]
+        seen = list(enumerate_subspaces(n, dim))
         assert len(seen) == gaussian_binomial(n, dim)
-        spans = {lc.span.words for lc in seen}
-        assert len(spans) == len(seen)  # no subspace repeats
-        for lc in seen:
-            assert lc.dim == dim
-            assert len(lc.span) == 1 << dim
+        assert len({code.words for code in seen}) == len(seen)  # no subspace repeats
+        for code in seen:
+            assert len(code) == 1 << dim
 
 
 def test_enumerate_subspaces_cap():
@@ -202,5 +182,5 @@ def test_linear_cover_beats_no_smaller_subspace():
     # spot check the meaning of the exhaustive result at (4, 2)
     want = min_linear_dim(4, 2, exhaustive=True)
     assert want == 2
-    assert not any(covers(lc.span, 2) for lc in enumerate_subspaces(4, 1))
-    assert any(covers(lc.span, 2) for lc in enumerate_subspaces(4, 2))
+    assert not any(covers(code, 2) for code in enumerate_subspaces(4, 1))
+    assert any(covers(code, 2) for code in enumerate_subspaces(4, 2))

@@ -297,10 +297,40 @@ def test_cli_exact_bracket_exit(capsys):
 def test_cli_linear(capsys):
     rc, out, _ = run_cli(["linear", "--n", "5", "--r", "2", "--exhaustive"], capsys)
     assert rc == 0
-    lines = out.splitlines()
-    assert lines[0] == "k+ = 3 (exhaustive agrees)"
-    assert any(line.startswith("basis:") for line in lines)
-    assert "self-complementary: true" in out
+    assert out == (
+        "k+ = 3 (exhaustive agrees)\n"
+        "basis: 00001 00010 11100\n"
+        "covering radius: 2 (<= R: true)\n"
+        "self-complementary: true\n"
+    )
+
+    rc, out, _ = run_cli(["linear", "--n", "9", "--r", "3", "--json"], capsys)
+    assert rc == 0
+    assert json.loads(out) == {
+        "n": 9,
+        "R": 3,
+        "k_plus": 6,
+        "dim": 6,
+        "basis": [
+            "000000001",
+            "000000010",
+            "000000100",
+            "000001000",
+            "000010000",
+            "111100000",
+        ],
+        "covering_radius": 3,
+        "self_complementary": True,
+        "exhaustive_agrees": None,
+    }
+
+    # past the 2^20 span cap, then past the radius sweep's n = 26 cap
+    for n, r, message in [
+        ("22", "1", "span of dimension 21 exceeds the 2^20 cap"),
+        ("27", "10", "covering radius sweep capped at n = 26"),
+    ]:
+        rc, out, err = run_cli(["linear", "--n", n, "--r", r], capsys)
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_cli_table_text_and_cache(tmp_path, capsys, monkeypatch):
