@@ -129,15 +129,6 @@ def superdiag_exact(n: int, R: int) -> bool:
     return r <= 0 or n >= r * (r + 1) // 2
 
 
-def _pick(candidates: list[tuple[int, str]], order: tuple[str, ...], best) -> tuple[int, str]:
-    target = best(v for v, _ in candidates)
-    for tag in order:
-        for v, t in candidates:
-            if v == target and t == tag:
-                return target, tag
-    raise AssertionError("candidate tag outside the known order")
-
-
 def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
     """Best bracket one cell can get from every in-budget bound source."""
     _check_cell(n, R)
@@ -176,8 +167,9 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
         # an unsettled search still holds greedy's code as its incumbent
         uppers.append((res.upper, "e" if res.status == "exact" else "g"))
 
-    lower, ltag = _pick(lowers, LOWER_TAG_ORDER, max)
-    upper, utag = _pick(uppers, UPPER_TAG_ORDER, min)
+    # the best value; on a tie, the tag that comes first in its order
+    lower, ltag = max(lowers, key=lambda c: (c[0], -LOWER_TAG_ORDER.index(c[1])))
+    upper, utag = min(uppers, key=lambda c: (c[0], UPPER_TAG_ORDER.index(c[1])))
     if lower > upper:
         raise ValueError(
             f"inconsistent bounds at (n={n}, R={R}): lower {lower} > upper {upper}"

@@ -117,59 +117,49 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _build_construction(args) -> Code:
-    method = args.method
-    if method == "diagonal":
-        _need(args, "n", "coradius")
-        return diagonal_code(args.n, args.coradius)
-    if method == "general":
-        _need(args, "n", "coradius")
-        return general_upper_code(args.n, args.coradius)
-    if method == "greedy":
-        _need(args, "n", "r")
-        return greedy_code(args.n, args.r)
-    if method == "nu-random":
-        _need(args, "n", "r")
-        return random_code_nu(args.n, args.r, args.seed)
-    if method == "power2":
-        _need(args, "m", "r")
-        return inductive_power2(args.m, args.r, args.seed, args.trials)
-    if method == "directsum":
-        _need(args, "in1", "in2")
-        c1 = codefiles.load_code(args.in1)
-        c2 = codefiles.load_code(args.in2)
-        if c1.r is None or c2.r is None:
-            raise ValueError("directsum inputs must carry radius annotations")
-        return direct_sum(c1, c2)
-    if method == "semidirect":
-        _need(args, "s_in", "t_in", "code_in", "r")
-        s = codefiles.load_code(args.s_in)
-        t = codefiles.load_code(args.t_in)
-        inner = codefiles.load_code(args.code_in)
-        if inner.r is None:
-            inner = Code.from_words(inner.n, inner.words, r=args.r)
-        patched = PatchedCode(n=s.n, R=args.r, S=s, T=t)
-        if not patched.is_valid():
-            raise _VerificationFailure(
-                "patch invalid: some vertex is neither covered by S nor in T"
-            )
-        return semi_direct_sum(patched, inner)
-    raise ValueError(f"unknown construction method {method!r}")
-
-
 class _VerificationFailure(Exception):
     pass
 
 
-def _need(args, *names: str) -> None:
-    missing = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"method {args.method!r} requires {', '.join(missing)}")
+def _directsum(args) -> Code:
+    c1, c2 = codefiles.load_code(args.in1), codefiles.load_code(args.in2)
+    if c1.r is None or c2.r is None:
+        raise ValueError("directsum inputs must carry radius annotations")
+    return direct_sum(c1, c2)
+
+
+def _semidirect(args) -> Code:
+    s, t = codefiles.load_code(args.s_in), codefiles.load_code(args.t_in)
+    inner = codefiles.load_code(args.code_in)
+    if inner.r is None:
+        inner = Code.from_words(inner.n, inner.words, r=args.r)
+    patched = PatchedCode(n=s.n, R=args.r, S=s, T=t)
+    if not patched.is_valid():
+        raise _VerificationFailure("patch invalid: some vertex is neither covered by S nor in T")
+    return semi_direct_sum(patched, inner)
+
+
+# Each construct method: the options it requires (by argparse dest) and its
+# builder.  Builders look their library function up when called, so a
+# wrapper set on this module's attribute sees the call.
+_METHODS = {
+    "diagonal": (("n", "coradius"), lambda args: diagonal_code(args.n, args.coradius)),
+    "directsum": (("in1", "in2"), _directsum),
+    "semidirect": (("s_in", "t_in", "code_in", "r"), _semidirect),
+    "greedy": (("n", "r"), lambda args: greedy_code(args.n, args.r)),
+    "nu-random": (("n", "r"), lambda args: random_code_nu(args.n, args.r, args.seed)),
+    "power2": (("m", "r"), lambda args: inductive_power2(args.m, args.r, args.seed, args.trials)),
+    "general": (("n", "coradius"), lambda args: general_upper_code(args.n, args.coradius)),
+}
 
 
 def cmd_construct(args) -> int:
+    needs, build = _METHODS[args.method]
+    missing = [f"--{name.replace('_', '-')}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"method {args.method!r} requires {', '.join(missing)}")
     try:
-        code = _build_construction(args)
+        code = build(args)
     except _VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -321,11 +311,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bound)
 
     p = subs.add_parser("construct", parents=[json_flag, seed], help="build and save a code")
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=["diagonal", "directsum", "semidirect", "greedy", "nu-random", "power2", "general"],
-    )
+    p.add_argument("--method", required=True, choices=list(_METHODS))
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--coradius", type=int)

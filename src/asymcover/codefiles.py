@@ -62,36 +62,37 @@ def _dedupe(n: int, words, r, origin: str) -> Code:
 def from_json_text(text: str, origin: str = "<json>") -> Code:
     obj = json.loads(text)
     if not isinstance(obj, dict):
-        raise ValueError(f"{origin}: expected a JSON object")
+        raise ValueError("expected a JSON object")
     try:
         n = obj["n"]
         words = obj["words"]
     except KeyError as exc:
-        raise ValueError(f"{origin}: missing field {exc}") from None
+        raise ValueError(f"missing field {exc}") from None
     r = obj.get("r")
     if type(n) is not int:
-        raise ValueError(f"{origin}: n must be an integer")
+        raise ValueError("n must be an integer")
     if r is not None and type(r) is not int:
-        raise ValueError(f"{origin}: r must be an integer or null")
+        raise ValueError("r must be an integer or null")
     if not isinstance(words, list) or not all(type(s) is str for s in words):
-        raise ValueError(f"{origin}: words must be a list of bitstrings")
+        raise ValueError("words must be a list of bitstrings")
     return _dedupe(n, (bits_to_word(s, n) for s in words), r, origin)
 
 
 def from_plain_text(text: str, origin: str = "<text>") -> Code:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError(f"{origin}: empty file")
+        raise ValueError("empty file")
     head = lines[0].split()
     if len(head) != 2:
-        raise ValueError(f"{origin}: first line must be 'n R', got {lines[0]!r}")
+        raise ValueError(f"first line must be 'n R', got {lines[0]!r}")
     n = int(head[0])
     r = None if head[1] == "-" else int(head[1])
     return _dedupe(n, (bits_to_word(s, n) for s in lines[1:]), r, origin)
 
 
 def loads(text: str, origin: str = "<input>") -> Code:
-    """Parse either format; JSON is detected by a leading '{'."""
+    """Parse either format; JSON is detected by a leading '{'.  `origin` names
+    the text in the duplicate-word warning; `load_code` names it in errors."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return from_json_text(text, origin)
@@ -99,8 +100,13 @@ def loads(text: str, origin: str = "<input>") -> Code:
 
 
 def load_code(path: str) -> Code:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read(), origin=path)
+    """Read a code file; any ValueError from decoding, parsing or building
+    its Code is raised again with the path in front."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return loads(fh.read(), origin=path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import ipsolve
 from .constructions import greedy_code
-from .cube import Code, all_ones, ball_down, vertex_set, weight
+from .cube import Code, all_ones, ball_down, full_set, vertex_set, weight
 
 EXACT_MAX_N = 7
 TT_CAP = 5_000_000
@@ -76,10 +76,9 @@ def exact_kplus(
 
     size = 1 << n
     top = all_ones(n)
-    if R == 0 or R >= n:
-        witness = Code.from_words(n, range(size) if R == 0 else [top], r=R)
-        elapsed = time.monotonic() - start
-        return ExactResult(n, R, len(witness), len(witness), witness, 0, elapsed)
+    if R == 0:
+        witness = Code.from_words(n, range(size), r=R)
+        return ExactResult(n, R, size, size, witness, 0, time.monotonic() - start)
 
     incumbent = greedy_code(n, R)
     best = len(incumbent)
@@ -91,15 +90,12 @@ def exact_kplus(
     candidates_of = [
         [top ^ x for x in reversed(ball_down(top ^ y, R, n))] for y in range(size)
     ]
-    level_mask = [0] * (n + 1)
-    for v in range(size):
-        level_mask[weight(v)] |= 1 << v
+    level_mask = [vertex_set(n, (v for v in range(size) if weight(v) == l)) for l in range(n + 1)]
     # the size program's LP dual prices: any extra centers covering u_l
     # vertices per level cost at least ceil(sum u_l * p_l / D), by weak duality
     price, D = ipsolve.lp_prices(n, R, (1,) * (n + 1))
 
-    universe = (1 << size) - 1
-    root = universe & ~ball_mask[top]  # the top word is forced into every cover
+    root = full_set(n) & ~ball_mask[top]  # the top word is forced into every cover
     tt: dict[int, int] = {}
     nodes = 0
 
@@ -138,10 +134,10 @@ def exact_kplus(
             sol = dfs(u & ~ball_mask[c], budget - 1)
             if sol is not None:
                 return [c] + sol
+        # tt.get(u, 0) <= budget here, or the lower-bound cut would have
+        # returned; and u cannot recur below itself, as every child covers more
         if len(tt) < TT_CAP:
-            prev = tt.get(u, 0)
-            if budget + 1 > prev:
-                tt[u] = budget + 1
+            tt[u] = budget + 1
         return None
 
     try:

@@ -198,14 +198,14 @@ def _check_params(n: int, R: int) -> None:
         raise ValueError(f"need 1 <= R <= n <= {MAX_IP_DIMENSION}, got n={n}, R={R}")
 
 
-def ip_plus(n: int, R: int, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
+def ip_plus(n: int, R: int) -> IPSolution:
     """Exact minimum of sum a_l: the level-profile lower bound on K+(n, R)."""
-    return solve(n, R, (1,) * (n + 1), node_cap)
+    return solve(n, R, (1,) * (n + 1))
 
 
-def ip_phi(n: int, R: int, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
+def ip_phi(n: int, R: int) -> IPSolution:
     """Exact minimum of sum (n-l) a_l: the lower bound on phi(n, R)."""
-    return solve(n, R, tuple(n - l for l in range(n + 1)), node_cap)
+    return solve(n, R, tuple(n - l for l in range(n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +214,7 @@ def ip_phi_value(n: int, R: int) -> int:
     return ip_phi(n, R).value
 
 
-def diff_lower(n: int, R: int, lower_prev: int, phi_lb: int) -> int:
+def diff_lower(n: int, lower_prev: int, phi_lb: int) -> int:
     """Lift a K+(n-1,R) lower bound by ceil(phi_lb / n).
 
     Valid whenever phi_lb is at most the largest total zero count over
@@ -232,5 +232,5 @@ def diff_chain_lower(n: int, R: int) -> int:
         raise ValueError("need 1 <= R <= n")
     value = 1
     for k in range(R + 1, n + 1):
-        value = diff_lower(k, R, value, ip_phi_value(k, R))
+        value = diff_lower(k, value, ip_phi_value(k, R))
     return value

@@ -80,14 +80,14 @@ def test_superdiag_values():
 
 
 def test_diff_lower_arithmetic():
-    assert diff_lower(6, 1, 10, 17) == 13
-    assert diff_lower(6, 1, 10, 18) == 13
-    assert diff_lower(6, 1, 10, 19) == 14
-    assert diff_lower(5, 2, 3, 0) == 3
+    assert diff_lower(6, 10, 17) == 13
+    assert diff_lower(6, 10, 18) == 13
+    assert diff_lower(6, 10, 19) == 14
+    assert diff_lower(5, 3, 0) == 3
     with pytest.raises(ValueError):
-        diff_lower(0, 1, 1, 1)
+        diff_lower(0, 1, 1)
     with pytest.raises(ValueError):
-        diff_lower(3, 1, 1, -1)
+        diff_lower(3, 1, -1)
 
 
 def test_diff_chain_beats_plain_ip_at_61():

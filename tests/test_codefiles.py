@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -82,9 +83,11 @@ def test_reject_malformed_json():
     ],
     ids=["int-word", "null-word", "bool-n", "bool-r"],
 )
-def test_reject_json_fields_of_the_wrong_type(text, field):
-    with pytest.raises(ValueError, match=rf"^code\.json: {field} must be"):
-        codefiles.from_json_text(text, origin="code.json")
+def test_reject_json_fields_of_the_wrong_type(text, field, tmp_path):
+    path = tmp_path / "code.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {field} must be"):
+        codefiles.load_code(str(path))
 
 
 def test_verify_names_the_file_of_a_non_string_word(tmp_path, capsys):
@@ -94,6 +97,47 @@ def test_verify_names_the_file_of_a_non_string_word(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: words must be a list of bitstrings\n"
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (b"2 1\n11\n1x\n", "word '1x' has character 'x' outside {0,1}"),
+        (b"x 1\n11\n", "invalid literal for int() with base 10: 'x'"),
+        (b'{"n": 0, "r": 0, "words": []}', "need 1 <= n <= 62, got n=0"),
+        (b'{"n": 2, "r": 1, "words": ["11"', "Expecting ',' delimiter: line 1 column 32 (char 31)"),
+        (b"2 1\n11\n\xff\xfe\n",
+         "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+    ],
+    ids=["bad-word", "bad-header", "n-out-of-range", "truncated-json", "not-utf-8"],
+)
+def test_verify_names_the_file_of_any_bad_input(data, message, tmp_path, capsys):
+    path = tmp_path / "bad.code"
+    path.write_bytes(data)
+    assert cli.main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+def test_directsum_names_its_bad_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    codefiles.save_code("a.json", Code.from_words(2, [3], r=1))
+    (tmp_path / "b.txt").write_text("2 1\n11\n1x\n")
+    argv = ["construct", "--method", "directsum", "--in1", "a.json", "--in2", "b.txt",
+            "--out", "o.json"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: b.txt: word '1x' has character 'x' outside {0,1}\n"
+    assert not os.path.exists("o.json")
+
+
+def test_duplicate_word_warning_names_the_file(tmp_path, capsys):
+    path = tmp_path / "dup.txt"
+    path.write_text("2 1\n11\n11\n")
+    assert codefiles.load_code(str(path)).words == (3,)
+    assert capsys.readouterr().err == f"warning: {path}: removed 1 duplicate word(s)\n"
 
 
 def test_save_and_load_files(tmp_path):

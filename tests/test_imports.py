@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, imports nothing
 outside the standard library and itself, and reads no other module's
-underscore names, and every public name is read or documented."""
+underscore names, every function reads each of its parameters, and every
+public name is read or documented."""
 
 import ast
 import re
@@ -74,6 +75,23 @@ def private_reads(source: str) -> list[str]:
             and not node.attr.startswith("__")
         ):
             found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`function.parameter` for each parameter its function (or lambda) never reads;
+    a read inside a nested function counts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [p for p in (args.vararg, args.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{name}.{p.arg} (line {node.lineno})" for p in params if p.arg not in read]
     return sorted(found)
 
 
@@ -160,6 +178,19 @@ def test_guard_sees_a_private_read():
     assert private_reads(source) == ["cube._step (line 2)", "ipsolve._dual_vector (line 4)"]
 
 
+def test_guard_sees_an_unread_parameter():
+    source = (
+        "def lift(n, R, lower, *rest, cap=3, **extra):\n"
+        "    def inner():\n        return lower + cap\n"
+        "    return inner() + n + len(rest)\n\n\n"
+        "class Box:\n    def size(self, unit):\n        return self\n\n\n"
+        "pick = lambda a, b: a\n"
+    )
+    assert unread_parameters(source) == [
+        "<lambda>.b (line 12)", "lift.R (line 1)", "lift.extra (line 1)", "size.unit (line 8)",
+    ]
+
+
 def test_guard_sees_an_unread_public_name():
     sources = {
         "cube": "LIMIT = 3\n\n\ndef dominated(x, c):\n    return x & c == x\n\n\n"
@@ -185,6 +216,11 @@ def test_module_imports_only_the_standard_library(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_no_private_name_of_another(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
 
 
 def test_every_public_name_is_read_or_documented():

@@ -1,6 +1,7 @@
 """Grid assembly, cache files, rendering, and the command-line surface."""
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import os
@@ -233,6 +234,112 @@ def test_cli_construct_rejects_invalid_patch(tmp_path, capsys):
     )
     assert rc == 2
     assert "verification failure" in err
+
+
+# method: (its flags, stdout, SHA-256 of the file it writes); the inputs come from
+# construct_inputs, and every run writes o.json in the working directory
+CONSTRUCT_RUNS = {
+    "diagonal": (
+        ["--n", "6", "--coradius", "3"],
+        "4 words (n=6, R=3) -> o.json\n",
+        "e5913e55c85165900cd34da7a26a39c18bfcb2f1b4b8dd51dafb60affa14b729",
+    ),
+    "directsum": (
+        ["--in1", "a.json", "--in2", "b.json"],
+        "12 words (n=9, R=4) -> o.json\n",
+        "5f74f4290fb82e6fa155494e3b9802ebcf4269c80cc113be34c935d70c8c50f9",
+    ),
+    "semidirect": (
+        ["--s-in", "s.json", "--t-in", "t.json", "--code-in", "c.json", "--r", "1"],
+        "11 words (n=5, R=1) -> o.json\n",
+        "bc63379d7f130940b47abfbae49c6a1a8547ce44710e2f6a4c79ef2c9cd9ddee",
+    ),
+    "greedy": (
+        ["--n", "6", "--r", "2"],
+        "9 words (n=6, R=2) -> o.json\n",
+        "5d0e9297a6c6c67ec51ccd75a668d60047946d534d582bb8a37b7dd7082c3bd2",
+    ),
+    "nu-random": (
+        ["--n", "8", "--r", "2", "--seed", "3"],
+        "60 words (n=8, R=2) -> o.json\n",
+        "14a479832c2b052630f121890a46b3ab84ae8f6ad74b3f73e48dc538e069e6c7",
+    ),
+    "power2": (
+        ["--m", "2", "--r", "1", "--seed", "1", "--trials", "4"],
+        "6 words (n=4, R=1) -> o.json\n",
+        "2fda0cd9c94ae0c3d4d1d62ef99d2041b6a6f70369daa20f38943d9308300151",
+    ),
+    "general": (
+        ["--n", "10", "--coradius", "5"],
+        "12 words (n=10, R=5) -> o.json\n",
+        "14eaab8c706e50e937104302702f9f8fc0d675b50e82fb57c208789ef65a4d17",
+    ),
+}
+CONSTRUCT_NEEDS = {
+    "diagonal": "--n, --coradius",
+    "directsum": "--in1, --in2",
+    "semidirect": "--s-in, --t-in, --code-in, --r",
+    "greedy": "--n, --r",
+    "nu-random": "--n, --r",
+    "power2": "--m, --r",
+    "general": "--n, --coradius",
+}
+
+
+@pytest.fixture
+def construct_inputs(tmp_path, monkeypatch):
+    """The input files of directsum and semidirect, in a fresh working directory."""
+    monkeypatch.chdir(tmp_path)
+    save_code("a.json", diagonal_code(3, 2))
+    save_code("b.json", diagonal_code(6, 3))
+    save_code("s.json", Code.from_words(2, [3]))  # misses 00 at R=1 ...
+    save_code("t.json", Code.from_words(2, [0]))  # ... which the patch holds
+    save_code("c.json", diagonal_code(3, 2))
+    return tmp_path
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("method", CONSTRUCT_RUNS)
+def test_cli_construct_method_pins(method, construct_inputs, capsys):
+    flags, stdout, digest = CONSTRUCT_RUNS[method]
+    rc, out, err = run_cli(["construct", "--method", method, *flags, "--out", "o.json"], capsys)
+    assert (rc, out, err) == (0, stdout, "")
+    assert _sha256("o.json") == digest
+
+
+@pytest.mark.parametrize("method", CONSTRUCT_NEEDS)
+def test_cli_construct_method_needs_its_flags(method, construct_inputs, capsys):
+    before = sorted(os.listdir(construct_inputs))
+    rc, out, err = run_cli(["construct", "--method", method, "--out", "o.json"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: method {method!r} requires {CONSTRUCT_NEEDS[method]}\n"
+    flags = CONSTRUCT_RUNS[method][0]
+    rc, out, err = run_cli(["construct", "--method", method, *flags[2:], "--out", "o.json"],
+                           capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: method {method!r} requires {flags[0]}\n"
+    assert sorted(os.listdir(construct_inputs)) == before
+
+
+def test_cli_construct_refuses_an_unknown_method(construct_inputs, capsys):
+    rc, out, err = run_cli(["construct", "--method", "nosuch", "--out", "o.json"], capsys)
+    assert (rc, out) == (1, "")
+    assert "argument --method: invalid choice: 'nosuch'" in err
+    assert not os.path.exists("o.json")
+
+
+def test_cli_construct_semidirect_refuses_an_invalid_patch(construct_inputs, capsys):
+    save_code("t.json", Code.from_words(2, [1]))  # the patch misses 00
+    rc, out, err = run_cli(["construct", "--method", "semidirect",
+                            *CONSTRUCT_RUNS["semidirect"][0], "--out", "o.json"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("verification failure: patch invalid: "
+                   "some vertex is neither covered by S nor in T\n")
+    assert not os.path.exists("o.json")
 
 
 def test_cli_leaves_unset_limits_to_the_library(tmp_path, capsys, monkeypatch):
