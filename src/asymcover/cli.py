@@ -123,16 +123,24 @@ class _VerificationFailure(Exception):
 
 def _directsum(args) -> Code:
     c1, c2 = codefiles.load_code(args.in1), codefiles.load_code(args.in2)
-    if c1.r is None or c2.r is None:
-        raise ValueError("directsum inputs must carry radius annotations")
+    for flag, path, code in (("--in1", args.in1, c1), ("--in2", args.in2, c2)):
+        if code.r is None:
+            raise ValueError(f"{flag} {path} has no radius annotation;"
+                             " directsum inputs must carry one")
     return direct_sum(c1, c2)
 
 
 def _semidirect(args) -> Code:
     s, t = codefiles.load_code(args.s_in), codefiles.load_code(args.t_in)
     inner = codefiles.load_code(args.code_in)
+    if t.n != s.n:
+        raise ValueError(f"--t-in {args.t_in} has n={t.n} but --s-in {args.s_in} has n={s.n}:"
+                         " S and T must live in the same cube")
     if inner.r is None:
         inner = Code.from_words(inner.n, inner.words, r=args.r)
+    elif inner.r != args.r:
+        raise ValueError(f"--code-in {args.code_in} has radius {inner.r} but --r is {args.r}:"
+                         " the inner code must carry the patched code's radius")
     patched = PatchedCode(n=s.n, R=args.r, S=s, T=t)
     if not patched.is_valid():
         raise _VerificationFailure("patch invalid: some vertex is neither covered by S nor in T")

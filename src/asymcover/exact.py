@@ -5,9 +5,23 @@ uncovered vertex y are the supersets of y within R extra ones.  Search is
 iterative deepening on the code size with a transposition table of proven
 infeasibility depths and a lower bound per state from the size program's LP
 dual prices (certified in integers) on its uncovered levels.  Each node
-branches on every center that covers one vertex of its top uncovered level,
+branches on the centers that cover one vertex of its top uncovered level,
 largest gain first.  Budgets never produce a wrong exact claim: exhausting
 them yields a bracket.
+
+Coordinate permutations map downward covers to downward covers.  Each node
+carries the partition of the coordinates into cells that every chosen word
+respects: one cell at the root, where only the all-ones word is chosen,
+refined by each new word, so permuting coordinates inside the cells fixes
+the uncovered set.  Such a permutation that also fixes the branching vertex
+y maps a candidate c onto every candidate with the same counts |c & cell|
+(each candidate contains y, so equal counts over the cells are equal counts
+over the cells split by y), and only the first candidate of each count key
+is tried: orbital branching over this Young subgroup (Ostrowski, Linderoth,
+Rossi and Smriglio, Math. Programming 126, 2011).  A skipped candidate is
+the image of an earlier one that failed, so it fails too.  The search thus
+returns the same witness as without the skipping, and the transposition
+table stays sound, as infeasibility depends on the uncovered set alone.
 """
 
 from __future__ import annotations
@@ -19,7 +33,9 @@ from . import ipsolve
 from .constructions import greedy_code
 from .cube import Code, all_ones, ball_down, full_set, vertex_set, weight
 
-EXACT_MAX_N = 7
+EXACT_MAX_N = 8
+# at n = 8 a key is a 256-bit int of about 60 bytes, so a full table takes
+# roughly 0.5 GB; a 60 s search at (8,3) peaks at about 123 MB
 TT_CAP = 5_000_000
 DEFAULT_TIME_LIMIT = 600.0  # seconds for the whole search
 LIMIT_CHECK_NODES = 4096  # the time and node limits are checked this often
@@ -107,7 +123,7 @@ def exact_kplus(
                 total += cnt * price[l]
         return -(-total // D)
 
-    def dfs(u: int, budget: int) -> list[int] | None:
+    def dfs(u: int, budget: int, cells: tuple[int, ...]) -> list[int] | None:
         nonlocal nodes
         nodes += 1
         if nodes % LIMIT_CHECK_NODES == 0:
@@ -129,9 +145,19 @@ def exact_kplus(
             if at_level:
                 y = (at_level & -at_level).bit_length() - 1
                 break
+        # one candidate per count key over the cells (see the module
+        # docstring); singleton cells leave nothing to permute
+        seen = set()
         # largest gain first; the sort is stable, so ties keep ascending center order
         for c in sorted(candidates_of[y], key=lambda c: -(ball_mask[c] & u).bit_count()):
-            sol = dfs(u & ~ball_mask[c], budget - 1)
+            child = cells
+            if len(cells) < n:
+                key = tuple((c & cell).bit_count() for cell in cells)
+                if key in seen:
+                    continue
+                seen.add(key)
+                child = tuple(p for cell in cells for p in (cell & c, cell & ~c) if p)
+            sol = dfs(u & ~ball_mask[c], budget - 1, child)
             if sol is not None:
                 return [c] + sol
         # tt.get(u, 0) <= budget here, or the lower-bound cut would have
@@ -143,7 +169,7 @@ def exact_kplus(
     try:
         # no cover smaller than proven_lower exists; a cover of that size settles the value
         while proven_lower < best:
-            sol = dfs(root, proven_lower - 1)
+            sol = dfs(root, proven_lower - 1, (top,))
             if sol is not None:
                 incumbent = Code.from_words(n, [top] + sol, r=R)
                 best = proven_lower

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from asymcover import cli, ipsolve
+from asymcover import cli, exact, ipsolve
 from asymcover.cube import Code, ball_down, covers
 from asymcover.exact import EXACT_MAX_N, ExactResult, exact_kplus
 from asymcover.ipsolve import ip_plus
@@ -163,9 +163,9 @@ def test_verify_optimal():
 # (lower, upper, nodes, SHA-256 of the witness words), node limit per cell
 EXACT_PINS = {
     (5, 1, None): (10, 10, 15, "26f966fa79d8e498"),
-    (6, 1, None): (18, 18, 10_201, "46bd09f549d12971"),
+    (6, 1, None): (18, 18, 6_420, "46bd09f549d12971"),
     (6, 2, None): (8, 8, 8, "e4681bd3d8b79c80"),
-    (7, 3, None): (7, 7, 80_146, "cbadf07f83a4571e"),
+    (7, 3, None): (7, 7, 5_885, "cbadf07f83a4571e"),
     (7, 2, 20_000): (13, 15, 20480, "2461c3108caa0082"),
     (7, 1, 20_000): (29, 31, 20480, "25339eef745efd63"),
 }
@@ -176,6 +176,56 @@ def test_exact_pinned(n, R, limit):
     res = exact_kplus(n, R, time_limit=None, node_limit=limit)
     digest = hashlib.sha256(repr(res.witness.words).encode()).hexdigest()[:16]
     assert (res.lower, res.upper, res.nodes, digest) == EXACT_PINS[n, R, limit]
+
+
+def _digest(code):
+    return hashlib.sha256(repr(code.words).encode()).hexdigest()[:16]
+
+
+# (lower, upper, SHA-256 of the witness words) of every cell with n <= 6, as
+# the search found them before it skipped symmetric candidates
+SMALL_PINS = {
+    (1, 0): (2, 2, "a5cabe61309cbdb1"), (1, 1): (1, 1, "28cb03b06c288e88"),
+    (2, 0): (4, 4, "c5c25158dde5b90a"), (2, 1): (2, 2, "1f1868f06925b617"),
+    (2, 2): (1, 1, "4079e4af87d7d813"),
+    (3, 0): (8, 8, "71347777824d0062"), (3, 1): (3, 3, "28d8b2453baa2c28"),
+    (3, 2): (2, 2, "c335c2cd654ba506"), (3, 3): (1, 1, "24a6ade6d35f1e5e"),
+    (4, 0): (16, 16, "f564ce1656cb7499"), (4, 1): (6, 6, "d12412604c4f5c90"),
+    (4, 2): (3, 3, "9c273730e7e54689"), (4, 3): (2, 2, "5593595ecefa804f"),
+    (4, 4): (1, 1, "4fdda04c7f662284"),
+    (5, 0): (32, 32, "57923ae6ab3ccb0a"), (5, 1): (10, 10, "26f966fa79d8e498"),
+    (5, 2): (5, 5, "acb7eaf8c0d05e08"), (5, 3): (3, 3, "191b67f790cef981"),
+    (5, 4): (2, 2, "1a254effc608ec8e"), (5, 5): (1, 1, "f56a3e9962be711f"),
+    (6, 0): (64, 64, "5f3006cab71f62de"), (6, 1): (18, 18, "46bd09f549d12971"),
+    (6, 2): (8, 8, "e4681bd3d8b79c80"), (6, 3): (4, 4, "402d7f607737577a"),
+    (6, 4): (3, 3, "b1e0c8e3f92be364"), (6, 5): (2, 2, "c28daf61effda2c5"),
+    (6, 6): (1, 1, "9138ff35047962e2"),
+}
+
+
+def test_exact_small_cells_keep_their_witnesses():
+    assert sorted(SMALL_PINS) == [(n, R) for n in range(1, 7) for R in range(n + 1)]
+    for (n, R), want in SMALL_PINS.items():
+        res = exact_kplus(n, R, time_limit=None)
+        assert (res.lower, res.upper, _digest(res.witness)) == want, (n, R)
+
+
+@pytest.mark.parametrize("n,R", [(5, 1), (6, 1), (6, 2), (7, 3)])
+def test_orbit_skipping_needs_no_transposition_table(n, R, monkeypatch):
+    # with no proven-infeasible states stored, the skipped candidates must still
+    # be exactly the ones whose subtrees fail: the witnesses cannot move
+    monkeypatch.setattr(exact, "TT_CAP", 0)
+    res = exact_kplus(n, R, time_limit=None)
+    lower, upper, _, digest = EXACT_PINS[n, R, None]
+    assert (res.lower, res.upper, _digest(res.witness)) == (lower, upper, digest)
+
+
+def test_exact_bracket_at_n_8():
+    # the table's bracket is 9-13; a 60 s search proves 11-13
+    res = exact_kplus(8, 3, time_limit=None, node_limit=400_000)
+    assert (res.lower, res.upper, res.nodes, _digest(res.witness)) == (
+        10, 13, 401_408, "e1a5bdbc92a89c42")
+    assert covers(res.witness, 3)
 
 
 def test_exact_solves_the_size_program_on_every_call(monkeypatch):
@@ -199,7 +249,7 @@ DATA = Path(__file__).resolve().parent / "data"
 
 @pytest.mark.parametrize("R,size", [(1, 31), (2, 14)])
 def test_shipped_witness_verifies(R, size, capsys):
-    # K+(7,1) = 31 is proved above; K+(7,2) = 14 by a 16.4 M-node search too slow for this suite
+    # K+(7,1) = 31 is proved above; K+(7,2) = 14 by a 4.5 M-node search too slow for this suite
     assert cli.main(["verify", str(DATA / f"kplus-7-{R}.json"), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["covers"], out["size"], out["r"]) == (True, size, R)

@@ -342,6 +342,39 @@ def test_cli_construct_semidirect_refuses_an_invalid_patch(construct_inputs, cap
     assert not os.path.exists("o.json")
 
 
+@pytest.mark.parametrize("flag", ["--in1", "--in2"])
+def test_cli_construct_directsum_names_the_unannotated_input(flag, construct_inputs, capsys):
+    path = "a.json" if flag == "--in1" else "b.json"
+    save_code(path, Code.from_words(2, [3]))  # no radius annotation
+    rc, out, err = run_cli(["construct", "--method", "directsum",
+                            *CONSTRUCT_RUNS["directsum"][0], "--out", "o.json"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == (f"error: {flag} {path} has no radius annotation;"
+                   " directsum inputs must carry one\n")
+    assert not os.path.exists("o.json")
+
+
+def test_cli_construct_semidirect_names_an_inner_code_of_another_radius(construct_inputs,
+                                                                       capsys):
+    rc, out, err = run_cli(["construct", "--method", "semidirect", "--s-in", "s.json",
+                            "--t-in", "t.json", "--code-in", "b.json", "--r", "1",
+                            "--out", "o.json"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == ("error: --code-in b.json has radius 3 but --r is 1:"
+                   " the inner code must carry the patched code's radius\n")
+    assert not os.path.exists("o.json")
+
+
+def test_cli_construct_semidirect_names_a_patch_in_another_cube(construct_inputs, capsys):
+    save_code("t.json", Code.from_words(3, [0]))
+    rc, out, err = run_cli(["construct", "--method", "semidirect",
+                            *CONSTRUCT_RUNS["semidirect"][0], "--out", "o.json"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == ("error: --t-in t.json has n=3 but --s-in s.json has n=2:"
+                   " S and T must live in the same cube\n")
+    assert not os.path.exists("o.json")
+
+
 def test_cli_leaves_unset_limits_to_the_library(tmp_path, capsys, monkeypatch):
     # each search limit has one default, in the library; the CLI passes only what it is given
     seen = []
