@@ -2,12 +2,20 @@
 
 The universe of Q_n vertices is one big bitmask; candidate centers for an
 uncovered vertex y are the supersets of y within R extra ones.  Search is
-iterative deepening on the code size with a transposition table of proven
-infeasibility depths and a lower bound per state from the size program's LP
-dual prices (certified in integers) on its uncovered levels.  Each node
-branches on the centers that cover one vertex of its top uncovered level,
-largest gain first.  Budgets never produce a wrong exact claim: exhausting
-them yields a bracket.
+iterative deepening on the code size with a transposition table (TT) of
+proven infeasibility depths and a lower bound per state from the size
+program's LP dual prices (certified in integers): a state whose uncovered
+set u has |u ∩ level_l| vertices on level l needs at least
+ceil(sum_l price_l |u ∩ level_l| / D) more words.  Each node carries that
+priced total down the tree, and a child's total is its parent's less the
+priced vertices its new ball covers, which lie on the R + 1 levels of the
+ball alone, so no node recounts u.  Each node branches on the centers that
+cover one vertex of its top uncovered level, largest gain first, and makes
+each child's checks in its own loop: the node count and the limit check,
+an empty u (a cover), an exhausted size budget, and the cut by the TT entry
+or the bound.  Only a child that passes them is searched by a call.
+Budgets never produce a wrong exact claim: exhausting them yields a
+bracket.
 
 Coordinate permutations map downward covers to downward covers.  Each node
 carries the partition of the coordinates into cells that every chosen word
@@ -35,7 +43,7 @@ from .cube import Code, all_ones, ball_down, full_set, vertex_set, weight
 
 EXACT_MAX_N = 8
 # at n = 8 a key is a 256-bit int of about 60 bytes, so a full table takes
-# roughly 0.5 GB; a 60 s search at (8,3) peaks at about 123 MB
+# roughly 0.5 GB; a 60 s search at (8,3) peaks at about 430 MB
 TT_CAP = 5_000_000
 DEFAULT_TIME_LIMIT = 600.0  # seconds for the whole search
 LIMIT_CHECK_NODES = 4096  # the time and node limits are checked this often
@@ -67,6 +75,13 @@ class _BudgetHit(Exception):
     pass
 
 
+def _orbit_key(c: int, cells: tuple[int, ...]) -> tuple[int, ...]:
+    """The counts |c & cell| over the cells.  Two candidates that contain the
+    branching vertex y have equal keys exactly when a permutation inside the
+    cells that fixes y maps one onto the other."""
+    return tuple((c & cell).bit_count() for cell in cells)
+
+
 def exact_kplus(
     n: int,
     R: int,
@@ -87,6 +102,10 @@ def exact_kplus(
         raise ValueError("need 0 <= R <= n")
     if n < 1 or n > EXACT_MAX_N:
         raise ValueError(f"exact search supports 1 <= n <= {EXACT_MAX_N}")
+    if time_limit is not None and time_limit <= 0:
+        raise ValueError("time_limit must be positive")
+    if node_limit is not None and node_limit <= 0:
+        raise ValueError("node_limit must be positive")
     start = time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
 
@@ -111,35 +130,29 @@ def exact_kplus(
     # vertices per level cost at least ceil(sum u_l * p_l / D), by weak duality
     price, D = ipsolve.lp_prices(n, R, (1,) * (n + 1))
 
+    # per center, its ball on each level of nonzero price: a child's priced
+    # total is its parent's less what the new ball covers on those levels
+    priced_ball = [
+        [(ball_mask[c] & level_mask[l], price[l])
+         for l in range(max(0, weight(c) - R), weight(c) + 1) if price[l]]
+        for c in range(size)
+    ]
+
     root = full_set(n) & ~ball_mask[top]  # the top word is forced into every cover
+    root_total = sum(p * (root & m).bit_count() for m, p in zip(level_mask, price))
     tt: dict[int, int] = {}
     nodes = 0
 
-    def state_lb(u: int) -> int:
-        total = 0
-        for l in range(n + 1):
-            cnt = (u & level_mask[l]).bit_count()
-            if cnt:
-                total += cnt * price[l]
-        return -(-total // D)
+    def check_limits() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise _BudgetHit
+        if node_limit is not None and nodes > node_limit:
+            raise _BudgetHit
 
-    def dfs(u: int, budget: int, cells: tuple[int, ...]) -> list[int] | None:
+    def dfs(u: int, budget: int, cells: tuple[int, ...], total: int) -> list[int] | None:
+        # the caller has counted this node and admitted it: u != 0, budget > 0,
+        # and its TT entry, or ceil(total / D) without one, is at most budget
         nonlocal nodes
-        nodes += 1
-        if nodes % LIMIT_CHECK_NODES == 0:
-            if deadline is not None and time.monotonic() > deadline:
-                raise _BudgetHit
-            if node_limit is not None and nodes > node_limit:
-                raise _BudgetHit
-        if u == 0:
-            return []
-        if budget == 0:
-            return None
-        lb = tt.get(u)
-        if lb is None:
-            lb = state_lb(u)
-        if lb > budget:
-            return None
         for l in range(n - 1, -1, -1):
             at_level = u & level_mask[l]
             if at_level:
@@ -148,20 +161,39 @@ def exact_kplus(
         # one candidate per count key over the cells (see the module
         # docstring); singleton cells leave nothing to permute
         seen = set()
+        split = len(cells) < n
         # largest gain first; the sort is stable, so ties keep ascending center order
         for c in sorted(candidates_of[y], key=lambda c: -(ball_mask[c] & u).bit_count()):
-            child = cells
-            if len(cells) < n:
-                key = tuple((c & cell).bit_count() for cell in cells)
+            if split:
+                key = _orbit_key(c, cells)
                 if key in seen:
                     continue
                 seen.add(key)
-                child = tuple(p for cell in cells for p in (cell & c, cell & ~c) if p)
-            sol = dfs(u & ~ball_mask[c], budget - 1, child)
+            # the child's own checks, made here so that a cut child costs no call
+            v = u & ~ball_mask[c]
+            nodes += 1
+            if nodes % LIMIT_CHECK_NODES == 0:
+                check_limits()
+            if v == 0:
+                return [c]
+            if budget == 1:
+                continue
+            child_total = total
+            for m, p in priced_ball[c]:
+                child_total -= p * (u & m).bit_count()
+            lb = tt.get(v)
+            if lb is None:
+                lb = -(-child_total // D)
+            if lb >= budget:  # over the child's budget - 1
+                continue
+            child = cells
+            if split:
+                child = tuple(part for cell in cells for part in (cell & c, cell & ~c) if part)
+            sol = dfs(v, budget - 1, child, child_total)
             if sol is not None:
                 return [c] + sol
-        # tt.get(u, 0) <= budget here, or the lower-bound cut would have
-        # returned; and u cannot recur below itself, as every child covers more
+        # tt.get(u, 0) <= budget here, or the parent would have cut u;
+        # and u cannot recur below itself, as every child covers more
         if len(tt) < TT_CAP:
             tt[u] = budget + 1
         return None
@@ -169,7 +201,16 @@ def exact_kplus(
     try:
         # no cover smaller than proven_lower exists; a cover of that size settles the value
         while proven_lower < best:
-            sol = dfs(root, proven_lower - 1, (top,))
+            # the root's checks, as dfs makes them for each child; at R = n
+            # greedy's one word ends the loop at once, so the root is not empty
+            nodes += 1
+            if nodes % LIMIT_CHECK_NODES == 0:
+                check_limits()
+            budget = proven_lower - 1
+            lb = tt.get(root)
+            if lb is None:
+                lb = -(-root_total // D)
+            sol = dfs(root, budget, (top,), root_total) if 0 < budget and lb <= budget else None
             if sol is not None:
                 incumbent = Code.from_words(n, [top] + sol, r=R)
                 best = proven_lower

@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -101,6 +101,17 @@ def test_exact_rejects_bad_parameters():
         exact_kplus(EXACT_MAX_N + 1, 1)
     with pytest.raises(ValueError):
         exact_kplus(0, 0)
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [{"node_limit": 0}, {"node_limit": -5}, {"time_limit": 0}, {"time_limit": -1.0}],
+    ids=["nodes-0", "nodes-negative", "time-0", "time-negative"],
+)
+def test_exact_refuses_non_positive_limits(limits):
+    # each of these once returned a 17-18 bracket at (6,1) after 4,096 nodes
+    with pytest.raises(ValueError, match="must be positive"):
+        exact_kplus(6, 1, **limits)
 
 
 def test_exact_is_deterministic():
@@ -210,14 +221,56 @@ def test_exact_small_cells_keep_their_witnesses():
         assert (res.lower, res.upper, _digest(res.witness)) == want, (n, R)
 
 
-@pytest.mark.parametrize("n,R", [(5, 1), (6, 1), (6, 2), (7, 3)])
+# nodes with no transposition table
+TT_OFF_NODES = {(5, 1): 15, (6, 1): 12_562, (6, 2): 8, (7, 3): 6_289}
+
+
+@pytest.mark.parametrize("n,R", list(TT_OFF_NODES))
 def test_orbit_skipping_needs_no_transposition_table(n, R, monkeypatch):
     # with no proven-infeasible states stored, the skipped candidates must still
-    # be exactly the ones whose subtrees fail: the witnesses cannot move
+    # be exactly the ones whose subtrees fail: the witnesses cannot move, and
+    # the bound alone cuts the same children
     monkeypatch.setattr(exact, "TT_CAP", 0)
     res = exact_kplus(n, R, time_limit=None)
     lower, upper, _, digest = EXACT_PINS[n, R, None]
-    assert (res.lower, res.upper, _digest(res.witness)) == (lower, upper, digest)
+    assert (res.lower, res.upper, res.nodes, _digest(res.witness)) == (
+        lower, upper, TT_OFF_NODES[n, R], digest)
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def _permute(word, perm):
+    return sum(1 << perm[i] for i in range(len(perm)) if word >> i & 1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_orbit_key_matches_the_orbits(n):
+    # equal keys exactly when a permutation that keeps every cell and fixes y
+    # maps one superset of y onto the other: a coarser key would skip a
+    # candidate that no symmetry relates to one already tried
+    for partition in _set_partitions(list(range(n))):
+        cells = tuple(sum(1 << i for i in cell) for cell in partition)
+        keeping = [
+            perm for perm in permutations(range(n))
+            if all(_permute(cell, perm) == cell for cell in cells)
+        ]
+        for y in range(1 << n):
+            group = [perm for perm in keeping if _permute(y, perm) == y]
+            supersets = [c for c in range(1 << n) if c & y == y]
+            for c in supersets:
+                orbit = {_permute(c, perm) for perm in group}
+                for c2 in supersets:
+                    same_key = exact._orbit_key(c, cells) == exact._orbit_key(c2, cells)
+                    assert same_key == (c2 in orbit), (cells, y, c, c2)
 
 
 def test_exact_bracket_at_n_8():
