@@ -4,12 +4,12 @@ The universe of Q_n vertices is one big bitmask; candidate centers for an
 uncovered vertex y are the supersets of y within R extra ones.  Search is
 iterative deepening on the code size with a transposition table (TT) of
 proven infeasibility depths and a lower bound per state from the size
-program's LP dual prices (certified in integers): a state whose uncovered
-set u has |u ∩ level_l| vertices on level l needs at least
-ceil(sum_l price_l |u ∩ level_l| / D) more words.  Each node carries that
-priced total down the tree, and a child's total is its parent's less the
-priced vertices its new ball covers, which lie on the R + 1 levels of the
-ball alone, so no node recounts u.  Each node branches on the centers that
+program's optimal LP dual prices, exact integers over one denominator D:
+a state whose uncovered set u has |u ∩ level_l| vertices on level l needs
+at least ceil(sum_l price_l |u ∩ level_l| / D) more words.  Each node
+carries that priced total down the tree, and a child's total is its
+parent's less the priced vertices its new ball covers, which lie on the
+R + 1 levels of the ball alone, so no node recounts u.  Each node branches on the centers that
 cover one vertex of its top uncovered level, largest gain first, and makes
 each child's checks in its own loop: the node count and the limit check,
 an empty u (a cover), an exhausted size budget, and the cut by the TT entry

@@ -12,15 +12,14 @@ lower-bounds K+(n, R), `ip_phi` uses costs n - l and lower-bounds the total
 zero count phi(n, R).  Every residual demand stays at most C(n, t), so an
 optimal profile has a_l <= C(n, l).
 
-`lp_prices` gives feasible dual prices of the LP relaxation, LP-optimal at
-small n, kept as integers over a common denominator; they bound only the
-exact search, priced over the uncovered vertices of each level.  The
-difference chain built from the zero-count program lives here too.  Only
-phi's value is memoized, by `ip_phi_value`: the chain to K+(n, R) reads
-phi(k, R) for every k <= n, so a table's cells share those solves.
-`ip_plus` is not: `best_bounds` and exact search each solve it once per
-cell, and a solve answered from an earlier caller's memo would be missing
-from a trace of the later one.
+`lp_prices` gives optimal dual prices of the LP relaxation, solved in
+integers; they bound only the exact search, priced over the uncovered
+vertices of each level.  The difference chain built from the zero-count
+program lives here too.  Only phi's value is memoized, by `ip_phi_value`:
+the chain to K+(n, R) reads phi(k, R) for every k <= n, so a table's cells
+share those solves.  `ip_plus` is not: `best_bounds` and exact search each
+solve it once per cell, and a solve answered from an earlier caller's memo
+would be missing from a trace of the later one.
 """
 
 from __future__ import annotations
@@ -50,79 +49,59 @@ def _ceildiv(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _simplex_max(c: list[float], A: list[list[float]], b: list[float]) -> list[float]:
+def _simplex_max(c: list[int], A: list[list[int]], b: list[int]) -> tuple[list[int], int]:
     """Maximize c.y subject to A y <= b, y >= 0, for b >= 0 and a bounded
-    program: a dense tableau started from the slack basis, pivoting by
-    Bland's rule so that degenerate vertices cannot cycle."""
+    program, as (numerators, D): a dense integer tableau started from the
+    slack basis, pivoting by Bland's rule so that degenerate vertices cannot
+    cycle.  Each row is a positive multiple of its equation, kept divided by
+    its gcd, so ratios are compared by cross-multiplying."""
     rows, cols = len(A), len(c)
     width = cols + rows
-    tab = [A[i] + [1.0 if k == i else 0.0 for k in range(rows)] + [b[i]] for i in range(rows)]
-    z = [-x for x in c] + [0.0] * (rows + 1)
+    tab = [A[i] + [int(k == i) for k in range(rows)] + [b[i]] for i in range(rows)]
+    z = [-x for x in c] + [0] * (rows + 1)
     basis = [cols + i for i in range(rows)]
-    eps = 1e-12 * max(map(abs, c), default=1.0)
-    for _ in range(50 * width):  # Bland's rule terminates; this only caps float noise
-        enter = next((k for k in range(width) if z[k] < -eps), None)
-        if enter is None:
-            break
-        leave, best = -1, math.inf
-        for i in range(rows):
-            a = tab[i][enter]
-            if a > 1e-12:
-                ratio = tab[i][-1] / a
-                if ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+    while (enter := next((k for k in range(width) if z[k] < 0), None)) is not None:
+        leave = -1
+        for i, row in enumerate(tab):
+            if row[enter] > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                best = tab[leave]
+                diff = row[-1] * best[enter] - best[-1] * row[enter]
+                if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                    leave = i
         if leave < 0:
             raise ValueError("unbounded program")
         pivot = tab[leave]
-        inv = 1.0 / pivot[enter]
-        pivot[:] = [x * inv for x in pivot]
+        a = pivot[enter]
         for row in [*tab, z]:
             f = row[enter]
             if row is not pivot and f:
-                row[:] = [x - f * p for x, p in zip(row, pivot)]
+                row[:] = [x * a - f * q for x, q in zip(row, pivot)]
+                g = math.gcd(*row)
+                if g > 1:
+                    row[:] = [x // g for x in row]
         basis[leave] = enter
-    y = [0.0] * cols
-    for i, var in enumerate(basis):
-        if var < cols:
-            y[var] = tab[i][-1]
-    return y
+    D = math.lcm(*(tab[i][v] for i, v in enumerate(basis) if v < cols))
+    y = [0] * cols
+    for i, v in enumerate(basis):
+        if v < cols:
+            y[v] = tab[i][-1] * (D // tab[i][v])
+    return y, D
 
 
 def lp_prices(n: int, R: int, costs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Feasible dual prices of the program's LP relaxation on its full demand, as (p, D).
+    """Optimal dual prices of the program's LP relaxation on its full demand, as (p, D).
 
-    Maximizes sum C(n, t) * y_t subject to sum_{j<=R} C(m,j) * y_{m-j} <= cost_m
-    for every variable a_m and y >= 0 in floats, then repairs the result in
-    integers: each y_t * 2^40 is floored, the rows that a zero-cost variable
-    covers are priced 0, and all prices are scaled by min_m cost_m * D / lhs_m where
-    that is below 1, so every column is feasible by exact arithmetic and a
-    float error can only weaken the bound.
-
-    They are LP-optimal only while the float tableau is: within 1e-10 at the
-    n <= 7 that exact search uses, but at n >= 36 the tableau can stop early,
-    e.g. (40, 21) with size costs prices to 9 against an LP optimum of 71.
+    Maximizes sum C(n, t) * y_t subject to sum_{j<=R} C(m, j) * y_{m-j} <= cost_m
+    for every variable a_m and y >= 0, exactly, and returns y_t = p_t / D in
+    lowest terms.
     """
-    cols = [[(m - j, binomial(m, j)) for j in range(min(R, m) + 1)] for m in range(n + 1)]
-    A = [[0.0] * (n + 1) for _ in cols]
-    for row, col in zip(A, cols):
-        for t, coef in col:
-            row[t] = float(coef)
-    y = _simplex_max([float(binomial(n, t)) for t in range(n + 1)], A, [float(x) for x in costs])
-
-    scale = 1 << 40
-    p = [max(0, math.floor(v * scale)) for v in y]
-    for m, col in enumerate(cols):
-        if costs[m] == 0:
-            for t, _ in col:
-                p[t] = 0
-    c, D = 1, scale  # scale factor c * scale / D, compared by cross-multiplying
-    for col, cost in zip(cols, costs):
-        lhs = sum(coef * p[t] for t, coef in col)
-        if cost * D < c * lhs:
-            c, D = cost, lhs
-    p = [x * c for x in p]
-    g = math.gcd(D, *p)
-    return tuple(x // g for x in p), D // g
+    A = [[binomial(m, m - t) if m - t <= R else 0 for t in range(n + 1)] for m in range(n + 1)]
+    y, D = _simplex_max([binomial(n, t) for t in range(n + 1)], A, list(costs))
+    g = math.gcd(D, *y)
+    return tuple(x // g for x in y), D // g
 
 
 def solve(n: int, R: int, costs: tuple[int, ...], node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:

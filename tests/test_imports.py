@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, imports nothing
 outside the standard library and itself, and reads no other module's
-underscore names, every function reads each of its parameters, and every
-public name is read or documented."""
+underscore names, every function reads each of its parameters, every
+public name is read or documented, and the lower-bound module uses no float."""
 
 import ast
 import re
@@ -155,6 +155,33 @@ def unread_public_names(sources: dict[str, str], readme: str) -> list[str]:
     )
 
 
+def float_uses(source: str) -> list[str]:
+    """Each float the source can make: a float literal, the name `float`, a true
+    division `/`, or `math.floor` / `math.inf`, read as an attribute or imported."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"{node.value!r} (line {node.lineno})")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"float (line {node.lineno})")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"/ (line {node.lineno})")
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr in ("floor", "inf")
+        ):
+            found.append(f"math.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [
+                f"math.{alias.name} (line {node.lineno})"
+                for alias in node.names
+                if alias.name in ("floor", "inf")
+            ]
+    return sorted(found)
+
+
 def test_guard_sees_an_unused_import():
     source = "from .cube import Code, weight\nimport os\n\nweight(Code)\n"
     assert unused_imports(source) == ["os (line 2)"]
@@ -203,6 +230,19 @@ def test_guard_sees_an_unread_public_name():
     assert unread_public_names(sources, readme) == ["bounds.SPARE", "cube.dominated"]
 
 
+def test_guard_sees_a_float():
+    source = (
+        "import math\nfrom math import inf, gcd\n\n\n"
+        "def price(y: list[float], D: int) -> int:\n"
+        "    best = 1e-12\n    best /= D\n"
+        "    return math.floor(y[0] * D) + float(D) + gcd(D, 2) / 3 + math.inf + D // 2\n"
+    )
+    assert float_uses(source) == [
+        "/ (line 7)", "/ (line 8)", "1e-12 (line 6)", "float (line 5)", "float (line 8)",
+        "math.floor (line 8)", "math.inf (line 2)", "math.inf (line 8)",
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -227,3 +267,7 @@ def test_every_public_name_is_read_or_documented():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert unread_public_names(sources, readme) == []
+
+
+def test_lower_bound_module_uses_no_float():
+    assert float_uses((PACKAGE / "ipsolve.py").read_text(encoding="utf-8")) == []

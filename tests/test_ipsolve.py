@@ -123,6 +123,48 @@ def test_lp_relaxation_is_a_lower_bound():
             size = (1,) * (n + 1)
             for prices in (ball_prices(n, R, size), lp_prices(n, R, size)):
                 assert full_demand_value(n, prices) <= ip_plus(n, R).value
+    # the exact prices that exact search uses at (6,1), (7,1) and (7,2)
+    assert lp_prices(6, 1, (1,) * 7) == ((19, 11, 8, 6, 6, 0, 30), 30)
+    assert lp_prices(7, 1, (1,) * 8) == ((91, 53, 38, 30, 24, 24, 0, 144), 144)
+    assert lp_prices(7, 2, (1,) * 8) == ((22, 9, 5, 3, 3, 0, 0, 45), 45)
+
+
+def reference_prices(n, R, costs):
+    """The same Bland tableau from the slack basis in Fractions, each pivot row
+    divided by its pivot, as reduced (p, D)."""
+    size = n + 1
+    tab = [
+        [Fraction(math.comb(m, m - t)) if 0 <= m - t <= R else Fraction(0) for t in range(size)]
+        + [Fraction(int(k == m)) for k in range(size)]
+        + [Fraction(costs[m])]
+        for m in range(size)
+    ]
+    z = [Fraction(-math.comb(n, t)) for t in range(size)] + [Fraction(0)] * (size + 1)
+    basis = list(range(size, 2 * size))
+    while any(x < 0 for x in z[:-1]):
+        enter = next(k for k, x in enumerate(z) if x < 0)
+        rows = [i for i in range(size) if tab[i][enter] > 0]
+        leave = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+        pivot = tab[leave] = [x / tab[leave][enter] for x in tab[leave]]
+        for i, row in enumerate([*tab, z]):
+            if i != leave:
+                f = row[enter]
+                row[:] = [x - f * q for x, q in zip(row, pivot)]
+        basis[leave] = enter
+    y = [Fraction(0)] * size
+    for i, var in enumerate(basis):
+        if var < size:
+            y[var] = tab[i][-1]
+    D = math.lcm(*(x.denominator for x in y))
+    return tuple(int(x * D) for x in y), D
+
+
+def test_lp_prices_are_the_lp_optimum():
+    # the integer tableau takes the exact tableau's pivots, so it lands on the same optimum
+    for n in range(1, 11):
+        for R in range(n + 1):
+            for costs in objectives(n):
+                assert lp_prices(n, R, costs) == reference_prices(n, R, costs), (n, R, costs)
 
 
 @pytest.mark.parametrize("n", range(1, MAX_IP_DIMENSION + 1))
@@ -140,7 +182,17 @@ def test_lp_prices_are_feasible_and_dominate_the_ball_prices(n):
 
 
 @pytest.mark.parametrize(
-    "n,R,sphere,lp", [(14, 6, 7, 15), (20, 10, 5, 16), (24, 8, 130, 228), (40, 12, 7222, 12483)]
+    "n,R,sphere,lp",
+    [
+        (14, 6, 7, 15),
+        (20, 10, 5, 16),
+        (24, 8, 130, 228),
+        (36, 21, 2, 23),
+        (40, 12, 7222, 12483),
+        (40, 20, 13, 108),
+        (40, 21, 7, 71),
+        (40, 25, 2, 18),
+    ],
 )
 def test_lp_prices_reach_the_lp_bound(n, R, sphere, lp):
     # the LP optimum of the size program, against the paper's sphere bound
