@@ -18,19 +18,17 @@ from .cube import Code
 
 def word_to_bits(mask: int, n: int) -> str:
     """Serialize a mask; coordinate 1 (least significant bit) goes leftmost."""
-    return "".join("1" if mask >> i & 1 else "0" for i in range(n))
+    return format(mask, f"0{n}b")[::-1]
 
 
 def bits_to_word(s: str, n: int) -> int:
     if len(s) != n:
         raise ValueError(f"word {s!r} has length {len(s)}, expected {n}")
-    mask = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            mask |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"word {s!r} has character {ch!r} outside {{0,1}}")
-    return mask
+    # checked first: int() would also take "_", whitespace and a sign
+    bad = s.lstrip("01")  # starts at the first other character
+    if bad:
+        raise ValueError(f"word {s!r} has character {bad[0]!r} outside {{0,1}}")
+    return int(s[::-1] or "0", 2)  # "" at n = 0 reaches Code's own check on n
 
 
 def to_json_text(code: Code) -> str:

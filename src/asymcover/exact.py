@@ -13,7 +13,10 @@ R + 1 levels of the ball alone, so no node recounts u.  Each node branches on th
 cover one vertex of its top uncovered level, largest gain first, and makes
 each child's checks in its own loop: the node count and the limit check,
 an empty u (a cover), an exhausted size budget, and the cut by the TT entry
-or the bound.  Only a child that passes them is searched by a call.
+or the bound.  Only a child that passes them is searched by a call.  Each
+size tried starts at the whole cube, whose one candidate is the all-ones
+word, so the root (the cube less its ball) is the cube's only child and
+passes the same checks as any other; the TT also keeps the whole cube.
 Budgets never produce a wrong exact claim: exhausting them yields a
 bracket.
 
@@ -138,8 +141,8 @@ def exact_kplus(
         for c in range(size)
     ]
 
-    root = full_set(n) & ~ball_mask[top]  # the top word is forced into every cover
-    root_total = sum(p * (root & m).bit_count() for m, p in zip(level_mask, price))
+    cube = full_set(n)
+    cube_total = sum(p * m.bit_count() for m, p in zip(level_mask, price))
     tt: dict[int, int] = {}
     nodes = 0
 
@@ -150,10 +153,11 @@ def exact_kplus(
             raise _BudgetHit
 
     def dfs(u: int, budget: int, cells: tuple[int, ...], total: int) -> list[int] | None:
-        # the caller has counted this node and admitted it: u != 0, budget > 0,
-        # and its TT entry, or ceil(total / D) without one, is at most budget
+        # the caller has counted this node (the whole cube is not counted) and
+        # admitted it: u != 0, budget > 0, and its TT entry, or ceil(total / D)
+        # without one, is at most budget
         nonlocal nodes
-        for l in range(n - 1, -1, -1):
+        for l in range(n, -1, -1):
             at_level = u & level_mask[l]
             if at_level:
                 y = (at_level & -at_level).bit_length() - 1
@@ -201,18 +205,9 @@ def exact_kplus(
     try:
         # no cover smaller than proven_lower exists; a cover of that size settles the value
         while proven_lower < best:
-            # the root's checks, as dfs makes them for each child; at R = n
-            # greedy's one word ends the loop at once, so the root is not empty
-            nodes += 1
-            if nodes % LIMIT_CHECK_NODES == 0:
-                check_limits()
-            budget = proven_lower - 1
-            lb = tt.get(root)
-            if lb is None:
-                lb = -(-root_total // D)
-            sol = dfs(root, budget, (top,), root_total) if 0 < budget and lb <= budget else None
+            sol = dfs(cube, proven_lower, (top,), cube_total)
             if sol is not None:
-                incumbent = Code.from_words(n, [top] + sol, r=R)
+                incumbent = Code.from_words(n, sol, r=R)
                 best = proven_lower
                 break
             proven_lower += 1

@@ -9,8 +9,8 @@ The rows and their demand C(n, l) are fixed by (n, R); only the cost vector
 varies.  `solve(n, R, costs)` minimizes sum costs_l * a_l over nonnegative
 integers by a memoized DP over residual windows: `ip_plus` uses costs 1 and
 lower-bounds K+(n, R), `ip_phi` uses costs n - l and lower-bounds the total
-zero count phi(n, R).  Every residual demand stays at most C(n, t), so an
-optimal profile has a_l <= C(n, l).
+zero count phi(n, R).  Every residual demand stays at most C(n, t), so
+the values tried for a_l stay at most C(n, l).
 
 `lp_prices` gives optimal dual prices of the LP relaxation, solved in
 integers; they bound only the exact search, priced over the uncovered
@@ -41,7 +41,6 @@ class BudgetExceededError(RuntimeError):
 @dataclass(frozen=True)
 class IPSolution:
     value: int
-    profile: tuple[int, ...]
     node_count: int
 
 
@@ -108,68 +107,51 @@ def solve(n: int, R: int, costs: tuple[int, ...], node_cap: int = DEFAULT_NODE_C
     """Minimize sum costs_l * a_l over the program for K+(n, R), for
     nonnegative integer costs: a memoized DP over levels n down to 0.
 
-    State is the residual-demand window of the R partially paid rows.  Each
-    state tries every a_l from row l's residual up to the value that pays all
-    R rows below it, and keeps the cheapest, the smaller a_l on a tie; every
-    value tried counts as one node.
+    State is the residual-demand window of the R partially paid rows, and
+    the memo keeps each state's optimum.  Each state tries every a_l from
+    row l's residual up to the value that pays all R rows below it, and
+    keeps the cheapest; every value tried counts as one node.
     """
     _check_params(n, R)
     demand = [binomial(n, t) for t in range(n + 1)]
-    cvar = [[binomial(l, j) for j in range(R + 1)] for l in range(n + 1)]
-    memo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
+    # pays[l][j - 1] = C(l, j): what one word at level l pays to row l - j
+    pays = [[binomial(l, j) for j in range(1, R + 1)] for l in range(n + 1)]
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
     nodes = 0
-
-    def child_window(l: int, window: tuple[int, ...], v: int) -> tuple[int, ...]:
-        # residuals of rows l-1..l-R once a_l = v pays C(l, j) * v to row l-j
-        child = []
-        for j2 in range(R):
-            t = l - 1 - j2
-            if t < 0:
-                child.append(0)
-                continue
-            src = window[j2 + 1] if j2 + 1 < R else demand[t]
-            pay = cvar[l][j2 + 1] * v
-            child.append(src - pay if src > pay else 0)
-        return tuple(child)
 
     def rec(l: int, window: tuple[int, ...]) -> int:
         nonlocal nodes
         if l < 0:
             return 0
         key = (l, window)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
+        best = memo.get(key)
+        if best is not None:
+            return best
+        # residuals of rows l-1..l-R before a_l pays C(l, j) * a_l to row l-j;
+        # a row below level 0 has none, so its zero C(l, j) is never divided by
+        below = window[1:] + (demand[l - R] if l >= R else 0,)
+        pay = pays[l]
         lo = needed = window[0]
-        for j in range(1, min(R, l) + 1):
-            res_t = window[j] if j < R else demand[l - R]
-            if res_t:
-                d = _ceildiv(res_t, cvar[l][j])
+        for res, c in zip(below, pay):
+            if res:
+                d = -(-res // c)
                 if d > needed:
                     needed = d
         cost_l = costs[l]
-        best = best_v = -1
+        best = -1
         # needed <= C(n, l): each residual is at most C(n, t), and C(n, l-j) <= C(n, l) * C(l, j)
         for v in range(lo, needed + 1):
             nodes += 1
             if nodes > node_cap:
                 raise BudgetExceededError(f"IP node budget {node_cap} exceeded")
-            total = cost_l * v + rec(l - 1, child_window(l, window, v))
+            child = tuple([r - c * v if r > c * v else 0 for r, c in zip(below, pay)])
+            total = cost_l * v + rec(l - 1, child)
             if best < 0 or total < best:
-                best, best_v = total, v
-        memo[key] = (best, best_v)
+                best = total
+        memo[key] = best
         return best
 
-    window0 = tuple(demand[n - j] for j in range(R))  # R <= n
-    value = rec(n, window0)
-
-    profile = [0] * (n + 1)
-    l, window = n, window0
-    while l >= 0:
-        v = memo[(l, window)][1]
-        profile[l] = v
-        l, window = l - 1, child_window(l, window, v)
-    return IPSolution(value, tuple(profile), nodes)
+    return IPSolution(rec(n, tuple(demand[n - j] for j in range(R))), nodes)  # R <= n
 
 
 def _check_params(n: int, R: int) -> None:

@@ -1,5 +1,6 @@
 """Level-profile covering programs checked against an exhaustive enumerator."""
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ from asymcover.bounds import asym_sphere_bound
 from asymcover.ipsolve import (
     MAX_IP_DIMENSION,
     BudgetExceededError,
+    IPSolution,
     ip_phi,
     ip_plus,
     lp_prices,
@@ -44,18 +46,6 @@ def oracle_minimum(n, R, objective):
     return best[0]
 
 
-def profile_is_feasible(n, R, profile):
-    for l in range(n + 1):
-        row = sum(
-            math.comb(l + j, j) * profile[l + j]
-            for j in range(R + 1)
-            if l + j <= n
-        )
-        if row < math.comb(n, l):
-            return False
-    return all(profile[l] <= math.comb(n, l) for l in range(n + 1))
-
-
 def objectives(n):
     """The cost vectors of ip_plus (code size) and ip_phi (zero count)."""
     return (1,) * (n + 1), tuple(n - l for l in range(n + 1))
@@ -67,10 +57,7 @@ def objectives(n):
 )
 def test_ip_plus_matches_enumeration(n, R):
     want = oracle_minimum(n, R, [1] * (n + 1))
-    sol = ip_plus(n, R)
-    assert sol.value == want
-    assert profile_is_feasible(n, R, sol.profile)
-    assert sum(sol.profile) == sol.value
+    assert ip_plus(n, R).value == want
 
 
 @pytest.mark.parametrize(
@@ -79,21 +66,13 @@ def test_ip_plus_matches_enumeration(n, R):
 )
 def test_ip_phi_matches_enumeration(n, R):
     want = oracle_minimum(n, R, [n - l for l in range(n + 1)])
-    sol = ip_phi(n, R)
-    assert sol.value == want
-    assert profile_is_feasible(n, R, sol.profile)
-    assert sum((n - l) * sol.profile[l] for l in range(n + 1)) == sol.value
+    assert ip_phi(n, R).value == want
 
 
 def test_ip_plus_reference_values():
     assert ip_plus(4, 1).value == 6
     assert ip_plus(7, 3).value == 6
     assert ip_phi(2, 1).value == 1
-
-
-def test_ip_plus_profile_41():
-    sol = ip_plus(4, 1)
-    assert sol.profile == (1, 0, 3, 1, 1)
 
 
 def test_validation_rejects_bad_vectors():
@@ -225,21 +204,19 @@ def test_dual_prices_are_the_ball_size_ratios():
 
 
 def test_profile_programs_pinned():
-    # SHA-256 of every (value, profile) for n = 2..12, 1 <= R <= n, as solved
-    # with rational ball-size dual prices before they became integers, and the
-    # node counts summed over those cells; every profile meets every row and
-    # stays within its level, a_l <= C(n, l).  Unpruned, both programs visit
-    # the same states, so their node counts agree cell by cell.
+    # SHA-256 of both values of every cell n = 2..12, 1 <= R <= n, and the
+    # node counts summed over those cells; a solution is its value and its
+    # node count alone.  Unpruned, both programs visit the same states, so
+    # their node counts agree cell by cell.
+    assert [f.name for f in dataclasses.fields(IPSolution)] == ["value", "node_count"]
     digest = hashlib.sha256()
     nodes_plus = nodes_phi = 0
     for n in range(2, 13):
         for R in range(1, n + 1):
             a, b = ip_plus(n, R), ip_phi(n, R)
-            assert profile_is_feasible(n, R, a.profile), (n, R)
-            assert profile_is_feasible(n, R, b.profile), (n, R)
             assert a.node_count == b.node_count, (n, R)
-            digest.update(repr((n, R, a.value, a.profile, b.value, b.profile)).encode())
+            digest.update(repr((n, R, a.value, b.value)).encode())
             nodes_plus += a.node_count
             nodes_phi += b.node_count
-    assert digest.hexdigest() == "15abb99cca1a5c3a584f44cfe220a1a8a048200905fef990649d8a2b48b749ff"
+    assert digest.hexdigest() == "344774fa31edd858ab50f0605a81d6d69fff4a11f2b003c721a77e34488dce6e"
     assert (nodes_plus, nodes_phi) == (447_576, 447_576)
