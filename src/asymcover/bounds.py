@@ -1,10 +1,10 @@
 """Analytic bounds on K+(n,R) and bound aggregation.
 
 Lower bounds: the levelwise sphere-covering bound, the superdiagonal values,
-the covering integer program, and a difference chain built from the
-zero-count program.  Upper bounds: diagonal codes, coradius splits, greedy
-and sampled codes, exact search, and direct-sum splits applied during grid
-propagation.
+exact search, and the difference chain built from the zero-count program,
+which is never below the size program `ipsolve.ip_plus` where both were
+solved.  Upper bounds: diagonal codes, coradius splits, greedy and sampled
+codes, exact search, and direct-sum splits applied during grid propagation.
 Every bound value is computed with exact integer arithmetic.
 """
 
@@ -22,7 +22,7 @@ from .constructions import (
 )
 from .cube import ball_size_down, binomial
 
-LOWER_TAG_ORDER = ("superdiag", "i", "e", "mono", "sphere")
+LOWER_TAG_ORDER = ("superdiag", "e", "mono", "sphere")
 UPPER_TAG_ORDER = ("d", "e", "g", "nu", "s", "general", "sphere")
 EXACT_SEARCH_MAX_N = 6  # best_bounds runs exact search on cells up to this n
 
@@ -145,7 +145,6 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
         (superdiag_lower(n, R), "superdiag"),
     ]
     if budget.use_ip and n <= ipsolve.MAX_IP_DIMENSION:
-        lowers.append((ipsolve.ip_plus(n, R).value, "i"))
         lowers.append((ipsolve.diff_chain_lower(n, R), "mono"))
 
     uppers = [(general_upper_size(n, r), "general")]

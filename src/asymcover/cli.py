@@ -79,7 +79,7 @@ def _add_limit_flags(sub: argparse.ArgumentParser, time_help: str) -> None:
 
 def _add_budget_flags(sub: argparse.ArgumentParser, exact_default: bool) -> None:
     sub.add_argument("--ip", action=argparse.BooleanOptionalAction, default=True,
-                     help="use the covering integer program for lower bounds")
+                     help="use the zero-count program's difference chain for lower bounds")
     sub.add_argument("--greedy", action=argparse.BooleanOptionalAction, default=True,
                      help="use greedy cover for upper bounds")
     sub.add_argument("--exact", action=argparse.BooleanOptionalAction, default=exact_default,

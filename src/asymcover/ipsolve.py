@@ -17,9 +17,9 @@ integers; they bound only the exact search, priced over the uncovered
 vertices of each level.  The difference chain built from the zero-count
 program lives here too.  Only phi's value is memoized, by `ip_phi_value`:
 the chain to K+(n, R) reads phi(k, R) for every k <= n, so a table's cells
-share those solves.  `ip_plus` is not: `best_bounds` and exact search each
-solve it once per cell, and a solve answered from an earlier caller's memo
-would be missing from a trace of the later one.
+share those solves.  `ip_plus` is not: only exact search solves it, once per
+call, and a solve answered from an earlier call's memo would be missing
+from a trace of the later one.
 """
 
 from __future__ import annotations

@@ -133,7 +133,7 @@ def test_best_bounds_pinned_cells():
     rec = best_bounds(6, 3, FULL_BUDGET)
     assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (4, 4, "superdiag", "d")
     rec = best_bounds(4, 1, Budget(use_exact=True))
-    assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (6, 6, "i", "e")
+    assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (6, 6, "e", "e")
 
 
 def test_best_bounds_settles_superdiag_cells_without_search(monkeypatch):

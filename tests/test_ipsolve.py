@@ -207,14 +207,20 @@ def test_profile_programs_pinned():
     # SHA-256 of both values of every cell n = 2..12, 1 <= R <= n, and the
     # node counts summed over those cells; a solution is its value and its
     # node count alone.  Unpruned, both programs visit the same states, so
-    # their node counts agree cell by cell.
+    # their node counts agree cell by cell.  The difference chain
+    # 1 + sum_{k=R+1..n} ceil(phi(k, R) / k), built from these phi values, is
+    # at or above the size program in every cell: that is why best_bounds
+    # solves only phi.
     assert [f.name for f in dataclasses.fields(IPSolution)] == ["value", "node_count"]
     digest = hashlib.sha256()
     nodes_plus = nodes_phi = 0
+    chain = {}
     for n in range(2, 13):
         for R in range(1, n + 1):
             a, b = ip_plus(n, R), ip_phi(n, R)
             assert a.node_count == b.node_count, (n, R)
+            chain[n, R] = 1 if R == n else chain.get((n - 1, R), 1) + -(-b.value // n)
+            assert chain[n, R] >= a.value, (n, R)
             digest.update(repr((n, R, a.value, b.value)).encode())
             nodes_plus += a.node_count
             nodes_phi += b.node_count

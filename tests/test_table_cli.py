@@ -9,7 +9,7 @@ import os
 import pytest
 
 import asymcover
-from asymcover import cli
+from asymcover import cli, ipsolve
 from asymcover.bounds import BoundRecord, Budget, FULL_BUDGET
 from asymcover.codefiles import load_code, save_code
 from asymcover.constructions import diagonal_code
@@ -365,6 +365,17 @@ def test_cli_construct_semidirect_names_an_inner_code_of_another_radius(construc
     assert not os.path.exists("o.json")
 
 
+def test_cli_construct_semidirect_gives_an_unannotated_inner_code_its_r(construct_inputs,
+                                                                         capsys):
+    save_code("c.json", Code.from_words(3, diagonal_code(3, 2).words))  # no radius annotation
+    assert load_code("c.json").r is None
+    flags, stdout, digest = CONSTRUCT_RUNS["semidirect"]
+    rc, out, err = run_cli(["construct", "--method", "semidirect", *flags, "--out", "o.json"],
+                           capsys)
+    assert (rc, out, err) == (0, stdout, "")
+    assert _sha256("o.json") == digest
+
+
 def test_cli_construct_semidirect_names_a_patch_in_another_cube(construct_inputs, capsys):
     save_code("t.json", Code.from_words(3, [0]))
     rc, out, err = run_cli(["construct", "--method", "semidirect",
@@ -432,6 +443,22 @@ def test_cli_exact_bracket_exit(capsys):
     )
     assert rc == 3
     assert "bracket" in out
+
+
+def test_cli_exact_reports_progress(capsys):
+    rc, out, err = run_cli(["exact", "--n", "6", "--r", "1"], capsys)
+    assert (rc, out) == (0, "18\n")
+    assert err.startswith("progress: lower 18, incumbent 18, nodes 6420\n")
+
+
+def test_cli_bound_exits_3_when_a_program_runs_out_of_nodes(capsys, monkeypatch):
+    def exhausted(n, R):
+        raise ipsolve.BudgetExceededError("IP node budget 1 exceeded")
+
+    monkeypatch.setattr(ipsolve, "diff_chain_lower", exhausted)
+    rc, out, err = run_cli(["bound", "--n", "8", "--r", "2"], capsys)
+    assert (rc, out) == (3, "")
+    assert err == "budget exceeded: IP node budget 1 exceeded\n"
 
 
 def test_cli_linear(capsys):
@@ -530,7 +557,30 @@ def test_cli_table_keeps_cached_cells_outside_its_window(tmp_path, capsys):
     assert len(json.loads(small)) == 13
 
 
-GOOD_CELL = {"n": 2, "R": 1, "lower": 2, "upper": 2, "lower_tag": "i", "upper_tag": "g",
+def test_cli_table_without_exact_search_never_solves_the_size_program(capsys, monkeypatch):
+    # the zero-count chain is at or above ip_plus, so best_bounds reads only the chain
+    def forbidden(n, R):
+        raise AssertionError(f"ip_plus({n}, {R}) was solved")
+
+    monkeypatch.setattr(ipsolve, "ip_plus", forbidden)
+    rc, out, _ = run_cli(["table", "--n-max", "9", "--r-max", "8", "--no-exact", "--json"],
+                         capsys)
+    assert rc == 0
+    cells = json.loads(out)
+    pinned = {
+        "4,1": (6, 6, "mono", "g"),
+        "6,1": (17, 18, "mono", "g"),
+        "8,2": (20, 24, "mono", "g"),
+        "8,3": (9, 13, "mono", "g"),
+        "9,1": (92, 120, "mono", "g"),
+        "9,3": (14, 21, "mono", "g"),
+    }
+    for key, want in pinned.items():
+        cell = cells[key]
+        assert (cell["lower"], cell["upper"], cell["lower_tag"], cell["upper_tag"]) == want, key
+
+
+GOOD_CELL = {"n": 2, "R": 1, "lower": 2, "upper": 2, "lower_tag": "mono", "upper_tag": "g",
              "exact": True}
 
 
@@ -545,6 +595,7 @@ def _cache_text(cell):
         (_cache_text({**GOOD_CELL, "lower": "2"}), "'lower'"),
         (_cache_text({**GOOD_CELL, "n": True}), "'n'"),
         (_cache_text({**GOOD_CELL, "upper_tag": "x"}), "'upper_tag'"),
+        (_cache_text({**GOOD_CELL, "lower_tag": "i"}), "'lower_tag'"),  # a retired tag
         (_cache_text({**GOOD_CELL, "n": 3}), "'2,1'"),
         (_cache_text([GOOD_CELL]), "JSON object"),
         (json.dumps([GOOD_CELL]), "budget"),
@@ -553,7 +604,7 @@ def _cache_text(cell):
         ('{"n": 2, "words": ["11"]}', "budget"),  # a code file
         ("11\n01\n", "not a bound cache"),
     ],
-    ids=["missing-field", "string-lower", "bool-n", "unknown-tag", "key-mismatch",
+    ids=["missing-field", "string-lower", "bool-n", "unknown-tag", "retired-tag", "key-mismatch",
          "list-record", "top-level-list", "no-budget", "list-budget", "code-json",
          "code-text"],
 )
