@@ -45,6 +45,10 @@ class BoundRecord:
             raise ValueError(
                 f"invalid bracket [{self.lower}, {self.upper}] at (n={self.n}, R={self.R})"
             )
+        for key, order in (("lower_tag", LOWER_TAG_ORDER), ("upper_tag", UPPER_TAG_ORDER)):
+            tag = getattr(self, key)
+            if tag not in order:
+                raise ValueError(f"record {key!r} must be one of {order}, got {tag!r}")
 
     @property
     def exact(self) -> bool:
@@ -65,9 +69,6 @@ class BoundRecord:
         for key in ("n", "R", "lower", "upper"):
             if type(d[key]) is not int:
                 raise ValueError(f"record {key!r} must be an int, got {d[key]!r}")
-        for key, order in (("lower_tag", LOWER_TAG_ORDER), ("upper_tag", UPPER_TAG_ORDER)):
-            if d[key] not in order:
-                raise ValueError(f"record {key!r} must be one of {order}, got {d[key]!r}")
         return cls(d["n"], d["R"], d["lower"], d["upper"], d["lower_tag"], d["upper_tag"])
 
 

@@ -15,8 +15,10 @@ ints at its peak (13 MB at n = 24).
 A single ball is listed by `ball_down`, at the cost of its size, for every n
 up to MAX_DIMENSION.  Its mirror image is the up-set of v, the centers that
 cover v: top ^ x for x in ball_down(top ^ v, R, n), with top the all-ones
-word.  Greedy's gains and exact search's balls and candidates are built
-from it.
+word; exact search's candidates are built from it.  As a set, a ball is
+down[c] & at_least[k] from the tables of `subset_tables`: exact search takes
+its balls and levels from them, and greedy counts its gains with them on
+blocks of the cube, listing with `ball_down` only the blocks a ball meets.
 """
 
 from __future__ import annotations
@@ -115,6 +117,27 @@ def ball_down(c: int, R: int, n: int) -> list[int]:
     ]
     out.sort()
     return out
+
+
+def subset_tables(n: int) -> tuple[list[int], list[int]]:
+    """Two tables of sets of Q_n: (down, at_least).
+
+    down[a] is the set of every vertex below a, and at_least[k], k = 0..n+1,
+    the set of vertices of weight at least k (at_least[n+1] is empty), so the
+    downward R-ball of c is down[c] & at_least[max(0, weight(c) - R)].  Each
+    down[a] is one doubling of down[a ^ hb], with hb the high bit of a; the
+    weight classes double the same way, one coordinate at a time.
+    """
+    down = [1]
+    levels = [1]
+    for i in range(n):
+        hb = 1 << i
+        down += [d | d << hb for d in down]
+        levels = [lo | hi << hb for lo, hi in zip(levels + [0], [0] + levels)]
+    at_least = [0]
+    for level in reversed(levels):
+        at_least.append(at_least[-1] | level)
+    return down, at_least[::-1]
 
 
 def full_set(n: int) -> int:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from . import ipsolve
 from .constructions import greedy_code
-from .cube import Code, all_ones, ball_down, full_set, vertex_set, weight
+from .cube import Code, all_ones, ball_down, full_set, subset_tables, weight
 
 EXACT_MAX_N = 8
 # at n = 8 a key is a 256-bit int of about 60 bytes, so a full table takes
@@ -123,12 +123,13 @@ def exact_kplus(
     # by weak duality ip_plus already dominates the sphere bound
     proven_lower = max(ipsolve.ip_plus(n, R).value, ipsolve.diff_chain_lower(n, R))
 
-    ball_mask = [vertex_set(n, ball_down(c, R, n)) for c in range(size)]
+    down, at_least = subset_tables(n)
+    ball_mask = [down[c] & at_least[max(0, weight(c) - R)] for c in range(size)]
     # the centers that can cover y, ascending: the mirror image of a ball
     candidates_of = [
         [top ^ x for x in reversed(ball_down(top ^ y, R, n))] for y in range(size)
     ]
-    level_mask = [vertex_set(n, (v for v in range(size) if weight(v) == l)) for l in range(n + 1)]
+    level_mask = [at_least[l] ^ at_least[l + 1] for l in range(n + 1)]
     # the size program's LP dual prices: any extra centers covering u_l
     # vertices per level cost at least ceil(sum u_l * p_l / D), by weak duality
     price, D = ipsolve.lp_prices(n, R, (1,) * (n + 1))

@@ -103,15 +103,20 @@ def test_diff_chain_stays_below_known_optima():
 
 
 def test_bound_record_validation():
-    rec = BoundRecord(4, 1, 6, 6, "i", "e")
+    rec = BoundRecord(4, 1, 6, 6, "mono", "e")
     assert rec.exact
-    assert not BoundRecord(4, 1, 5, 6, "i", "g").exact
+    assert not BoundRecord(4, 1, 5, 6, "mono", "g").exact
     with pytest.raises(ValueError):
-        BoundRecord(4, 1, 7, 6, "i", "g")
+        BoundRecord(4, 1, 7, 6, "mono", "g")
     with pytest.raises(ValueError):
-        BoundRecord(4, 1, 0, 6, "i", "g")
+        BoundRecord(4, 1, 0, 6, "mono", "g")
     with pytest.raises(ValueError):
-        BoundRecord(4, 1, 6, 17, "i", "g")
+        BoundRecord(4, 1, 6, 17, "mono", "g")
+    # a tag that load_cache would refuse cannot be built, so save_cache cannot write it
+    with pytest.raises(ValueError, match="'lower_tag'"):
+        BoundRecord(4, 1, 6, 6, "i", "e")
+    with pytest.raises(ValueError, match="'upper_tag'"):
+        BoundRecord(4, 1, 6, 6, "mono", "i")
 
 
 @pytest.mark.parametrize(

@@ -329,14 +329,29 @@ def test_greedy_pinned_12_3():
         (12, 6, 14, "cd6a038314835916274bd2700b02b14269b7aee81abbef723e0065e68a7a1fc4"),
         (14, 2, 874, "b6697ef8f9593bdf3c1978a527e0f72fffe99c40a7449bf08a390986d8da7bd6"),
         (16, 1, 10933, "29b185ed4b2ded5bd7dd7d76930cd9b545d35d8a339f4ece70b50e91225858d7"),
+        (14, 6, 36, "b0c377bc677412954b5a75c0dcd0f7b919f11913a6cfa0e46d3b2b779e468f64"),
+        (15, 6, 59, "ec29bbff578c6cd596ab86683bb7bbf90f349d2a23ff969c690e9a58e2cce7fa"),
     ],
-    ids=["12-6", "14-2", "16-1"],
+    ids=["12-6", "14-2", "16-1", "14-6", "15-6"],
 )
 def test_greedy_pinned_large(n, R, size, digest):
-    # the words greedy chose when it counted these gains over ball_down per candidate
+    # the words greedy chose when it counted these gains over ball_down per
+    # candidate, and at (14,6) and (15,6) when it kept a count of covered
+    # vertices per center
     code = greedy_code(n, R)
     assert len(code) == size
     assert hashlib.sha256(",".join(map(str, code.words)).encode()).hexdigest() == digest
+
+
+def test_greedy_pinned_grid():
+    # the words greedy chose at every cell 2 <= n <= 13, 1 <= R < n when it kept a
+    # count of covered vertices per center; n <= 10 is one block, n = 11..13 several
+    h = hashlib.sha256()
+    for n in range(2, 14):
+        for R in range(1, n):
+            words = greedy_code(n, R).words
+            h.update(f"{n},{R}:{','.join(map(str, words))}\n".encode())
+    assert h.hexdigest() == "a4d485dc6a4d9a996c74c3c59041ee40c0ecfafb89c98fb0a1b0fd24984fde8b"
 
 
 def test_greedy_runs_at_n_20():

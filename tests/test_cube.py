@@ -21,6 +21,7 @@ from asymcover.cube import (
     level_profile,
     members,
     step_down,
+    subset_tables,
     sweep,
     uncovered,
     vertex_set,
@@ -77,6 +78,20 @@ def test_ball_down_matches_brute_force():
         for c in range(1 << n):
             for R in (0, 1, n // 2, n, n + 1):
                 assert ball_down(c, R, n) == brute_ball_down(c, R, n)
+
+
+def test_subset_tables_give_the_balls_and_levels():
+    for n in range(1, 7):
+        down, at_least = subset_tables(n)
+        assert len(down) == 1 << n and len(at_least) == n + 2
+        assert at_least[0] == full_set(n) and at_least[n + 1] == 0
+        for l in range(n + 1):
+            level = vertex_set(n, (v for v in range(1 << n) if weight(v) == l))
+            assert at_least[l] ^ at_least[l + 1] == level
+        for c in range(1 << n):
+            for R in (0, 1, n // 2, n, n + 1):
+                ball = down[c] & at_least[max(0, weight(c) - R)]
+                assert ball == vertex_set(n, brute_ball_down(c, R, n))
 
 
 def test_ball_down_works_past_the_bitset_caps():

@@ -51,7 +51,7 @@ def test_tablespec_validation():
 
 
 def test_render_cell_formats():
-    assert render_cell(BoundRecord(4, 1, 6, 6, "i", "e")) == "6[i/e]"
+    assert render_cell(BoundRecord(4, 1, 6, 6, "mono", "e")) == "6[mono/e]"
     assert render_cell(BoundRecord(7, 2, 13, 15, "mono", "g")) == "13-15[mono/g]"
     assert render_cell(BoundRecord(3, 0, 8, 8, "sphere", "sphere")) == "8"
     assert render_cell(BoundRecord(3, 3, 1, 1, "superdiag", "d")) == "1"
