@@ -7,10 +7,14 @@ For any code that downward R-covers Q_n, the level counts a_l must satisfy
 because a codeword at level l+j covers at most C(l+j, j) vertices of level l.
 The rows and their demand C(n, l) are fixed by (n, R); only the cost vector
 varies.  `solve(n, R, costs)` minimizes sum costs_l * a_l over nonnegative
-integers by a memoized DP over residual windows: `ip_plus` uses costs 1 and
+integers by a memoized DP over levels n down to 0: `ip_plus` uses costs 1 and
 lower-bounds K+(n, R), `ip_phi` uses costs n - l and lower-bounds the total
-zero count phi(n, R).  Every residual demand stays at most C(n, t), so
-the values tried for a_l stay at most C(n, l).
+zero count phi(n, R).  A state is the residual demand of the R rows that a_l
+and the levels below can still pay, packed into one int with a field of
+n + 1 bits per row; every residual demand stays at most C(n, t) < 2^n, so
+the values tried for a_l stay at most C(n, l).  Each row below level l is
+paid off at its own point t_j, and between two such points a child window is
+one subtraction away from the last.
 
 `lp_prices` gives optimal dual prices of the LP relaxation, solved in
 integers; they bound only the exact search, priced over the uncovered
@@ -104,54 +108,95 @@ def lp_prices(n: int, R: int, costs: tuple[int, ...]) -> tuple[tuple[int, ...], 
 
 
 def solve(n: int, R: int, costs: tuple[int, ...], node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
-    """Minimize sum costs_l * a_l over the program for K+(n, R), for
+    """Minimize sum costs_l * a_l over the program for K+(n, R), for n + 1
     nonnegative integer costs: a memoized DP over levels n down to 0.
 
-    State is the residual-demand window of the R partially paid rows, and
-    the memo keeps each state's optimum.  Each state tries every a_l from
-    row l's residual up to the value that pays all R rows below it, and
-    keeps the cheapest; every value tried counts as one node.
+    A state at level l is its window: the residual demands of rows
+    l..l-R+1 in one int, row l - i in the (n + 1)-bit field at i * (n + 1).
+    Each state tries every a_l = v from row l's residual up to `needed`, the
+    value that pays all R rows below it, and keeps the cheapest; every value
+    tried counts as one node.  Row l - j, with residual r_j, is paid off from
+    its pay-off point t_j = ceil(r_j / C(l, j)) on, and below t_j its
+    residual r_j - C(l, j) * v stays positive.  So between two pay-off
+    points the child window is rest - v * paid, where rest packs the
+    residuals and paid the per-word payments of the rows still unpaid, and
+    no field borrows from the next.  The last value, needed = max(row l's
+    residual, t_j), leaves the empty window.  One dict per level memoizes
+    each window's optimum, and a child is looked up there before any call.
     """
     _check_params(n, R)
+    if len(costs) != n + 1 or not all(isinstance(c, int) and c >= 0 for c in costs):
+        raise ValueError(f"need n + 1 = {n + 1} nonnegative integer costs, got {costs!r}")
+    F = n + 1
+    mask = (1 << F) - 1
     demand = [binomial(n, t) for t in range(n + 1)]
-    # pays[l][j - 1] = C(l, j): what one word at level l pays to row l - j
-    pays = [[binomial(l, j) for j in range(1, R + 1)] for l in range(n + 1)]
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    # row l - R's demand enters the last field of level l's child window;
+    # a row below level 0 has none
+    fresh = [demand[l - R] << F * (R - 1) if l >= R else 0 for l in range(n + 1)]
+    # pays[l]: (shift, C(l, j), C(l, j) << shift) for the rows l - j >= 0 that
+    # one word at level l pays, at row l - j's field of the child window
+    pays = [
+        [(F * (j - 1), binomial(l, j), binomial(l, j) << F * (j - 1)) for j in range(1, min(R, l) + 1)]
+        for l in range(n + 1)
+    ]
+    # memo[l] maps a window at level l to its optimum; memo[-1] is below
+    # level 0, where the only window is empty and costs nothing
+    memo: list[dict[int, int]] = [{} for _ in range(n + 2)]
+    memo[-1][0] = 0
     nodes = 0
 
-    def rec(l: int, window: tuple[int, ...]) -> int:
+    def rec(l: int, window: int) -> int:
         nonlocal nodes
-        if l < 0:
-            return 0
-        key = (l, window)
-        best = memo.get(key)
-        if best is not None:
-            return best
-        # residuals of rows l-1..l-R before a_l pays C(l, j) * a_l to row l-j;
-        # a row below level 0 has none, so its zero C(l, j) is never divided by
-        below = window[1:] + (demand[l - R] if l >= R else 0,)
-        pay = pays[l]
-        lo = needed = window[0]
-        for res, c in zip(below, pay):
-            if res:
-                d = -(-res // c)
-                if d > needed:
-                    needed = d
+        # residuals of rows l-1..l-R before a_l pays C(l, j) * a_l to row l-j
+        below = window >> F | fresh[l]
+        v = lo = window & mask
         cost_l = costs[l]
+        lookup = memo[l - 1].get
+        rest = paid = 0
+        stops = []
+        for shift, c, c_field in pays[l]:
+            r = below >> shift & mask
+            if r > c * lo:  # row l - j is still unpaid at v = lo
+                r_field = r << shift
+                stops.append((-(-r // c), r_field, c_field))
+                rest += r_field
+                paid += c_field
+        stops.sort()
         best = -1
-        # needed <= C(n, l): each residual is at most C(n, t), and C(n, l-j) <= C(n, l) * C(l, j)
-        for v in range(lo, needed + 1):
-            nodes += 1
-            if nodes > node_cap:
-                raise BudgetExceededError(f"IP node budget {node_cap} exceeded")
-            child = tuple([r - c * v if r > c * v else 0 for r, c in zip(below, pay)])
-            total = cost_l * v + rec(l - 1, child)
-            if best < 0 or total < best:
-                best = total
-        memo[key] = best
+        for t, r_field, c_field in stops:
+            if t > v:
+                child = rest - v * paid
+                for v in range(v, t):
+                    nodes += 1
+                    if nodes > node_cap:
+                        raise BudgetExceededError(f"IP node budget {node_cap} exceeded")
+                    sub = lookup(child)
+                    if sub is None:
+                        sub = rec(l - 1, child)
+                    total = cost_l * v + sub
+                    if best < 0 or total < best:
+                        best = total
+                    child -= paid
+                v = t
+            rest -= r_field
+            paid -= c_field
+        # the last value, needed = max(lo, t_j), pays every row, so its child
+        # owes nothing; needed <= C(n, l), as each residual is at most C(n, t)
+        # and C(n, l-j) <= C(n, l) * C(l, j)
+        nodes += 1
+        if nodes > node_cap:
+            raise BudgetExceededError(f"IP node budget {node_cap} exceeded")
+        sub = lookup(0)
+        if sub is None:
+            sub = rec(l - 1, 0)
+        total = cost_l * v + sub
+        if best < 0 or total < best:
+            best = total
+        memo[l][window] = best
         return best
 
-    return IPSolution(rec(n, tuple(demand[n - j] for j in range(R))), nodes)  # R <= n
+    window = sum(demand[n - i] << F * i for i in range(R))  # R <= n
+    return IPSolution(rec(n, window), nodes)
 
 
 def _check_params(n: int, R: int) -> None:

@@ -3,12 +3,15 @@
 import dataclasses
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from asymcover.bounds import asym_sphere_bound
+from asymcover.cube import binomial
 from asymcover.ipsolve import (
+    DEFAULT_NODE_CAP,
     MAX_IP_DIMENSION,
     BudgetExceededError,
     IPSolution,
@@ -184,6 +187,23 @@ def test_node_budget_raises():
         solve(9, 1, (1,) * 10, node_cap=3)
 
 
+def test_node_budget_boundary():
+    # the budget admits exactly node_count nodes: one fewer raises
+    count = solve(9, 1, (1,) * 10).node_count
+    with pytest.raises(BudgetExceededError):
+        solve(9, 1, (1,) * 10, node_cap=count - 1)
+    assert solve(9, 1, (1,) * 10, node_cap=count).node_count == count
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [(0, 0, 0, -1), (1, 1, 1, 1, 1), (1, 1, 1), (1, 1, 1.5, 1), (1, "1", 1, 1)],
+)
+def test_solve_rejects_bad_costs(costs):
+    with pytest.raises(ValueError):
+        solve(3, 1, costs)
+
+
 def test_solution_reports_node_count():
     assert ip_plus(5, 2).node_count > 0
 
@@ -226,3 +246,78 @@ def test_profile_programs_pinned():
             nodes_phi += b.node_count
     assert digest.hexdigest() == "344774fa31edd858ab50f0605a81d6d69fff4a11f2b003c721a77e34488dce6e"
     assert (nodes_plus, nodes_phi) == (447_576, 447_576)
+
+
+def reference_solve(n, R, costs, node_cap=DEFAULT_NODE_CAP):
+    """The DP over tuple windows that solve replaced, kept as its reference:
+    same states, same order of values, one node per value tried."""
+    demand = [binomial(n, t) for t in range(n + 1)]
+    # pays[l][j - 1] = C(l, j): what one word at level l pays to row l - j
+    pays = [[binomial(l, j) for j in range(1, R + 1)] for l in range(n + 1)]
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    nodes = 0
+
+    def rec(l: int, window: tuple[int, ...]) -> int:
+        nonlocal nodes
+        if l < 0:
+            return 0
+        key = (l, window)
+        best = memo.get(key)
+        if best is not None:
+            return best
+        # residuals of rows l-1..l-R before a_l pays C(l, j) * a_l to row l-j;
+        # a row below level 0 has none, so its zero C(l, j) is never divided by
+        below = window[1:] + (demand[l - R] if l >= R else 0,)
+        pay = pays[l]
+        lo = needed = window[0]
+        for res, c in zip(below, pay):
+            if res:
+                d = -(-res // c)
+                if d > needed:
+                    needed = d
+        cost_l = costs[l]
+        best = -1
+        # needed <= C(n, l): each residual is at most C(n, t), and C(n, l-j) <= C(n, l) * C(l, j)
+        for v in range(lo, needed + 1):
+            nodes += 1
+            if nodes > node_cap:
+                raise BudgetExceededError(f"IP node budget {node_cap} exceeded")
+            child = tuple([r - c * v if r > c * v else 0 for r, c in zip(below, pay)])
+            total = cost_l * v + rec(l - 1, child)
+            if best < 0 or total < best:
+                best = total
+        memo[key] = best
+        return best
+
+    return IPSolution(rec(n, tuple(demand[n - j] for j in range(R))), nodes)  # R <= n
+
+
+def cost_vectors(n, seed):
+    """Both objectives and three seeded random vectors over 0..5, each with a zero."""
+    rng = random.Random(seed)
+    vectors = list(objectives(n))
+    for _ in range(3):
+        costs = [rng.randrange(6) for _ in range(n + 1)]
+        costs[rng.randrange(n + 1)] = 0
+        vectors.append(tuple(costs))
+    return vectors
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_solve_matches_the_tuple_window_reference(n):
+    for R in range(1, n + 1):
+        for costs in cost_vectors(n, seed=100 * n + R):
+            assert solve(n, R, costs) == reference_solve(n, R, costs), (n, R, costs)
+
+
+@pytest.mark.parametrize("n,R", [(40, 38), (40, 39)])
+def test_solve_matches_the_reference_at_the_dimension_cap(n, R):
+    # residuals up to C(40, 20) fill the widest fields of the packed window
+    assert n == MAX_IP_DIMENSION
+    for costs in objectives(n):
+        assert solve(n, R, costs) == reference_solve(n, R, costs)
+
+
+def test_profile_programs_pinned_at_13_5():
+    assert ip_plus(13, 5) == IPSolution(19, 501_985)
+    assert ip_phi(13, 5) == IPSolution(79, 501_985)
