@@ -9,6 +9,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from .constructions import (
     semi_direct_sum,
 )
 from .cube import (
-    RADIUS_MAX_N, Code, all_ones, code_covering_radius, covers, level_profile, sweep, weight
+    RADIUS_MAX_N, Code, all_ones, code_covering_radius, covers, level_profile, sweep
 )
 from .exact import DEFAULT_TIME_LIMIT, LIMIT_CHECK_NODES, exact_kplus
 from .ipsolve import BudgetExceededError
@@ -184,8 +185,8 @@ def cmd_verify(args) -> int:
     code = codefiles.load_code(args.file)
     radius_claim = args.r if args.r is not None else code.r
     profile = level_profile(code)
-    zeros = sum(code.n - weight(w) for w in code.words)
-    ones = sum(weight(w) for w in code.words)
+    ones = sum(level * count for level, count in enumerate(profile))
+    zeros = code.n * len(code) - ones
     payload = {
         "n": code.n,
         "size": len(code),
@@ -305,7 +306,17 @@ def cmd_linear(args) -> int:
     return EXIT_OK if verified and agrees is not False else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built by the first call and shared by all later ones.
+
+    `main` reuses it: `parse_args` keeps no state between calls, and each
+    `cmd_*` looks up the library functions it calls (`exact_kplus`,
+    `best_bounds`, ...) when it runs, so a patch on those names of this module
+    still takes effect.  The handlers bound by `set_defaults` and every
+    `choices` list are fixed when the parser is built; do not change the
+    returned parser, since every later call shares it.
+    """
     json_flag, seed = _flag_groups()
     per_cell = f"seconds per exact search (default {Budget.exact_time_limit:g})"
     parser = _Parser(prog="asymcover", description=__doc__)

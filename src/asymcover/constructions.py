@@ -10,7 +10,6 @@ seed and is reproducible bit for bit.
 from __future__ import annotations
 
 import functools
-import hashlib
 import heapq
 import math
 import random
@@ -183,6 +182,8 @@ def semi_direct_sum(p: PatchedCode, c: Code) -> Code:
 
 def _subseed(base: int, index: int) -> int:
     """Stable 64-bit stream of per-trial seeds derived from a base seed."""
+    import hashlib  # here, not at the top: it loads OpenSSL, and only power2 needs it
+
     digest = hashlib.sha256(f"trial:{base}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

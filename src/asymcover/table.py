@@ -5,7 +5,8 @@ every R up to min(n, r_max), so monotonicity chains and direct-sum splits
 have their neighbors available; rendering then restricts to the requested
 window.  The cache is a JSON object written atomically: the budget its cells
 were computed under, and the map "n,R" -> record.  A cache is reused only
-under an equal budget; any other budget recomputes every cell.
+under an equal budget; any other budget recomputes every cell.  A run that
+changes no cached record leaves the file untouched.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ def build_grid(spec: TableSpec) -> dict[tuple[int, int], BoundRecord]:
         rec = cached.get((n, R))
         grid[(n, R)] = rec if rec is not None else best_bounds(n, R, spec.budget)
     grid = propagate(grid)
-    if spec.cache_path:
+    # a cache of another budget loads as {}, so an unchanged grid implies the same budget
+    if spec.cache_path and any(cached.get(key) != rec for key, rec in grid.items()):
         # cached cells outside this window stay for the runs that need them
         save_cache(spec.cache_path, {**cached, **grid}, spec.budget)
     return grid

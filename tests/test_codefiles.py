@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 
 import pytest
@@ -64,6 +65,40 @@ def test_duplicate_words_warn_and_collapse(capsys):
     code = codefiles.from_plain_text(text)
     assert code.words == (1, 7)
     assert "duplicate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ("01", "word '01' has length 2, expected 3"),
+        ("012", "word '012' has character '2' outside {0,1}"),
+        ("0_1", "word '0_1' has character '_' outside {0,1}"),  # int("1_0", 2) == 2
+        (" 01", "word ' 01' has character ' ' outside {0,1}"),  # int("10 ", 2) == 2
+    ],
+    ids=["short", "digit-2", "underscore", "space"],
+)
+def test_json_names_the_first_bad_word(word, message):
+    text = json.dumps({"n": 3, "r": 1, "words": ["111", "110", word, "0x1", "1"]})
+    with pytest.raises(ValueError) as caught:
+        codefiles.from_json_text(text)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_large_code_round_trips_byte_identically(fmt, tmp_path):
+    code = Code.from_words(16, random.Random(16).sample(range(1 << 16), 3475), r=4)
+    bits = [codefiles.word_to_bits(w, 16) for w in code.words]
+    expected = {  # the whole file, laid out here rather than by save_code
+        "json": json.dumps({"n": 16, "r": 4, "words": bits}, indent=1) + "\n",
+        "text": "\n".join(["16 4", *bits]) + "\n",
+    }[fmt]
+    first, second = tmp_path / "first", tmp_path / "second"
+    codefiles.save_code(str(first), code, fmt=fmt)
+    assert first.read_text() == expected
+    back = codefiles.load_code(str(first))
+    assert back == code
+    codefiles.save_code(str(second), back, fmt=fmt)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_reject_malformed_json():

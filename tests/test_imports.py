@@ -4,7 +4,9 @@ underscore names, every function reads each of its parameters, every
 public name is read or documented, and the lower-bound module uses no float."""
 
 import ast
+import os
 import re
+import subprocess
 import symtable
 import sys
 from pathlib import Path
@@ -271,3 +273,12 @@ def test_every_public_name_is_read_or_documented():
 
 def test_lower_bound_module_uses_no_float():
     assert float_uses((PACKAGE / "ipsolve.py").read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_openssl_unloaded():
+    # hashlib loads OpenSSL; only the power2 construction needs it, and imports it itself
+    probe = "import sys, asymcover.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"

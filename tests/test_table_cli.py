@@ -111,6 +111,22 @@ def test_cache_round_trip(tmp_path):
     assert second == first
 
 
+def test_warm_table_leaves_its_cache_file_alone(tmp_path):
+    path = tmp_path / "cache.json"
+    spec = TableSpec(n_min=2, n_max=4, r_min=1, r_max=3, budget=FULL_BUDGET,
+                     cache_path=str(path))
+    first = build_grid(spec)
+    os.utime(path, ns=(1, 1))  # a rewrite, even within one clock tick, would reset this
+    text = path.read_bytes()
+    assert build_grid(spec) == first
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == (text, 1)
+
+    wider = dataclasses.replace(spec, n_max=5)
+    assert build_grid(wider).keys() > first.keys()
+    assert path.stat().st_mtime_ns != 1
+    assert load_cache(str(path), FULL_BUDGET) == build_grid(wider)
+
+
 def read_json(path):
     with open(path) as f:
         return json.load(f)
@@ -208,6 +224,41 @@ def test_cli_construct_and_verify(tmp_path, capsys):
     rc, out, _ = run_cli(["verify", out_path, "--r", "2"], capsys)
     assert rc == 2
     assert "covers: false (R=2)" in out
+
+
+def test_cli_verify_counts_zeros_and_ones_per_word(tmp_path, capsys):
+    path = str(tmp_path / "g.json")
+    assert run_cli(["construct", "--method", "greedy", "--n", "7", "--r", "2", "--out", path],
+                   capsys)[0] == 0
+    code = load_code(path)
+    rc, out, _ = run_cli(["verify", path, "--json"], capsys)
+    payload = json.loads(out)
+    assert rc == 0
+    assert payload["ones_total"] == sum(w.bit_count() for w in code.words)
+    assert payload["zeros_total"] == sum(code.n - w.bit_count() for w in code.words)
+
+
+def test_cli_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_code("d.json", diagonal_code(6, 3))
+    calls = [
+        ["bound", "--n", "6", "--r", "2"],
+        ["--help"],
+        ["bound", "--n", "x", "--r", "2"],
+        ["construct", "--method", "greedy", "--n", "5", "--out", "g.json"],
+        ["bound", "--n", "6", "--r", "2", "--json"],
+        ["verify", "d.json"],
+    ]
+    cli.build_parser()
+    built = cli.build_parser.cache_info().misses
+    reused = [run_cli(argv, capsys) for argv in calls]
+    assert cli.build_parser.cache_info().misses == built
+    assert [rc for rc, _, _ in reused] == [0, 0, 1, 1, 0, 0]
+    assert "invalid int value: 'x'" in reused[2][2]
+    assert reused[3][2] == "error: method 'greedy' requires --r\n"
+    # the same calls, each on a parser of its own
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [run_cli(argv, capsys) for argv in calls] == reused
 
 
 def test_cli_construct_needs_inputs(tmp_path, capsys):
