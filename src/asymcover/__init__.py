@@ -6,7 +6,7 @@ size K+(n, R) exactly on small cubes, brackets it with analytic bounds and
 explicit constructions elsewhere, and handles the linear (subspace) variant.
 """
 
-from .bounds import FULL_BUDGET, BoundRecord, asym_sphere_bound, best_bounds
+from .bounds import BoundRecord, Budget, asym_sphere_bound, best_bounds
 from .constructions import diagonal_code, general_upper_size, greedy_code, random_code_nu
 from .cube import Code, covers, uncovered
 from .exact import exact_kplus
@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundRecord",
+    "Budget",
     "Code",
-    "FULL_BUDGET",
     "asym_sphere_bound",
     "best_bounds",
     "build_grid",

@@ -3,8 +3,8 @@
 Lower bounds: the levelwise sphere-covering bound, the superdiagonal values,
 exact search, and the difference chain built from the zero-count program,
 which is never below the size program `ipsolve.ip_plus` where both were
-solved.  Upper bounds: diagonal codes, coradius splits, greedy and sampled
-codes, exact search, and direct-sum splits applied during grid propagation.
+solved.  Upper bounds: diagonal codes, coradius splits, greedy codes, exact
+search, and direct-sum splits applied during grid propagation.
 Every bound value is computed with exact integer arithmetic.
 """
 
@@ -14,16 +14,11 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 from . import exact, ipsolve
-from .constructions import (
-    GREEDY_MAX_N,
-    general_upper_size,
-    greedy_code,
-    random_code_nu,
-)
+from .constructions import GREEDY_MAX_N, general_upper_size, greedy_code
 from .cube import ball_size_down, binomial
 
 LOWER_TAG_ORDER = ("superdiag", "e", "mono", "sphere")
-UPPER_TAG_ORDER = ("d", "e", "g", "nu", "s", "general", "sphere")
+UPPER_TAG_ORDER = ("d", "e", "g", "s", "general", "sphere")
 EXACT_SEARCH_MAX_N = 6  # best_bounds runs exact search on cells up to this n
 
 
@@ -81,19 +76,12 @@ class Budget:
     use_exact: bool = False
     exact_time_limit: float = 60.0
     exact_node_limit: int | None = None
-    nu_seeds: int = 0
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.nu_seeds < 0:
-            raise ValueError("nu_seeds must be nonnegative")
         if self.exact_time_limit is not None and self.exact_time_limit <= 0:
             raise ValueError("exact_time_limit must be positive")
         if self.exact_node_limit is not None and self.exact_node_limit <= 0:
             raise ValueError("exact_node_limit must be positive")
-
-
-FULL_BUDGET = Budget(use_exact=True, nu_seeds=4)
 
 
 def _check_cell(n: int, R: int) -> None:
@@ -151,11 +139,6 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
     uppers = [(general_upper_size(n, r), "general")]
     if budget.use_greedy and n <= GREEDY_MAX_N:
         uppers.append((len(greedy_code(n, R)), "g"))
-    if budget.nu_seeds > 0 and n <= GREEDY_MAX_N:
-        best_nu = min(
-            len(random_code_nu(n, R, budget.seed + t)) for t in range(budget.nu_seeds)
-        )
-        uppers.append((best_nu, "nu"))
     if budget.use_exact and n <= EXACT_SEARCH_MAX_N:
         res = exact.exact_kplus(
             n,

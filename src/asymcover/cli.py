@@ -62,14 +62,6 @@ def _positive(kind):
     return parse
 
 
-def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
-    """Parent parsers: --json (every command) and --seed."""
-    json_flag, seed = (argparse.ArgumentParser(add_help=False) for _ in range(2))
-    json_flag.add_argument("--json", action="store_true", help="machine-readable output")
-    seed.add_argument("--seed", type=int, default=0, help="base PRNG seed")
-    return json_flag, seed
-
-
 def _add_limit_flags(sub: argparse.ArgumentParser, time_help: str) -> None:
     """The search limits; their defaults live in the library, and the help names them."""
     sub.add_argument("--time-limit", type=_positive(float), default=None, help=time_help)
@@ -85,8 +77,6 @@ def _add_budget_flags(sub: argparse.ArgumentParser, exact_default: bool) -> None
                      help="use greedy cover for upper bounds")
     sub.add_argument("--exact", action=argparse.BooleanOptionalAction, default=exact_default,
                      help="run exact search on small cells")
-    sub.add_argument("--nu-seeds", type=int, default=0,
-                     help="number of randomized-construction seeds to try")
 
 
 def _given(**limits) -> dict:
@@ -99,8 +89,6 @@ def _budget(args) -> Budget:
         use_ip=args.ip,
         use_greedy=args.greedy,
         use_exact=args.exact,
-        nu_seeds=args.nu_seeds,
-        seed=args.seed,
         **_given(exact_time_limit=args.time_limit, exact_node_limit=args.node_limit),
     )
 
@@ -317,19 +305,21 @@ def build_parser() -> _Parser:
     `choices` list are fixed when the parser is built; do not change the
     returned parser, since every later call shares it.
     """
-    json_flag, seed = _flag_groups()
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="machine-readable output")
     per_cell = f"seconds per exact search (default {Budget.exact_time_limit:g})"
     parser = _Parser(prog="asymcover", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = subs.add_parser("bound", parents=[json_flag, seed], help="best bounds for one cell")
+    p = subs.add_parser("bound", parents=[json_flag], help="best bounds for one cell")
     _add_limit_flags(p, f"{per_cell}; read only with --exact")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     _add_budget_flags(p, exact_default=False)
     p.set_defaults(func=cmd_bound)
 
-    p = subs.add_parser("construct", parents=[json_flag, seed], help="build and save a code")
+    p = subs.add_parser("construct", parents=[json_flag], help="build and save a code")
+    p.add_argument("--seed", type=int, default=0, help="base PRNG seed")
     p.add_argument("--method", required=True, choices=list(_METHODS))
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
@@ -350,11 +340,13 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, default=None, help="radius to verify at")
     p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("table", parents=[json_flag, seed], help="bound table over a grid")
+    p = subs.add_parser("table", parents=[json_flag], help="bound table over a grid")
     _add_limit_flags(p, per_cell)
     p.add_argument("--cache", default=None, help="bounds cache file")
-    # accepted and ignored, so that older command lines still parse: cells run in one loop
-    p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
+    # retired flags, parsed and ignored so that the benchmark's command line still
+    # runs; they go with its next change (ROADMAP item 8)
+    for retired in ("--nu-seeds", "--seed", "--workers"):
+        p.add_argument(retired, type=int, help=argparse.SUPPRESS)
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--r-min", type=int, default=1)

@@ -8,10 +8,11 @@ then one bitstring per line.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import stat
 import sys
-import tempfile
 
 from .cube import Code
 
@@ -110,12 +111,16 @@ def load_code(path: str) -> Code:
 def write_atomic(path: str, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it over
     `path`; on any failure the temporary file is removed and `path` is left
-    as it was."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}-", suffix=".tmp")
+    as it was.  The file gets the mode that open(path, "w") would give it:
+    the mode of the file it replaces, else 0o666 less the umask."""
+    directory, base = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{base}-{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")  # created with the mode open(path, "w") gives
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
+        with contextlib.suppress(FileNotFoundError):  # a new file keeps that mode
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

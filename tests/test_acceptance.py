@@ -153,8 +153,7 @@ def test_criterion_5_diagonal_and_below_threshold():
 
 def test_criterion_6_reference_table():
     start = time.monotonic()
-    budget = Budget(use_ip=True, use_greedy=True, use_exact=True,
-                    exact_time_limit=10.0, nu_seeds=2, seed=0)
+    budget = Budget(use_ip=True, use_greedy=True, use_exact=True, exact_time_limit=10.0)
     spec = TableSpec(n_min=2, n_max=13, r_min=1, r_max=11, budget=budget)
     grid = build_grid(spec)
     disjoint = []

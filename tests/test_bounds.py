@@ -9,7 +9,6 @@ import pytest
 from asymcover.bounds import (
     BoundRecord,
     Budget,
-    FULL_BUDGET,
     LOWER_TAG_ORDER,
     UPPER_TAG_ORDER,
     asym_sphere_bound,
@@ -135,7 +134,7 @@ def test_budget_refuses_non_positive_limits(limits):
 
 
 def test_best_bounds_pinned_cells():
-    rec = best_bounds(6, 3, FULL_BUDGET)
+    rec = best_bounds(6, 3, Budget(use_exact=True))
     assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (4, 4, "superdiag", "d")
     rec = best_bounds(4, 1, Budget(use_exact=True))
     assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (6, 6, "e", "e")
@@ -148,7 +147,6 @@ def test_best_bounds_settles_superdiag_cells_without_search(monkeypatch):
         raise AssertionError("a settled cell ran a bound source")
 
     monkeypatch.setattr(bounds, "greedy_code", forbidden)
-    monkeypatch.setattr(bounds, "random_code_nu", forbidden)
     monkeypatch.setattr(ipsolve, "ip_plus", forbidden)
     monkeypatch.setattr(ipsolve, "diff_chain_lower", forbidden)
     monkeypatch.setattr(exact, "exact_kplus", forbidden)
@@ -156,7 +154,7 @@ def test_best_bounds_settles_superdiag_cells_without_search(monkeypatch):
     for n, R in settled:
         r = n - R
         want = BoundRecord(n, R, r + 1, r + 1, "superdiag", "d")
-        assert best_bounds(n, R, FULL_BUDGET) == want
+        assert best_bounds(n, R, Budget(use_exact=True)) == want
 
 
 def test_best_bounds_radius_zero():
@@ -176,13 +174,6 @@ def test_best_bounds_budget_gating():
     assert no_ip.lower_tag in ("sphere", "superdiag")
     analytic = best_bounds(9, 2, Budget(use_ip=False, use_greedy=False))
     assert analytic.upper_tag in ("d", "general")
-    seeded = best_bounds(8, 2, Budget(use_greedy=False, nu_seeds=2))
-    from asymcover.constructions import general_upper_size, random_code_nu
-
-    sampled = min(len(random_code_nu(8, 2, s)) for s in range(2))
-    analytic_upper = general_upper_size(8, 6)
-    assert seeded.upper == min(sampled, analytic_upper)
-    assert seeded.upper_tag == ("nu" if sampled <= analytic_upper else "general")
 
 
 def test_best_bounds_tags_come_from_known_orders():
@@ -196,7 +187,7 @@ def test_best_bounds_tags_come_from_known_orders():
 def test_best_bounds_brackets_nest_as_budget_grows():
     lean = best_bounds(6, 1, Budget(use_ip=False, use_greedy=False))
     default = best_bounds(6, 1)
-    full = best_bounds(6, 1, FULL_BUDGET)
+    full = best_bounds(6, 1, Budget(use_exact=True))
     assert lean.lower <= default.lower <= full.lower
     assert lean.upper >= default.upper >= full.upper
     assert full.exact

@@ -209,6 +209,26 @@ def test_failed_save_leaves_the_directory_unchanged(tmp_path, monkeypatch):
     assert path.read_text() == "old\n"
 
 
+@pytest.fixture(params=[0o022, 0o077], ids=["umask-022", "umask-077"])
+def umask(request):
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+
+
+def test_save_gives_the_file_the_mode_of_open(umask, tmp_path):
+    # a new file: 0o666 less the umask, like a plain open(); a replaced file keeps its mode
+    code = Code.from_words(2, [3], r=1)
+    plain, path = tmp_path / "plain", tmp_path / "c.json"
+    plain.write_text("x\n")
+    codefiles.save_code(str(path), code)
+    assert os.stat(path).st_mode & 0o777 == os.stat(plain).st_mode & 0o777 == 0o666 & ~umask
+    os.chmod(path, 0o640)
+    codefiles.save_code(str(path), code)
+    assert os.stat(path).st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "plain"]
+
+
 def test_save_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         codefiles.save_code(str(tmp_path / "x"), Code.from_words(1, [1]), fmt="xml")

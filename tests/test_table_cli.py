@@ -10,7 +10,7 @@ import pytest
 
 import asymcover
 from asymcover import cli, ipsolve
-from asymcover.bounds import BoundRecord, Budget, FULL_BUDGET
+from asymcover.bounds import BoundRecord, Budget
 from asymcover.codefiles import load_code, save_code
 from asymcover.constructions import diagonal_code
 from asymcover.cube import Code
@@ -24,7 +24,7 @@ from asymcover.table import (
     save_cache,
 )
 
-SMALL = TableSpec(n_min=2, n_max=5, r_min=1, r_max=4, budget=FULL_BUDGET)
+SMALL = TableSpec(n_min=2, n_max=5, r_min=1, r_max=4, budget=Budget(use_exact=True))
 
 
 def test_every_exported_name_resolves():
@@ -86,7 +86,7 @@ def test_render_table_layout():
     assert first_row[0] == "1"
     assert first_row[1] == "2[superdiag/d]"
     # R > n corner renders the constant cell
-    wide = TableSpec(n_min=2, n_max=3, r_min=1, r_max=4, budget=FULL_BUDGET)
+    wide = TableSpec(n_min=2, n_max=3, r_min=1, r_max=4, budget=Budget(use_exact=True))
     corner = render_table(build_grid(wide), wide).splitlines()[-1].split()
     assert corner == ["4", "1", "1"]
 
@@ -101,11 +101,11 @@ def test_record_dict_round_trip():
 def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "cache.json")
     spec = TableSpec(
-        n_min=2, n_max=4, r_min=1, r_max=3, budget=FULL_BUDGET, cache_path=path
+        n_min=2, n_max=4, r_min=1, r_max=3, budget=Budget(use_exact=True), cache_path=path
     )
     first = build_grid(spec)
     assert os.path.exists(path)
-    assert load_cache(path, FULL_BUDGET) == first
+    assert load_cache(path, Budget(use_exact=True)) == first
     assert load_cache(path, Budget()) == {}  # another budget reuses nothing
     second = build_grid(spec)
     assert second == first
@@ -113,7 +113,7 @@ def test_cache_round_trip(tmp_path):
 
 def test_warm_table_leaves_its_cache_file_alone(tmp_path):
     path = tmp_path / "cache.json"
-    spec = TableSpec(n_min=2, n_max=4, r_min=1, r_max=3, budget=FULL_BUDGET,
+    spec = TableSpec(n_min=2, n_max=4, r_min=1, r_max=3, budget=Budget(use_exact=True),
                      cache_path=str(path))
     first = build_grid(spec)
     os.utime(path, ns=(1, 1))  # a rewrite, even within one clock tick, would reset this
@@ -124,7 +124,7 @@ def test_warm_table_leaves_its_cache_file_alone(tmp_path):
     wider = dataclasses.replace(spec, n_max=5)
     assert build_grid(wider).keys() > first.keys()
     assert path.stat().st_mtime_ns != 1
-    assert load_cache(str(path), FULL_BUDGET) == build_grid(wider)
+    assert load_cache(str(path), Budget(use_exact=True)) == build_grid(wider)
 
 
 def read_json(path):
@@ -134,10 +134,10 @@ def read_json(path):
 
 def test_cache_write_is_clean(tmp_path):
     path = str(tmp_path / "c.json")
-    save_cache(path, {(2, 1): BoundRecord(2, 1, 2, 2, "e", "e")}, FULL_BUDGET)
+    save_cache(path, {(2, 1): BoundRecord(2, 1, 2, 2, "e", "e")}, Budget(use_exact=True))
     assert sorted(os.listdir(tmp_path)) == ["c.json"]
     raw = read_json(path)
-    assert raw["budget"] == dataclasses.asdict(FULL_BUDGET)
+    assert raw["budget"] == dataclasses.asdict(Budget(use_exact=True))
     assert raw["cells"]["2,1"]["exact"] is True
 
 
@@ -179,6 +179,8 @@ def test_cli_usage_errors(capsys):
          "--node-limit", "5"],
         ["verify", "g.json", "--seed", "9"],
         ["exact", "--n", "4", "--r", "1", "--workers", "1"],
+        ["bound", "--n", "4", "--r", "1", "--nu-seeds", "2"],
+        ["bound", "--n", "4", "--r", "1", "--seed", "1"],
     ],
 )
 def test_cli_rejects_a_flag_its_command_does_not_read(argv, tmp_path, capsys, monkeypatch):
@@ -631,6 +633,19 @@ def test_cli_table_without_exact_search_never_solves_the_size_program(capsys, mo
         assert (cell["lower"], cell["upper"], cell["lower_tag"], cell["upper_tag"]) == want, key
 
 
+def test_cli_table_ignores_its_retired_flags(tmp_path, capsys):
+    # --nu-seeds, --seed and --workers still parse, and change neither stdout nor the cache
+    runs = []
+    for name, retired in (("a.json", []), ("b.json", ["--nu-seeds", "2", "--seed", "7",
+                                                      "--workers", "1"])):
+        cache = tmp_path / name
+        rc, out, _ = run_cli(["table", "--n-max", "7", "--json", "--cache", str(cache), *retired],
+                             capsys)
+        assert rc == 0
+        runs.append((out, cache.read_bytes()))
+    assert runs[0] == runs[1]
+
+
 GOOD_CELL = {"n": 2, "R": 1, "lower": 2, "upper": 2, "lower_tag": "mono", "upper_tag": "g",
              "exact": True}
 
@@ -647,6 +662,7 @@ def _cache_text(cell):
         (_cache_text({**GOOD_CELL, "n": True}), "'n'"),
         (_cache_text({**GOOD_CELL, "upper_tag": "x"}), "'upper_tag'"),
         (_cache_text({**GOOD_CELL, "lower_tag": "i"}), "'lower_tag'"),  # a retired tag
+        (_cache_text({**GOOD_CELL, "upper_tag": "nu"}), "'upper_tag'"),  # a retired tag
         (_cache_text({**GOOD_CELL, "n": 3}), "'2,1'"),
         (_cache_text([GOOD_CELL]), "JSON object"),
         (json.dumps([GOOD_CELL]), "budget"),
@@ -655,9 +671,9 @@ def _cache_text(cell):
         ('{"n": 2, "words": ["11"]}', "budget"),  # a code file
         ("11\n01\n", "not a bound cache"),
     ],
-    ids=["missing-field", "string-lower", "bool-n", "unknown-tag", "retired-tag", "key-mismatch",
-         "list-record", "top-level-list", "no-budget", "list-budget", "code-json",
-         "code-text"],
+    ids=["missing-field", "string-lower", "bool-n", "unknown-tag", "retired-tag",
+         "retired-upper-tag", "key-mismatch", "list-record", "top-level-list", "no-budget",
+         "list-budget", "code-json", "code-text"],
 )
 def test_cli_table_refuses_a_malformed_cache(tmp_path, capsys, text, named):
     cache = tmp_path / "cache.json"
