@@ -11,7 +11,7 @@ Every bound value is computed with exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from . import exact, ipsolve
 from .constructions import GREEDY_MAX_N, general_upper_size, greedy_code
@@ -51,7 +51,15 @@ class BoundRecord:
 
     def to_dict(self) -> dict:
         """The record as a JSON object: its fields plus the derived `exact`."""
-        return {**asdict(self), "exact": self.exact}
+        return {
+            "n": self.n,
+            "R": self.R,
+            "lower": self.lower,
+            "upper": self.upper,
+            "lower_tag": self.lower_tag,
+            "upper_tag": self.upper_tag,
+            "exact": self.lower == self.upper,
+        }
 
     @classmethod
     def from_dict(cls, d) -> "BoundRecord":

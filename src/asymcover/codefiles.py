@@ -33,12 +33,15 @@ def bits_to_word(s: str, n: int) -> int:
 
 
 def to_json_text(code: Code) -> str:
-    obj = {
-        "n": code.n,
-        "r": code.r,
-        "words": [word_to_bits(w, code.n) for w in code.words],
-    }
-    return json.dumps(obj, indent=1) + "\n"
+    """The JSON form, byte for byte as json.dumps(obj, indent=1) + "\\n" lays it out.
+
+    Joined directly: with an indent, json.dumps runs its pure-Python encoder,
+    and a bitstring needs no escaping.
+    """
+    r = "null" if code.r is None else code.r
+    words = '",\n  "'.join([word_to_bits(w, code.n) for w in code.words])
+    listed = f'[\n  "{words}"\n ]' if code.words else "[]"
+    return f'{{\n "n": {code.n},\n "r": {r},\n "words": {listed}\n}}\n'
 
 
 def to_plain_text(code: Code) -> str:

@@ -9,10 +9,11 @@ seed and is reproducible bit for bit.
 
 from __future__ import annotations
 
+import collections
 import functools
-import heapq
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +36,10 @@ GREEDY_MAX_N = 26  # greedy / sampling sweeps touch every vertex of Q_n
 # bits took 1.4x as long at (17,1) and 1.6x at (18,1), blocks of 2^8 bits
 # 1.4x at (14,6) and 1.5x at (16,4)
 GREEDY_BLOCK_BITS = 10
+# candidates greedy scores in one step of its scan; measured on a 2-vCPU VM,
+# batches of 8 took 1.1x as long as 32 over the cells n <= 10 and 1.2-1.4x at
+# (11,1), (12,3), (14,6) and (16,4); batches of 64 were level with 32
+GREEDY_BATCH = 32
 
 
 def diagonal_code(n: int, coradius: int) -> Code:
@@ -234,62 +239,115 @@ def random_code_nu(n: int, R: int, seed: int) -> Code:
     return Code.from_words(n, list(s_code.words) + missing, r=R)
 
 
+@functools.cache
+def _block_tables(h: int) -> tuple[list[int], list[int], list[list[int]]]:
+    """`subset_tables(h)` and the vertices of Q_h by weight, ascending.
+
+    Cached for greedy, which only reads them: h <= GREEDY_BLOCK_BITS, and a
+    table's cells share them.
+    """
+    of_weight = [[] for _ in range(h + 1)]
+    for a in range(1 << h):
+        of_weight[a.bit_count()].append(a)
+    return *subset_tables(h), of_weight
+
+
 def greedy_code(n: int, R: int) -> Code:
     """Classic greedy set cover over downward R-balls.
 
     Repeatedly selects the center covering the most still-uncovered vertices,
-    breaking ties toward the smallest mask.  The queue is one heap of int
-    keys (most - gain) << n | mask, with most the top ball size; since
-    mask < 2^n, keys sort like (-gain, mask).  It starts as every vertex
-    keyed by its ball size, sorted, which is already a heap.  A popped key
-    whose gain has dropped is pushed back with its exact gain, which never
-    changes the selection because stored gains only overestimate.
+    breaking ties toward the smallest mask.  Candidates wait in gain buckets:
+    bucket g holds those whose stored gain is g, an upper bound on the exact
+    gain since gains only fall.  A vertex is listed only when the bucket of
+    its ball size becomes current.  The highest non-empty bucket is scanned
+    in mask order, GREEDY_BATCH exact gains at a time, and a candidate whose
+    exact gain is g is selected: none gains more, and every smaller mask in
+    the bucket gains less.  Every other candidate moves to the bucket of its
+    exact gain, a lower one, and a gain of 0 drops it.  After a selection, a
+    candidate of the same batch that read g is scored again before it can be
+    selected.
 
-    The uncovered set is kept in blocks.  A vertex is (x, z), with z its low
-    h = min(n, GREEDY_BLOCK_BITS) coordinates and x the rest, and unc[x] is
-    the set of z with (x, z) uncovered, a 2^h-bit int.  The ball of a center
+    The uncovered set is kept in blocks.  A vertex is (b, a), with a its low
+    h = min(n, GREEDY_BLOCK_BITS) coordinates and b the rest, and unc[x] is
+    the set of a with (x, a) uncovered, a 2^h-bit int.  The ball of a center
     (b, a) meets block x, for each x in `ball_down(b, R, n - h)` at distance
-    d = weight(b) - weight(x), in down[a] & at_least[max(0, weight(a) - R + d)],
-    with the tables of `subset_tables(h)`.  A gain is the sum of the
-    popcounts of those sets against the blocks, and selecting a center clears
-    them; at n <= h there is one block.  The blocks of each b are listed once,
-    the queue holds one int per vertex, and the blocks take 2^n bits.
+    d = weight(b) - weight(x), in rows[d][a] = down[a] & at_least[max(0,
+    weight(a) - R + d)], with the tables of `subset_tables(h)`.  A gain is the
+    sum of the popcounts of those sets against the blocks, and selecting a
+    center clears them; at n <= h there is one block, and a gain is one AND
+    and one popcount.  Each bucket is split by b, so a batch shares its block
+    terms, each term is one pass over the batch, and a bucket is sorted one b
+    at a time.  A waiting candidate takes 4 bytes, and the blocks 2^n bits.
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
     _check_sweep_dim(n)
     h = min(n, GREEDY_BLOCK_BITS)
     low = all_ones(h)
-    down, at_least = subset_tables(h)
-    # shifted by R: at_least[weight(a) + d] holds the weights >= max(0, weight(a) + d - R)
-    at_least = [at_least[0]] * R + at_least
+    down, at_least, lows_of_weight = _block_tables(h)
+    # rows[d][a]: the ball of (b, a) inside a block at distance d below b
+    rows = [
+        [down[a] & at_least[k] if k > 0 else down[a] for a in range(1 << h)
+         for k in [a.bit_count() - R + d]]
+        for d in range(min(R, n - h) + 1)
+    ]
     unc = [full_set(h)] * (1 << (n - h))
-    blocks = {}  # b -> [(x, weight(b) - weight(x))] over the ball of b in Q_{n-h}
-    sizes = [ball_size_down(n, w, R) for w in range(n + 1)]
-    most = sizes[n]
-    top = all_ones(n)
+    blocks = {}  # b -> [(x, weight(b) - weight(x))] over the ball of b in Q_{n-h}, b left out
+    # a vertex enters the buckets only when its weight's ball size is the current gain
+    fresh_at = collections.defaultdict(list)
+    for w in range(n + 1):
+        fresh_at[ball_size_down(n, w, R)].append(w)
+    # g -> b -> the candidates (b, a) whose stored gain is g; "I" appends an int
+    # without the format parse that "i" takes
+    buckets = collections.defaultdict(lambda: collections.defaultdict(functools.partial(array, "I")))
+    g = max(fresh_at) + 1
     remaining = 1 << n
     chosen = []
-    heap = sorted((most - sizes[mask.bit_count()]) << n | mask for mask in range(1 << n))
     while remaining:
-        key = heapq.heappop(heap)
-        mask = key & top
-        b, a = mask >> h, mask & low
-        terms = blocks.get(b)
-        if terms is None:
-            xs = ball_down(b, R, n - h) if n > h else [0]
-            terms = blocks[b] = [(x, b.bit_count() - x.bit_count()) for x in xs]
-        da, wa = down[a], a.bit_count()
-        gain = 0
-        for x, d in terms:
-            gain += (unc[x] & da & at_least[wa + d]).bit_count()
-        if gain == most - (key >> n):
-            chosen.append(mask)
-            remaining -= gain
-            for x, d in terms:
-                unc[x] &= ~(da & at_least[wa + d])
-        elif gain > 0:
-            heapq.heappush(heap, (most - gain) << n | mask)
+        g -= 1
+        if g not in buckets and g not in fresh_at:
+            continue
+        bucket, fresh = buckets.pop(g, {}), fresh_at.pop(g, ())
+        for b in range(1 << (n - h)) if fresh else sorted(bucket):
+            wb = b.bit_count()
+            current = list(bucket.pop(b, ()))
+            for w in fresh:
+                if 0 <= w - wb <= h:
+                    current += [b << h | a for a in lows_of_weight[w - wb]]
+            current.sort()
+            terms = blocks.get(b)
+            if terms is None:  # b's own block, the last of its ball, is scored apart
+                xs = ball_down(b, R, n - h)[:-1] if n > h else []
+                terms = blocks[b] = [(x, wb - x.bit_count()) for x in xs]
+            for start in range(0, len(current), GREEDY_BATCH):
+                batch = current[start : start + GREEDY_BATCH]
+                lows = [c & low for c in batch] if n > h else batch
+                u, row = unc[b], rows[0]
+                gains = [(u & row[a]).bit_count() for a in lows]
+                for x, d in terms:
+                    u, row = unc[x], rows[d]
+                    gains = [e + (u & row[a]).bit_count() for e, a in zip(gains, lows)]
+                # gains were scored before any selection in this batch, so after
+                # one a candidate still at g is scored again before it is selected
+                picked = False
+                for c, a, e in zip(batch, lows, gains):
+                    if e == g and picked:
+                        e = (unc[b] & rows[0][a]).bit_count() + sum(
+                            [(unc[x] & rows[d][a]).bit_count() for x, d in terms]
+                        )
+                    if e == g:
+                        chosen.append(c)
+                        remaining -= g
+                        unc[b] &= ~rows[0][a]
+                        for x, d in terms:
+                            unc[x] &= ~rows[d][a]
+                        picked = True
+                    elif e:
+                        buckets[e][b].append(c)
+                if not remaining:
+                    break
+            if not remaining:
+                break
     return Code.from_words(n, chosen, r=R)
 
 

@@ -84,13 +84,17 @@ def test_json_names_the_first_bad_word(word, message):
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_large_code_round_trips_byte_identically(fmt, tmp_path):
-    code = Code.from_words(16, random.Random(16).sample(range(1 << 16), 3475), r=4)
+@pytest.mark.parametrize(
+    "fmt,r,size",
+    [(fmt, r, size) for r, size in [(4, 3475), (None, 3475), (4, 0)] for fmt in ("json", "text")],
+    ids=["json", "text", "json-no-r", "text-no-r", "json-empty", "text-empty"],
+)
+def test_large_code_round_trips_byte_identically(fmt, r, size, tmp_path):
+    code = Code.from_words(16, random.Random(16).sample(range(1 << 16), size), r=r)
     bits = [codefiles.word_to_bits(w, 16) for w in code.words]
     expected = {  # the whole file, laid out here rather than by save_code
-        "json": json.dumps({"n": 16, "r": 4, "words": bits}, indent=1) + "\n",
-        "text": "\n".join(["16 4", *bits]) + "\n",
+        "json": json.dumps({"n": 16, "r": r, "words": bits}, indent=1) + "\n",
+        "text": "\n".join([f"16 {'-' if r is None else r}", *bits]) + "\n",
     }[fmt]
     first, second = tmp_path / "first", tmp_path / "second"
     codefiles.save_code(str(first), code, fmt=fmt)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from asymcover import constructions
 from asymcover.constructions import (
     GREEDY_MAX_N,
     PatchedCode,
@@ -305,7 +306,7 @@ def test_greedy_pinned_q3():
     "n,R",
     [
         (1, 0), (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2),
-        (6, 0), (6, 1), (7, 1), (8, 2), (9, 4), (10, 10),
+        (6, 0), (6, 1), (7, 1), (8, 2), (9, 4), (10, 10), (11, 8), (12, 9),
     ],
 )
 def test_greedy_matches_eager_reference(n, R):
@@ -315,12 +316,14 @@ def test_greedy_matches_eager_reference(n, R):
     assert lazy.r == R
 
 
+GREEDY_12_3 = "9140e2b9b4fabf014d2a0c8439fc6cfb9b44c1a4d1f33fa4526f9beec752c562"
+
+
 def test_greedy_pinned_12_3():
     # the words greedy chose at (12, 3) before its gains moved to bitsets
     code = greedy_code(12, 3)
-    digest = hashlib.sha256(",".join(map(str, code.words)).encode()).hexdigest()
     assert len(code) == 105
-    assert digest == "9140e2b9b4fabf014d2a0c8439fc6cfb9b44c1a4d1f33fa4526f9beec752c562"
+    assert words_digest(code) == GREEDY_12_3
 
 
 @pytest.mark.parametrize(
@@ -343,15 +346,29 @@ def test_greedy_pinned_large(n, R, size, digest):
     assert hashlib.sha256(",".join(map(str, code.words)).encode()).hexdigest() == digest
 
 
-def test_greedy_pinned_grid():
-    # the words greedy chose at every cell 2 <= n <= 13, 1 <= R < n when it kept a
-    # count of covered vertices per center; n <= 10 is one block, n = 11..13 several
+def grid_digest(n_max):
+    """Digest of greedy's words at every cell 2 <= n <= n_max, 1 <= R < n."""
     h = hashlib.sha256()
-    for n in range(2, 14):
+    for n in range(2, n_max + 1):
         for R in range(1, n):
             words = greedy_code(n, R).words
             h.update(f"{n},{R}:{','.join(map(str, words))}\n".encode())
-    assert h.hexdigest() == "a4d485dc6a4d9a996c74c3c59041ee40c0ecfafb89c98fb0a1b0fd24984fde8b"
+    return h.hexdigest()
+
+
+def test_greedy_pinned_grid():
+    # the words greedy chose at every cell 2 <= n <= 13, 1 <= R < n when it kept a
+    # count of covered vertices per center; n <= 10 is one block, n = 11..13 several
+    assert grid_digest(13) == "a4d485dc6a4d9a996c74c3c59041ee40c0ecfafb89c98fb0a1b0fd24984fde8b"
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+def test_greedy_words_do_not_depend_on_the_batch(monkeypatch, batch):
+    # a batch of 1 scores every candidate alone, one of 64 holds several
+    # selections and stale candidates; the words are those of the grid above
+    monkeypatch.setattr(constructions, "GREEDY_BATCH", batch)
+    assert grid_digest(10) == "f329920f69d766854cdad60acc37185871aa78904cdac793a1f7631e0131513d"
+    assert words_digest(greedy_code(12, 3)) == GREEDY_12_3
 
 
 def test_greedy_runs_at_n_20():

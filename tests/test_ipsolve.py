@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from asymcover import ipsolve
 from asymcover.bounds import asym_sphere_bound
 from asymcover.cube import binomial
 from asymcover.ipsolve import (
+    BLAND_AFTER,
     DEFAULT_NODE_CAP,
     MAX_IP_DIMENSION,
     BudgetExceededError,
@@ -112,8 +114,9 @@ def test_lp_relaxation_is_a_lower_bound():
 
 
 def reference_prices(n, R, costs):
-    """The same Bland tableau from the slack basis in Fractions, each pivot row
-    divided by its pivot, as reduced (p, D)."""
+    """The same tableau from the slack basis in Fractions, each pivot row
+    divided by its pivot, as reduced (p, D): Dantzig's entering column, Bland's
+    after BLAND_AFTER degenerate pivots in a row."""
     size = n + 1
     tab = [
         [Fraction(math.comb(m, m - t)) if 0 <= m - t <= R else Fraction(0) for t in range(size)]
@@ -123,10 +126,12 @@ def reference_prices(n, R, costs):
     ]
     z = [Fraction(-math.comb(n, t)) for t in range(size)] + [Fraction(0)] * (size + 1)
     basis = list(range(size, 2 * size))
-    while any(x < 0 for x in z[:-1]):
-        enter = next(k for k, x in enumerate(z) if x < 0)
+    stalled = 0
+    while negative := [k for k, x in enumerate(z[:-1]) if x < 0]:
+        enter = negative[0] if stalled >= BLAND_AFTER else min(negative, key=z.__getitem__)
         rows = [i for i in range(size) if tab[i][enter] > 0]
         leave = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+        stalled = stalled + 1 if tab[leave][-1] == 0 else 0
         pivot = tab[leave] = [x / tab[leave][enter] for x in tab[leave]]
         for i, row in enumerate([*tab, z]):
             if i != leave:
@@ -147,6 +152,16 @@ def test_lp_prices_are_the_lp_optimum():
         for R in range(n + 1):
             for costs in objectives(n):
                 assert lp_prices(n, R, costs) == reference_prices(n, R, costs), (n, R, costs)
+
+
+def test_lp_prices_turn_to_blands_rule_after_degenerate_pivots(monkeypatch):
+    # no program with n <= 40 takes more than 15 degenerate pivots in a row; with
+    # no allowance every pivot follows Bland's rule, which at R = n, where the LP
+    # has several optima, stops at another vertex than Dantzig's
+    size = (1,) * 7
+    assert lp_prices(6, 6, size) == ((0, 0, 0, 1, 0, 0, 0), 20)
+    monkeypatch.setattr(ipsolve, "BLAND_AFTER", 0)
+    assert lp_prices(6, 6, size) == ((1, 0, 0, 0, 0, 0, 0), 1)
 
 
 @pytest.mark.parametrize("n", range(1, MAX_IP_DIMENSION + 1))

@@ -94,6 +94,7 @@ def test_render_table_layout():
 def test_record_dict_round_trip():
     for rec in build_grid(SMALL).values():
         d = rec.to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(BoundRecord)] + ["exact"]
         assert d["exact"] is rec.exact
         assert BoundRecord.from_dict(d) == rec
 
