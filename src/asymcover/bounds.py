@@ -141,13 +141,10 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
         (asym_sphere_bound(n, R), "sphere"),
         (superdiag_lower(n, R), "superdiag"),
     ]
-    if budget.use_ip and n <= ipsolve.MAX_IP_DIMENSION:
-        lowers.append((ipsolve.diff_chain_lower(n, R), "mono"))
-
     uppers = [(general_upper_size(n, r), "general")]
-    if budget.use_greedy and n <= GREEDY_MAX_N:
-        uppers.append((len(greedy_code(n, R)), "g"))
     if budget.use_exact and n <= EXACT_SEARCH_MAX_N:
+        # the search starts at or above the chain and from greedy's code, and
+        # "e" comes before "mono" and "g" on a tie, so neither runs beside it
         res = exact.exact_kplus(
             n,
             R,
@@ -157,6 +154,11 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
         lowers.append((res.lower, "e"))
         # an unsettled search still holds greedy's code as its incumbent
         uppers.append((res.upper, "e" if res.status == "exact" else "g"))
+    else:
+        if budget.use_ip and n <= ipsolve.MAX_IP_DIMENSION:
+            lowers.append((ipsolve.diff_chain_lower(n, R), "mono"))
+        if budget.use_greedy and n <= GREEDY_MAX_N:
+            uppers.append((len(greedy_code(n, R)), "g"))
 
     # the best value; on a tie, the tag that comes first in its order
     lower, ltag = max(lowers, key=lambda c: (c[0], -LOWER_TAG_ORDER.index(c[1])))

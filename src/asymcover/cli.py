@@ -272,7 +272,7 @@ def cmd_linear(args) -> int:
         )
     else:
         headline = f"k+ = {k}"
-    bits = [codefiles.word_to_bits(g, args.n) for g in basis]
+    bits = codefiles.words_to_bits(basis, args.n)
     self_complementary = all_ones(args.n) in code
     lines = [
         headline,

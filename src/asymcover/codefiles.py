@@ -17,9 +17,10 @@ import sys
 from .cube import Code
 
 
-def word_to_bits(mask: int, n: int) -> str:
-    """Serialize a mask; coordinate 1 (least significant bit) goes leftmost."""
-    return format(mask, f"0{n}b")[::-1]
+def words_to_bits(words, n: int) -> list[str]:
+    """Serialize masks; coordinate 1 (least significant bit) goes leftmost."""
+    spec = f"0{n}b"
+    return [format(w, spec)[::-1] for w in words]
 
 
 def bits_to_word(s: str, n: int) -> int:
@@ -39,26 +40,22 @@ def to_json_text(code: Code) -> str:
     and a bitstring needs no escaping.
     """
     r = "null" if code.r is None else code.r
-    words = '",\n  "'.join([word_to_bits(w, code.n) for w in code.words])
+    words = '",\n  "'.join(words_to_bits(code.words, code.n))
     listed = f'[\n  "{words}"\n ]' if code.words else "[]"
     return f'{{\n "n": {code.n},\n "r": {r},\n "words": {listed}\n}}\n'
 
 
 def to_plain_text(code: Code) -> str:
     head = f"{code.n} {'-' if code.r is None else code.r}"
-    return "\n".join([head] + [word_to_bits(w, code.n) for w in code.words]) + "\n"
+    return "\n".join([head, *words_to_bits(code.words, code.n)]) + "\n"
 
 
 def _dedupe(n: int, words, r, origin: str) -> Code:
-    seen = set()
-    dupes = 0
-    for w in words:
-        if w in seen:
-            dupes += 1
-        seen.add(w)
+    words = list(words)  # parsed in order, so the first bad word is named
+    dupes = len(words) - len(set(words))
     if dupes:
         print(f"warning: {origin}: removed {dupes} duplicate word(s)", file=sys.stderr)
-    return Code.from_words(n, seen, r)
+    return Code.from_words(n, words, r)
 
 
 def from_json_text(text: str, origin: str = "<json>") -> Code:

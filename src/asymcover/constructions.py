@@ -36,10 +36,6 @@ GREEDY_MAX_N = 26  # greedy / sampling sweeps touch every vertex of Q_n
 # bits took 1.4x as long at (17,1) and 1.6x at (18,1), blocks of 2^8 bits
 # 1.4x at (14,6) and 1.5x at (16,4)
 GREEDY_BLOCK_BITS = 10
-# candidates greedy scores in one step of its scan; measured on a 2-vCPU VM,
-# batches of 8 took 1.1x as long as 32 over the cells n <= 10 and 1.2-1.4x at
-# (11,1), (12,3), (14,6) and (16,4); batches of 64 were level with 32
-GREEDY_BATCH = 32
 
 
 def diagonal_code(n: int, coradius: int) -> Code:
@@ -260,12 +256,13 @@ def greedy_code(n: int, R: int) -> Code:
     bucket g holds those whose stored gain is g, an upper bound on the exact
     gain since gains only fall.  A vertex is listed only when the bucket of
     its ball size becomes current.  The highest non-empty bucket is scanned
-    in mask order, GREEDY_BATCH exact gains at a time, and a candidate whose
-    exact gain is g is selected: none gains more, and every smaller mask in
-    the bucket gains less.  Every other candidate moves to the bucket of its
-    exact gain, a lower one, and a gain of 0 drops it.  After a selection, a
-    candidate of the same batch that read g is scored again before it can be
-    selected.
+    in mask order, one group of candidates with the same high coordinates b
+    (below) at a time.  A group's exact gains are scored in one pass, and a
+    candidate whose exact gain is g is selected: none gains more, and every
+    smaller mask in the bucket gains less.  Every other candidate moves to
+    the bucket of its exact gain, a lower one, and a gain of 0 drops it.
+    After a selection, a candidate of the same group that read g is scored
+    again, one block term after another, before it can be selected.
 
     The uncovered set is kept in blocks.  A vertex is (b, a), with a its low
     h = min(n, GREEDY_BLOCK_BITS) coordinates and b the rest, and unc[x] is
@@ -275,15 +272,15 @@ def greedy_code(n: int, R: int) -> Code:
     weight(a) - R + d)], with the tables of `subset_tables(h)`.  A gain is the
     sum of the popcounts of those sets against the blocks, and selecting a
     center clears them; at n <= h there is one block, and a gain is one AND
-    and one popcount.  Each bucket is split by b, so a batch shares its block
-    terms, each term is one pass over the batch, and a bucket is sorted one b
-    at a time.  A waiting candidate takes 4 bytes, and the blocks 2^n bits.
+    and one popcount.  Each bucket is split by b, so a group shares its block
+    terms, each term is one pass over the group, and a group is sorted by a
+    alone.  A waiting candidate is its a, 4 bytes, and the blocks take 2^n
+    bits.
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
     _check_sweep_dim(n)
     h = min(n, GREEDY_BLOCK_BITS)
-    low = all_ones(h)
     down, at_least, lows_of_weight = _block_tables(h)
     # rows[d][a]: the ball of (b, a) inside a block at distance d below b
     rows = [
@@ -297,12 +294,12 @@ def greedy_code(n: int, R: int) -> Code:
     fresh_at = collections.defaultdict(list)
     for w in range(n + 1):
         fresh_at[ball_size_down(n, w, R)].append(w)
-    # g -> b -> the candidates (b, a) whose stored gain is g; "I" appends an int
+    # g -> b -> a for the candidates (b, a) whose stored gain is g; "I" appends an int
     # without the format parse that "i" takes
     buckets = collections.defaultdict(lambda: collections.defaultdict(functools.partial(array, "I")))
     g = max(fresh_at) + 1
     remaining = 1 << n
-    chosen = []
+    chosen = array("I")  # 4 bytes a word where a list holds an int object
     while remaining:
         g -= 1
         if g not in buckets and g not in fresh_at:
@@ -313,39 +310,34 @@ def greedy_code(n: int, R: int) -> Code:
             current = list(bucket.pop(b, ()))
             for w in fresh:
                 if 0 <= w - wb <= h:
-                    current += [b << h | a for a in lows_of_weight[w - wb]]
+                    current += lows_of_weight[w - wb]
             current.sort()
             terms = blocks.get(b)
             if terms is None:  # b's own block, the last of its ball, is scored apart
                 xs = ball_down(b, R, n - h)[:-1] if n > h else []
                 terms = blocks[b] = [(x, wb - x.bit_count()) for x in xs]
-            for start in range(0, len(current), GREEDY_BATCH):
-                batch = current[start : start + GREEDY_BATCH]
-                lows = [c & low for c in batch] if n > h else batch
-                u, row = unc[b], rows[0]
-                gains = [(u & row[a]).bit_count() for a in lows]
-                for x, d in terms:
-                    u, row = unc[x], rows[d]
-                    gains = [e + (u & row[a]).bit_count() for e, a in zip(gains, lows)]
-                # gains were scored before any selection in this batch, so after
-                # one a candidate still at g is scored again before it is selected
-                picked = False
-                for c, a, e in zip(batch, lows, gains):
-                    if e == g and picked:
-                        e = (unc[b] & rows[0][a]).bit_count() + sum(
-                            [(unc[x] & rows[d][a]).bit_count() for x, d in terms]
-                        )
-                    if e == g:
-                        chosen.append(c)
-                        remaining -= g
-                        unc[b] &= ~rows[0][a]
-                        for x, d in terms:
-                            unc[x] &= ~rows[d][a]
-                        picked = True
-                    elif e:
-                        buckets[e][b].append(c)
-                if not remaining:
-                    break
+            u, row = unc[b], rows[0]
+            gains = [(u & row[a]).bit_count() for a in current]
+            for x, d in terms:
+                u, row = unc[x], rows[d]
+                gains = [e + (u & row[a]).bit_count() for e, a in zip(gains, current)]
+            # gains were scored before any selection in this group, so after one a
+            # candidate still at g is scored again before it is selected
+            picked = False
+            for a, e in zip(current, gains):
+                if e == g and picked:
+                    e = (unc[b] & rows[0][a]).bit_count()
+                    for x, d in terms:
+                        e += (unc[x] & rows[d][a]).bit_count()
+                if e == g:
+                    chosen.append(b << h | a)
+                    remaining -= g
+                    unc[b] &= ~rows[0][a]
+                    for x, d in terms:
+                        unc[x] &= ~rows[d][a]
+                    picked = True
+                elif e:
+                    buckets[e][b].append(a)
             if not remaining:
                 break
     return Code.from_words(n, chosen, r=R)

@@ -157,6 +157,49 @@ def test_best_bounds_settles_superdiag_cells_without_search(monkeypatch):
         assert best_bounds(n, R, Budget(use_exact=True)) == want
 
 
+# best_bounds(n, R, Budget(use_exact=True)) at every cell n <= 6 that the
+# coradius theorem leaves open, as it was when greedy and the chain ran beside
+# the search
+SEARCHED_CELLS = {
+    (4, 1): BoundRecord(4, 1, 6, 6, "e", "e"),
+    (5, 1): BoundRecord(5, 1, 10, 10, "e", "e"),
+    (5, 2): BoundRecord(5, 2, 5, 5, "superdiag", "e"),
+    (6, 1): BoundRecord(6, 1, 18, 18, "e", "e"),
+    (6, 2): BoundRecord(6, 2, 8, 8, "e", "e"),
+}
+
+
+def test_best_bounds_runs_greedy_and_the_chain_once_inside_the_search(monkeypatch):
+    from asymcover import bounds, exact, ipsolve
+
+    calls, searching = [], [False]
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((label, searching[0]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def search(*args, _search=exact.exact_kplus, **kwargs):
+        searching[0] = True
+        try:
+            return _search(*args, **kwargs)
+        finally:
+            searching[0] = False
+
+    monkeypatch.setattr(exact, "exact_kplus", search)
+    for module, name in ((bounds, "greedy_code"), (exact, "greedy_code"),
+                         (ipsolve, "diff_chain_lower")):
+        label = f"{module.__name__.rpartition('.')[2]}.{name}"
+        monkeypatch.setattr(module, name, counted(label, getattr(module, name)))
+    cells = [(n, R) for n in range(1, 7) for R in range(1, n + 1) if not superdiag_exact(n, R)]
+    assert cells == list(SEARCHED_CELLS)
+    for n, R in cells:
+        calls.clear()
+        assert best_bounds(n, R, Budget(use_exact=True)) == SEARCHED_CELLS[n, R]
+        assert sorted(calls) == [("exact.greedy_code", True), ("ipsolve.diff_chain_lower", True)]
+
+
 def test_best_bounds_radius_zero():
     rec = best_bounds(5, 0)
     assert (rec.lower, rec.upper) == (32, 32)

@@ -14,10 +14,10 @@ from asymcover.cube import Code
 def test_bitstring_convention_low_bit_leftmost():
     # "011" puts coordinate 1 first; coordinates 2 and 3 are set
     assert codefiles.bits_to_word("011", 3) == 0b110
-    assert codefiles.word_to_bits(0b110, 3) == "011"
+    assert codefiles.words_to_bits([0b110], 3) == ["011"]
     assert codefiles.bits_to_word("100", 3) == 1
-    for mask in range(16):
-        assert codefiles.bits_to_word(codefiles.word_to_bits(mask, 4), 4) == mask
+    bits = codefiles.words_to_bits(range(16), 4)
+    assert [codefiles.bits_to_word(s, 4) for s in bits] == list(range(16))
 
 
 def test_bits_to_word_validates():
@@ -91,7 +91,7 @@ def test_json_names_the_first_bad_word(word, message):
 )
 def test_large_code_round_trips_byte_identically(fmt, r, size, tmp_path):
     code = Code.from_words(16, random.Random(16).sample(range(1 << 16), size), r=r)
-    bits = [codefiles.word_to_bits(w, 16) for w in code.words]
+    bits = [f"{w:016b}"[::-1] for w in code.words]
     expected = {  # the whole file, laid out here rather than by save_code
         "json": json.dumps({"n": 16, "r": r, "words": bits}, indent=1) + "\n",
         "text": "\n".join([f"16 {'-' if r is None else r}", *bits]) + "\n",
@@ -110,6 +110,8 @@ def test_reject_malformed_json():
         codefiles.from_json_text('{"n": 3}')
     with pytest.raises(ValueError):
         codefiles.from_json_text('{"n": 3, "words": ["01"]}')
+    with pytest.raises(ValueError, match="^expected a JSON object$"):
+        codefiles.from_json_text("[]")
 
 
 @pytest.mark.parametrize(
@@ -147,8 +149,13 @@ def test_verify_names_the_file_of_a_non_string_word(tmp_path, capsys):
         (b'{"n": 2, "r": 1, "words": ["11"', "Expecting ',' delimiter: line 1 column 32 (char 31)"),
         (b"2 1\n11\n\xff\xfe\n",
          "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+        (b"", "empty file"),
+        (b" \n\n", "empty file"),
+        (b"2\n11\n", "first line must be 'n R', got '2'"),
+        (b"2 1 0\n11\n", "first line must be 'n R', got '2 1 0'"),
     ],
-    ids=["bad-word", "bad-header", "n-out-of-range", "truncated-json", "not-utf-8"],
+    ids=["bad-word", "bad-header", "n-out-of-range", "truncated-json", "not-utf-8",
+         "empty", "blank", "header-one-field", "header-three-fields"],
 )
 def test_verify_names_the_file_of_any_bad_input(data, message, tmp_path, capsys):
     path = tmp_path / "bad.code"

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from asymcover import constructions
 from asymcover.constructions import (
     GREEDY_MAX_N,
     PatchedCode,
@@ -360,15 +359,6 @@ def test_greedy_pinned_grid():
     # the words greedy chose at every cell 2 <= n <= 13, 1 <= R < n when it kept a
     # count of covered vertices per center; n <= 10 is one block, n = 11..13 several
     assert grid_digest(13) == "a4d485dc6a4d9a996c74c3c59041ee40c0ecfafb89c98fb0a1b0fd24984fde8b"
-
-
-@pytest.mark.parametrize("batch", [1, 64])
-def test_greedy_words_do_not_depend_on_the_batch(monkeypatch, batch):
-    # a batch of 1 scores every candidate alone, one of 64 holds several
-    # selections and stale candidates; the words are those of the grid above
-    monkeypatch.setattr(constructions, "GREEDY_BATCH", batch)
-    assert grid_digest(10) == "f329920f69d766854cdad60acc37185871aa78904cdac793a1f7631e0131513d"
-    assert words_digest(greedy_code(12, 3)) == GREEDY_12_3
 
 
 def test_greedy_runs_at_n_20():

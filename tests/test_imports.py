@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, imports nothing
 outside the standard library and itself, and reads no other module's
 underscore names, every function reads each of its parameters, every
-public name is read or documented, and the lower-bound module uses no float."""
+public name is read or documented, every underscore name a module defines
+is read by that module, and the lower-bound module uses no float."""
 
 import ast
 import os
@@ -97,17 +98,19 @@ def unread_parameters(source: str) -> list[str]:
     return sorted(found)
 
 
-def global_reads(source: str) -> set[str]:
+def global_reads(source: str, skip: str = "") -> set[str]:
     """Names the module reads as module globals, annotations included.
 
     A function's own locals and closure variables are not global reads, so a
     local that shares a public name's spelling does not count as reading it.
+    The body of a top-level function or class named `skip` is left out.
     """
     reads = set()
-    tables = [symtable.symtable(source, "module", "exec")]
+    module = symtable.symtable(source, "module", "exec")
+    tables = [module]
     while tables:
         table = tables.pop()
-        tables += table.get_children()
+        tables += [t for t in table.get_children() if table is not module or t.get_name() != skip]
         reads |= {s.get_name() for s in table.get_symbols() if s.is_referenced() and s.is_global()}
     for node in ast.walk(ast.parse(source)):
         for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
@@ -116,16 +119,32 @@ def global_reads(source: str) -> set[str]:
     return reads
 
 
-def public_definitions(tree: ast.Module) -> list[str]:
-    """Top-level functions, classes and constants whose names have no underscore prefix."""
+def definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Top-level functions, classes and constants, each with its line."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            names.append((node.name, node.lineno))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [name for name in names if not name.startswith("_")]
+            names += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and constants whose names have no underscore prefix."""
+    return [name for name, _ in definitions(tree) if not name.startswith("_")]
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Each top-level function, class or constant with an underscore name that
+    its module never reads; reads inside its own body do not count."""
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in definitions(ast.parse(source))
+        if name.startswith("_") and not name.startswith("__")
+        and name not in global_reads(source, skip=name)
+    )
 
 
 def unread_public_names(sources: dict[str, str], readme: str) -> list[str]:
@@ -232,6 +251,17 @@ def test_guard_sees_an_unread_public_name():
     assert unread_public_names(sources, readme) == ["bounds.SPARE", "cube.dominated"]
 
 
+def test_guard_sees_an_unread_private_name():
+    source = (
+        "import functools\n\n_CAP = 3\n_SPARE = 1\n_Pair = tuple\n__all__ = ['go']\n\n\n"
+        "@functools.cache\ndef _tables(h):\n    return [h] * _CAP\n\n\n"
+        "def _walk(v):\n    return _walk(v - 1) if v else 0\n\n\n"
+        "class _Box:\n    def copy(self) -> '_Box':\n        return _Box()\n\n\n"
+        "def go(h) -> _Pair:\n    _SPARE = h\n    return _tables(_SPARE)\n"
+    )
+    assert unread_private_names(source) == ["_Box (line 18)", "_SPARE (line 4)", "_walk (line 14)"]
+
+
 def test_guard_sees_a_float():
     source = (
         "import math\nfrom math import inf, gcd\n\n\n"
@@ -263,6 +293,11 @@ def test_module_reads_no_private_name_of_another(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
 
 
 def test_every_public_name_is_read_or_documented():

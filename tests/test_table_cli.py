@@ -396,6 +396,18 @@ def test_cli_construct_semidirect_refuses_an_invalid_patch(construct_inputs, cap
     assert not os.path.exists("o.json")
 
 
+@pytest.mark.parametrize("r", [1, None], ids=["misses-a-vertex", "no-radius"])
+def test_cli_construct_refuses_a_code_that_does_not_cover(r, construct_inputs, capsys,
+                                                          monkeypatch):
+    # the all-ones word alone misses 000 at R = 1; a code with no radius covers nothing
+    monkeypatch.setattr(cli, "greedy_code", lambda n, R: Code.from_words(n, [(1 << n) - 1], r=r))
+    rc, out, err = run_cli(["construct", "--method", "greedy", "--n", "3", "--r", "1",
+                            "--out", "o.json"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "verification failure: construction does not cover\n"
+    assert not os.path.exists("o.json")
+
+
 @pytest.mark.parametrize("flag", ["--in1", "--in2"])
 def test_cli_construct_directsum_names_the_unannotated_input(flag, construct_inputs, capsys):
     path = "a.json" if flag == "--in1" else "b.json"
