@@ -77,11 +77,15 @@ class BoundRecord:
 
 @dataclass(frozen=True)
 class Budget:
-    """Which bound sources a cell is allowed to spend time on."""
+    """Which bound sources a cell is allowed to spend time on.
+
+    Each open cell with n <= EXACT_SEARCH_MAX_N gets an exact search under the
+    two limits.  It runs greedy and the chain itself whatever `use_ip` and
+    `use_greedy` say, which costs milliseconds at those n.
+    """
 
     use_ip: bool = True
     use_greedy: bool = True
-    use_exact: bool = False
     exact_time_limit: float = 60.0
     exact_node_limit: int | None = None
 
@@ -142,7 +146,7 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
         (superdiag_lower(n, R), "superdiag"),
     ]
     uppers = [(general_upper_size(n, r), "general")]
-    if budget.use_exact and n <= EXACT_SEARCH_MAX_N:
+    if n <= EXACT_SEARCH_MAX_N:
         # the search starts at or above the chain and from greedy's code, and
         # "e" comes before "mono" and "g" on a tie, so neither runs beside it
         res = exact.exact_kplus(

@@ -70,13 +70,13 @@ def _add_limit_flags(sub: argparse.ArgumentParser, time_help: str) -> None:
                      "(default: no cap)")
 
 
-def _add_budget_flags(sub: argparse.ArgumentParser, exact_default: bool) -> None:
+def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
+    """The fields of a `Budget`, the same on every command that reads one."""
+    _add_limit_flags(sub, f"seconds per exact search (default {Budget.exact_time_limit:g})")
     sub.add_argument("--ip", action=argparse.BooleanOptionalAction, default=True,
                      help="use the zero-count program's difference chain for lower bounds")
     sub.add_argument("--greedy", action=argparse.BooleanOptionalAction, default=True,
                      help="use greedy cover for upper bounds")
-    sub.add_argument("--exact", action=argparse.BooleanOptionalAction, default=exact_default,
-                     help="run exact search on small cells")
 
 
 def _given(**limits) -> dict:
@@ -85,12 +85,8 @@ def _given(**limits) -> dict:
 
 
 def _budget(args) -> Budget:
-    return Budget(
-        use_ip=args.ip,
-        use_greedy=args.greedy,
-        use_exact=args.exact,
-        **_given(exact_time_limit=args.time_limit, exact_node_limit=args.node_limit),
-    )
+    limits = _given(exact_time_limit=args.time_limit, exact_node_limit=args.node_limit)
+    return Budget(use_ip=args.ip, use_greedy=args.greedy, **limits)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -307,15 +303,13 @@ def build_parser() -> _Parser:
     """
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="machine-readable output")
-    per_cell = f"seconds per exact search (default {Budget.exact_time_limit:g})"
     parser = _Parser(prog="asymcover", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = subs.add_parser("bound", parents=[json_flag], help="best bounds for one cell")
-    _add_limit_flags(p, f"{per_cell}; read only with --exact")
+    _add_budget_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    _add_budget_flags(p, exact_default=False)
     p.set_defaults(func=cmd_bound)
 
     p = subs.add_parser("construct", parents=[json_flag], help="build and save a code")
@@ -341,7 +335,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("table", parents=[json_flag], help="bound table over a grid")
-    _add_limit_flags(p, per_cell)
+    _add_budget_flags(p)
     p.add_argument("--cache", default=None, help="bounds cache file")
     # retired flags, parsed and ignored so that the benchmark's command line still
     # runs; they go with its next change (ROADMAP item 8)
@@ -351,7 +345,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--r-min", type=int, default=1)
     p.add_argument("--r-max", type=int, default=6)
-    _add_budget_flags(p, exact_default=True)
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("exact", parents=[json_flag], help="exact K+(n,R) by search")

@@ -9,6 +9,7 @@ import pytest
 from asymcover.bounds import (
     BoundRecord,
     Budget,
+    EXACT_SEARCH_MAX_N,
     LOWER_TAG_ORDER,
     UPPER_TAG_ORDER,
     asym_sphere_bound,
@@ -130,13 +131,13 @@ def test_bound_record_validation():
 )
 def test_budget_refuses_non_positive_limits(limits):
     with pytest.raises(ValueError, match="must be positive"):
-        Budget(use_exact=True, **limits)
+        Budget(**limits)
 
 
 def test_best_bounds_pinned_cells():
-    rec = best_bounds(6, 3, Budget(use_exact=True))
+    rec = best_bounds(6, 3, Budget())
     assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (4, 4, "superdiag", "d")
-    rec = best_bounds(4, 1, Budget(use_exact=True))
+    rec = best_bounds(4, 1, Budget())
     assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (6, 6, "e", "e")
 
 
@@ -154,12 +155,11 @@ def test_best_bounds_settles_superdiag_cells_without_search(monkeypatch):
     for n, R in settled:
         r = n - R
         want = BoundRecord(n, R, r + 1, r + 1, "superdiag", "d")
-        assert best_bounds(n, R, Budget(use_exact=True)) == want
+        assert best_bounds(n, R, Budget()) == want
 
 
-# best_bounds(n, R, Budget(use_exact=True)) at every cell n <= 6 that the
-# coradius theorem leaves open, as it was when greedy and the chain ran beside
-# the search
+# best_bounds(n, R) at every cell n <= 6 that the coradius theorem leaves open,
+# as it was when greedy and the chain ran beside the search
 SEARCHED_CELLS = {
     (4, 1): BoundRecord(4, 1, 6, 6, "e", "e"),
     (5, 1): BoundRecord(5, 1, 10, 10, "e", "e"),
@@ -194,10 +194,15 @@ def test_best_bounds_runs_greedy_and_the_chain_once_inside_the_search(monkeypatc
         monkeypatch.setattr(module, name, counted(label, getattr(module, name)))
     cells = [(n, R) for n in range(1, 7) for R in range(1, n + 1) if not superdiag_exact(n, R)]
     assert cells == list(SEARCHED_CELLS)
-    for n, R in cells:
-        calls.clear()
-        assert best_bounds(n, R, Budget(use_exact=True)) == SEARCHED_CELLS[n, R]
-        assert sorted(calls) == [("exact.greedy_code", True), ("ipsolve.diff_chain_lower", True)]
+    # whatever the budget says of greedy and the chain
+    budgets = [Budget(use_ip=ip, use_greedy=greedy) for ip in (True, False)
+               for greedy in (True, False)]
+    for budget in budgets:
+        for n, R in cells:
+            calls.clear()
+            assert best_bounds(n, R, budget) == SEARCHED_CELLS[n, R]
+            assert sorted(calls) == [("exact.greedy_code", True),
+                                     ("ipsolve.diff_chain_lower", True)]
 
 
 def test_best_bounds_radius_zero():
@@ -228,12 +233,15 @@ def test_best_bounds_tags_come_from_known_orders():
 
 
 def test_best_bounds_brackets_nest_as_budget_grows():
-    lean = best_bounds(6, 1, Budget(use_ip=False, use_greedy=False))
-    default = best_bounds(6, 1)
-    full = best_bounds(6, 1, Budget(use_exact=True))
-    assert lean.lower <= default.lower <= full.lower
-    assert lean.upper >= default.upper >= full.upper
-    assert full.exact
+    # past EXACT_SEARCH_MAX_N no search settles the cell, so the budget shows
+    assert 7 > EXACT_SEARCH_MAX_N
+    lean = best_bounds(7, 2, Budget(use_ip=False, use_greedy=False))
+    chain = best_bounds(7, 2, Budget(use_greedy=False))
+    greedy = best_bounds(7, 2, Budget(use_ip=False))
+    default = best_bounds(7, 2)
+    assert lean.lower == greedy.lower < chain.lower == default.lower
+    assert lean.upper == chain.upper > greedy.upper == default.upper
+    assert not default.exact
 
 
 def seed_grid(n_max, r_max):

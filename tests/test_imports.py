@@ -2,7 +2,8 @@
 outside the standard library and itself, and reads no other module's
 underscore names, every function reads each of its parameters, every
 public name is read or documented, every underscore name a module defines
-is read by that module, and the lower-bound module uses no float."""
+is read by that module, the lower-bound module uses no float, and every
+module parses under the oldest Python that pyproject.toml admits."""
 
 import ast
 import os
@@ -17,6 +18,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "asymcover"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# pyproject.toml's requires-python, as the (major, minor) that ast.parse checks against
+OLDEST_PYTHON = tuple(map(int, re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+).groups()))
 
 
 def imported_names(tree: ast.AST) -> dict[str, int]:
@@ -273,6 +278,18 @@ def test_guard_sees_a_float():
         "/ (line 7)", "/ (line 8)", "1e-12 (line 6)", "float (line 5)", "float (line 8)",
         "math.floor (line 8)", "math.inf (line 2)", "math.inf (line 8)",
     ]
+
+
+def test_guard_sees_syntax_newer_than_the_oldest_python():
+    assert OLDEST_PYTHON == (3, 10)
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # 3.11
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=OLDEST_PYTHON)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_module_parses_under_the_oldest_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=OLDEST_PYTHON)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

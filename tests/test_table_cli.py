@@ -24,7 +24,7 @@ from asymcover.table import (
     save_cache,
 )
 
-SMALL = TableSpec(n_min=2, n_max=5, r_min=1, r_max=4, budget=Budget(use_exact=True))
+SMALL = TableSpec(n_min=2, n_max=5, r_min=1, r_max=4, budget=Budget())
 
 
 def test_every_exported_name_resolves():
@@ -86,7 +86,7 @@ def test_render_table_layout():
     assert first_row[0] == "1"
     assert first_row[1] == "2[superdiag/d]"
     # R > n corner renders the constant cell
-    wide = TableSpec(n_min=2, n_max=3, r_min=1, r_max=4, budget=Budget(use_exact=True))
+    wide = TableSpec(n_min=2, n_max=3, r_min=1, r_max=4, budget=Budget())
     corner = render_table(build_grid(wide), wide).splitlines()[-1].split()
     assert corner == ["4", "1", "1"]
 
@@ -101,20 +101,18 @@ def test_record_dict_round_trip():
 
 def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "cache.json")
-    spec = TableSpec(
-        n_min=2, n_max=4, r_min=1, r_max=3, budget=Budget(use_exact=True), cache_path=path
-    )
+    spec = TableSpec(n_min=2, n_max=4, r_min=1, r_max=3, budget=Budget(), cache_path=path)
     first = build_grid(spec)
     assert os.path.exists(path)
-    assert load_cache(path, Budget(use_exact=True)) == first
-    assert load_cache(path, Budget()) == {}  # another budget reuses nothing
+    assert load_cache(path, Budget()) == first
+    assert load_cache(path, Budget(use_ip=False)) == {}  # another budget reuses nothing
     second = build_grid(spec)
     assert second == first
 
 
 def test_warm_table_leaves_its_cache_file_alone(tmp_path):
     path = tmp_path / "cache.json"
-    spec = TableSpec(n_min=2, n_max=4, r_min=1, r_max=3, budget=Budget(use_exact=True),
+    spec = TableSpec(n_min=2, n_max=4, r_min=1, r_max=3, budget=Budget(),
                      cache_path=str(path))
     first = build_grid(spec)
     os.utime(path, ns=(1, 1))  # a rewrite, even within one clock tick, would reset this
@@ -125,7 +123,7 @@ def test_warm_table_leaves_its_cache_file_alone(tmp_path):
     wider = dataclasses.replace(spec, n_max=5)
     assert build_grid(wider).keys() > first.keys()
     assert path.stat().st_mtime_ns != 1
-    assert load_cache(str(path), Budget(use_exact=True)) == build_grid(wider)
+    assert load_cache(str(path), Budget()) == build_grid(wider)
 
 
 def read_json(path):
@@ -135,10 +133,10 @@ def read_json(path):
 
 def test_cache_write_is_clean(tmp_path):
     path = str(tmp_path / "c.json")
-    save_cache(path, {(2, 1): BoundRecord(2, 1, 2, 2, "e", "e")}, Budget(use_exact=True))
+    save_cache(path, {(2, 1): BoundRecord(2, 1, 2, 2, "e", "e")}, Budget())
     assert sorted(os.listdir(tmp_path)) == ["c.json"]
     raw = read_json(path)
-    assert raw["budget"] == dataclasses.asdict(Budget(use_exact=True))
+    assert raw["budget"] == dataclasses.asdict(Budget())
     assert raw["cells"]["2,1"]["exact"] is True
 
 
@@ -155,11 +153,19 @@ def test_cli_bound_text(capsys):
 
 
 def test_cli_bound_json(capsys):
-    rc, out, _ = run_cli(["bound", "--n", "4", "--r", "1", "--exact", "--json"], capsys)
+    rc, out, _ = run_cli(["bound", "--n", "4", "--r", "1", "--json"], capsys)
     assert rc == 0
     data = json.loads(out)
     assert data["lower"] == data["upper"] == 6
     assert data["exact"] is True
+
+
+@pytest.mark.parametrize("n,R,value", [(4, 1, 6), (5, 1, 10), (5, 2, 5), (6, 1, 18), (6, 2, 8)])
+def test_cli_bound_settles_every_open_cell_up_to_n_6(n, R, value, capsys):
+    # the coradius theorem leaves these open; exact search settles them with no flag
+    rc, out, _ = run_cli(["bound", "--n", str(n), "--r", str(R), "--json"], capsys)
+    data = json.loads(out)
+    assert (rc, data["lower"], data["upper"]) == (0, value, value)
 
 
 def test_cli_usage_errors(capsys):
@@ -182,6 +188,8 @@ def test_cli_usage_errors(capsys):
         ["exact", "--n", "4", "--r", "1", "--workers", "1"],
         ["bound", "--n", "4", "--r", "1", "--nu-seeds", "2"],
         ["bound", "--n", "4", "--r", "1", "--seed", "1"],
+        ["bound", "--n", "6", "--r", "1", "--exact"],
+        ["table", "--n-max", "3", "--no-exact"],
     ],
 )
 def test_cli_rejects_a_flag_its_command_does_not_read(argv, tmp_path, capsys, monkeypatch):
@@ -195,7 +203,7 @@ def test_cli_rejects_a_flag_its_command_does_not_read(argv, tmp_path, capsys, mo
     "command",
     [
         ["exact", "--n", "6", "--r", "1"],
-        ["bound", "--n", "6", "--r", "1", "--exact"],
+        ["bound", "--n", "6", "--r", "1"],
         ["table", "--n-max", "3"],
     ],
 )
@@ -463,7 +471,7 @@ def test_cli_leaves_unset_limits_to_the_library(tmp_path, capsys, monkeypatch):
     assert seen[1]["time_limit"] == 5.0
     cache = str(tmp_path / "cache.json")
     assert run_cli(["table", "--n-max", "3", "--cache", cache], capsys)[0] == 0
-    assert read_json(cache)["budget"] == dataclasses.asdict(Budget(use_exact=True))
+    assert read_json(cache)["budget"] == dataclasses.asdict(Budget())
 
 
 PER_CELL = Budget().exact_time_limit
@@ -473,7 +481,7 @@ WHOLE_SEARCH = inspect.signature(exact_kplus).parameters["time_limit"].default
 @pytest.mark.parametrize(
     "command,time_help",
     [
-        ("bound", f"seconds per exact search (default {PER_CELL:g}); read only with --exact"),
+        ("bound", f"seconds per exact search (default {PER_CELL:g})"),
         ("table", f"seconds per exact search (default {PER_CELL:g})"),
         ("exact", f"seconds for the whole search (default {WHOLE_SEARCH:g})"),
     ],
@@ -583,9 +591,7 @@ def test_cli_table_text_and_cache(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_table_json(capsys):
-    rc, out, _ = run_cli(
-        ["table", "--n-max", "4", "--r-max", "2", "--json", "--no-exact"], capsys
-    )
+    rc, out, _ = run_cli(["table", "--n-max", "4", "--r-max", "2", "--json"], capsys)
     assert rc == 0
     data = json.loads(out)
     assert data["4,1"]["lower"] == 6
@@ -602,7 +608,7 @@ def test_cli_table_json_is_the_cache_cells(tmp_path, capsys):
 
 def test_cli_table_recomputes_a_cache_from_another_budget(tmp_path, capsys):
     args = ["table", "--n-max", "7", "--r-max", "3", "--json"]
-    weak = ["--no-ip", "--no-greedy", "--no-exact"]
+    weak = ["--no-ip", "--no-greedy"]
     cache = str(tmp_path / "cache.json")
     _, fresh, _ = run_cli(args, capsys)
     rc, weak_out, _ = run_cli(args + weak + ["--cache", cache], capsys)
@@ -613,9 +619,24 @@ def test_cli_table_recomputes_a_cache_from_another_budget(tmp_path, capsys):
     assert read_json(cache)["budget"]["use_ip"] is True  # overwritten
 
 
+def test_cli_table_recomputes_a_cache_whose_budget_holds_use_exact(tmp_path, capsys):
+    # a budget with a field that Budget no longer has is another budget: no cell is reused
+    args = ["table", "--n-max", "6", "--r-max", "3", "--json"]
+    _, fresh, _ = run_cli(args, capsys)
+    cache = tmp_path / "cache.json"
+    stale = {**dataclasses.asdict(Budget()), "use_exact": True}
+    loose = BoundRecord(6, 1, 17, 18, "mono", "g").to_dict()
+    cache.write_text(json.dumps({"budget": stale, "cells": {"6,1": loose}}))
+    rc, out, err = run_cli(args + ["--cache", str(cache)], capsys)
+    assert (rc, out, err) == (0, fresh, "")
+    written = read_json(cache)
+    assert written["budget"] == dataclasses.asdict(Budget())
+    assert written["cells"]["6,1"]["lower"] == 18
+
+
 def test_cli_table_keeps_cached_cells_outside_its_window(tmp_path, capsys):
     cache = str(tmp_path / "cache.json")
-    args = ["table", "--r-max", "3", "--no-exact", "--json", "--cache", cache]
+    args = ["table", "--r-max", "3", "--json", "--cache", cache]
     rc, _, _ = run_cli(args + ["--n-max", "7"], capsys)
     assert rc == 0 and len(read_json(cache)["cells"]) == 25
     rc, small, _ = run_cli(args + ["--n-max", "4"], capsys)
@@ -624,18 +645,22 @@ def test_cli_table_keeps_cached_cells_outside_its_window(tmp_path, capsys):
 
 
 def test_cli_table_without_exact_search_never_solves_the_size_program(capsys, monkeypatch):
-    # the zero-count chain is at or above ip_plus, so best_bounds reads only the chain
-    def forbidden(n, R):
-        raise AssertionError(f"ip_plus({n}, {R}) was solved")
+    # the zero-count chain is at or above ip_plus, so best_bounds reads only the chain;
+    # ip_plus is solved only inside exact search, once per searched cell (ROADMAP item 10)
+    solved = []
+    real = ipsolve.ip_plus
 
-    monkeypatch.setattr(ipsolve, "ip_plus", forbidden)
-    rc, out, _ = run_cli(["table", "--n-max", "9", "--r-max", "8", "--no-exact", "--json"],
-                         capsys)
+    def traced(n, R):
+        solved.append((n, R, inspect.currentframe().f_back.f_code.co_name))
+        return real(n, R)
+
+    monkeypatch.setattr(ipsolve, "ip_plus", traced)
+    rc, out, _ = run_cli(["table", "--n-max", "9", "--r-max", "8", "--json"], capsys)
     assert rc == 0
+    searched = [(4, 1), (5, 1), (5, 2), (6, 1), (6, 2)]
+    assert solved == [(n, R, "exact_kplus") for n, R in searched]
     cells = json.loads(out)
     pinned = {
-        "4,1": (6, 6, "mono", "g"),
-        "6,1": (17, 18, "mono", "g"),
         "8,2": (20, 24, "mono", "g"),
         "8,3": (9, 13, "mono", "g"),
         "9,1": (92, 120, "mono", "g"),
