@@ -62,31 +62,16 @@ def _positive(kind):
     return parse
 
 
-def _add_limit_flags(sub: argparse.ArgumentParser, time_help: str) -> None:
-    """The search limits; their defaults live in the library, and the help names them."""
-    sub.add_argument("--time-limit", type=_positive(float), default=None, help=time_help)
-    sub.add_argument("--node-limit", type=_positive(int), default=None,
-                     help=f"search node cap, checked every {LIMIT_CHECK_NODES:,} nodes "
-                     "(default: no cap)")
-
-
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     """The fields of a `Budget`, the same on every command that reads one."""
-    _add_limit_flags(sub, f"seconds per exact search (default {Budget.exact_time_limit:g})")
     sub.add_argument("--ip", action=argparse.BooleanOptionalAction, default=True,
                      help="use the zero-count program's difference chain for lower bounds")
     sub.add_argument("--greedy", action=argparse.BooleanOptionalAction, default=True,
                      help="use greedy cover for upper bounds")
 
 
-def _given(**limits) -> dict:
-    """The limits set on the command line; the library's defaults fill in the rest."""
-    return {key: value for key, value in limits.items() if value is not None}
-
-
 def _budget(args) -> Budget:
-    limits = _given(exact_time_limit=args.time_limit, exact_node_limit=args.node_limit)
-    return Budget(use_ip=args.ip, use_greedy=args.greedy, **limits)
+    return Budget(use_ip=args.ip, use_greedy=args.greedy)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -224,11 +209,13 @@ def cmd_exact(args) -> int:
     def progress(lower, incumbent, nodes):
         print(f"progress: lower {lower}, incumbent {incumbent}, nodes {nodes}", file=sys.stderr)
 
+    # only the limits given are passed, so the library's defaults fill in the rest
+    limits = {"time_limit": args.time_limit, "node_limit": args.node_limit}
     res = exact_kplus(
         args.n,
         args.r,
         on_progress=progress,
-        **_given(time_limit=args.time_limit, node_limit=args.node_limit),
+        **{key: value for key, value in limits.items() if value is not None},
     )
     print(f"nodes: {res.nodes}, elapsed: {res.elapsed:.2f}s", file=sys.stderr)
     if args.out:
@@ -337,10 +324,10 @@ def build_parser() -> _Parser:
     p = subs.add_parser("table", parents=[json_flag], help="bound table over a grid")
     _add_budget_flags(p)
     p.add_argument("--cache", default=None, help="bounds cache file")
-    # retired flags, parsed and ignored so that the benchmark's command line still
-    # runs; they go with its next change (ROADMAP item 8)
-    for retired in ("--nu-seeds", "--seed", "--workers"):
-        p.add_argument(retired, type=int, help=argparse.SUPPRESS)
+    # retired flags, parsed and ignored whatever their value so that the benchmark's
+    # command line still runs; they go with its next change (ROADMAP item 8)
+    for retired in ("--nu-seeds", "--seed", "--workers", "--time-limit"):
+        p.add_argument(retired, help=argparse.SUPPRESS)
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--r-min", type=int, default=1)
@@ -348,7 +335,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("exact", parents=[json_flag], help="exact K+(n,R) by search")
-    _add_limit_flags(p, f"seconds for the whole search (default {DEFAULT_TIME_LIMIT:g})")
+    p.add_argument("--time-limit", type=_positive(float), default=None,
+                   help=f"seconds for the whole search (default {DEFAULT_TIME_LIMIT:g})")
+    p.add_argument("--node-limit", type=_positive(int), default=None,
+                   help=f"search node cap, checked every {LIMIT_CHECK_NODES:,} nodes "
+                   "(default: no cap)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--out", default=None, help="write the witness code here")

@@ -1,5 +1,6 @@
 """Analytic bounds, their aggregation, and grid propagation."""
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -20,6 +21,7 @@ from asymcover.bounds import (
 )
 from asymcover.cube import weight
 from asymcover.ipsolve import diff_chain_lower, diff_lower, ip_plus
+from asymcover.table import TableSpec, build_grid
 
 
 def brute_ball_down_size(n, l, R):
@@ -119,21 +121,6 @@ def test_bound_record_validation():
         BoundRecord(4, 1, 6, 6, "mono", "i")
 
 
-@pytest.mark.parametrize(
-    "limits",
-    [
-        {"exact_node_limit": 0},
-        {"exact_node_limit": -1},
-        {"exact_time_limit": 0},
-        {"exact_time_limit": -0.5},
-    ],
-    ids=["nodes-0", "nodes-negative", "time-0", "time-negative"],
-)
-def test_budget_refuses_non_positive_limits(limits):
-    with pytest.raises(ValueError, match="must be positive"):
-        Budget(**limits)
-
-
 def test_best_bounds_pinned_cells():
     rec = best_bounds(6, 3, Budget())
     assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (4, 4, "superdiag", "d")
@@ -203,6 +190,21 @@ def test_best_bounds_runs_greedy_and_the_chain_once_inside_the_search(monkeypatc
             assert best_bounds(n, R, budget) == SEARCHED_CELLS[n, R]
             assert sorted(calls) == [("exact.greedy_code", True),
                                      ("ipsolve.diff_chain_lower", True)]
+
+
+def test_best_bounds_and_the_table_do_not_read_the_clock(monkeypatch):
+    # each search runs to completion, so a clock that jumps 1,000 s per read
+    # changes no record; a per-cell time limit once left (6,1) at 17-18[e/g]
+    from asymcover import exact
+
+    spec = TableSpec(n_min=1, n_max=7, r_min=0, r_max=7)
+    steady = build_grid(spec)
+    ticks = itertools.count(step=1000.0)
+    monkeypatch.setattr(exact.time, "monotonic", lambda: next(ticks))
+    for (n, R), want in SEARCHED_CELLS.items():
+        assert best_bounds(n, R) == want
+    assert build_grid(spec) == steady
+    assert next(ticks) > 0  # the search did read the jumping clock
 
 
 def test_best_bounds_radius_zero():

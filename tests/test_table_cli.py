@@ -190,6 +190,9 @@ def test_cli_usage_errors(capsys):
         ["bound", "--n", "4", "--r", "1", "--seed", "1"],
         ["bound", "--n", "6", "--r", "1", "--exact"],
         ["table", "--n-max", "3", "--no-exact"],
+        ["bound", "--n", "4", "--r", "1", "--time-limit", "5"],
+        ["bound", "--n", "4", "--r", "1", "--node-limit", "5"],
+        ["table", "--n-max", "3", "--node-limit", "5"],
     ],
 )
 def test_cli_rejects_a_flag_its_command_does_not_read(argv, tmp_path, capsys, monkeypatch):
@@ -199,14 +202,7 @@ def test_cli_rejects_a_flag_its_command_does_not_read(argv, tmp_path, capsys, mo
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["exact", "--n", "6", "--r", "1"],
-        ["bound", "--n", "6", "--r", "1"],
-        ["table", "--n-max", "3"],
-    ],
-)
+@pytest.mark.parametrize("command", [["exact", "--n", "6", "--r", "1"]])
 def test_cli_rejects_a_non_positive_limit(command, capsys):
     for flag in ("--time-limit", "--node-limit"):
         for value in ("-1", "0"):
@@ -474,17 +470,12 @@ def test_cli_leaves_unset_limits_to_the_library(tmp_path, capsys, monkeypatch):
     assert read_json(cache)["budget"] == dataclasses.asdict(Budget())
 
 
-PER_CELL = Budget().exact_time_limit
 WHOLE_SEARCH = inspect.signature(exact_kplus).parameters["time_limit"].default
 
 
 @pytest.mark.parametrize(
     "command,time_help",
-    [
-        ("bound", f"seconds per exact search (default {PER_CELL:g})"),
-        ("table", f"seconds per exact search (default {PER_CELL:g})"),
-        ("exact", f"seconds for the whole search (default {WHOLE_SEARCH:g})"),
-    ],
+    [("exact", f"seconds for the whole search (default {WHOLE_SEARCH:g})")],
 )
 def test_cli_help_states_each_limit_default(command, time_help, capsys):
     rc, out, _ = run_cli([command, "--help"], capsys)
@@ -495,10 +486,13 @@ def test_cli_help_states_each_limit_default(command, time_help, capsys):
         f"--node-limit NODE_LIMIT search node cap, checked every {LIMIT_CHECK_NODES:,} nodes "
         "(default: no cap)"
     ) in text
-    # neither library default caps the nodes, and a limit shows only at a check
-    assert Budget().exact_node_limit is None
+    # the library default caps no nodes, and a limit shows only at a check
     assert inspect.signature(exact_kplus).parameters["node_limit"].default is None
     assert exact_kplus(6, 1, node_limit=1).nodes == LIMIT_CHECK_NODES
+    # the searches inside bound and table run to completion and take no limit
+    for other in ("bound", "table"):
+        rc, out, _ = run_cli([other, "--help"], capsys)
+        assert rc == 0 and "limit" not in out, other
 
 
 def test_cli_exact_and_witness(tmp_path, capsys):
@@ -619,18 +613,29 @@ def test_cli_table_recomputes_a_cache_from_another_budget(tmp_path, capsys):
     assert read_json(cache)["budget"]["use_ip"] is True  # overwritten
 
 
-def test_cli_table_recomputes_a_cache_whose_budget_holds_use_exact(tmp_path, capsys):
-    # a budget with a field that Budget no longer has is another budget: no cell is reused
+@pytest.mark.parametrize(
+    "stale",
+    [
+        {"use_ip": True, "use_greedy": True, "use_exact": True, "exact_time_limit": 60.0,
+         "exact_node_limit": None},
+        {"use_ip": True, "use_greedy": True, "exact_time_limit": 60.0, "exact_node_limit": None},
+    ],
+    ids=["use_exact", "search_limits"],
+)
+def test_cli_table_recomputes_a_cache_whose_budget_holds_a_retired_field(stale, tmp_path,
+                                                                         capsys):
+    # the budgets that older versions wrote; a budget with a field that Budget no
+    # longer has is another budget, so no cell is reused
     args = ["table", "--n-max", "6", "--r-max", "3", "--json"]
     _, fresh, _ = run_cli(args, capsys)
     cache = tmp_path / "cache.json"
-    stale = {**dataclasses.asdict(Budget()), "use_exact": True}
     loose = BoundRecord(6, 1, 17, 18, "mono", "g").to_dict()
     cache.write_text(json.dumps({"budget": stale, "cells": {"6,1": loose}}))
     rc, out, err = run_cli(args + ["--cache", str(cache)], capsys)
     assert (rc, out, err) == (0, fresh, "")
     written = read_json(cache)
-    assert written["budget"] == dataclasses.asdict(Budget())
+    assert written["budget"] == dataclasses.asdict(Budget()) == {"use_ip": True,
+                                                                "use_greedy": True}
     assert written["cells"]["6,1"]["lower"] == 18
 
 
@@ -672,16 +677,19 @@ def test_cli_table_without_exact_search_never_solves_the_size_program(capsys, mo
 
 
 def test_cli_table_ignores_its_retired_flags(tmp_path, capsys):
-    # --nu-seeds, --seed and --workers still parse, and change neither stdout nor the cache
+    # --nu-seeds, --seed, --workers and --time-limit still parse, and change neither
+    # stdout nor the cache
     runs = []
-    for name, retired in (("a.json", []), ("b.json", ["--nu-seeds", "2", "--seed", "7",
-                                                      "--workers", "1"])):
+    for name, retired in (("a.json", []),
+                          ("b.json", ["--nu-seeds", "2", "--seed", "7", "--workers", "1"]),
+                          ("c.json", ["--time-limit", "10"]),
+                          ("d.json", ["--time-limit", "2.5"])):
         cache = tmp_path / name
         rc, out, _ = run_cli(["table", "--n-max", "7", "--json", "--cache", str(cache), *retired],
                              capsys)
         assert rc == 0
         runs.append((out, cache.read_bytes()))
-    assert runs[0] == runs[1]
+    assert runs[1:] == [runs[0]] * 3
 
 
 GOOD_CELL = {"n": 2, "R": 1, "lower": 2, "upper": 2, "lower_tag": "mono", "upper_tag": "g",
