@@ -140,10 +140,11 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
     ]
     uppers = [(general_upper_size(n, r), "general")]
     if n <= EXACT_SEARCH_MAX_N:
-        # with no limit the search settles the cell, in 6,420 nodes at most;
-        # it starts at or above the chain and from greedy's code, and "e"
-        # comes before "mono" and "g" on a tie, so neither runs beside it
-        res = exact.exact_kplus(n, R, time_limit=None)
+        # the search settles the cell in 6,420 nodes at most, far inside its
+        # default node limit; it starts at or above the chain and from greedy's
+        # code, and "e" comes before "mono" and "g" on a tie, so neither runs
+        # beside it
+        res = exact.exact_kplus(n, R)
         lowers.append((res.lower, "e"))
         uppers.append((res.upper, "e"))
     else:

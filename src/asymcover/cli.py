@@ -29,8 +29,8 @@ from .constructions import (
 from .cube import (
     RADIUS_MAX_N, Code, all_ones, code_covering_radius, covers, level_profile, sweep
 )
-from .exact import DEFAULT_TIME_LIMIT, LIMIT_CHECK_NODES, exact_kplus
-from .ipsolve import BudgetExceededError
+from .exact import exact_kplus
+from .ipsolve import DEFAULT_NODE_CAP, BudgetExceededError
 from .linear import a_code, min_linear_dim, span
 from .table import CACHE_ENV, TableSpec, build_grid, cell_dicts, render_cell, render_table
 
@@ -49,17 +49,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive(kind):
-    """An argparse type: `kind(text)`, refused unless it is above zero."""
+def _positive(text: str) -> int:
+    """An argparse type: an int, refused unless it is above zero."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
-    def parse(text: str):
-        value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-        return value
 
-    parse.__name__ = kind.__name__  # argparse names the type in its messages
-    return parse
+_positive.__name__ = "int"  # argparse names the type in its messages
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
@@ -209,14 +207,7 @@ def cmd_exact(args) -> int:
     def progress(lower, incumbent, nodes):
         print(f"progress: lower {lower}, incumbent {incumbent}, nodes {nodes}", file=sys.stderr)
 
-    # only the limits given are passed, so the library's defaults fill in the rest
-    limits = {"time_limit": args.time_limit, "node_limit": args.node_limit}
-    res = exact_kplus(
-        args.n,
-        args.r,
-        on_progress=progress,
-        **{key: value for key, value in limits.items() if value is not None},
-    )
+    res = exact_kplus(args.n, args.r, node_limit=args.node_limit, on_progress=progress)
     print(f"nodes: {res.nodes}, elapsed: {res.elapsed:.2f}s", file=sys.stderr)
     if args.out:
         codefiles.save_code(args.out, res.witness)
@@ -335,11 +326,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("exact", parents=[json_flag], help="exact K+(n,R) by search")
-    p.add_argument("--time-limit", type=_positive(float), default=None,
-                   help=f"seconds for the whole search (default {DEFAULT_TIME_LIMIT:g})")
-    p.add_argument("--node-limit", type=_positive(int), default=None,
-                   help=f"search node cap, checked every {LIMIT_CHECK_NODES:,} nodes "
-                   "(default: no cap)")
+    p.add_argument("--node-limit", type=_positive, default=DEFAULT_NODE_CAP,
+                   help=f"search node cap, checked at every node (default {DEFAULT_NODE_CAP:,})")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--out", default=None, help="write the witness code here")

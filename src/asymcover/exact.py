@@ -4,21 +4,23 @@ The universe of Q_n vertices is one big bitmask; candidate centers for an
 uncovered vertex y are the supersets of y within R extra ones.  Search is
 iterative deepening on the code size with a transposition table (TT) of
 proven infeasibility depths and a lower bound per state from the size
-program's optimal LP dual prices, exact integers over one denominator D:
-a state whose uncovered set u has |u ∩ level_l| vertices on level l needs
-at least ceil(sum_l price_l |u ∩ level_l| / D) more words.  Each node
-carries that priced total down the tree, and a child's total is its
-parent's less the priced vertices its new ball covers, which lie on the
-R + 1 levels of the ball alone, so no node recounts u.  Each node branches on the centers that
-cover one vertex of its top uncovered level, largest gain first, and makes
-each child's checks in its own loop: the node count and the limit check,
-an empty u (a cover), an exhausted size budget, and the cut by the TT entry
-or the bound.  Only a child that passes them is searched by a call.  Each
-size tried starts at the whole cube, whose one candidate is the all-ones
-word, so the root (the cube less its ball) is the cube's only child and
-passes the same checks as any other; the TT also keeps the whole cube.
-Budgets never produce a wrong exact claim: exhausting them yields a
-bracket.
+program's optimal LP dual prices, exact integers over one denominator D: a
+state whose uncovered set u has |u ∩ level_l| vertices on level l needs at
+least ceil(sum_l price_l |u ∩ level_l| / D) more words.  Each node carries
+that priced total down the tree, and a child's total is its parent's less
+the priced vertices its new ball covers, which lie on the R + 1 levels of
+the ball alone, so no node recounts u.  Each node branches on the centers
+that cover one vertex of its top uncovered level, largest gain first, and
+makes each child's checks in its own loop: the node limit, checked before
+the child is counted, an empty u (a cover), an exhausted size budget, and
+the cut by the TT entry or the bound.  Only a child that passes them is
+searched by a call.  Each size tried starts at the whole cube, whose one
+candidate is the all-ones word, so the root (the cube less its ball) is
+the cube's only child and passes the same checks as any other; the TT also
+keeps the whole cube.  The search stops on its node count alone, never on
+the clock, so a result does not change with host speed, and a stopped
+search has visited exactly its limit of nodes.  Stopping never makes a
+wrong exact claim: it yields the bracket proven so far.
 
 Coordinate permutations map downward covers to downward covers.  Each node
 carries the partition of the coordinates into cells that every chosen word
@@ -46,10 +48,8 @@ from .cube import Code, all_ones, ball_down, full_set, subset_tables, weight
 
 EXACT_MAX_N = 8
 # at n = 8 a key is a 256-bit int of about 60 bytes, so a full table takes
-# roughly 0.5 GB; a 60 s search at (8,3) peaks at about 430 MB
+# roughly 0.5 GB; the default 10^8 nodes at (8,3) peak at about 480 MB
 TT_CAP = 5_000_000
-DEFAULT_TIME_LIMIT = 600.0  # seconds for the whole search
-LIMIT_CHECK_NODES = 4096  # the time and node limits are checked this often
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class ExactResult:
     """Outcome of an exact search: the proven bracket lower..upper.
 
     The witness covers with `upper` words; the value is settled, status
-    "exact", when lower == upper, and a search stopped by its limits leaves
-    status "bracket".
+    "exact", when lower == upper, and a search stopped by its node limit
+    leaves status "bracket".
     """
 
     n: int
@@ -88,8 +88,7 @@ def _orbit_key(c: int, cells: tuple[int, ...]) -> tuple[int, ...]:
 def exact_kplus(
     n: int,
     R: int,
-    time_limit: float | None = DEFAULT_TIME_LIMIT,
-    node_limit: int | None = None,
+    node_limit: int = ipsolve.DEFAULT_NODE_CAP,
     on_progress=None,
 ) -> ExactResult:
     """Minimum number of downward R-balls covering Q_n, with witness.
@@ -98,19 +97,16 @@ def exact_kplus(
     Iterative deepening proves minimality: a value v is exact only after
     every budget below v has been exhausted.  `on_progress`, when given, is
     called with (proven_lower, incumbent_size, nodes) after each exhausted
-    size budget.  A time or node limit, checked every LIMIT_CHECK_NODES
-    nodes, stops the search with the bracket proven so far.
+    size budget.  The node limit, checked at every node, stops the search
+    with the bracket proven so far; the clock is read only for `elapsed`.
     """
     if not 0 <= R <= n:
         raise ValueError("need 0 <= R <= n")
     if n < 1 or n > EXACT_MAX_N:
         raise ValueError(f"exact search supports 1 <= n <= {EXACT_MAX_N}")
-    if time_limit is not None and time_limit <= 0:
-        raise ValueError("time_limit must be positive")
-    if node_limit is not None and node_limit <= 0:
+    if node_limit <= 0:
         raise ValueError("node_limit must be positive")
     start = time.monotonic()
-    deadline = start + time_limit if time_limit is not None else None
 
     size = 1 << n
     top = all_ones(n)
@@ -149,12 +145,6 @@ def exact_kplus(
     tt: dict[int, int] = {}
     nodes = 0
 
-    def check_limits() -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise _BudgetHit
-        if node_limit is not None and nodes > node_limit:
-            raise _BudgetHit
-
     def dfs(u: int, budget: int, cells: tuple[int, ...], total: int) -> list[int] | None:
         # the caller has counted this node (the whole cube is not counted) and
         # admitted it: u != 0, budget > 0, and its TT entry, or ceil(total / D)
@@ -178,9 +168,9 @@ def exact_kplus(
                 seen.add(key)
             # the child's own checks, made here so that a cut child costs no call
             v = u & ~ball_mask[c]
+            if nodes >= node_limit:
+                raise _BudgetHit
             nodes += 1
-            if nodes % LIMIT_CHECK_NODES == 0:
-                check_limits()
             if v == 0:
                 return [c]
             if budget == 1:

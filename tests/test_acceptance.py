@@ -79,7 +79,7 @@ def test_criterion_1_exact_small_block():
               (6, 2): 8, (6, 3): 4}
     wrong = []
     for (n, R), want in values.items():
-        res = exact_kplus(n, R, time_limit=60.0)
+        res = exact_kplus(n, R)
         if (res.lower, res.upper) != (want, want) or not covers(res.witness, R):
             wrong.append(((n, R), res.lower, res.upper))
     for n in range(1, 8):
@@ -94,7 +94,7 @@ def test_criterion_1_exact_small_block():
 
 def test_criterion_2_exact_6_1():
     start = time.monotonic()
-    res = exact_kplus(6, 1, time_limit=600.0)
+    res = exact_kplus(6, 1)
     elapsed = time.monotonic() - start
     lo, hi = res.lower, res.upper
     if res.status == "exact":
@@ -143,7 +143,7 @@ def test_criterion_5_diagonal_and_below_threshold():
     # attainable: the minimum rises to coradius + 2
     for coradius in (2, 3):
         n = coradius * (coradius + 1) // 2 - 1
-        got = exact_kplus(n, n - coradius, time_limit=60.0)
+        got = exact_kplus(n, n - coradius)
         if (got.lower, got.upper) != (coradius + 2, coradius + 2):
             bad.append(("below", coradius, got.lower, got.upper))
     elapsed = time.monotonic() - start

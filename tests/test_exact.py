@@ -105,8 +105,8 @@ def test_exact_rejects_bad_parameters():
 
 @pytest.mark.parametrize(
     "limits",
-    [{"node_limit": 0}, {"node_limit": -5}, {"time_limit": 0}, {"time_limit": -1.0}],
-    ids=["nodes-0", "nodes-negative", "time-0", "time-negative"],
+    [{"node_limit": 0}, {"node_limit": -5}],
+    ids=["nodes-0", "nodes-negative"],
 )
 def test_exact_refuses_non_positive_limits(limits):
     # each of these once returned a 17-18 bracket at (6,1) after 4,096 nodes
@@ -137,13 +137,6 @@ def test_bracket_mode_on_tiny_node_budget():
     assert covers(res.witness, 1)
 
 
-def test_bracket_mode_on_tiny_time_budget():
-    # (6,1) now settles in about 10 ms, before the first clock check; (7,1) needs a second
-    res = exact_kplus(7, 1, time_limit=0.01)
-    assert res.status == "bracket"
-    assert res.lower <= 31 <= res.upper
-
-
 def test_progress_callback_sees_increasing_lowers():
     seen = []
     exact_kplus(6, 1, on_progress=lambda lo, inc, nodes: seen.append((lo, inc, nodes)))
@@ -172,19 +165,20 @@ def test_verify_optimal():
 
 
 # (lower, upper, nodes, SHA-256 of the witness words), node limit per cell
+# (None: the default); a stopped search visits exactly its limit of nodes
 EXACT_PINS = {
     (5, 1, None): (10, 10, 15, "26f966fa79d8e498"),
     (6, 1, None): (18, 18, 6_420, "46bd09f549d12971"),
     (6, 2, None): (8, 8, 8, "e4681bd3d8b79c80"),
     (7, 3, None): (7, 7, 5_885, "cbadf07f83a4571e"),
-    (7, 2, 20_000): (13, 15, 20480, "2461c3108caa0082"),
-    (7, 1, 20_000): (29, 31, 20480, "25339eef745efd63"),
+    (7, 2, 20_000): (13, 15, 20_000, "2461c3108caa0082"),
+    (7, 1, 20_000): (29, 31, 20_000, "25339eef745efd63"),
 }
 
 
 @pytest.mark.parametrize("n,R,limit", list(EXACT_PINS))
 def test_exact_pinned(n, R, limit):
-    res = exact_kplus(n, R, time_limit=None, node_limit=limit)
+    res = exact_kplus(n, R, node_limit=limit or ipsolve.DEFAULT_NODE_CAP)
     digest = hashlib.sha256(repr(res.witness.words).encode()).hexdigest()[:16]
     assert (res.lower, res.upper, res.nodes, digest) == EXACT_PINS[n, R, limit]
 
@@ -217,7 +211,7 @@ SMALL_PINS = {
 def test_exact_small_cells_keep_their_witnesses():
     assert sorted(SMALL_PINS) == [(n, R) for n in range(1, 7) for R in range(n + 1)]
     for (n, R), want in SMALL_PINS.items():
-        res = exact_kplus(n, R, time_limit=None)
+        res = exact_kplus(n, R)
         assert (res.lower, res.upper, _digest(res.witness)) == want, (n, R)
 
 
@@ -231,7 +225,7 @@ def test_orbit_skipping_needs_no_transposition_table(n, R, monkeypatch):
     # be exactly the ones whose subtrees fail: the witnesses cannot move, and
     # the bound alone cuts the same children
     monkeypatch.setattr(exact, "TT_CAP", 0)
-    res = exact_kplus(n, R, time_limit=None)
+    res = exact_kplus(n, R)
     lower, upper, _, digest = EXACT_PINS[n, R, None]
     assert (res.lower, res.upper, res.nodes, _digest(res.witness)) == (
         lower, upper, TT_OFF_NODES[n, R], digest)
@@ -274,10 +268,10 @@ def test_orbit_key_matches_the_orbits(n):
 
 
 def test_exact_bracket_at_n_8():
-    # the table's bracket is 9-13; a 60 s search proves 11-13
-    res = exact_kplus(8, 3, time_limit=None, node_limit=400_000)
+    # the table's bracket is 9-13; the default node limit proves 11-13
+    res = exact_kplus(8, 3, node_limit=400_000)
     assert (res.lower, res.upper, res.nodes, _digest(res.witness)) == (
-        10, 13, 401_408, "e1a5bdbc92a89c42")
+        10, 13, 400_000, "e1a5bdbc92a89c42")
     assert covers(res.witness, 3)
 
 
@@ -292,7 +286,7 @@ def test_exact_solves_the_size_program_on_every_call(monkeypatch):
 
 
 def test_exact_proves_kplus_7_1():
-    res = exact_kplus(7, 1, time_limit=None)
+    res = exact_kplus(7, 1)
     assert (res.status, res.upper, len(res.witness)) == ("exact", 31, 31)
     assert covers(res.witness, 1)
 

@@ -14,7 +14,7 @@ from asymcover.bounds import BoundRecord, Budget
 from asymcover.codefiles import load_code, save_code
 from asymcover.constructions import diagonal_code
 from asymcover.cube import Code
-from asymcover.exact import LIMIT_CHECK_NODES, exact_kplus
+from asymcover.exact import exact_kplus
 from asymcover.table import (
     TableSpec,
     build_grid,
@@ -193,6 +193,7 @@ def test_cli_usage_errors(capsys):
         ["bound", "--n", "4", "--r", "1", "--time-limit", "5"],
         ["bound", "--n", "4", "--r", "1", "--node-limit", "5"],
         ["table", "--n-max", "3", "--node-limit", "5"],
+        ["exact", "--n", "7", "--r", "2", "--time-limit", "5"],
     ],
 )
 def test_cli_rejects_a_flag_its_command_does_not_read(argv, tmp_path, capsys, monkeypatch):
@@ -204,11 +205,10 @@ def test_cli_rejects_a_flag_its_command_does_not_read(argv, tmp_path, capsys, mo
 
 @pytest.mark.parametrize("command", [["exact", "--n", "6", "--r", "1"]])
 def test_cli_rejects_a_non_positive_limit(command, capsys):
-    for flag in ("--time-limit", "--node-limit"):
-        for value in ("-1", "0"):
-            rc, out, err = run_cli([*command, flag, value], capsys)
-            assert (rc, out) == (1, ""), (flag, value)
-            assert f"argument {flag}: must be positive" in err
+    for value in ("-1", "0"):
+        rc, out, err = run_cli([*command, "--node-limit", value], capsys)
+        assert (rc, out) == (1, ""), value
+        assert "argument --node-limit: must be positive" in err
 
 
 def test_cli_construct_and_verify(tmp_path, capsys):
@@ -457,38 +457,32 @@ def test_cli_construct_semidirect_names_a_patch_in_another_cube(construct_inputs
 
 
 def test_cli_leaves_unset_limits_to_the_library(tmp_path, capsys, monkeypatch):
-    # each search limit has one default, in the library; the CLI passes only what it is given
+    # the search has one limit, and the CLI's default for it is the library's
     seen = []
     real = cli.exact_kplus
     monkeypatch.setattr(cli, "exact_kplus", lambda n, R, **kw: seen.append(kw) or real(n, R, **kw))
     run_cli(["exact", "--n", "4", "--r", "1"], capsys)
-    run_cli(["exact", "--n", "4", "--r", "1", "--time-limit", "5"], capsys)
-    assert [sorted(kw) for kw in seen] == [["on_progress"], ["on_progress", "time_limit"]]
-    assert seen[1]["time_limit"] == 5.0
+    run_cli(["exact", "--n", "4", "--r", "1", "--node-limit", "5"], capsys)
+    assert [sorted(kw) for kw in seen] == [["node_limit", "on_progress"]] * 2
+    library_default = inspect.signature(exact_kplus).parameters["node_limit"].default
+    assert [kw["node_limit"] for kw in seen] == [library_default, 5]
     cache = str(tmp_path / "cache.json")
     assert run_cli(["table", "--n-max", "3", "--cache", cache], capsys)[0] == 0
     assert read_json(cache)["budget"] == dataclasses.asdict(Budget())
 
 
-WHOLE_SEARCH = inspect.signature(exact_kplus).parameters["time_limit"].default
-
-
-@pytest.mark.parametrize(
-    "command,time_help",
-    [("exact", f"seconds for the whole search (default {WHOLE_SEARCH:g})")],
-)
-def test_cli_help_states_each_limit_default(command, time_help, capsys):
-    rc, out, _ = run_cli([command, "--help"], capsys)
+def test_cli_help_states_each_limit_default(capsys):
+    rc, out, _ = run_cli(["exact", "--help"], capsys)
     text = " ".join(out.split())
     assert rc == 0
-    assert f"--time-limit TIME_LIMIT {time_help} --node-limit" in text
     assert (
-        f"--node-limit NODE_LIMIT search node cap, checked every {LIMIT_CHECK_NODES:,} nodes "
-        "(default: no cap)"
+        "--node-limit NODE_LIMIT search node cap, checked at every node (default 100,000,000)"
     ) in text
-    # the library default caps no nodes, and a limit shows only at a check
-    assert inspect.signature(exact_kplus).parameters["node_limit"].default is None
-    assert exact_kplus(6, 1, node_limit=1).nodes == LIMIT_CHECK_NODES
+    # one constant caps the profile programs and the search, and the limit is
+    # checked at every node, so a stopped search has visited exactly its limit
+    assert ipsolve.DEFAULT_NODE_CAP == 10**8
+    assert inspect.signature(exact_kplus).parameters["node_limit"].default == 10**8
+    assert exact_kplus(6, 1, node_limit=1).nodes == 1
     # the searches inside bound and table run to completion and take no limit
     for other in ("bound", "table"):
         rc, out, _ = run_cli([other, "--help"], capsys)
