@@ -14,7 +14,7 @@ from .ipsolve import diff_chain_lower, ip_plus
 from .linear import min_linear_dim
 from .table import build_grid, render_table
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BoundRecord",

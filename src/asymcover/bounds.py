@@ -2,9 +2,9 @@
 
 Lower bounds: the levelwise sphere-covering bound, the superdiagonal values,
 exact search, and the difference chain built from the zero-count program,
-which is never below the size program `ipsolve.ip_plus` where both were
-solved.  Upper bounds: diagonal codes, coradius splits, greedy codes, exact
-search, and direct-sum splits applied during grid propagation.
+which lifts any lower bound on K+(n-1, R), the table's own included.  Upper
+bounds: diagonal codes, coradius splits, greedy codes, exact search, and
+direct-sum splits applied during grid propagation.
 Every bound value is computed with exact integer arithmetic.
 """
 
@@ -123,8 +123,12 @@ def superdiag_exact(n: int, R: int) -> bool:
     return r <= 0 or n >= r * (r + 1) // 2
 
 
-def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
-    """Best bracket one cell can get from every in-budget bound source."""
+def best_bounds(n: int, R: int, budget: Budget = Budget(), below: int | None = None) -> BoundRecord:
+    """Best bracket one cell can get from every in-budget bound source.
+
+    The difference chain takes its last step from `below`, a proven lower
+    bound on K+(n-1, R) such as a table's own; without it, from K+(R, R) = 1.
+    """
     _check_cell(n, R)
     if R == 0:
         full = 1 << n
@@ -149,17 +153,14 @@ def best_bounds(n: int, R: int, budget: Budget = Budget()) -> BoundRecord:
         uppers.append((res.upper, "e"))
     else:
         if budget.use_ip and n <= ipsolve.MAX_IP_DIMENSION:
-            lowers.append((ipsolve.diff_chain_lower(n, R), "mono"))
+            prev = below if below is not None else ipsolve.diff_chain_lower(n - 1, R)
+            lowers.append((ipsolve.diff_lower(n, prev, ipsolve.ip_phi(n, R).value), "mono"))
         if budget.use_greedy and n <= GREEDY_MAX_N:
             uppers.append((len(greedy_code(n, R)), "g"))
 
     # the best value; on a tie, the tag that comes first in its order
     lower, ltag = max(lowers, key=lambda c: (c[0], -LOWER_TAG_ORDER.index(c[1])))
     upper, utag = min(uppers, key=lambda c: (c[0], UPPER_TAG_ORDER.index(c[1])))
-    if lower > upper:
-        raise ValueError(
-            f"inconsistent bounds at (n={n}, R={R}): lower {lower} > upper {upper}"
-        )
     return BoundRecord(n, R, lower, upper, ltag, utag)
 
 
@@ -184,7 +185,7 @@ def propagate(grid: dict[tuple[int, int], BoundRecord]) -> dict[tuple[int, int],
     grid contribute their definitional values when R = 0 or R >= n.  Every
     rule reads cells of smaller n, or of the same n and larger R, so one pass
     in that order (n ascending, R descending) reaches the fixed point.
-    Never loosens a bound; raises on lower > upper.
+    Never loosens a bound; raises ValueError, from BoundRecord, on lower > upper.
     """
     out = dict(grid)
     for key in sorted(out, key=lambda cell: (cell[0], -cell[1])):
@@ -202,10 +203,6 @@ def propagate(grid: dict[tuple[int, int], BoundRecord]) -> dict[tuple[int, int],
                 u2 = _virtual(out, n - n1, R - r1, "upper")
                 if u1 is not None and u2 is not None and u1 * u2 < upper:
                     upper, utag = u1 * u2, "s"
-        if lower > upper:
-            raise ValueError(
-                f"inconsistent bounds at (n={n}, R={R}): lower {lower} > upper {upper}"
-            )
         if lower != rec.lower or upper != rec.upper:
             out[key] = replace(rec, lower=lower, upper=upper, lower_tag=ltag, upper_tag=utag)
     return out

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import codefiles
@@ -32,7 +31,7 @@ from .cube import (
 from .exact import exact_kplus
 from .ipsolve import DEFAULT_NODE_CAP, BudgetExceededError
 from .linear import a_code, min_linear_dim, span
-from .table import CACHE_ENV, TableSpec, build_grid, cell_dicts, render_cell, render_table
+from .table import TableSpec, build_grid, cell_dicts, render_cell, render_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -189,14 +188,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    cache = args.cache or os.environ.get(CACHE_ENV)
     spec = TableSpec(
         n_min=args.n_min,
         n_max=args.n_max,
         r_min=args.r_min,
         r_max=args.r_max,
         budget=_budget(args),
-        cache_path=cache,
+        cache_path=args.cache,
     )
     grid = build_grid(spec)
     _emit(args, cell_dicts(grid), render_table(grid, spec))

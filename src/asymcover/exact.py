@@ -116,10 +116,8 @@ def exact_kplus(
 
     incumbent = greedy_code(n, R)
     best = len(incumbent)
-    # the zero-count chain is at or above ip_plus at every n <= 12, so the max
-    # is the chain; ip_plus stays only because the benchmark's trace test
-    # expects a size-program solve under every search (ROADMAP item 10)
-    proven_lower = max(ipsolve.ip_plus(n, R).value, ipsolve.diff_chain_lower(n, R))
+    # the zero-count chain is at or above ip_plus at every n <= 12
+    proven_lower = ipsolve.diff_chain_lower(n, R)
 
     down, at_least = subset_tables(n)
     ball_mask = [down[c] & at_least[max(0, weight(c) - R)] for c in range(size)]

@@ -19,18 +19,15 @@ one subtraction away from the last.
 `lp_prices` gives optimal dual prices of the LP relaxation, solved in
 integers; they bound only the exact search, priced over the uncovered
 vertices of each level.  The difference chain built from the zero-count
-program lives here too.  Only phi's value is memoized, by `ip_phi_value`:
-the chain to K+(n, R) reads phi(k, R) for every k <= n, so a table's cells
-share those solves.  `ip_plus` is not: only exact search solves it, once per
-call, and a solve answered from an earlier call's memo would be missing
-from a trace of the later one.
+program lives here too.  The module keeps no state between calls: every
+call solves its own programs, so a caller that needs phi(k, R) for many k,
+as the bound table does, shares the work by handing on its lower bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cube import binomial
 
@@ -223,12 +220,6 @@ def ip_phi(n: int, R: int) -> IPSolution:
     return solve(n, R, tuple(n - l for l in range(n + 1)))
 
 
-@lru_cache(maxsize=None)
-def ip_phi_value(n: int, R: int) -> int:
-    """ip_phi(n, R).value, solved once per cell."""
-    return ip_phi(n, R).value
-
-
 def diff_lower(n: int, lower_prev: int, phi_lb: int) -> int:
     """Lift a K+(n-1,R) lower bound by ceil(phi_lb / n).
 
@@ -247,5 +238,5 @@ def diff_chain_lower(n: int, R: int) -> int:
         raise ValueError("need 1 <= R <= n")
     value = 1
     for k in range(R + 1, n + 1):
-        value = diff_lower(k, value, ip_phi_value(k, R))
+        value = diff_lower(k, value, ip_phi(k, R).value)
     return value

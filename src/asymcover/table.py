@@ -3,10 +3,12 @@
 The working grid always spans n = 1..n_max with the radius-zero column and
 every R up to min(n, r_max), so monotonicity chains and direct-sum splits
 have their neighbors available; rendering then restricts to the requested
-window.  The cache is a JSON object written atomically: the budget its cells
-were computed under, and the map "n,R" -> record.  A cache is reused only
-under an equal budget; any other budget recomputes every cell.  A run that
-changes no cached record leaves the file untouched.
+window.  Each cell's difference chain takes its last step from the grid's
+own (n-1, R) lower bound, computed just before it or loaded from the cache.
+The cache is a JSON object written atomically: the budget and the package
+version its cells were computed under, and the map "n,R" -> record.  A cache
+is reused only under an equal budget and version; anything else recomputes
+every cell.  A run that changes no cached record leaves the file untouched.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import asdict, dataclass, field
 
 from .bounds import BoundRecord, Budget, best_bounds, propagate
 from .codefiles import write_atomic
-
-CACHE_ENV = "ASYMCOVER_CACHE"
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,16 @@ def cell_dicts(grid: dict[tuple[int, int], BoundRecord]) -> dict[str, dict]:
     return {f"{n},{R}": rec.to_dict() for (n, R), rec in sorted(grid.items())}
 
 
+def _cache_key(budget: Budget) -> dict:
+    """What a cache's cells were computed under: the budget and the package version."""
+    import asymcover  # here, as the package sets __version__ after it imports this module
+
+    return {"budget": asdict(budget), "version": asymcover.__version__}
+
+
 def load_cache(path: str, budget: Budget) -> dict[tuple[int, int], BoundRecord]:
-    """The cells cached at `path` if they were computed under `budget`, else {}.
+    """The cells cached at `path` if this package version computed them
+    under `budget`, else {}; a cache that stores no version is older.
 
     Raises ValueError naming the path when the file is not a bound cache, so
     that build_grid never overwrites it.
@@ -63,7 +71,7 @@ def load_cache(path: str, budget: Budget) -> dict[tuple[int, int], BoundRecord]:
             raw = json.load(fh)
         if not (
             isinstance(raw, dict)
-            and raw.keys() == {"budget", "cells"}
+            and raw.keys() - {"version"} == {"budget", "cells"}
             and isinstance(raw["budget"], dict)
             and isinstance(raw["cells"], dict)
         ):
@@ -76,11 +84,12 @@ def load_cache(path: str, budget: Budget) -> dict[tuple[int, int], BoundRecord]:
             grid[(rec.n, rec.R)] = rec
     except ValueError as exc:
         raise ValueError(f"{path} is not a bound cache: {exc}") from None
-    return grid if raw["budget"] == asdict(budget) else {}
+    key = {"budget": raw["budget"], "version": raw.get("version")}
+    return grid if key == _cache_key(budget) else {}
 
 
 def save_cache(path: str, grid: dict[tuple[int, int], BoundRecord], budget: Budget) -> None:
-    payload = {"budget": asdict(budget), "cells": cell_dicts(grid)}
+    payload = {**_cache_key(budget), "cells": cell_dicts(grid)}
     write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
@@ -90,11 +99,12 @@ def build_grid(spec: TableSpec) -> dict[tuple[int, int], BoundRecord]:
     if spec.cache_path and os.path.exists(spec.cache_path):
         cached = load_cache(spec.cache_path, spec.budget)
     grid = {}
-    for n, R in spec.cells():
+    for n, R in spec.cells():  # n ascending, so (n-1, R) is in the grid when 0 < R < n
+        below = grid[(n - 1, R)].lower if 0 < R < n else None
         rec = cached.get((n, R))
-        grid[(n, R)] = rec if rec is not None else best_bounds(n, R, spec.budget)
+        grid[(n, R)] = rec if rec is not None else best_bounds(n, R, spec.budget, below)
     grid = propagate(grid)
-    # a cache of another budget loads as {}, so an unchanged grid implies the same budget
+    # another budget's or version's cache loads as {}, so an unchanged grid implies the same key
     if spec.cache_path and any(cached.get(key) != rec for key, rec in grid.items()):
         # cached cells outside this window stay for the runs that need them
         save_cache(spec.cache_path, {**cached, **grid}, spec.budget)

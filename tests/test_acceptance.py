@@ -156,11 +156,13 @@ def test_criterion_6_reference_table():
     budget = Budget()
     spec = TableSpec(n_min=2, n_max=13, r_min=1, r_max=11, budget=budget)
     grid = build_grid(spec)
-    disjoint = []
+    disjoint, behind = [], []
     for cell, (lo, hi) in REFERENCE_BRACKETS.items():
         rec = grid[cell]
         if rec.lower > hi or rec.upper < lo:
             disjoint.append((cell, (rec.lower, rec.upper)))
+        if rec.lower < lo:
+            behind.append((cell, rec.lower, lo))
     unequal = []
     for cell in SETTLED_CELLS + [(4, 1)]:
         rec = grid[cell]
@@ -178,12 +180,13 @@ def test_criterion_6_reference_table():
         if heuristic > 1.5 * hi:
             overweight.append(((n, R), heuristic, hi))
     elapsed = time.monotonic() - start
-    ok = not disjoint and not unequal and not overweight and elapsed < 1800.0
+    ok = not disjoint and not behind and not unequal and not overweight and elapsed < 1800.0
     report(
         6,
         ok,
-        f"table n<=13 R<=11 in {elapsed:.0f}s (limit 1800s); "
-        f"disjoint {disjoint}, unequal {unequal}, heuristics over 1.5x {overweight}",
+        f"table n<=13 R<=11 in {elapsed:.0f}s (limit 1800s); disjoint {disjoint}, "
+        f"lower bounds behind the reference {behind}, unequal {unequal}, "
+        f"heuristics over 1.5x {overweight}",
     )
 
 

@@ -275,14 +275,20 @@ def test_exact_bracket_at_n_8():
     assert covers(res.witness, 3)
 
 
-def test_exact_solves_the_size_program_on_every_call(monkeypatch):
-    # a cell solved before in the same process must not hide the search's own solve
+def test_exact_solves_its_zero_count_chain_on_every_call(monkeypatch):
+    # a cell searched before in the same process must not hide the search's own
+    # solves: it starts from the chain's phi(k, 1), k = 2..5, never from ip_plus
     exact_kplus(5, 1)
     seen = []
-    real = ipsolve.ip_plus
-    monkeypatch.setattr(ipsolve, "ip_plus", lambda n, R: seen.append((n, R)) or real(n, R))
+
+    def traced(name):
+        real = getattr(ipsolve, name)
+        return lambda n, R: seen.append((name, n, R)) or real(n, R)
+
+    for name in ("ip_plus", "ip_phi"):
+        monkeypatch.setattr(ipsolve, name, traced(name))
     assert exact_kplus(5, 1).upper == 10
-    assert seen == [(5, 1)]
+    assert seen == [("ip_phi", k, 1) for k in range(2, 6)]
 
 
 def test_exact_proves_kplus_7_1():

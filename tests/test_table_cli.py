@@ -10,7 +10,7 @@ import pytest
 
 import asymcover
 from asymcover import cli, ipsolve
-from asymcover.bounds import BoundRecord, Budget
+from asymcover.bounds import BoundRecord, Budget, best_bounds
 from asymcover.codefiles import load_code, save_code
 from asymcover.constructions import diagonal_code
 from asymcover.cube import Code
@@ -124,6 +124,31 @@ def test_warm_table_leaves_its_cache_file_alone(tmp_path):
     assert build_grid(wider).keys() > first.keys()
     assert path.stat().st_mtime_ns != 1
     assert load_cache(str(path), Budget()) == build_grid(wider)
+
+
+def test_table_chains_from_its_own_grid():
+    # (6,1) is the exact 18 where the bare chain has 17, so the R = 1 column
+    # sits one above the bare chain from n = 7 on
+    grid = build_grid(TableSpec(n_min=1, n_max=10, r_min=0, r_max=10))
+    assert [grid[(n, 1)].lower for n in range(7, 11)] == [30, 52, 93, 168]
+    # chaining from its grid and propagating over it, the table is at least as
+    # tight as bound: (8,1) is 52-62[mono/s] there and 51-64[mono/g] from bound
+    for (n, R), rec in grid.items():
+        alone = best_bounds(n, R)
+        assert alone.lower <= rec.lower <= rec.upper <= alone.upper, (rec, alone)
+    assert render_cell(grid[(8, 1)]) == "52-62[mono/s]"
+    assert render_cell(best_bounds(8, 1)) == "51-64[mono/g]"
+
+
+@pytest.mark.parametrize("n_cached", [6, 8])
+def test_table_over_a_partial_cache_equals_a_cold_one(tmp_path, n_cached):
+    # a cached (n-1, R) record is propagated, a cold one is not; the chain
+    # that starts from either gives the same table
+    path = str(tmp_path / "cache.json")
+    build_grid(TableSpec(n_min=1, n_max=n_cached, r_min=0, r_max=10, cache_path=path))
+    cold = build_grid(TableSpec(n_min=1, n_max=10, r_min=0, r_max=10))
+    warm = build_grid(TableSpec(n_min=1, n_max=10, r_min=0, r_max=10, cache_path=path))
+    assert warm == cold
 
 
 def read_json(path):
@@ -571,11 +596,13 @@ def test_cli_table_text_and_cache(tmp_path, capsys, monkeypatch):
     assert out.splitlines()[0].split()[0] == "R\\n"
     assert os.path.exists(cache)
 
-    env_cache = str(tmp_path / "env.json")
-    monkeypatch.setenv("ASYMCOVER_CACHE", env_cache)
+    # only --cache names a cache: a run without it writes no file, whatever the
+    # environment holds
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ASYMCOVER_CACHE", str(tmp_path / "env.json"))
     rc, _, _ = run_cli(["table", "--n-max", "3", "--r-max", "2"], capsys)
     assert rc == 0
-    assert os.path.exists(env_cache)
+    assert os.listdir(tmp_path) == ["cache.json"]
 
 
 def test_cli_table_json(capsys):
@@ -633,6 +660,26 @@ def test_cli_table_recomputes_a_cache_whose_budget_holds_a_retired_field(stale, 
     assert written["cells"]["6,1"]["lower"] == 18
 
 
+@pytest.mark.parametrize("version", [None, "0.1.0"], ids=["no-version", "older-version"])
+def test_cli_table_recomputes_a_cache_of_another_version(version, tmp_path, capsys):
+    # a change to the package can move records under the same budget: version
+    # 0.1.0 chained (7,1) up from K+(1,1) to 29, and caches before it stored no version
+    args = ["table", "--n-max", "7", "--r-max", "3", "--json"]
+    _, fresh, _ = run_cli(args, capsys)
+    cache = tmp_path / "cache.json"
+    old = {"budget": dataclasses.asdict(Budget()),
+           "cells": {"7,1": BoundRecord(7, 1, 29, 31, "mono", "g").to_dict()}}
+    if version is not None:
+        old["version"] = version
+    cache.write_text(json.dumps(old))
+    rc, out, err = run_cli(args + ["--cache", str(cache)], capsys)
+    assert (rc, out, err) == (0, fresh, "")
+    written = read_json(cache)
+    assert written["version"] == asymcover.__version__ == "0.2.0"
+    assert written["cells"]["7,1"]["lower"] == 30
+    assert load_cache(str(cache), Budget()) == build_grid(TableSpec(1, 7, 0, 3))
+
+
 def test_cli_table_keeps_cached_cells_outside_its_window(tmp_path, capsys):
     cache = str(tmp_path / "cache.json")
     args = ["table", "--r-max", "3", "--json", "--cache", cache]
@@ -644,8 +691,8 @@ def test_cli_table_keeps_cached_cells_outside_its_window(tmp_path, capsys):
 
 
 def test_cli_table_without_exact_search_never_solves_the_size_program(capsys, monkeypatch):
-    # the zero-count chain is at or above ip_plus, so best_bounds reads only the chain;
-    # ip_plus is solved only inside exact search, once per searched cell (ROADMAP item 10)
+    # the zero-count chain is at or above ip_plus, so neither best_bounds nor
+    # exact search solves ip_plus
     solved = []
     real = ipsolve.ip_plus
 
@@ -656,13 +703,12 @@ def test_cli_table_without_exact_search_never_solves_the_size_program(capsys, mo
     monkeypatch.setattr(ipsolve, "ip_plus", traced)
     rc, out, _ = run_cli(["table", "--n-max", "9", "--r-max", "8", "--json"], capsys)
     assert rc == 0
-    searched = [(4, 1), (5, 1), (5, 2), (6, 1), (6, 2)]
-    assert solved == [(n, R, "exact_kplus") for n, R in searched]
+    assert solved == []
     cells = json.loads(out)
     pinned = {
         "8,2": (20, 24, "mono", "g"),
         "8,3": (9, 13, "mono", "g"),
-        "9,1": (92, 120, "mono", "g"),
+        "9,1": (93, 120, "mono", "g"),
         "9,3": (14, 21, "mono", "g"),
     }
     for key, want in pinned.items():
