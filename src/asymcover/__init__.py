@@ -10,7 +10,7 @@ from .bounds import BoundRecord, Budget, asym_sphere_bound, best_bounds
 from .constructions import diagonal_code, general_upper_size, greedy_code, random_code_nu
 from .cube import Code, covers, uncovered
 from .exact import exact_kplus
-from .ipsolve import diff_chain_lower, ip_plus
+from .ipsolve import ip_plus
 from .linear import min_linear_dim
 from .table import build_grid, render_table
 
@@ -25,7 +25,6 @@ __all__ = [
     "build_grid",
     "covers",
     "diagonal_code",
-    "diff_chain_lower",
     "exact_kplus",
     "general_upper_size",
     "greedy_code",

@@ -2,9 +2,10 @@
 
 Lower bounds: the levelwise sphere-covering bound, the superdiagonal values,
 exact search, and the difference chain built from the zero-count program,
-which lifts any lower bound on K+(n-1, R), the table's own included.  Upper
-bounds: diagonal codes, coradius splits, greedy codes, exact search, and
-direct-sum splits applied during grid propagation.
+which lifts a proven lower bound on K+(n-1, R): the table's own, or else the
+one this module proves for that cell.  Upper bounds: diagonal codes,
+coradius splits, greedy codes, exact search, and direct-sum splits applied
+during grid propagation.
 Every bound value is computed with exact integer arithmetic.
 """
 
@@ -126,8 +127,10 @@ def superdiag_exact(n: int, R: int) -> bool:
 def best_bounds(n: int, R: int, budget: Budget = Budget(), below: int | None = None) -> BoundRecord:
     """Best bracket one cell can get from every in-budget bound source.
 
-    The difference chain takes its last step from `below`, a proven lower
-    bound on K+(n-1, R) such as a table's own; without it, from K+(R, R) = 1.
+    The difference chain, and the exact search at n <= EXACT_SEARCH_MAX_N,
+    step from `below`, a proven lower bound on K+(n-1, R) such as a table's
+    own.  Without it, they step from the best lower bound of (n-1, R), got
+    the same way with greedy off.
     """
     _check_cell(n, R)
     if R == 0:
@@ -144,17 +147,18 @@ def best_bounds(n: int, R: int, budget: Budget = Budget(), below: int | None = N
     ]
     uppers = [(general_upper_size(n, r), "general")]
     if n <= EXACT_SEARCH_MAX_N:
-        # the search settles the cell in 6,420 nodes at most, far inside its
+        # the search settles the cell in 6,435 nodes at most, far inside its
         # default node limit; it starts at or above the chain and from greedy's
         # code, and "e" comes before "mono" and "g" on a tie, so neither runs
         # beside it
-        res = exact.exact_kplus(n, R)
+        res = exact.exact_kplus(n, R, below=below)
         lowers.append((res.lower, "e"))
         uppers.append((res.upper, "e"))
     else:
         if budget.use_ip and n <= ipsolve.MAX_IP_DIMENSION:
-            prev = below if below is not None else ipsolve.diff_chain_lower(n - 1, R)
-            lowers.append((ipsolve.diff_lower(n, prev, ipsolve.ip_phi(n, R).value), "mono"))
+            if below is None:
+                below = best_bounds(n - 1, R, replace(budget, use_greedy=False)).lower
+            lowers.append((ipsolve.diff_lower(n, below, ipsolve.ip_phi(n, R).value), "mono"))
         if budget.use_greedy and n <= GREEDY_MAX_N:
             uppers.append((len(greedy_code(n, R)), "g"))
 

@@ -325,7 +325,8 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("exact", parents=[json_flag], help="exact K+(n,R) by search")
     p.add_argument("--node-limit", type=_positive, default=DEFAULT_NODE_CAP,
-                   help=f"search node cap, checked at every node (default {DEFAULT_NODE_CAP:,})")
+                   help=f"node cap shared with the searches down the (n, R) column, "
+                        f"checked at every node (default {DEFAULT_NODE_CAP:,})")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--out", default=None, help="write the witness code here")

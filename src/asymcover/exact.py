@@ -20,7 +20,9 @@ the cube's only child and passes the same checks as any other; the TT also
 keeps the whole cube.  The search stops on its node count alone, never on
 the clock, so a result does not change with host speed, and a stopped
 search has visited exactly its limit of nodes.  Stopping never makes a
-wrong exact claim: it yields the bracket proven so far.
+wrong exact claim: it yields the bracket proven so far.  The first size
+tried is one difference-chain step above a lower bound on K+(n-1, R), the
+caller's or one that a search of (n-1, R) proves under the same limit.
 
 Coordinate permutations map downward covers to downward covers.  Each node
 carries the partition of the coordinates into cells that every chosen word
@@ -90,15 +92,20 @@ def exact_kplus(
     R: int,
     node_limit: int = ipsolve.DEFAULT_NODE_CAP,
     on_progress=None,
+    below: int | None = None,
 ) -> ExactResult:
     """Minimum number of downward R-balls covering Q_n, with witness.
 
     Accepts R = 0 (the answer is 2^n, every vertex covering only itself).
     Iterative deepening proves minimality: a value v is exact only after
-    every budget below v has been exhausted.  `on_progress`, when given, is
-    called with (proven_lower, incumbent_size, nodes) after each exhausted
-    size budget.  The node limit, checked at every node, stops the search
-    with the bracket proven so far; the clock is read only for `elapsed`.
+    every budget below v has been exhausted.  It starts one difference-chain
+    step above `below`, a proven lower bound on K+(n-1, R), or else above
+    the bound that it first proves by searching (n-1, R), and so on down the
+    column.  `on_progress`, when given, is called with (proven_lower,
+    incumbent_size, nodes) after each exhausted size budget.  The node
+    limit, checked at every node and shared with the column's searches,
+    stops the search with the bracket proven so far; the clock is read only
+    for `elapsed`.
     """
     if not 0 <= R <= n:
         raise ValueError("need 0 <= R <= n")
@@ -114,10 +121,16 @@ def exact_kplus(
         witness = Code.from_words(n, range(size), r=R)
         return ExactResult(n, R, size, size, witness, 0, time.monotonic() - start)
 
+    nodes = 0
+    if below is None:
+        below = 1
+        if R < n - 1:
+            column = exact_kplus(n - 1, R, node_limit)
+            below, nodes = column.lower, column.nodes
     incumbent = greedy_code(n, R)
     best = len(incumbent)
     # the zero-count chain is at or above ip_plus at every n <= 12
-    proven_lower = ipsolve.diff_chain_lower(n, R)
+    proven_lower = ipsolve.diff_lower(n, below, ipsolve.ip_phi(n, R).value)
 
     down, at_least = subset_tables(n)
     ball_mask = [down[c] & at_least[max(0, weight(c) - R)] for c in range(size)]
@@ -141,7 +154,6 @@ def exact_kplus(
     cube = full_set(n)
     cube_total = sum(p * m.bit_count() for m, p in zip(level_mask, price))
     tt: dict[int, int] = {}
-    nodes = 0
 
     def dfs(u: int, budget: int, cells: tuple[int, ...], total: int) -> list[int] | None:
         # the caller has counted this node (the whole cube is not counted) and

@@ -18,10 +18,10 @@ one subtraction away from the last.
 
 `lp_prices` gives optimal dual prices of the LP relaxation, solved in
 integers; they bound only the exact search, priced over the uncovered
-vertices of each level.  The difference chain built from the zero-count
-program lives here too.  The module keeps no state between calls: every
-call solves its own programs, so a caller that needs phi(k, R) for many k,
-as the bound table does, shares the work by handing on its lower bounds.
+vertices of each level.  `diff_lower` takes one step of the difference
+chain: from a proven lower bound on K+(n-1, R) and the zero-count bound
+phi(n, R) to one on K+(n, R).  Each caller steps from a K+(n-1, R) bound it
+proved itself, so the module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -230,13 +230,3 @@ def diff_lower(n: int, lower_prev: int, phi_lb: int) -> int:
     if n < 1 or phi_lb < 0:
         raise ValueError("need n >= 1 and phi_lb >= 0")
     return lower_prev + _ceildiv(phi_lb, n)
-
-
-def diff_chain_lower(n: int, R: int) -> int:
-    """Chain diff_lower from the anchor K+(R, R) = 1 up to n."""
-    if R < 1 or n < R:
-        raise ValueError("need 1 <= R <= n")
-    value = 1
-    for k in range(R + 1, n + 1):
-        value = diff_lower(k, value, ip_phi(k, R).value)
-    return value

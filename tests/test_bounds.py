@@ -20,7 +20,7 @@ from asymcover.bounds import (
     superdiag_lower,
 )
 from asymcover.cube import weight
-from asymcover.ipsolve import diff_chain_lower, diff_lower, ip_plus
+from asymcover.ipsolve import diff_lower, ip_phi, ip_plus
 from asymcover.table import TableSpec, build_grid
 
 
@@ -93,15 +93,19 @@ def test_diff_lower_arithmetic():
 
 
 def test_diff_chain_beats_plain_ip_at_61():
+    # one step from K+(5, 1) = 10
     assert ip_plus(6, 1).value == 16
-    assert diff_chain_lower(6, 1) == 17
+    assert diff_lower(6, 10, ip_phi(6, 1).value) == 17
 
 
 def test_diff_chain_stays_below_known_optima():
-    known = {(2, 1): 2, (3, 1): 3, (4, 1): 6, (5, 1): 10, (6, 1): 18, (5, 2): 5, (6, 2): 8}
+    # one step from each known K+(n-1, R), so also the chain from K+(R, R) = 1
+    known = {(1, 1): 1, (2, 1): 2, (3, 1): 3, (4, 1): 6, (5, 1): 10, (6, 1): 18,
+             (2, 2): 1, (3, 2): 2, (4, 2): 3, (5, 2): 5, (6, 2): 8}
     for (n, R), value in known.items():
-        assert diff_chain_lower(n, R) <= value
-    assert diff_chain_lower(3, 3) == 1
+        if n > R:
+            assert diff_lower(n, known[n - 1, R], ip_phi(n, R).value) <= value, (n, R)
+    assert diff_lower(3, 1, ip_phi(3, 3).value) == 1
 
 
 def test_bound_record_validation():
@@ -135,8 +139,8 @@ def test_best_bounds_settles_superdiag_cells_without_search(monkeypatch):
         raise AssertionError("a settled cell ran a bound source")
 
     monkeypatch.setattr(bounds, "greedy_code", forbidden)
-    monkeypatch.setattr(ipsolve, "ip_plus", forbidden)
-    monkeypatch.setattr(ipsolve, "diff_chain_lower", forbidden)
+    for name in ("ip_plus", "ip_phi", "diff_lower"):
+        monkeypatch.setattr(ipsolve, name, forbidden)
     monkeypatch.setattr(exact, "exact_kplus", forbidden)
     settled = [(n, R) for n in range(1, 12) for R in range(1, n + 1) if superdiag_exact(n, R)]
     for n, R in settled:
@@ -156,40 +160,48 @@ SEARCHED_CELLS = {
 }
 
 
+# K+(n-1, R) below each searched cell
+SEARCHED_BELOW = {(4, 1): 3, (5, 1): 6, (5, 2): 3, (6, 1): 10, (6, 2): 5}
+
+
 def test_best_bounds_runs_greedy_and_the_chain_once_inside_the_search(monkeypatch):
     from asymcover import bounds, exact, ipsolve
 
-    calls, searching = [], [False]
+    calls, searching = [], [0]
 
     def counted(label, fn):
         def wrapper(*args, **kwargs):
-            calls.append((label, searching[0]))
+            calls.append((label, searching[0] > 0))
             return fn(*args, **kwargs)
         return wrapper
 
     def search(*args, _search=exact.exact_kplus, **kwargs):
-        searching[0] = True
+        searching[0] += 1
         try:
             return _search(*args, **kwargs)
         finally:
-            searching[0] = False
+            searching[0] -= 1
 
     monkeypatch.setattr(exact, "exact_kplus", search)
     for module, name in ((bounds, "greedy_code"), (exact, "greedy_code"),
-                         (ipsolve, "diff_chain_lower")):
+                         (ipsolve, "ip_phi"), (ipsolve, "diff_lower")):
         label = f"{module.__name__.rpartition('.')[2]}.{name}"
         monkeypatch.setattr(module, name, counted(label, getattr(module, name)))
     cells = [(n, R) for n in range(1, 7) for R in range(1, n + 1) if not superdiag_exact(n, R)]
-    assert cells == list(SEARCHED_CELLS)
+    assert cells == list(SEARCHED_CELLS) == list(SEARCHED_BELOW)
+    once = [("exact.greedy_code", True), ("ipsolve.diff_lower", True), ("ipsolve.ip_phi", True)]
     # whatever the budget says of greedy and the chain
     budgets = [Budget(use_ip=ip, use_greedy=greedy) for ip in (True, False)
                for greedy in (True, False)]
     for budget in budgets:
         for n, R in cells:
             calls.clear()
+            assert best_bounds(n, R, budget, SEARCHED_BELOW[n, R]) == SEARCHED_CELLS[n, R]
+            assert sorted(calls) == once
+            # with no (n-1, R) bound, the search runs its column: once per k = R+1..n
+            calls.clear()
             assert best_bounds(n, R, budget) == SEARCHED_CELLS[n, R]
-            assert sorted(calls) == [("exact.greedy_code", True),
-                                     ("ipsolve.diff_chain_lower", True)]
+            assert sorted(calls) == sorted(once * (n - R))
 
 
 def test_best_bounds_and_the_table_do_not_read_the_clock(monkeypatch):

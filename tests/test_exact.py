@@ -11,6 +11,7 @@ from asymcover import cli, exact, ipsolve
 from asymcover.cube import Code, ball_down, covers
 from asymcover.exact import EXACT_MAX_N, ExactResult, exact_kplus
 from asymcover.ipsolve import ip_plus
+from asymcover.table import TableSpec, build_grid
 
 
 def verify_optimal(result):
@@ -165,15 +166,21 @@ def test_verify_optimal():
 
 
 # (lower, upper, nodes, SHA-256 of the witness words), node limit per cell
-# (None: the default); a stopped search visits exactly its limit of nodes
+# (None: the default); the nodes include the searches down the column, and
+# a stopped search visits exactly its limit of nodes
 EXACT_PINS = {
     (5, 1, None): (10, 10, 15, "26f966fa79d8e498"),
-    (6, 1, None): (18, 18, 6_420, "46bd09f549d12971"),
+    (6, 1, None): (18, 18, 6_435, "46bd09f549d12971"),
     (6, 2, None): (8, 8, 8, "e4681bd3d8b79c80"),
-    (7, 3, None): (7, 7, 5_885, "cbadf07f83a4571e"),
+    (7, 3, None): (7, 7, 5_901, "cbadf07f83a4571e"),
     (7, 2, 20_000): (13, 15, 20_000, "2461c3108caa0082"),
-    (7, 1, 20_000): (29, 31, 20_000, "25339eef745efd63"),
+    (7, 1, 20_000): (30, 31, 20_000, "25339eef745efd63"),
 }
+
+# nodes of the search of the cell alone, given the table's (n-1, R) lower bound:
+# the pins from before the search took its column's nodes into its count
+SEARCH_NODES = {(5, 1): 15, (6, 1): 6_420, (6, 2): 8, (7, 3): 5_885, (7, 2): 20_000,
+                (7, 1): 20_000}
 
 
 @pytest.mark.parametrize("n,R,limit", list(EXACT_PINS))
@@ -181,6 +188,25 @@ def test_exact_pinned(n, R, limit):
     res = exact_kplus(n, R, node_limit=limit or ipsolve.DEFAULT_NODE_CAP)
     digest = hashlib.sha256(repr(res.witness.words).encode()).hexdigest()[:16]
     assert (res.lower, res.upper, res.nodes, digest) == EXACT_PINS[n, R, limit]
+
+
+def test_search_from_the_tables_column_bound_is_unmoved():
+    grid = build_grid(TableSpec(n_min=1, n_max=6, r_min=0, r_max=6))
+    for (n, R, limit), (lower, upper, _, digest) in EXACT_PINS.items():
+        below = grid[n - 1, R].lower
+        res = exact_kplus(n, R, node_limit=limit or ipsolve.DEFAULT_NODE_CAP, below=below)
+        assert (res.lower, res.upper, res.nodes, _digest(res.witness)) == (
+            lower, upper, SEARCH_NODES[n, R], digest), (n, R)
+
+
+def test_the_column_shares_the_node_limit():
+    # the searches of (2..6, 1) count against the limit of (7, 1): stopped in
+    # (6, 1), the search still starts no lower than the bare chain's 29
+    res = exact_kplus(7, 1, node_limit=100)
+    assert (res.lower, res.upper, res.nodes) == (29, 31, 100)
+    # (6, 1) settles at 18 in 6,435 of the 20,000 nodes, one above the chain's 17
+    res = exact_kplus(7, 1, node_limit=20_000)
+    assert (res.lower, res.upper, res.nodes) == (30, 31, 20_000)
 
 
 def _digest(code):
@@ -216,7 +242,7 @@ def test_exact_small_cells_keep_their_witnesses():
 
 
 # nodes with no transposition table
-TT_OFF_NODES = {(5, 1): 15, (6, 1): 12_562, (6, 2): 8, (7, 3): 6_289}
+TT_OFF_NODES = {(5, 1): 15, (6, 1): 12_577, (6, 2): 8, (7, 3): 6_305}
 
 
 @pytest.mark.parametrize("n,R", list(TT_OFF_NODES))

@@ -131,13 +131,24 @@ def test_table_chains_from_its_own_grid():
     # sits one above the bare chain from n = 7 on
     grid = build_grid(TableSpec(n_min=1, n_max=10, r_min=0, r_max=10))
     assert [grid[(n, 1)].lower for n in range(7, 11)] == [30, 52, 93, 168]
-    # chaining from its grid and propagating over it, the table is at least as
-    # tight as bound: (8,1) is 52-62[mono/s] there and 51-64[mono/g] from bound
+    # bound runs the same chain down its own column, so only the table's
+    # propagated upper bound can be tighter: (8,1) is 52-62[mono/s] there and
+    # 52-64[mono/g] from bound
     for (n, R), rec in grid.items():
         alone = best_bounds(n, R)
         assert alone.lower <= rec.lower <= rec.upper <= alone.upper, (rec, alone)
     assert render_cell(grid[(8, 1)]) == "52-62[mono/s]"
-    assert render_cell(best_bounds(8, 1)) == "51-64[mono/g]"
+    assert render_cell(best_bounds(8, 1)) == "52-64[mono/g]"
+
+
+def test_bound_has_the_tables_lower_bound():
+    # one chain: bound steps from the (n-1, R) lower bound it proves itself,
+    # the table from its grid's, and the two agree on every open cell
+    grid = build_grid(TableSpec(n_min=1, n_max=13, r_min=0, r_max=11))
+    cells = [(n, R) for (n, R) in grid if 0 < R < n]
+    assert len(cells) == 77
+    assert [(n, R, best_bounds(n, R).lower) for n, R in cells] == [
+        (n, R, grid[n, R].lower) for n, R in cells]
 
 
 @pytest.mark.parametrize("n_cached", [6, 8])
@@ -175,6 +186,12 @@ def test_cli_bound_text(capsys):
     rc, out, _ = run_cli(["bound", "--n", "6", "--r", "3"], capsys)
     assert rc == 0
     assert out.strip() == "4[superdiag/d]"
+
+
+def test_cli_bound_steps_from_its_own_column(capsys):
+    # from the exact K+(6, 1) = 18, not the bare chain's 17
+    rc, out, _ = run_cli(["bound", "--n", "7", "--r", "1"], capsys)
+    assert (rc, out) == (0, "30-31[mono/g]\n")
 
 
 def test_cli_bound_json(capsys):
@@ -501,7 +518,8 @@ def test_cli_help_states_each_limit_default(capsys):
     text = " ".join(out.split())
     assert rc == 0
     assert (
-        "--node-limit NODE_LIMIT search node cap, checked at every node (default 100,000,000)"
+        "--node-limit NODE_LIMIT node cap shared with the searches down the (n, R) column,"
+        " checked at every node (default 100,000,000)"
     ) in text
     # one constant caps the profile programs and the search, and the limit is
     # checked at every node, so a stopped search has visited exactly its limit
@@ -535,14 +553,15 @@ def test_cli_exact_bracket_exit(capsys):
 def test_cli_exact_reports_progress(capsys):
     rc, out, err = run_cli(["exact", "--n", "6", "--r", "1"], capsys)
     assert (rc, out) == (0, "18\n")
-    assert err.startswith("progress: lower 18, incumbent 18, nodes 6420\n")
+    # the nodes include the searches of (2..5, 1) down the column
+    assert err.startswith("progress: lower 18, incumbent 18, nodes 6435\n")
 
 
 def test_cli_bound_exits_3_when_a_program_runs_out_of_nodes(capsys, monkeypatch):
     def exhausted(n, R):
         raise ipsolve.BudgetExceededError("IP node budget 1 exceeded")
 
-    monkeypatch.setattr(ipsolve, "diff_chain_lower", exhausted)
+    monkeypatch.setattr(ipsolve, "ip_phi", exhausted)
     rc, out, err = run_cli(["bound", "--n", "8", "--r", "2"], capsys)
     assert (rc, out) == (3, "")
     assert err == "budget exceeded: IP node budget 1 exceeded\n"
