@@ -6,7 +6,7 @@ size K+(n, R) exactly on small cubes, brackets it with analytic bounds and
 explicit constructions elsewhere, and handles the linear (subspace) variant.
 """
 
-from .bounds import BoundRecord, Budget, asym_sphere_bound, best_bounds
+from .bounds import BoundRecord, asym_sphere_bound, best_bounds
 from .constructions import diagonal_code, general_upper_size, greedy_code, random_code_nu
 from .cube import Code, covers, uncovered
 from .exact import exact_kplus
@@ -14,11 +14,10 @@ from .ipsolve import ip_plus
 from .linear import min_linear_dim
 from .table import build_grid, render_table
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BoundRecord",
-    "Budget",
     "Code",
     "asym_sphere_bound",
     "best_bounds",

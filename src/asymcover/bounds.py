@@ -1,11 +1,11 @@
 """Analytic bounds on K+(n,R) and bound aggregation.
 
 Lower bounds: the levelwise sphere-covering bound, the superdiagonal values,
-exact search, and the difference chain built from the zero-count program,
-which lifts a proven lower bound on K+(n-1, R): the table's own, or else the
-one this module proves for that cell.  Upper bounds: diagonal codes,
-coradius splits, greedy codes, exact search, and direct-sum splits applied
-during grid propagation.
+exact search, and the difference chain, which lifts a proven lower bound on
+K+(n-1, R) (the table's own, or else the one this module proves for that
+cell) by the zero-count program, or by its LP relaxation when the program
+runs out of nodes.  Upper bounds: diagonal codes, coradius splits, greedy
+codes, exact search, and direct-sum splits applied during grid propagation.
 Every bound value is computed with exact integer arithmetic.
 """
 
@@ -18,7 +18,7 @@ from . import exact, ipsolve
 from .constructions import GREEDY_MAX_N, general_upper_size, greedy_code
 from .cube import ball_size_down, binomial
 
-LOWER_TAG_ORDER = ("superdiag", "e", "mono", "sphere")
+LOWER_TAG_ORDER = ("superdiag", "e", "mono", "lp", "sphere")
 UPPER_TAG_ORDER = ("d", "e", "g", "s", "general", "sphere")
 EXACT_SEARCH_MAX_N = 6  # best_bounds runs exact search on cells up to this n
 
@@ -76,20 +76,6 @@ class BoundRecord:
         return cls(d["n"], d["R"], d["lower"], d["upper"], d["lower_tag"], d["upper_tag"])
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Which bound sources a cell is allowed to spend time on.
-
-    Each open cell with n <= EXACT_SEARCH_MAX_N gets an exact search run to
-    completion, so no clock or node count reaches a record.  It runs greedy
-    and the chain itself whatever `use_ip` and `use_greedy` say, which costs
-    milliseconds at those n.
-    """
-
-    use_ip: bool = True
-    use_greedy: bool = True
-
-
 def _check_cell(n: int, R: int) -> None:
     if n < 1 or R < 0 or R > n:
         raise ValueError("need 1 <= n and 0 <= R <= n")
@@ -124,13 +110,19 @@ def superdiag_exact(n: int, R: int) -> bool:
     return r <= 0 or n >= r * (r + 1) // 2
 
 
-def best_bounds(n: int, R: int, budget: Budget = Budget(), below: int | None = None) -> BoundRecord:
-    """Best bracket one cell can get from every in-budget bound source.
+def best_bounds(
+    n: int, R: int, node_limit: int = ipsolve.DEFAULT_NODE_CAP, below: int | None = None
+) -> BoundRecord:
+    """Best bracket one cell can get from every bound source.
 
     The difference chain, and the exact search at n <= EXACT_SEARCH_MAX_N,
     step from `below`, a proven lower bound on K+(n-1, R) such as a table's
     own.  Without it, they step from the best lower bound of (n-1, R), got
-    the same way with greedy off.
+    from the lower-bound sources alone, down the column.  The chain's phi
+    program and greedy each stop after `node_limit` nodes: a chain step then
+    takes phi's LP value, tag "lp", and greedy's upper bound drops out.  The
+    exact search runs to completion; it settles every cell it runs on in
+    6,435 nodes at most.
     """
     _check_cell(n, R)
     if R == 0:
@@ -141,31 +133,55 @@ def best_bounds(n: int, R: int, budget: Budget = Budget(), below: int | None = N
         # the coradius theorem settles the cell, and its tags head both orders
         return BoundRecord(n, R, r + 1, r + 1, "superdiag", "d")
 
-    lowers = [
-        (asym_sphere_bound(n, R), "sphere"),
-        (superdiag_lower(n, R), "superdiag"),
-    ]
+    lowers, search = _lower_sources(n, R, node_limit, below)
     uppers = [(general_upper_size(n, r), "general")]
-    if n <= EXACT_SEARCH_MAX_N:
-        # the search settles the cell in 6,435 nodes at most, far inside its
-        # default node limit; it starts at or above the chain and from greedy's
-        # code, and "e" comes before "mono" and "g" on a tie, so neither runs
-        # beside it
-        res = exact.exact_kplus(n, R, below=below)
-        lowers.append((res.lower, "e"))
-        uppers.append((res.upper, "e"))
-    else:
-        if budget.use_ip and n <= ipsolve.MAX_IP_DIMENSION:
-            if below is None:
-                below = best_bounds(n - 1, R, replace(budget, use_greedy=False)).lower
-            lowers.append((ipsolve.diff_lower(n, below, ipsolve.ip_phi(n, R).value), "mono"))
-        if budget.use_greedy and n <= GREEDY_MAX_N:
-            uppers.append((len(greedy_code(n, R)), "g"))
-
-    # the best value; on a tie, the tag that comes first in its order
-    lower, ltag = max(lowers, key=lambda c: (c[0], -LOWER_TAG_ORDER.index(c[1])))
+    if search is not None:
+        # the search starts at or above the chain and from greedy's code, and
+        # "e" comes before "mono" and "g" on a tie, so neither runs beside it
+        uppers.append((search.upper, "e"))
+    elif n <= GREEDY_MAX_N:
+        try:
+            uppers.append((len(greedy_code(n, R, node_limit)), "g"))
+        except ipsolve.BudgetExceededError:
+            pass
+    lower, ltag = _best_lower(lowers)
+    # the least value; on a tie, the tag that comes first in its order
     upper, utag = min(uppers, key=lambda c: (c[0], UPPER_TAG_ORDER.index(c[1])))
     return BoundRecord(n, R, lower, upper, ltag, utag)
+
+
+def _best_lower(lowers: list[tuple[int, str]]) -> tuple[int, str]:
+    """The greatest value; on a tie, the tag that comes first in its order."""
+    return max(lowers, key=lambda c: (c[0], -LOWER_TAG_ORDER.index(c[1])))
+
+
+def _lower_sources(n: int, R: int, node_limit: int, below: int | None):
+    """The (value, tag) lower bounds of an open cell, and the exact search's
+    result where one ran, else None."""
+    lowers = [(asym_sphere_bound(n, R), "sphere"), (superdiag_lower(n, R), "superdiag")]
+    if n <= EXACT_SEARCH_MAX_N:
+        search = exact.exact_kplus(n, R, below=below)
+        return lowers + [(search.lower, "e")], search
+    if n <= ipsolve.MAX_IP_DIMENSION:
+        tag = "mono"
+        if below is None:
+            below, below_tag = _column_lower(n - 1, R, node_limit)
+            if below_tag == "lp":  # the chain rests on a step that took the LP value
+                tag = "lp"
+        try:
+            phi = ipsolve.ip_phi(n, R, node_limit).value
+        except ipsolve.BudgetExceededError:
+            phi, tag = ipsolve.ip_phi_lp(n, R), "lp"
+        lowers.append((ipsolve.diff_lower(n, below, phi), tag))
+    return lowers, None
+
+
+def _column_lower(n: int, R: int, node_limit: int) -> tuple[int, str]:
+    """The best lower bound on K+(n, R), 1 <= R <= n, and its tag, from the
+    lower-bound sources alone: no greedy runs down the column."""
+    if superdiag_exact(n, R):
+        return n - R + 1, "superdiag"
+    return _best_lower(_lower_sources(n, R, node_limit, None)[0])
 
 
 def _virtual(grid, n: int, R: int, field: str) -> int | None:
@@ -201,7 +217,8 @@ def propagate(grid: dict[tuple[int, int], BoundRecord]) -> dict[tuple[int, int],
             for src in (_virtual(out, n - 1, R, "lower"), _virtual(out, n, R + 1, "lower")):
                 if src is not None and src + 1 > lower:
                     lower, ltag = src + 1, "mono"
-        for n1 in range(1, n):
+        # u(n1, r1) * u(n - n1, R - r1) is symmetric, so n1 <= n - n1 finds every product
+        for n1 in range(1, n // 2 + 1):
             for r1 in range(R + 1):
                 u1 = _virtual(out, n1, r1, "upper")
                 u2 = _virtual(out, n - n1, R - r1, "upper")

@@ -1,7 +1,8 @@
 """Command-line surface: bound, construct, verify, table, exact, linear.
 
 Exit codes: 0 success, 1 usage or argument error, 2 verification failure,
-3 budget exceeded (a bracket was returned instead of an exact value).
+3 node limit reached (exact search returned a bracket instead of a value, or
+a lower bound of bound or table rests on a chain step's LP value).
 Every command takes --json for machine-readable output on stdout;
 diagnostics go to stderr.
 """
@@ -14,7 +15,7 @@ import json
 import sys
 
 from . import codefiles
-from .bounds import Budget, best_bounds
+from .bounds import best_bounds
 from .constructions import (
     PatchedCode,
     diagonal_code,
@@ -29,7 +30,7 @@ from .cube import (
     RADIUS_MAX_N, Code, all_ones, code_covering_radius, covers, level_profile, sweep
 )
 from .exact import exact_kplus
-from .ipsolve import DEFAULT_NODE_CAP, BudgetExceededError
+from .ipsolve import DEFAULT_NODE_CAP
 from .linear import a_code, min_linear_dim, span
 from .table import TableSpec, build_grid, cell_dicts, render_cell, render_table
 
@@ -59,16 +60,9 @@ def _positive(text: str) -> int:
 _positive.__name__ = "int"  # argparse names the type in its messages
 
 
-def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
-    """The fields of a `Budget`, the same on every command that reads one."""
-    sub.add_argument("--ip", action=argparse.BooleanOptionalAction, default=True,
-                     help="use the zero-count program's difference chain for lower bounds")
-    sub.add_argument("--greedy", action=argparse.BooleanOptionalAction, default=True,
-                     help="use greedy cover for upper bounds")
-
-
-def _budget(args) -> Budget:
-    return Budget(use_ip=args.ip, use_greedy=args.greedy)
+def _add_node_limit(sub: argparse.ArgumentParser, what: str) -> None:
+    sub.add_argument("--node-limit", type=_positive, default=DEFAULT_NODE_CAP,
+                     help=f"{what} (default {DEFAULT_NODE_CAP:,})")
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -78,10 +72,20 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+_LIMIT_HELP = ("node limit of each bound source: the zero-count program of each chain step,"
+               " which takes its LP value past it, and greedy's scored candidates")
+
+
+def _exit_code(records) -> int:
+    """EXIT_BUDGET when a record's lower bound rests on a chain step that took
+    the LP value, so a larger node limit may tighten it."""
+    return EXIT_BUDGET if any(rec.lower_tag == "lp" for rec in records) else EXIT_OK
+
+
 def cmd_bound(args) -> int:
-    rec = best_bounds(args.n, args.r, _budget(args))
+    rec = best_bounds(args.n, args.r, args.node_limit)
     _emit(args, rec.to_dict(), render_cell(rec))
-    return EXIT_OK
+    return _exit_code([rec])
 
 
 class _VerificationFailure(Exception):
@@ -193,12 +197,12 @@ def cmd_table(args) -> int:
         n_max=args.n_max,
         r_min=args.r_min,
         r_max=args.r_max,
-        budget=_budget(args),
+        node_limit=args.node_limit,
         cache_path=args.cache,
     )
     grid = build_grid(spec)
     _emit(args, cell_dicts(grid), render_table(grid, spec))
-    return EXIT_OK
+    return _exit_code(grid.values())
 
 
 def cmd_exact(args) -> int:
@@ -283,7 +287,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = subs.add_parser("bound", parents=[json_flag], help="best bounds for one cell")
-    _add_budget_flags(p)
+    _add_node_limit(p, _LIMIT_HELP)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=cmd_bound)
@@ -311,7 +315,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("table", parents=[json_flag], help="bound table over a grid")
-    _add_budget_flags(p)
+    _add_node_limit(p, _LIMIT_HELP)
     p.add_argument("--cache", default=None, help="bounds cache file")
     # retired flags, parsed and ignored whatever their value so that the benchmark's
     # command line still runs; they go with its next change (ROADMAP item 8)
@@ -324,9 +328,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("exact", parents=[json_flag], help="exact K+(n,R) by search")
-    p.add_argument("--node-limit", type=_positive, default=DEFAULT_NODE_CAP,
-                   help=f"node cap shared with the searches down the (n, R) column, "
-                        f"checked at every node (default {DEFAULT_NODE_CAP:,})")
+    _add_node_limit(p, "node cap shared with the searches down the (n, R) column,"
+                       " checked at every node")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--out", default=None, help="write the witness code here")
@@ -348,9 +351,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

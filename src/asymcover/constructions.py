@@ -30,6 +30,7 @@ from .cube import (
     subset_tables,
     uncovered,
 )
+from .ipsolve import BudgetExceededError
 
 GREEDY_MAX_N = 26  # greedy / sampling sweeps touch every vertex of Q_n
 # low coordinates per greedy block; measured on a 2-vCPU VM, blocks of 2^13
@@ -248,7 +249,7 @@ def _block_tables(h: int) -> tuple[list[int], list[int], list[list[int]]]:
     return *subset_tables(h), of_weight
 
 
-def greedy_code(n: int, R: int) -> Code:
+def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
     """Classic greedy set cover over downward R-balls.
 
     Repeatedly selects the center covering the most still-uncovered vertices,
@@ -276,6 +277,10 @@ def greedy_code(n: int, R: int) -> Code:
     terms, each term is one pass over the group, and a group is sorted by a
     alone.  A waiting candidate is its a, 4 bytes, and the blocks take 2^n
     bits.
+
+    Each candidate scored against one block term counts as one node, and the
+    count is checked once per scored group: past `node_limit` the call raises
+    BudgetExceededError.  Without a limit it runs to the end.
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
@@ -300,6 +305,7 @@ def greedy_code(n: int, R: int) -> Code:
     g = max(fresh_at) + 1
     remaining = 1 << n
     chosen = array("I")  # 4 bytes a word where a list holds an int object
+    nodes = 0
     while remaining:
         g -= 1
         if g not in buckets and g not in fresh_at:
@@ -316,6 +322,9 @@ def greedy_code(n: int, R: int) -> Code:
             if terms is None:  # b's own block, the last of its ball, is scored apart
                 xs = ball_down(b, R, n - h)[:-1] if n > h else []
                 terms = blocks[b] = [(x, wb - x.bit_count()) for x in xs]
+            nodes += len(current) * (len(terms) + 1)
+            if node_limit is not None and nodes > node_limit:
+                raise BudgetExceededError(f"greedy node limit {node_limit} exceeded")
             u, row = unc[b], rows[0]
             gains = [(u & row[a]).bit_count() for a in current]
             for x, d in terms:

@@ -113,6 +113,12 @@ def exact_kplus(
         raise ValueError(f"exact search supports 1 <= n <= {EXACT_MAX_N}")
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
+    return _search(n, R, node_limit, on_progress, below)
+
+
+def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> ExactResult:
+    """exact_kplus on checked arguments.  The column below is searched by a
+    call of this helper, so each request enters exact_kplus once."""
     start = time.monotonic()
 
     size = 1 << n
@@ -125,7 +131,7 @@ def exact_kplus(
     if below is None:
         below = 1
         if R < n - 1:
-            column = exact_kplus(n - 1, R, node_limit)
+            column = _search(n - 1, R, node_limit, None, None)
             below, nodes = column.lower, column.nodes
     incumbent = greedy_code(n, R)
     best = len(incumbent)

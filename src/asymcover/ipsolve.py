@@ -17,10 +17,12 @@ paid off at its own point t_j, and between two such points a child window is
 one subtraction away from the last.
 
 `lp_prices` gives optimal dual prices of the LP relaxation, solved in
-integers; they bound only the exact search, priced over the uncovered
-vertices of each level.  `diff_lower` takes one step of the difference
-chain: from a proven lower bound on K+(n-1, R) and the zero-count bound
-phi(n, R) to one on K+(n, R).  Each caller steps from a K+(n-1, R) bound it
+integers; they bound the exact search, priced over the uncovered vertices
+of each level, and `ip_phi_lp` sums them into the ceiling of the LP optimum,
+the bound on phi(n, R) that a chain step takes when `ip_phi` runs out of
+nodes.  `diff_lower` takes one step of the difference chain: from a proven
+lower bound on K+(n-1, R) and the zero-count bound phi(n, R) to one on
+K+(n, R).  Each caller steps from a K+(n-1, R) bound it
 proved itself, so the module keeps no state between calls.
 """
 
@@ -202,7 +204,12 @@ def solve(n: int, R: int, costs: tuple[int, ...], node_cap: int = DEFAULT_NODE_C
         return best
 
     window = sum(demand[n - i] << F * i for i in range(R))  # R <= n
-    return IPSolution(rec(n, window), nodes)
+    try:
+        return IPSolution(rec(n, window), nodes)
+    finally:
+        # rec reaches itself through its closure cell; emptying the cell breaks
+        # that cycle, so the memo is freed now rather than by the cyclic collector
+        del rec
 
 
 def _check_params(n: int, R: int) -> None:
@@ -215,9 +222,17 @@ def ip_plus(n: int, R: int) -> IPSolution:
     return solve(n, R, (1,) * (n + 1))
 
 
-def ip_phi(n: int, R: int) -> IPSolution:
+def ip_phi(n: int, R: int, node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:
     """Exact minimum of sum (n-l) a_l: the lower bound on phi(n, R)."""
-    return solve(n, R, tuple(n - l for l in range(n + 1)))
+    return solve(n, R, tuple(n - l for l in range(n + 1)), node_cap)
+
+
+def ip_phi_lp(n: int, R: int) -> int:
+    """Ceiling of the LP relaxation's optimum of ip_phi, a lower bound on phi(n, R)
+    that needs no search: sum_t C(n, t) * p_t / D at the optimal dual prices."""
+    _check_params(n, R)
+    p, D = lp_prices(n, R, tuple(n - l for l in range(n + 1)))
+    return _ceildiv(sum(binomial(n, t) * x for t, x in enumerate(p)), D)
 
 
 def diff_lower(n: int, lower_prev: int, phi_lb: int) -> int:

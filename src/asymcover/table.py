@@ -5,20 +5,23 @@ every R up to min(n, r_max), so monotonicity chains and direct-sum splits
 have their neighbors available; rendering then restricts to the requested
 window.  Each cell's difference chain takes its last step from the grid's
 own (n-1, R) lower bound, computed just before it or loaded from the cache.
-The cache is a JSON object written atomically: the budget and the package
-version its cells were computed under, and the map "n,R" -> record.  A cache
-is reused only under an equal budget and version; anything else recomputes
-every cell.  A run that changes no cached record leaves the file untouched.
+The cache is a JSON object written atomically: the node limit and the
+package version its cells were computed under, and the map "n,R" -> record.
+A cache is reused only under an equal node limit and version; anything else,
+such as a cache from 0.2.0 or before, which holds a "budget" in place of the
+node limit, recomputes every cell.  A run that changes no cached record
+leaves the file untouched.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
-from .bounds import BoundRecord, Budget, best_bounds, propagate
+from .bounds import BoundRecord, best_bounds, propagate
 from .codefiles import write_atomic
+from .ipsolve import DEFAULT_NODE_CAP
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,7 @@ class TableSpec:
     n_max: int
     r_min: int
     r_max: int
-    budget: Budget = field(default_factory=Budget)
+    node_limit: int = DEFAULT_NODE_CAP
     cache_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -52,16 +55,16 @@ def cell_dicts(grid: dict[tuple[int, int], BoundRecord]) -> dict[str, dict]:
     return {f"{n},{R}": rec.to_dict() for (n, R), rec in sorted(grid.items())}
 
 
-def _cache_key(budget: Budget) -> dict:
-    """What a cache's cells were computed under: the budget and the package version."""
+def _cache_key(node_limit: int) -> dict:
+    """What a cache's cells were computed under: the node limit and the package version."""
     import asymcover  # here, as the package sets __version__ after it imports this module
 
-    return {"budget": asdict(budget), "version": asymcover.__version__}
+    return {"node_limit": node_limit, "version": asymcover.__version__}
 
 
-def load_cache(path: str, budget: Budget) -> dict[tuple[int, int], BoundRecord]:
+def load_cache(path: str, node_limit: int) -> dict[tuple[int, int], BoundRecord]:
     """The cells cached at `path` if this package version computed them
-    under `budget`, else {}; a cache that stores no version is older.
+    under `node_limit`, else {}.
 
     Raises ValueError naming the path when the file is not a bound cache, so
     that build_grid never overwrites it.
@@ -71,11 +74,12 @@ def load_cache(path: str, budget: Budget) -> dict[tuple[int, int], BoundRecord]:
             raw = json.load(fh)
         if not (
             isinstance(raw, dict)
-            and raw.keys() - {"version"} == {"budget", "cells"}
-            and isinstance(raw["budget"], dict)
-            and isinstance(raw["cells"], dict)
+            and isinstance(raw.get("cells"), dict)
+            # 0.2.0 and before keyed a cache by a "budget" object
+            and (type(raw.get("node_limit")) is int or isinstance(raw.get("budget"), dict))
+            and raw.keys() <= {"node_limit", "budget", "version", "cells"}
         ):
-            raise ValueError('expected an object with "budget" and "cells"')
+            raise ValueError('expected an object with "node_limit" and "cells"')
         grid = {}
         for key, d in raw["cells"].items():
             rec = BoundRecord.from_dict(d)
@@ -84,12 +88,12 @@ def load_cache(path: str, budget: Budget) -> dict[tuple[int, int], BoundRecord]:
             grid[(rec.n, rec.R)] = rec
     except ValueError as exc:
         raise ValueError(f"{path} is not a bound cache: {exc}") from None
-    key = {"budget": raw["budget"], "version": raw.get("version")}
-    return grid if key == _cache_key(budget) else {}
+    key = {k: v for k, v in raw.items() if k != "cells"}
+    return grid if key == _cache_key(node_limit) else {}
 
 
-def save_cache(path: str, grid: dict[tuple[int, int], BoundRecord], budget: Budget) -> None:
-    payload = {**_cache_key(budget), "cells": cell_dicts(grid)}
+def save_cache(path: str, grid: dict[tuple[int, int], BoundRecord], node_limit: int) -> None:
+    payload = {**_cache_key(node_limit), "cells": cell_dicts(grid)}
     write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
@@ -97,17 +101,18 @@ def build_grid(spec: TableSpec) -> dict[tuple[int, int], BoundRecord]:
     """Aggregate per-cell bounds (cache hits skip the work), then propagate."""
     cached: dict[tuple[int, int], BoundRecord] = {}
     if spec.cache_path and os.path.exists(spec.cache_path):
-        cached = load_cache(spec.cache_path, spec.budget)
+        cached = load_cache(spec.cache_path, spec.node_limit)
     grid = {}
     for n, R in spec.cells():  # n ascending, so (n-1, R) is in the grid when 0 < R < n
         below = grid[(n - 1, R)].lower if 0 < R < n else None
         rec = cached.get((n, R))
-        grid[(n, R)] = rec if rec is not None else best_bounds(n, R, spec.budget, below)
+        grid[(n, R)] = rec if rec is not None else best_bounds(n, R, spec.node_limit, below)
     grid = propagate(grid)
-    # another budget's or version's cache loads as {}, so an unchanged grid implies the same key
+    # another node limit's or version's cache loads as {}, so an unchanged grid
+    # implies the same key
     if spec.cache_path and any(cached.get(key) != rec for key, rec in grid.items()):
         # cached cells outside this window stay for the runs that need them
-        save_cache(spec.cache_path, {**cached, **grid}, spec.budget)
+        save_cache(spec.cache_path, {**cached, **grid}, spec.node_limit)
     return grid
 
 

@@ -9,7 +9,6 @@ import math
 import time
 
 from asymcover.bounds import (
-    Budget,
     asym_sphere_bound,
     propagate,
     superdiag_lower,
@@ -153,8 +152,7 @@ def test_criterion_5_diagonal_and_below_threshold():
 
 def test_criterion_6_reference_table():
     start = time.monotonic()
-    budget = Budget()
-    spec = TableSpec(n_min=2, n_max=13, r_min=1, r_max=11, budget=budget)
+    spec = TableSpec(n_min=2, n_max=13, r_min=1, r_max=11)
     grid = build_grid(spec)
     disjoint, behind = [], []
     for cell, (lo, hi) in REFERENCE_BRACKETS.items():

@@ -9,7 +9,6 @@ import pytest
 
 from asymcover.bounds import (
     BoundRecord,
-    Budget,
     EXACT_SEARCH_MAX_N,
     LOWER_TAG_ORDER,
     UPPER_TAG_ORDER,
@@ -20,7 +19,7 @@ from asymcover.bounds import (
     superdiag_lower,
 )
 from asymcover.cube import weight
-from asymcover.ipsolve import diff_lower, ip_phi, ip_plus
+from asymcover.ipsolve import DEFAULT_NODE_CAP, diff_lower, ip_phi, ip_plus
 from asymcover.table import TableSpec, build_grid
 
 
@@ -126,9 +125,9 @@ def test_bound_record_validation():
 
 
 def test_best_bounds_pinned_cells():
-    rec = best_bounds(6, 3, Budget())
+    rec = best_bounds(6, 3)
     assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (4, 4, "superdiag", "d")
-    rec = best_bounds(4, 1, Budget())
+    rec = best_bounds(4, 1)
     assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (6, 6, "e", "e")
 
 
@@ -146,7 +145,7 @@ def test_best_bounds_settles_superdiag_cells_without_search(monkeypatch):
     for n, R in settled:
         r = n - R
         want = BoundRecord(n, R, r + 1, r + 1, "superdiag", "d")
-        assert best_bounds(n, R, Budget()) == want
+        assert best_bounds(n, R) == want
 
 
 # best_bounds(n, R) at every cell n <= 6 that the coradius theorem leaves open,
@@ -190,17 +189,16 @@ def test_best_bounds_runs_greedy_and_the_chain_once_inside_the_search(monkeypatc
     cells = [(n, R) for n in range(1, 7) for R in range(1, n + 1) if not superdiag_exact(n, R)]
     assert cells == list(SEARCHED_CELLS) == list(SEARCHED_BELOW)
     once = [("exact.greedy_code", True), ("ipsolve.diff_lower", True), ("ipsolve.ip_phi", True)]
-    # whatever the budget says of greedy and the chain
-    budgets = [Budget(use_ip=ip, use_greedy=greedy) for ip in (True, False)
-               for greedy in (True, False)]
-    for budget in budgets:
+    # whatever the node limit: the search runs to completion, and greedy and the
+    # chain run only inside it
+    for node_limit in (DEFAULT_NODE_CAP, 1):
         for n, R in cells:
             calls.clear()
-            assert best_bounds(n, R, budget, SEARCHED_BELOW[n, R]) == SEARCHED_CELLS[n, R]
+            assert best_bounds(n, R, node_limit, SEARCHED_BELOW[n, R]) == SEARCHED_CELLS[n, R]
             assert sorted(calls) == once
             # with no (n-1, R) bound, the search runs its column: once per k = R+1..n
             calls.clear()
-            assert best_bounds(n, R, budget) == SEARCHED_CELLS[n, R]
+            assert best_bounds(n, R, node_limit) == SEARCHED_CELLS[n, R]
             assert sorted(calls) == sorted(once * (n - R))
 
 
@@ -239,9 +237,11 @@ def test_best_bounds_default_budget_82():
 
 
 def test_best_bounds_budget_gating():
-    no_ip = best_bounds(8, 2, Budget(use_ip=False))
-    assert no_ip.lower_tag in ("sphere", "superdiag")
-    analytic = best_bounds(9, 2, Budget(use_ip=False, use_greedy=False))
+    # past the node limit the chain step takes phi's LP value and greedy drops out
+    starved = best_bounds(8, 2, node_limit=1)
+    assert (starved.lower, starved.lower_tag) == (19, "lp")
+    assert (starved.upper, starved.upper_tag) == (36, "general")
+    analytic = best_bounds(9, 2, node_limit=1)
     assert analytic.upper_tag in ("d", "general")
 
 
@@ -253,15 +253,50 @@ def test_best_bounds_tags_come_from_known_orders():
             assert rec.upper_tag in UPPER_TAG_ORDER
 
 
+def test_lp_fallback_is_never_above_the_default_lower_bound():
+    # under a one-node limit every chain step past n = 6 takes phi's LP value,
+    # which is at most phi's integer optimum, so no lower bound can rise
+    from test_acceptance import REFERENCE_BRACKETS
+
+    for n in range(1, 13):
+        for R in range(n + 1):
+            starved, default = best_bounds(n, R, node_limit=1), best_bounds(n, R)
+            assert starved.lower <= default.lower, (n, R)
+            if (n, R) in REFERENCE_BRACKETS:
+                assert starved.lower <= REFERENCE_BRACKETS[n, R][1], (n, R)
+            if n > EXACT_SEARCH_MAX_N and not superdiag_exact(n, R) and R > 0:
+                assert starved.upper_tag == "general", (n, R)  # greedy dropped out
+
+
+def test_chain_step_rests_on_the_lp_value_of_its_column(monkeypatch):
+    # a step whose own phi finishes still carries "lp" when the (n-1, R) bound
+    # it lifts took the LP value
+    from asymcover import ipsolve
+
+    real = ipsolve.ip_phi
+
+    def starved_at_7_and_8(n, R, node_cap=DEFAULT_NODE_CAP):
+        return real(n, R, 0 if n in (7, 8) else node_cap)
+
+    monkeypatch.setattr(ipsolve, "ip_phi", starved_at_7_and_8)
+    rec = best_bounds(9, 2)
+    assert (rec.lower, rec.lower_tag) == (31, "lp")
+    # handed a proven (8, 2) bound, as a table does, the step is the chain's own
+    rec = best_bounds(9, 2, below=20)
+    assert (rec.lower, rec.lower_tag) == (32, "mono")
+
+
 def test_best_bounds_brackets_nest_as_budget_grows():
-    # past EXACT_SEARCH_MAX_N no search settles the cell, so the budget shows
+    # past EXACT_SEARCH_MAX_N no search settles the cell, so the node limit shows:
+    # phi(7,2) takes 172 nodes and greedy's (7,2) code 477
     assert 7 > EXACT_SEARCH_MAX_N
-    lean = best_bounds(7, 2, Budget(use_ip=False, use_greedy=False))
-    chain = best_bounds(7, 2, Budget(use_greedy=False))
-    greedy = best_bounds(7, 2, Budget(use_ip=False))
+    lean = best_bounds(7, 2, node_limit=1)
+    chain = best_bounds(7, 2, node_limit=300)
     default = best_bounds(7, 2)
-    assert lean.lower == greedy.lower < chain.lower == default.lower
-    assert lean.upper == chain.upper > greedy.upper == default.upper
+    assert (lean.lower_tag, chain.lower_tag, default.lower_tag) == ("lp", "mono", "mono")
+    assert (lean.upper_tag, chain.upper_tag, default.upper_tag) == ("general", "general", "g")
+    assert lean.lower < chain.lower == default.lower
+    assert lean.upper == chain.upper > default.upper
     assert not default.exact
 
 

@@ -199,6 +199,22 @@ def test_search_from_the_tables_column_bound_is_unmoved():
             lower, upper, SEARCH_NODES[n, R], digest), (n, R)
 
 
+def test_a_request_enters_exact_kplus_once(monkeypatch):
+    # the column below is searched by a private helper, so a wrapper on the
+    # public name, such as a tracer's, sees one call per request
+    entered = []
+    real = exact.exact_kplus
+
+    def counted(*args, **kwargs):
+        entered.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "exact_kplus", counted)
+    res = exact.exact_kplus(7, 1, node_limit=20_000)
+    assert entered == [(7, 1)]
+    assert (res.lower, res.upper, res.nodes) == (30, 31, 20_000)
+
+
 def test_the_column_shares_the_node_limit():
     # the searches of (2..6, 1) count against the limit of (7, 1): stopped in
     # (6, 1), the search still starts no lower than the bare chain's 29

@@ -334,3 +334,11 @@ def test_cli_import_leaves_openssl_unloaded():
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_package_version_matches_pyproject():
+    # a table cache is keyed by __version__, so the two must move together
+    import asymcover
+
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == asymcover.__version__

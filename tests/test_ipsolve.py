@@ -1,9 +1,11 @@
 """Level-profile covering programs checked against an exhaustive enumerator."""
 
 import dataclasses
+import gc
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -208,6 +210,33 @@ def test_node_budget_boundary():
     with pytest.raises(BudgetExceededError):
         solve(9, 1, (1,) * 10, node_cap=count - 1)
     assert solve(9, 1, (1,) * 10, node_cap=count).node_count == count
+
+
+def test_solve_frees_its_memo_when_it_returns():
+    # with the cyclic collector off, nothing of phi(12, 5)'s 78,494-node memo may
+    # outlive the call
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert ip_phi(12, 5) == IPSolution(48, 78_494)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert kept < 100_000
+
+
+def test_ip_phi_lp_is_the_ceiling_of_the_lp_optimum():
+    # the chain's fallback: at most phi's integer optimum, and equal to the
+    # LP optimum computed over Fractions
+    for n in range(2, 11):
+        for R in range(1, n):
+            costs = tuple(n - l for l in range(n + 1))
+            p, D = lp_prices(n, R, costs)
+            want = math.ceil(sum(Fraction(binomial(n, t) * x, D) for t, x in enumerate(p)))
+            assert ipsolve.ip_phi_lp(n, R) == want <= ip_phi(n, R).value, (n, R)
+    assert ipsolve.ip_phi_lp(20, 10) == 83  # ceil(83 / 20) = 5, the chain's step at (20, 10)
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,15 @@ import hashlib
 import inspect
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
 import asymcover
 from asymcover import cli, ipsolve
-from asymcover.bounds import BoundRecord, Budget, best_bounds
+from asymcover.bounds import BoundRecord, best_bounds
 from asymcover.codefiles import load_code, save_code
 from asymcover.constructions import diagonal_code
 from asymcover.cube import Code
@@ -24,7 +27,7 @@ from asymcover.table import (
     save_cache,
 )
 
-SMALL = TableSpec(n_min=2, n_max=5, r_min=1, r_max=4, budget=Budget())
+SMALL = TableSpec(n_min=2, n_max=5, r_min=1, r_max=4)
 
 
 def test_every_exported_name_resolves():
@@ -86,7 +89,7 @@ def test_render_table_layout():
     assert first_row[0] == "1"
     assert first_row[1] == "2[superdiag/d]"
     # R > n corner renders the constant cell
-    wide = TableSpec(n_min=2, n_max=3, r_min=1, r_max=4, budget=Budget())
+    wide = TableSpec(n_min=2, n_max=3, r_min=1, r_max=4)
     corner = render_table(build_grid(wide), wide).splitlines()[-1].split()
     assert corner == ["4", "1", "1"]
 
@@ -101,19 +104,18 @@ def test_record_dict_round_trip():
 
 def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "cache.json")
-    spec = TableSpec(n_min=2, n_max=4, r_min=1, r_max=3, budget=Budget(), cache_path=path)
+    spec = TableSpec(n_min=2, n_max=4, r_min=1, r_max=3, cache_path=path)
     first = build_grid(spec)
     assert os.path.exists(path)
-    assert load_cache(path, Budget()) == first
-    assert load_cache(path, Budget(use_ip=False)) == {}  # another budget reuses nothing
+    assert load_cache(path, ipsolve.DEFAULT_NODE_CAP) == first
+    assert load_cache(path, 1000) == {}  # another node limit reuses nothing
     second = build_grid(spec)
     assert second == first
 
 
 def test_warm_table_leaves_its_cache_file_alone(tmp_path):
     path = tmp_path / "cache.json"
-    spec = TableSpec(n_min=2, n_max=4, r_min=1, r_max=3, budget=Budget(),
-                     cache_path=str(path))
+    spec = TableSpec(n_min=2, n_max=4, r_min=1, r_max=3, cache_path=str(path))
     first = build_grid(spec)
     os.utime(path, ns=(1, 1))  # a rewrite, even within one clock tick, would reset this
     text = path.read_bytes()
@@ -123,7 +125,7 @@ def test_warm_table_leaves_its_cache_file_alone(tmp_path):
     wider = dataclasses.replace(spec, n_max=5)
     assert build_grid(wider).keys() > first.keys()
     assert path.stat().st_mtime_ns != 1
-    assert load_cache(str(path), Budget()) == build_grid(wider)
+    assert load_cache(str(path), ipsolve.DEFAULT_NODE_CAP) == build_grid(wider)
 
 
 def test_table_chains_from_its_own_grid():
@@ -169,10 +171,11 @@ def read_json(path):
 
 def test_cache_write_is_clean(tmp_path):
     path = str(tmp_path / "c.json")
-    save_cache(path, {(2, 1): BoundRecord(2, 1, 2, 2, "e", "e")}, Budget())
+    save_cache(path, {(2, 1): BoundRecord(2, 1, 2, 2, "e", "e")}, 1000)
     assert sorted(os.listdir(tmp_path)) == ["c.json"]
     raw = read_json(path)
-    assert raw["budget"] == dataclasses.asdict(Budget())
+    assert sorted(raw) == ["cells", "node_limit", "version"]
+    assert raw["node_limit"] == 1000
     assert raw["cells"]["2,1"]["exact"] is True
 
 
@@ -233,8 +236,8 @@ def test_cli_usage_errors(capsys):
         ["bound", "--n", "6", "--r", "1", "--exact"],
         ["table", "--n-max", "3", "--no-exact"],
         ["bound", "--n", "4", "--r", "1", "--time-limit", "5"],
-        ["bound", "--n", "4", "--r", "1", "--node-limit", "5"],
-        ["table", "--n-max", "3", "--node-limit", "5"],
+        ["bound", "--n", "4", "--r", "1", "--no-ip"],  # retired with the budget switches
+        ["table", "--n-max", "3", "--no-greedy"],
         ["exact", "--n", "7", "--r", "2", "--time-limit", "5"],
     ],
 )
@@ -510,7 +513,7 @@ def test_cli_leaves_unset_limits_to_the_library(tmp_path, capsys, monkeypatch):
     assert [kw["node_limit"] for kw in seen] == [library_default, 5]
     cache = str(tmp_path / "cache.json")
     assert run_cli(["table", "--n-max", "3", "--cache", cache], capsys)[0] == 0
-    assert read_json(cache)["budget"] == dataclasses.asdict(Budget())
+    assert read_json(cache)["node_limit"] == library_default
 
 
 def test_cli_help_states_each_limit_default(capsys):
@@ -526,10 +529,20 @@ def test_cli_help_states_each_limit_default(capsys):
     assert ipsolve.DEFAULT_NODE_CAP == 10**8
     assert inspect.signature(exact_kplus).parameters["node_limit"].default == 10**8
     assert exact_kplus(6, 1, node_limit=1).nodes == 1
-    # the searches inside bound and table run to completion and take no limit
+    # bound and table take the same one node limit, for the chain's phi and greedy
     for other in ("bound", "table"):
         rc, out, _ = run_cli([other, "--help"], capsys)
-        assert rc == 0 and "limit" not in out, other
+        text = " ".join(out.split())
+        assert rc == 0
+        flags = {word.strip("[]") for word in out.split() if word.startswith(("--", "[--"))}
+        cells = {"--n", "--r"} if other == "bound" else {"--n-min", "--n-max", "--r-min",
+                                                         "--r-max", "--cache"}
+        assert flags == {"--help", "--json", "--node-limit"} | cells, other
+        assert (
+            "--node-limit NODE_LIMIT node limit of each bound source: the zero-count program"
+            " of each chain step, which takes its LP value past it, and greedy's scored"
+            " candidates (default 100,000,000)"
+        ) in text, other
 
 
 def test_cli_exact_and_witness(tmp_path, capsys):
@@ -558,13 +571,61 @@ def test_cli_exact_reports_progress(capsys):
 
 
 def test_cli_bound_exits_3_when_a_program_runs_out_of_nodes(capsys, monkeypatch):
-    def exhausted(n, R):
-        raise ipsolve.BudgetExceededError("IP node budget 1 exceeded")
+    # the chain step takes phi's LP value, and the bracket is still printed
+    real = ipsolve.ip_phi
+
+    def exhausted(n, R, node_cap=ipsolve.DEFAULT_NODE_CAP):
+        if n <= 6:  # the exact searches' own chain, which runs to completion
+            return real(n, R)
+        raise ipsolve.BudgetExceededError(f"IP node budget {node_cap} exceeded")
 
     monkeypatch.setattr(ipsolve, "ip_phi", exhausted)
     rc, out, err = run_cli(["bound", "--n", "8", "--r", "2"], capsys)
-    assert (rc, out) == (3, "")
-    assert err == "budget exceeded: IP node budget 1 exceeded\n"
+    assert (rc, out, err) == (3, "19-24[lp/g]\n", "")
+
+
+def test_cli_bound_and_table_exit_3_past_the_node_limit(capsys):
+    # phi(8,2) takes 375 nodes and greedy's (8,2) code 952
+    runs = {limit: run_cli(["bound", "--n", "8", "--r", "2", "--node-limit", limit], capsys)
+            for limit in ("1", "500", "1000")}
+    assert runs == {"1": (3, "19-36[lp/general]\n", ""), "500": (0, "20-36[mono/general]\n", ""),
+                    "1000": (0, "20-24[mono/g]\n", "")}
+    rc, out, _ = run_cli(["table", "--n-max", "8", "--r-max", "2", "--node-limit", "1"], capsys)
+    assert rc == 3 and "[lp/" in out
+    assert run_cli(["table", "--n-max", "8", "--r-max", "2", "--node-limit", "1000"],
+                   capsys)[0] == 0
+    rc, _, err = run_cli(["bound", "--n", "8", "--r", "2", "--node-limit", "0"], capsys)
+    assert rc == 1 and "must be positive" in err
+
+
+def test_cli_bound_runs_greedy_once(capsys, monkeypatch):
+    # the (n-1, R) column asks for lower bounds alone; greedy runs only inside
+    # the exact searches at n <= 6, for their incumbent
+    from asymcover import bounds, exact
+
+    calls = []
+    for module in (bounds, exact):
+        real = getattr(module, "greedy_code")
+        monkeypatch.setattr(module, "greedy_code", lambda n, R, *a, _real=real, _m=module: (
+            calls.append((_m.__name__, n)) or _real(n, R, *a)))
+    rc, out, _ = run_cli(["bound", "--n", "13", "--r", "1"], capsys)
+    assert (rc, out) == (0, "1046-1560[mono/g]\n")
+    assert [call for call in calls if call[0] == "asymcover.bounds"] == [("asymcover.bounds", 13)]
+    assert all(n <= 6 for _, n in calls if _ == "asymcover.exact")
+
+
+def test_cli_bound_answers_at_20_10_within_a_node_limit():
+    # in a fresh process, as a user runs it: every chain step down to (16, 10)
+    # and greedy stop at the limit, so the call answers in seconds
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")])}
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "asymcover.cli", "bound", "--n", "20", "--r", "10",
+         "--node-limit", "1000000"], capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "20-144[lp/general]\n", "")
+    assert elapsed < 10.0
 
 
 def test_cli_linear(capsys):
@@ -641,52 +702,58 @@ def test_cli_table_json_is_the_cache_cells(tmp_path, capsys):
 
 
 def test_cli_table_recomputes_a_cache_from_another_budget(tmp_path, capsys):
+    # a one-node limit starves the chain past n = 6 and greedy, so its cells differ
     args = ["table", "--n-max", "7", "--r-max", "3", "--json"]
-    weak = ["--no-ip", "--no-greedy"]
+    weak = ["--node-limit", "1"]
     cache = str(tmp_path / "cache.json")
     _, fresh, _ = run_cli(args, capsys)
     rc, weak_out, _ = run_cli(args + weak + ["--cache", cache], capsys)
-    assert rc == 0 and weak_out != fresh
+    assert rc == 3 and weak_out != fresh
+    assert json.loads(weak_out)["7,2"]["lower_tag"] == "lp"
+    assert read_json(cache)["node_limit"] == 1
+    assert run_cli(args + weak + ["--cache", cache], capsys)[:2] == (3, weak_out)  # reused
     rc, reused, _ = run_cli(args + ["--cache", cache], capsys)
     assert rc == 0
     assert reused == fresh
-    assert read_json(cache)["budget"]["use_ip"] is True  # overwritten
+    assert read_json(cache)["node_limit"] == ipsolve.DEFAULT_NODE_CAP  # overwritten
 
 
 @pytest.mark.parametrize(
     "stale",
     [
-        {"use_ip": True, "use_greedy": True, "use_exact": True, "exact_time_limit": 60.0,
-         "exact_node_limit": None},
-        {"use_ip": True, "use_greedy": True, "exact_time_limit": 60.0, "exact_node_limit": None},
+        {"budget": {"use_ip": True, "use_greedy": True, "use_exact": True,
+                    "exact_time_limit": 60.0, "exact_node_limit": None}},
+        {"budget": {"use_ip": True, "use_greedy": True, "exact_time_limit": 60.0,
+                    "exact_node_limit": None}},
+        {"budget": {"use_ip": True, "use_greedy": True}, "version": "0.2.0"},
     ],
-    ids=["use_exact", "search_limits"],
+    ids=["use_exact", "search_limits", "budget-0.2.0"],
 )
 def test_cli_table_recomputes_a_cache_whose_budget_holds_a_retired_field(stale, tmp_path,
                                                                          capsys):
-    # the budgets that older versions wrote; a budget with a field that Budget no
-    # longer has is another budget, so no cell is reused
+    # the keys that older versions wrote: a "budget" in place of the node limit is
+    # another key, so no cell is reused and the cache is overwritten, not refused
     args = ["table", "--n-max", "6", "--r-max", "3", "--json"]
     _, fresh, _ = run_cli(args, capsys)
     cache = tmp_path / "cache.json"
     loose = BoundRecord(6, 1, 17, 18, "mono", "g").to_dict()
-    cache.write_text(json.dumps({"budget": stale, "cells": {"6,1": loose}}))
+    cache.write_text(json.dumps({**stale, "cells": {"6,1": loose}}))
     rc, out, err = run_cli(args + ["--cache", str(cache)], capsys)
     assert (rc, out, err) == (0, fresh, "")
     written = read_json(cache)
-    assert written["budget"] == dataclasses.asdict(Budget()) == {"use_ip": True,
-                                                                "use_greedy": True}
+    assert {k: v for k, v in written.items() if k != "cells"} == {
+        "node_limit": ipsolve.DEFAULT_NODE_CAP, "version": asymcover.__version__}
     assert written["cells"]["6,1"]["lower"] == 18
 
 
 @pytest.mark.parametrize("version", [None, "0.1.0"], ids=["no-version", "older-version"])
 def test_cli_table_recomputes_a_cache_of_another_version(version, tmp_path, capsys):
-    # a change to the package can move records under the same budget: version
+    # a change to the package can move records under the same node limit: version
     # 0.1.0 chained (7,1) up from K+(1,1) to 29, and caches before it stored no version
     args = ["table", "--n-max", "7", "--r-max", "3", "--json"]
     _, fresh, _ = run_cli(args, capsys)
     cache = tmp_path / "cache.json"
-    old = {"budget": dataclasses.asdict(Budget()),
+    old = {"node_limit": ipsolve.DEFAULT_NODE_CAP,
            "cells": {"7,1": BoundRecord(7, 1, 29, 31, "mono", "g").to_dict()}}
     if version is not None:
         old["version"] = version
@@ -694,9 +761,9 @@ def test_cli_table_recomputes_a_cache_of_another_version(version, tmp_path, caps
     rc, out, err = run_cli(args + ["--cache", str(cache)], capsys)
     assert (rc, out, err) == (0, fresh, "")
     written = read_json(cache)
-    assert written["version"] == asymcover.__version__ == "0.2.0"
+    assert written["version"] == asymcover.__version__ == "0.3.0"
     assert written["cells"]["7,1"]["lower"] == 30
-    assert load_cache(str(cache), Budget()) == build_grid(TableSpec(1, 7, 0, 3))
+    assert load_cache(str(cache), ipsolve.DEFAULT_NODE_CAP) == build_grid(TableSpec(1, 7, 0, 3))
 
 
 def test_cli_table_keeps_cached_cells_outside_its_window(tmp_path, capsys):
@@ -756,7 +823,7 @@ GOOD_CELL = {"n": 2, "R": 1, "lower": 2, "upper": 2, "lower_tag": "mono", "upper
 
 
 def _cache_text(cell):
-    return json.dumps({"budget": dataclasses.asdict(Budget()), "cells": {"2,1": cell}})
+    return json.dumps({"node_limit": ipsolve.DEFAULT_NODE_CAP, "cells": {"2,1": cell}})
 
 
 @pytest.mark.parametrize(
@@ -770,10 +837,10 @@ def _cache_text(cell):
         (_cache_text({**GOOD_CELL, "upper_tag": "nu"}), "'upper_tag'"),  # a retired tag
         (_cache_text({**GOOD_CELL, "n": 3}), "'2,1'"),
         (_cache_text([GOOD_CELL]), "JSON object"),
-        (json.dumps([GOOD_CELL]), "budget"),
-        (json.dumps({"2,1": GOOD_CELL}), "budget"),  # a cache without its budget
-        (json.dumps({"budget": [], "cells": {}}), "budget"),
-        ('{"n": 2, "words": ["11"]}', "budget"),  # a code file
+        (json.dumps([GOOD_CELL]), "node_limit"),
+        (json.dumps({"2,1": GOOD_CELL}), "node_limit"),  # a cache without its key
+        (json.dumps({"budget": [], "cells": {}}), "node_limit"),
+        ('{"n": 2, "words": ["11"]}', "node_limit"),  # a code file
         ("11\n01\n", "not a bound cache"),
     ],
     ids=["missing-field", "string-lower", "bool-n", "unknown-tag", "retired-tag",
