@@ -10,10 +10,17 @@ least ceil(sum_l price_l |u ∩ level_l| / D) more words.  Each node carries
 that priced total down the tree, and a child's total is its parent's less
 the priced vertices its new ball covers, which lie on the R + 1 levels of
 the ball alone, so no node recounts u.  Each node branches on the centers
-that cover one vertex of its top uncovered level, largest gain first, and
-makes each child's checks in its own loop: the node limit, checked before
-the child is counted, an empty u (a cover), an exhausted size budget, and
-the cut by the TT entry or the bound.  Only a child that passes them is
+that cover one vertex of its top uncovered level, largest gain first (one
+sort on the packed key (2^n - gain) << n | c, which also carries the gain),
+and makes each child's checks in its own loop: the node limit, checked
+before the child is counted; a gain equal to |u| (a cover); an exhausted
+size budget; a pre-cut by one multiply, as the priced gain is at most the
+gain times the largest price on the ball's levels; the priced total itself;
+and only then a TT probe, on the uncovered set built for a child that the
+price leaves open.  The price may go first, as a TT entry is stored one
+above a budget that its state was admitted under, so it always exceeds that
+state's priced bound: a child the price cuts the TT would cut too, and the
+cuts are those of "TT entry, else price".  Only a child that passes them is
 searched by a call.  Each size tried starts at the whole cube, whose one
 candidate is the all-ones word, so the root (the cube less its ball) is
 the cube's only child and passes the same checks as any other; the TT also
@@ -84,7 +91,7 @@ def _orbit_key(c: int, cells: tuple[int, ...]) -> tuple[int, ...]:
     """The counts |c & cell| over the cells.  Two candidates that contain the
     branching vertex y have equal keys exactly when a permutation inside the
     cells that fixes y maps one onto the other."""
-    return tuple((c & cell).bit_count() for cell in cells)
+    return tuple([(c & cell).bit_count() for cell in cells])
 
 
 def exact_kplus(
@@ -140,10 +147,9 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
 
     down, at_least = subset_tables(n)
     ball_mask = [down[c] & at_least[max(0, weight(c) - R)] for c in range(size)]
-    # the centers that can cover y, ascending: the mirror image of a ball
-    candidates_of = [
-        [top ^ x for x in reversed(ball_down(top ^ y, R, n))] for y in range(size)
-    ]
+    # per branching vertex y, the centers that can cover it, ascending: the
+    # mirror image of a ball, built when y first branches
+    candidates_of: list[list[int] | None] = [None] * size
     level_mask = [at_least[l] ^ at_least[l + 1] for l in range(n + 1)]
     # the size program's LP dual prices: any extra centers covering u_l
     # vertices per level cost at least ceil(sum u_l * p_l / D), by weak duality
@@ -156,6 +162,8 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
          for l in range(max(0, weight(c) - R), weight(c) + 1) if price[l]]
         for c in range(size)
     ]
+    # per center, the largest of those prices: a priced gain is at most it times the gain
+    pmax = [max((p for _, p in levels), default=0) for levels in priced_ball]
 
     cube = full_set(n)
     cube_total = sum(p * m.bit_count() for m, p in zip(level_mask, price))
@@ -163,41 +171,49 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
 
     def dfs(u: int, budget: int, cells: tuple[int, ...], total: int) -> list[int] | None:
         # the caller has counted this node (the whole cube is not counted) and
-        # admitted it: u != 0, budget > 0, and its TT entry, or ceil(total / D)
-        # without one, is at most budget
+        # admitted it: u != 0, budget > 0, and ceil(total / D) and its TT
+        # entry, if any, are at most budget
         nonlocal nodes
         for l in range(n, -1, -1):
             at_level = u & level_mask[l]
             if at_level:
                 y = (at_level & -at_level).bit_length() - 1
                 break
+        candidates = candidates_of[y]
+        if candidates is None:
+            candidates = [top ^ x for x in reversed(ball_down(top ^ y, R, n))]
+            candidates_of[y] = candidates
+        left = u.bit_count()
+        # a child fits its budget - 1 words while its priced total is at most this
+        room = D * (budget - 1)
         # one candidate per count key over the cells (see the module
         # docstring); singleton cells leave nothing to permute
         seen = set()
         split = len(cells) < n
-        # largest gain first; the sort is stable, so ties keep ascending center order
-        for c in sorted(candidates_of[y], key=lambda c: -(ball_mask[c] & u).bit_count()):
+        # largest gain first, ties by ascending center
+        for packed in sorted([(size - (ball_mask[c] & u).bit_count()) << n | c for c in candidates]):
+            c = packed & top
             if split:
                 key = _orbit_key(c, cells)
                 if key in seen:
                     continue
                 seen.add(key)
             # the child's own checks, made here so that a cut child costs no call
-            v = u & ~ball_mask[c]
             if nodes >= node_limit:
                 raise _BudgetHit
             nodes += 1
-            if v == 0:
+            gain = size - (packed >> n)
+            if gain == left:
                 return [c]
-            if budget == 1:
+            if budget == 1 or total - pmax[c] * gain > room:
                 continue
             child_total = total
             for m, p in priced_ball[c]:
                 child_total -= p * (u & m).bit_count()
-            lb = tt.get(v)
-            if lb is None:
-                lb = -(-child_total // D)
-            if lb >= budget:  # over the child's budget - 1
+            if child_total > room:
+                continue
+            v = u & ~ball_mask[c]
+            if tt.get(v, 0) >= budget:  # over the child's budget - 1
                 continue
             child = cells
             if split:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from asymcover import cli, exact, ipsolve
+from asymcover.codefiles import load_code
 from asymcover.cube import Code, ball_down, covers
 from asymcover.exact import EXACT_MAX_N, ExactResult, exact_kplus
 from asymcover.ipsolve import ip_plus
@@ -317,6 +318,27 @@ def test_exact_bracket_at_n_8():
     assert covers(res.witness, 3)
 
 
+# (n, R, node limit): (lower, upper, witness digest); a stopped search visits
+# exactly its limit, so a child loop that counted one node more or less
+# would move the limit at which each bracket closes
+LIMIT_BOUNDARIES = {
+    # the column's (6, 1) proof completes at node 6,435 and lifts the start to 30
+    (7, 1, 6_434): (29, 31, "25339eef745efd63"),
+    (7, 1, 6_435): (30, 31, "25339eef745efd63"),
+    (7, 3, 5_900): (6, 7, "cbadf07f83a4571e"),
+    (7, 3, 5_901): (7, 7, "cbadf07f83a4571e"),
+    (8, 2, 50_000): (20, 24, "24fc783f17282e4c"),
+    (8, 1, 50_000): (52, 64, "0c2f94c956236ffe"),
+}
+
+
+@pytest.mark.parametrize("n,R,limit", list(LIMIT_BOUNDARIES))
+def test_node_limit_boundaries(n, R, limit):
+    res = exact_kplus(n, R, node_limit=limit)
+    lower, upper, digest = LIMIT_BOUNDARIES[n, R, limit]
+    assert (res.lower, res.upper, res.nodes, _digest(res.witness)) == (lower, upper, limit, digest)
+
+
 def test_exact_solves_its_zero_count_chain_on_every_call(monkeypatch):
     # a cell searched before in the same process must not hide the search's own
     # solves: it starts from the chain's phi(k, 1), k = 2..5, never from ip_plus
@@ -342,9 +364,15 @@ def test_exact_proves_kplus_7_1():
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def test_exact_proves_kplus_7_2():
+    res = exact_kplus(7, 2)
+    assert (res.status, res.upper, res.nodes) == ("exact", 14, 4_497_154)
+    assert res.witness.words == load_code(str(DATA / "kplus-7-2.json")).words
+
+
 @pytest.mark.parametrize("R,size", [(1, 31), (2, 14)])
 def test_shipped_witness_verifies(R, size, capsys):
-    # K+(7,1) = 31 is proved above; K+(7,2) = 14 by a 4.5 M-node search too slow for this suite
+    # K+(7,1) = 31 and K+(7,2) = 14 are proved above, the latter with this very witness
     assert cli.main(["verify", str(DATA / f"kplus-7-{R}.json"), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["covers"], out["size"], out["r"]) == (True, size, R)
