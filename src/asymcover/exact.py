@@ -10,10 +10,13 @@ least ceil(sum_l price_l |u ∩ level_l| / D) more words.  Each node carries
 that priced total down the tree, and a child's total is its parent's less
 the priced vertices its new ball covers, which lie on the R + 1 levels of
 the ball alone, so no node recounts u.  Each node branches on the centers
-that cover one vertex of its top uncovered level, largest gain first (one
-sort on the packed key (2^n - gain) << n | c, which also carries the gain),
-and makes each child's checks in its own loop: the node limit, checked
-before the child is counted; a gain equal to |u| (a cover); an exhausted
+that cover one vertex of its top uncovered level, found by scanning down
+from its parent's, as a child's uncovered set lies inside its parent's;
+a center's ball on the priced levels is built when one of its children
+first reaches the priced sum.  A node tries its centers largest gain
+first (one sort on the packed key (2^n - gain) << n | c, which also carries
+the gain), and makes each child's checks in its own loop: the node limit,
+checked before the child is counted; a gain equal to |u| (a cover); an exhausted
 size budget; a pre-cut by one multiply, as the priced gain is at most the
 gain times the largest price on the ball's levels; the priced total itself;
 and only then a TT probe, on the uncovered set built for a child that the
@@ -29,7 +32,9 @@ the clock, so a result does not change with host speed, and a stopped
 search has visited exactly its limit of nodes.  Stopping never makes a
 wrong exact claim: it yields the bracket proven so far.  The first size
 tried is one difference-chain step above a lower bound on K+(n-1, R), the
-caller's or one that a search of (n-1, R) proves under the same limit.
+caller's or one that a search of (n-1, R) proves under the same limit;
+where greedy's code already meets it, nothing is searched and no table is
+built.
 
 Coordinate permutations map downward covers to downward covers.  Each node
 carries the partition of the coordinates into cells that every chosen word
@@ -144,6 +149,9 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
     best = len(incumbent)
     # the zero-count chain is at or above ip_plus at every n <= 12
     proven_lower = ipsolve.diff_lower(n, below, ipsolve.ip_phi(n, R).value)
+    if proven_lower >= best:
+        # greedy meets the chain: nothing to search, so no tables to build
+        return ExactResult(n, R, proven_lower, best, incumbent, nodes, time.monotonic() - start)
 
     down, at_least = subset_tables(n)
     ball_mask = [down[c] & at_least[max(0, weight(c) - R)] for c in range(size)]
@@ -154,31 +162,31 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
     # the size program's LP dual prices: any extra centers covering u_l
     # vertices per level cost at least ceil(sum u_l * p_l / D), by weak duality
     price, D = ipsolve.lp_prices(n, R, (1,) * (n + 1))
-
-    # per center, its ball on each level of nonzero price: a child's priced
-    # total is its parent's less what the new ball covers on those levels
-    priced_ball = [
-        [(ball_mask[c] & level_mask[l], price[l])
-         for l in range(max(0, weight(c) - R), weight(c) + 1) if price[l]]
-        for c in range(size)
-    ]
-    # per center, the largest of those prices: a priced gain is at most it times the gain
-    pmax = [max((p for _, p in levels), default=0) for levels in priced_ball]
+    # per center, its ball on each level of nonzero price, built when one of
+    # its children first reaches the priced sum: a child's priced total is its
+    # parent's less what the new ball covers on those levels
+    priced_of: list[list[tuple[int, int]] | None] = [None] * size
+    # the largest price on a ball's levels, w - R..w for a center of weight w:
+    # a priced gain is at most it times the gain; taken once per weight and
+    # spread over the centers, so the child loop reads it with one index
+    pmax_of_weight = [max(price[max(0, w - R):w + 1]) for w in range(n + 1)]
+    pmax = [pmax_of_weight[weight(c)] for c in range(size)]
 
     cube = full_set(n)
     cube_total = sum(p * m.bit_count() for m, p in zip(level_mask, price))
     tt: dict[int, int] = {}
 
-    def dfs(u: int, budget: int, cells: tuple[int, ...], total: int) -> list[int] | None:
+    def dfs(u: int, budget: int, cells: tuple[int, ...], total: int, l: int) -> list[int] | None:
         # the caller has counted this node (the whole cube is not counted) and
         # admitted it: u != 0, budget > 0, and ceil(total / D) and its TT
-        # entry, if any, are at most budget
+        # entry, if any, are at most budget; no vertex of u lies above level
+        # l, the parent's top uncovered level, as u is a subset of its parent's
         nonlocal nodes
-        for l in range(n, -1, -1):
+        at_level = u & level_mask[l]
+        while not at_level:
+            l -= 1
             at_level = u & level_mask[l]
-            if at_level:
-                y = (at_level & -at_level).bit_length() - 1
-                break
+        y = (at_level & -at_level).bit_length() - 1
         candidates = candidates_of[y]
         if candidates is None:
             candidates = [top ^ x for x in reversed(ball_down(top ^ y, R, n))]
@@ -188,8 +196,12 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
         room = D * (budget - 1)
         # one candidate per count key over the cells (see the module
         # docstring); singleton cells leave nothing to permute
-        seen = set()
         split = len(cells) < n
+        if split:
+            seen = set()
+        # the node count, kept local in the loop and written back before
+        # each call, return and raise
+        count = nodes
         # largest gain first, ties by ascending center
         for packed in sorted([(size - (ball_mask[c] & u).bit_count()) << n | c for c in candidates]):
             c = packed & top
@@ -199,16 +211,24 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
                     continue
                 seen.add(key)
             # the child's own checks, made here so that a cut child costs no call
-            if nodes >= node_limit:
+            if count >= node_limit:
+                nodes = count
                 raise _BudgetHit
-            nodes += 1
+            count += 1
             gain = size - (packed >> n)
             if gain == left:
+                nodes = count
                 return [c]
             if budget == 1 or total - pmax[c] * gain > room:
                 continue
+            levels = priced_of[c]
+            if levels is None:
+                w = c.bit_count()
+                levels = [(ball_mask[c] & level_mask[k], price[k])
+                          for k in range(max(0, w - R), w + 1) if price[k]]
+                priced_of[c] = levels
             child_total = total
-            for m, p in priced_ball[c]:
+            for m, p in levels:
                 child_total -= p * (u & m).bit_count()
             if child_total > room:
                 continue
@@ -218,9 +238,12 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
             child = cells
             if split:
                 child = tuple(part for cell in cells for part in (cell & c, cell & ~c) if part)
-            sol = dfs(v, budget - 1, child, child_total)
+            nodes = count
+            sol = dfs(v, budget - 1, child, child_total, l)
+            count = nodes
             if sol is not None:
                 return [c] + sol
+        nodes = count
         # tt.get(u, 0) <= budget here, or the parent would have cut u;
         # and u cannot recur below itself, as every child covers more
         if len(tt) < TT_CAP:
@@ -230,7 +253,7 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
     try:
         # no cover smaller than proven_lower exists; a cover of that size settles the value
         while proven_lower < best:
-            sol = dfs(cube, proven_lower, (top,), cube_total)
+            sol = dfs(cube, proven_lower, (top,), cube_total, n)
             if sol is not None:
                 incumbent = Code.from_words(n, sol, r=R)
                 best = proven_lower

@@ -355,6 +355,22 @@ def test_exact_solves_its_zero_count_chain_on_every_call(monkeypatch):
     assert seen == [("ip_phi", k, 1) for k in range(2, 6)]
 
 
+def test_a_column_level_with_nothing_to_search_solves_no_lp(monkeypatch):
+    # at (2..4, 1) greedy meets the chain's start, so those levels build no
+    # tables and solve no LP; (5, 1), (6, 1) and (7, 1) search
+    seen = []
+    real = ipsolve.lp_prices
+
+    def traced(n, R, costs):
+        seen.append((n, R))
+        return real(n, R, costs)
+
+    monkeypatch.setattr(ipsolve, "lp_prices", traced)
+    res = exact_kplus(7, 1, node_limit=20_000)
+    assert (res.lower, res.upper, res.nodes) == (30, 31, 20_000)
+    assert seen == [(5, 1), (6, 1), (7, 1)]
+
+
 def test_exact_proves_kplus_7_1():
     res = exact_kplus(7, 1)
     assert (res.status, res.upper, len(res.witness)) == ("exact", 31, 31)

@@ -628,6 +628,15 @@ def test_cli_bound_answers_at_20_10_within_a_node_limit():
     assert elapsed < 10.0
 
 
+def test_python_m_asymcover_runs_the_cli():
+    # the package's __main__ module runs cli.main, as the installed script does
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "asymcover", "bound", "--n", "6", "--r", "3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "4[superdiag/d]\n", "")
+
+
 def test_cli_linear(capsys):
     rc, out, _ = run_cli(["linear", "--n", "5", "--r", "2", "--exhaustive"], capsys)
     assert rc == 0
