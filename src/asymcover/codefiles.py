@@ -13,14 +13,33 @@ import json
 import os
 import stat
 import sys
+from itertools import repeat
+from operator import itemgetter, or_
 
 from .cube import Code
 
+_NOT_BITS = str.maketrans("", "", "01")  # deletes the two bit characters
+_REVERSED = itemgetter(slice(None, None, -1))
+_LOW_BITS_FIRST = itemgetter(slice(None, 2, -1))  # reversed, less the "1b0" of "0b1"
+
 
 def words_to_bits(words, n: int) -> list[str]:
-    """Serialize masks; coordinate 1 (least significant bit) goes leftmost."""
-    spec = f"0{n}b"
-    return [format(w, spec)[::-1] for w in words]
+    """Serialize masks; coordinate 1 (least significant bit) goes leftmost.
+
+    bin(w | 2^n) is "0b1" and then the n bits of w, high bit first.
+    """
+    return list(map(_LOW_BITS_FIRST, map(bin, map(or_, words, repeat(1 << n)))))
+
+
+def bits_to_words(bits: list[str], n: int) -> list[int]:
+    """Decode bitstrings, all checked at once; a bad one raises
+    `bits_to_word`'s error for the first."""
+    if set(map(len, bits)) - {n} or "".join(bits).translate(_NOT_BITS):
+        for s in bits:
+            bits_to_word(s, n)
+    if n == 0:  # int("", 2) would raise; Code's own check on n does
+        return [0] * len(bits)
+    return list(map(int, map(_REVERSED, bits), repeat(2)))
 
 
 def bits_to_word(s: str, n: int) -> int:
@@ -50,12 +69,12 @@ def to_plain_text(code: Code) -> str:
     return "\n".join([head, *words_to_bits(code.words, code.n)]) + "\n"
 
 
-def _dedupe(n: int, words, r, origin: str) -> Code:
-    words = list(words)  # parsed in order, so the first bad word is named
-    dupes = len(words) - len(set(words))
+def _dedupe(n: int, words: list[int], r, origin: str) -> Code:
+    unique = set(words)
+    dupes = len(words) - len(unique)
     if dupes:
         print(f"warning: {origin}: removed {dupes} duplicate word(s)", file=sys.stderr)
-    return Code.from_words(n, words, r)
+    return Code(n, tuple(sorted(unique)), r)
 
 
 def from_json_text(text: str, origin: str = "<json>") -> Code:
@@ -72,9 +91,9 @@ def from_json_text(text: str, origin: str = "<json>") -> Code:
         raise ValueError("n must be an integer")
     if r is not None and type(r) is not int:
         raise ValueError("r must be an integer or null")
-    if not isinstance(words, list) or not all(type(s) is str for s in words):
+    if not isinstance(words, list) or not set(map(type, words)) <= {str}:
         raise ValueError("words must be a list of bitstrings")
-    return _dedupe(n, (bits_to_word(s, n) for s in words), r, origin)
+    return _dedupe(n, bits_to_words(words, n), r, origin)
 
 
 def from_plain_text(text: str, origin: str = "<text>") -> Code:
@@ -86,7 +105,7 @@ def from_plain_text(text: str, origin: str = "<text>") -> Code:
         raise ValueError(f"first line must be 'n R', got {lines[0]!r}")
     n = int(head[0])
     r = None if head[1] == "-" else int(head[1])
-    return _dedupe(n, (bits_to_word(s, n) for s in lines[1:]), r, origin)
+    return _dedupe(n, bits_to_words(lines[1:], n), r, origin)
 
 
 def loads(text: str, origin: str = "<input>") -> Code:

@@ -7,10 +7,14 @@ A set of vertices is one 2^n-bit int whose bit v is set when vertex v is in
 the set.  Every covering question about a whole code is answered by one
 kernel, a downward step that adds to a set every vertex one step below a
 member: S | OR_i (S & M_i) >> 2^i, where M_i is the set of vertices with bit
-i set.  `step_down` takes it over all n coordinates for `sweep`, which
-answers `covers`, `uncovered` and `code_covering_radius`.  A sweep derives
-each M_i from the one before inside the step, so it holds about six 2^n-bit
-ints at its peak (13 MB at n = 24).
+i set.  `steps_down` takes L such steps in one walk over the n coordinates:
+it derives each M_i once and pushes L layer sets down by it, P_j |=
+(P_{j-1} & M_i) >> 2^i for j = L..1, so P_j is the set after j steps.  That
+is n(3L + 2) big-int operations for L radii, where L single steps take 5nL.
+`sweep` answers `covers`, `uncovered` and `code_covering_radius` with it,
+`sweep_layers(n)` radii a pass (8 up to n = 23, then 4 and 2), and holds
+about L + 5 ints of 2^n bits at its peak: the L + 1 layers, the full set,
+the current mask and two temporaries (2^n / 8 bytes each, 2 MB at n = 24).
 
 A single ball is listed by `ball_down`, at the cost of its size, for every n
 up to MAX_DIMENSION.  Its mirror image is the up-set of v, the centers that
@@ -26,11 +30,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+from operator import lt
 
 MAX_DIMENSION = 62  # masks and binomials stay inside unsigned 64-bit range
-BITMAP_MAX_N = 28   # covers()/uncovered() step 2^n-bit sets: 32 MB each at the cap
-RADIUS_MAX_N = 26  # a radius sweep may take n steps: about 8 s at the cap
+BITMAP_MAX_N = 28   # covers()/uncovered() step 2^n-bit sets: 32 MB each, 65 s a call at the cap
+RADIUS_MAX_N = 26  # a radius sweep may take n steps: about 6 s at the cap
 
 
 class DimensionCapError(ValueError):
@@ -91,12 +96,19 @@ def _masks(n: int):
         yield 1 << i, mask
 
 
-def step_down(s: int, n: int) -> int:
-    """The set s plus every vertex of Q_n one downward step below a member."""
-    out = s
+def steps_down(s: int, n: int, L: int) -> list[int]:
+    """[P_1, ..., P_L]: P_j is the set s plus every vertex of Q_n at most j
+    downward steps below a member.
+
+    After coordinates n-1..i, P_j holds s plus every vertex that clears at
+    most j of those coordinates of a member, so each layer takes its moves
+    across coordinate i from the layer below it.
+    """
+    layers = [s] * (L + 1)
     for shift, mask in _masks(n):
-        out |= (s & mask) >> shift
-    return out
+        for j in range(L, 0, -1):
+            layers[j] |= (layers[j - 1] & mask) >> shift
+    return layers[1:]
 
 
 def ball_down(c: int, R: int, n: int) -> list[int]:
@@ -187,14 +199,17 @@ class Code:
             raise DimensionCapError(f"need 1 <= n <= {MAX_DIMENSION}, got n={self.n}")
         if self.r is not None and self.r < 0:
             raise ValueError(f"radius annotation must be >= 0, got {self.r}")
+        words = self.words
         top = 1 << self.n
-        prev = -1
-        for w in self.words:
-            if not 0 <= w < top:
-                raise ValueError(f"word {w} outside Q_{self.n}")
-            if w <= prev:
-                raise ValueError("words must be strictly ascending; use Code.from_words")
-            prev = w
+        if words and (words[0] < 0 or words[-1] >= top
+                      or not all(map(lt, words, islice(words, 1, None)))):
+            prev = -1  # find the first offending word
+            for w in words:
+                if not 0 <= w < top:
+                    raise ValueError(f"word {w} outside Q_{self.n}")
+                if w <= prev:
+                    raise ValueError("words must be strictly ascending; use Code.from_words")
+                prev = w
 
     @classmethod
     def from_words(cls, n: int, words, r: int | None = None) -> "Code":
@@ -219,16 +234,23 @@ def level_profile(code: Code) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def sweep_layers(n: int) -> int:
+    """Radii per pass of the covering sweep of Q_n: as many layers as fit in
+    2^26 bits (8 MB), from two to eight.  Past eight a pass gains little,
+    and the cap keeps a sweep's peak memory near the one-radius sweep's."""
+    return min(8, max(2, 1 << max(0, 26 - n)))
+
+
 def sweep(code: Code, R: int | None = None, want_radius: bool = False):
     """One covering sweep of `code`: (covered set at radius R, covering radius).
 
-    Grows the covered set from the code's words one `step_down` at a time.
-    The sweep stops after the full cube, or after a step that leaves the set
-    unchanged: every larger radius covers that same set, so if that happens
-    before R steps the last set is the one at R.  Without `want_radius` it
-    also stops after R steps.  The radius is the number of steps to the full
-    cube, inf if the set stalls first.  The set is None when R is None, the
-    radius None when it is not wanted.
+    Grows the covered set from the code's words by `steps_down`, several
+    radii a pass.  The sweep stops at the full cube, or at a step that leaves
+    the set unchanged: every larger radius covers that same set, so if that
+    happens before R steps the last set is the one at R.  Without
+    `want_radius` it also stops after R steps.  The radius is the number of
+    steps to the full cube, inf if the set stalls first.  The set is None
+    when R is None, the radius None when it is not wanted.
     """
     n = code.n
     if R is not None and R < 0:
@@ -237,24 +259,36 @@ def sweep(code: Code, R: int | None = None, want_radius: bool = False):
         raise DimensionCapError(
             f"covering sweep steps sets of 2^{n} bits; cap is n <= {BITMAP_MAX_N}"
         )
-    size = 1 << n
-    limit = None if want_radius else R or 0
+    full = full_set(n)
     s = vertex_set(n, code.words)
+    limit = None if want_radius else R or 0
+    # A pass ends at R, or with no R at the weight of the lightest word: no
+    # sweep stops before it has covered vertex 0, which takes that many
+    # steps.  Past that the stop is unknown, so a pass takes at most as many
+    # layers as there are steps past it, and wastes no more.
+    aim = R if R is not None else min(map(int.bit_count, code.words), default=0)
+    most = sweep_layers(n)
     at_R = s if R == 0 else None
     steps = 0
-    while steps != limit and s.bit_count() < size:
-        nxt = step_down(s, n)
-        if nxt == s:
-            break
-        s = nxt
-        steps += 1
-        if steps == R:
-            at_R = s
+    done = s == full
+    while not done and steps != limit:
+        layers = aim - steps if steps < aim else max(1, steps - aim)
+        for nxt in steps_down(s, n, min(most, layers)):
+            if nxt == s:
+                done = True
+                break
+            s = nxt
+            steps += 1
+            if steps == R:
+                at_R = s
+            if s == full:
+                done = True
+                break
     if R is not None and at_R is None:
         at_R = s
     radius = None
     if want_radius:
-        radius = steps if s.bit_count() == size else math.inf
+        radius = steps if s == full else math.inf
     return at_R, radius
 
 

@@ -105,6 +105,55 @@ def test_large_code_round_trips_byte_identically(fmt, r, size, tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_bulk_and_per_word_codecs_agree(fmt, tmp_path):
+    rng = random.Random(20)
+    for n in range(1, 21):
+        top = (1 << n) - 1
+        words = {0, top, *(rng.getrandbits(n) for _ in range(rng.randint(0, 40)))}
+        code = Code.from_words(n, words, r=rng.choice([None, n // 2]))
+        bits = codefiles.words_to_bits(code.words, n)
+        assert bits == [format(w, f"0{n}b")[::-1] for w in code.words]
+        assert codefiles.bits_to_words(bits, n) == [codefiles.bits_to_word(s, n) for s in bits]
+        path = tmp_path / f"code-{n}"
+        codefiles.save_code(str(path), code, fmt=fmt)
+        assert codefiles.load_code(str(path)) == code
+
+
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ("01", "word '01' has length 2, expected 3"),
+        ("0110", "word '0110' has length 4, expected 3"),
+        ("012", "word '012' has character '2' outside {0,1}"),
+        ("0_1", "word '0_1' has character '_' outside {0,1}"),
+        ("0 1", "word '0 1' has character ' ' outside {0,1}"),
+        ("+01", "word '+01' has character '+' outside {0,1}"),
+        ("-01", "word '-01' has character '-' outside {0,1}"),
+    ],
+    ids=["short", "long", "digit-2", "underscore", "space", "plus", "minus"],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_file_names_its_first_bad_word(fmt, word, message, tmp_path):
+    words = ["111", "110", word, "01", "1x1"]
+    path = tmp_path / "bad"
+    if fmt == "json":
+        path.write_text(json.dumps({"n": 3, "r": 1, "words": words}))
+    else:
+        path.write_text("\n".join(["3 1", *words]) + "\n")
+    with pytest.raises(ValueError) as caught:
+        codefiles.load_code(str(path))
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_the_empty_word_at_n_0_reaches_the_check_on_n(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text('{"n": 0, "r": 0, "words": ["", ""]}')
+    with pytest.raises(ValueError) as caught:
+        codefiles.load_code(str(path))
+    assert str(caught.value) == f"{path}: need 1 <= n <= 62, got n=0"
+
+
 def test_reject_malformed_json():
     with pytest.raises(ValueError):
         codefiles.from_json_text('{"n": 3}')

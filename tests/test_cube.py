@@ -6,6 +6,8 @@ from itertools import combinations
 
 import pytest
 
+from asymcover import cube
+from asymcover.constructions import diagonal_code, greedy_code, random_code_nu
 from asymcover.cube import (
     BITMAP_MAX_N,
     Code,
@@ -20,7 +22,7 @@ from asymcover.cube import (
     full_set,
     level_profile,
     members,
-    step_down,
+    steps_down,
     subset_tables,
     sweep,
     uncovered,
@@ -144,6 +146,23 @@ def test_code_rejects_out_of_range_words():
         Code.from_words(3, [-1])
 
 
+@pytest.mark.parametrize(
+    "words,message",
+    [
+        ((1, 2, 8), "word 8 outside Q_3"),
+        ((-1, 2, 5), "word -1 outside Q_3"),
+        ((1, 9, 4, 7), "word 9 outside Q_3"),  # ends in range, middle not
+        ((1, 3, 3, 5), "words must be strictly ascending; use Code.from_words"),
+        ((1, 6, 4, 9), "words must be strictly ascending; use Code.from_words"),
+    ],
+)
+def test_code_names_its_first_bad_word(words, message):
+    with pytest.raises(ValueError) as caught:
+        Code(3, words)
+    assert str(caught.value) == message
+    assert Code(3, (0, 1, 7)).words == (0, 1, 7) and Code(3, ()).words == ()
+
+
 def test_level_profile():
     c = Code.from_words(3, [0, 1, 2, 7])
     assert level_profile(c) == (1, 2, 0, 1)
@@ -240,7 +259,7 @@ def test_step_down_adds_exactly_the_one_step_shadow():
         for _ in range(5):
             words = rng.sample(range(1 << n), rng.randint(1, 1 << n))
             want = set(words) | {w & ~(1 << i) for w in words for i in range(n) if w >> i & 1}
-            assert members(step_down(vertex_set(n, words), n)) == sorted(want)
+            assert members(steps_down(vertex_set(n, words), n, 1)[0]) == sorted(want)
 
 
 def test_vertex_set_and_members_round_trip():
@@ -250,3 +269,93 @@ def test_vertex_set_and_members_round_trip():
     for n in (1, 5, 9, 13):
         words = sorted(rng.sample(range(1 << n), rng.randint(1, min(1 << n, 40))))
         assert members(vertex_set(n, words)) == words
+
+
+def reference_step_down(s, n):
+    """One downward step with the masks derived inline, kept as the
+    reference of `steps_down`."""
+    out, mask = s, full_set(n)
+    for i in range(n - 1, -1, -1):
+        mask ^= mask >> (1 << i)
+        out |= (s & mask) >> (1 << i)
+    return out
+
+
+def reference_sweep(code, R=None, want_radius=False):
+    """The covering sweep with one radius per pass and a popcount test of
+    fullness, kept as the reference of `sweep`."""
+    n, size = code.n, 1 << code.n
+    limit = None if want_radius else R or 0
+    s = vertex_set(n, code.words)
+    at_R = s if R == 0 else None
+    steps = 0
+    while steps != limit and s.bit_count() < size:
+        nxt = reference_step_down(s, n)
+        if nxt == s:
+            break
+        s = nxt
+        steps += 1
+        if steps == R:
+            at_R = s
+    if R is not None and at_R is None:
+        at_R = s
+    radius = None
+    if want_radius:
+        radius = steps if s.bit_count() == size else math.inf
+    return at_R, radius
+
+
+def assert_sweeps_match_reference(code):
+    for R in (None, *range(code.n + 2)):
+        for want_radius in (False, True):
+            got = sweep(code, R, want_radius)
+            assert got == reference_sweep(code, R, want_radius), (code, R, want_radius)
+
+
+def test_steps_down_takes_the_steps_one_at_a_time():
+    rng = random.Random(12)
+    for n in range(1, 9):
+        for L in (1, 2, 3, n + 1):
+            words = rng.sample(range(1 << n), rng.randint(1, min(1 << n, 4)))
+            s = want = vertex_set(n, words)
+            layers = []
+            for _ in range(L):
+                want = reference_step_down(want, n)
+                layers.append(want)
+            assert steps_down(s, n, L) == layers, (n, words, L)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3, 8])
+def test_sweep_matches_the_one_radius_reference(layers, monkeypatch):
+    """Every pass length gives the one-radius sweep's answers: on random
+    codes, on codes without 1̂ (which stall inside a pass), and on codes whose
+    radius is far past the lightest word's weight, so that R, the stall or
+    the radius falls inside a pass."""
+    monkeypatch.setattr(cube, "sweep_layers", lambda n: layers)
+    rng = random.Random(40 + layers)
+    for n in range(1, 9):
+        top = all_ones(n)
+        codes = [
+            *random_codes(n, 8, seed=100 * layers + n),
+            Code.from_words(n, [top]),
+            Code.from_words(n, [top ^ 1 << rng.randrange(n)]),  # no 1̂
+            Code.from_words(n, rng.sample(range(top), min(top, 3))),  # no 1̂
+            Code.from_words(n, [top, 1]),  # radius n - 1 from a word of weight 1
+            Code.from_words(n, []),
+        ]
+        if n > 2:
+            codes.append(diagonal_code(n, 2))
+        for code in codes:
+            assert_sweeps_match_reference(code)
+
+
+def test_sweep_matches_the_reference_on_the_benchmark_codes():
+    greedy = greedy_code(12, 3)
+    codes = [
+        greedy,
+        random_code_nu(16, 4, seed=1),
+        diagonal_code(17, 4),
+        Code.from_words(12, random.Random(1).sample(greedy.words, len(greedy) * 9 // 10)),
+    ]
+    for code in codes:
+        assert_sweeps_match_reference(code)
