@@ -255,37 +255,37 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
     Repeatedly selects the center covering the most still-uncovered vertices,
     breaking ties toward the smallest mask.  Candidates wait in gain buckets:
     bucket g holds those whose stored gain is g, an upper bound on the exact
-    gain since gains only fall.  A vertex is listed only when the bucket of
-    its ball size becomes current.  The highest non-empty bucket is scanned
-    in mask order, one group of candidates with the same high coordinates b
-    (below) at a time.  A group's exact gains are scored in one pass, and a
-    candidate whose exact gain is g is selected: none gains more, and every
-    smaller mask in the bucket gains less.  Every other candidate moves to
-    the bucket of its exact gain, a lower one, and a gain of 0 drops it.
-    After a selection, a candidate of the same group that read g is scored
-    again, one block term after another, before it can be selected.
+    gain since gains only fall.  The highest non-empty bucket is scanned in
+    mask order, and a candidate whose exact gain is g is selected: none gains
+    more, and every smaller mask in the bucket gains less.  Every other
+    candidate moves to the bucket of its exact gain, a lower one, and a gain
+    of 0 drops it.  At n <= GREEDY_BLOCK_BITS the uncovered set is one int,
+    and `_greedy_one_block` scores each candidate at its turn, in one AND and
+    one popcount, after every selection before it.
 
-    The uncovered set is kept in blocks.  A vertex is (b, a), with a its low
-    h = min(n, GREEDY_BLOCK_BITS) coordinates and b the rest, and unc[x] is
+    Above that the uncovered set is kept in blocks.  A vertex is (b, a), with
+    a its low h = GREEDY_BLOCK_BITS coordinates and b the rest, and unc[x] is
     the set of a with (x, a) uncovered, a 2^h-bit int.  The ball of a center
     (b, a) meets block x, for each x in `ball_down(b, R, n - h)` at distance
     d = weight(b) - weight(x), in rows[d][a] = down[a] & at_least[max(0,
     weight(a) - R + d)], with the tables of `subset_tables(h)`.  A gain is the
     sum of the popcounts of those sets against the blocks, and selecting a
-    center clears them; at n <= h there is one block, and a gain is one AND
-    and one popcount.  Each bucket is split by b, so a group shares its block
-    terms, each term is one pass over the group, and a group is sorted by a
-    alone.  A waiting candidate is its a, 4 bytes, and the blocks take 2^n
-    bits.
+    center clears them.  A vertex is listed only when the bucket of its ball
+    size becomes current.  A bucket is scanned one group of candidates with
+    the same b at a time, so a group shares its block terms, each term is one
+    pass over the group, and a group is sorted by a alone.  A waiting
+    candidate is its a, 4 bytes, and the blocks take 2^n bits.
 
-    Each candidate scored against one block term counts as one node, and the
-    count is checked once per scored group: past `node_limit` the call raises
+    A node is one candidate scored against one block term, counted once per
+    group (per bucket in one block): past `node_limit` the call raises
     BudgetExceededError.  Without a limit it runs to the end.
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
     _check_sweep_dim(n)
-    h = min(n, GREEDY_BLOCK_BITS)
+    if n <= GREEDY_BLOCK_BITS:
+        return _greedy_one_block(n, R, node_limit)
+    h = GREEDY_BLOCK_BITS
     down, at_least, lows_of_weight = _block_tables(h)
     # rows[d][a]: the ball of (b, a) inside a block at distance d below b
     rows = [
@@ -320,8 +320,7 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
             current.sort()
             terms = blocks.get(b)
             if terms is None:  # b's own block, the last of its ball, is scored apart
-                xs = ball_down(b, R, n - h)[:-1] if n > h else []
-                terms = blocks[b] = [(x, wb - x.bit_count()) for x in xs]
+                terms = blocks[b] = [(x, wb - x.bit_count()) for x in ball_down(b, R, n - h)[:-1]]
             nodes += len(current) * (len(terms) + 1)
             if node_limit is not None and nodes > node_limit:
                 raise BudgetExceededError(f"greedy node limit {node_limit} exceeded")
@@ -349,6 +348,37 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
                     buckets[e][b].append(a)
             if not remaining:
                 break
+    return Code.from_words(n, chosen, r=R)
+
+
+def _greedy_one_block(n: int, R: int, node_limit: int | None) -> Code:
+    """`greedy_code` at n <= GREEDY_BLOCK_BITS: buckets[g] lists the masks whose
+    stored gain is g, each vertex at its ball size from the start."""
+    down, at_least, of_weight = _block_tables(n)
+    row = [down[a] & at_least[k] if k > 0 else down[a] for a in range(1 << n)
+           for k in [a.bit_count() - R]]
+    buckets = [[] for _ in range(ball_size_down(n, n, R) + 1)]
+    for w in range(n + 1):
+        buckets[ball_size_down(n, w, R)] += of_weight[w]
+    u = full_set(n)
+    chosen = []
+    nodes = 0
+    for g in range(len(buckets) - 1, 0, -1):
+        if not (current := buckets[g]):
+            continue
+        nodes += len(current)
+        if node_limit is not None and nodes > node_limit:
+            raise BudgetExceededError(f"greedy node limit {node_limit} exceeded")
+        current.sort()
+        for a in current:
+            e = (u & row[a]).bit_count()
+            if e == g:
+                chosen.append(a)
+                u &= ~row[a]
+            elif e:
+                buckets[e].append(a)
+        if not u:
+            break
     return Code.from_words(n, chosen, r=R)
 
 

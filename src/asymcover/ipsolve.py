@@ -173,11 +173,11 @@ def solve(n: int, R: int, costs: tuple[int, ...], node_cap: int = DEFAULT_NODE_C
         best = -1
         for t, r_field, c_field in stops:
             if t > v:
+                nodes += t - v  # one node per value of the run, counted before it
+                if nodes > node_cap:
+                    raise BudgetExceededError(f"IP node budget {node_cap} exceeded")
                 child = rest - v * paid
                 for v in range(v, t):
-                    nodes += 1
-                    if nodes > node_cap:
-                        raise BudgetExceededError(f"IP node budget {node_cap} exceeded")
                     sub = lookup(child)
                     if sub is None:
                         sub = rec(l - 1, child)

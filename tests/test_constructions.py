@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from asymcover import constructions
 from asymcover.constructions import (
     GREEDY_MAX_N,
     PatchedCode,
@@ -31,6 +32,7 @@ from asymcover.cube import (
     uncovered,
     weight,
 )
+from asymcover.ipsolve import BudgetExceededError
 
 
 def brute_nu(n, R):
@@ -359,6 +361,21 @@ def test_greedy_pinned_grid():
     # the words greedy chose at every cell 2 <= n <= 13, 1 <= R < n when it kept a
     # count of covered vertices per center; n <= 10 is one block, n = 11..13 several
     assert grid_digest(13) == "a4d485dc6a4d9a996c74c3c59041ee40c0ecfafb89c98fb0a1b0fd24984fde8b"
+
+
+def test_greedy_one_block_matches_the_blocked_loop(monkeypatch):
+    # with blocks of 2^4 bits, n = 5..10 take the blocked loop, and its words
+    # must be the one-block pass's at every radius
+    one_block = {(n, R): greedy_code(n, R).words for n in range(5, 11) for R in range(n + 2)}
+    monkeypatch.setattr(constructions, "GREEDY_BLOCK_BITS", 4)
+    assert {(n, R): greedy_code(n, R).words for n in range(5, 11) for R in range(n + 2)} == one_block
+
+
+def test_greedy_node_limit_boundary_at_8_2():
+    # one node per candidate scored per bucket: (8, 2) scores 914 candidates
+    assert greedy_code(8, 2, 914) == greedy_code(8, 2)
+    with pytest.raises(BudgetExceededError):
+        greedy_code(8, 2, 913)
 
 
 def test_greedy_runs_at_n_20():

@@ -212,6 +212,18 @@ def test_node_budget_boundary():
     assert solve(9, 1, (1,) * 10, node_cap=count).node_count == count
 
 
+@pytest.mark.parametrize("n,R", [(5, 2), (8, 2), (10, 3), (11, 5), (12, 4)])
+@pytest.mark.parametrize("objective", ["plus", "phi"])
+def test_node_budget_boundary_over_runs_of_values(n, R, objective):
+    # a run of values is counted before it is searched, so a cap still admits
+    # exactly node_count nodes, whichever run or level passes it
+    costs = (1,) * (n + 1) if objective == "plus" else tuple(n - l for l in range(n + 1))
+    count = solve(n, R, costs).node_count
+    assert solve(n, R, costs, node_cap=count) == solve(n, R, costs)
+    with pytest.raises(BudgetExceededError):
+        solve(n, R, costs, node_cap=count - 1)
+
+
 def test_solve_frees_its_memo_when_it_returns():
     # with the cyclic collector off, nothing of phi(12, 5)'s 78,494-node memo may
     # outlive the call

@@ -585,7 +585,7 @@ def test_cli_bound_exits_3_when_a_program_runs_out_of_nodes(capsys, monkeypatch)
 
 
 def test_cli_bound_and_table_exit_3_past_the_node_limit(capsys):
-    # phi(8,2) takes 375 nodes and greedy's (8,2) code 952
+    # phi(8,2) takes 375 nodes and greedy's (8,2) code 914
     runs = {limit: run_cli(["bound", "--n", "8", "--r", "2", "--node-limit", limit], capsys)
             for limit in ("1", "500", "1000")}
     assert runs == {"1": (3, "19-36[lp/general]\n", ""), "500": (0, "20-36[mono/general]\n", ""),
