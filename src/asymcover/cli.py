@@ -27,7 +27,7 @@ from .constructions import (
     semi_direct_sum,
 )
 from .cube import (
-    RADIUS_MAX_N, Code, all_ones, code_covering_radius, covers, level_profile, sweep
+    RADIUS_MAX_N, Code, all_ones, code_covering_radius, covered_count, covers, level_profile
 )
 from .exact import exact_kplus
 from .ipsolve import DEFAULT_NODE_CAP
@@ -171,14 +171,14 @@ def cmd_verify(args) -> int:
         f"ones total: {ones}",
     ]
     want_radius = code.n <= RADIUS_MAX_N
-    if want_radius or radius_claim is not None:  # one sweep answers both
-        covered, rad = sweep(code, radius_claim, want_radius)
+    if want_radius or radius_claim is not None:  # one count answers both
+        covered, rad = covered_count(code, radius_claim, want_radius)
     if want_radius:
         payload["radius"] = None if rad == float("inf") else rad
         lines.append(f"radius: {rad if rad != float('inf') else 'inf'}")
     ok = True
     if radius_claim is not None:
-        misses = (1 << code.n) - covered.bit_count()
+        misses = (1 << code.n) - covered
         ok = misses == 0
         payload["r"] = radius_claim
         payload["covers"] = ok

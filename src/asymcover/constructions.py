@@ -302,12 +302,12 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
     # g -> b -> a for the candidates (b, a) whose stored gain is g; "I" appends an int
     # without the format parse that "i" takes
     buckets = collections.defaultdict(lambda: collections.defaultdict(functools.partial(array, "I")))
-    g = max(fresh_at) + 1
     remaining = 1 << n
     chosen = array("I")  # 4 bytes a word where a list holds an int object
     nodes = 0
-    while remaining:
-        g -= 1
+    for g in range(max(fresh_at), 0, -1):  # a gain of 0 is never bucketed
+        if not remaining:
+            break
         if g not in buckets and g not in fresh_at:
             continue
         bucket, fresh = buckets.pop(g, {}), fresh_at.pop(g, ())
@@ -348,6 +348,8 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
                     buckets[e][b].append(a)
             if not remaining:
                 break
+    if any(unc):  # a miscounted gain, not a hang
+        raise RuntimeError(f"greedy left vertices uncovered at (n, R) = ({n}, {R})")
     return Code.from_words(n, chosen, r=R)
 
 

@@ -4,17 +4,14 @@ Vertices are int bitmasks; coordinate 1 is the least significant bit.  A word c
 downward R-covers y when y <= c coordinate-wise and weight(c) - weight(y) <= R.
 
 A set of vertices is one 2^n-bit int whose bit v is set when vertex v is in
-the set.  Every covering question about a whole code is answered by one
-kernel, a downward step that adds to a set every vertex one step below a
-member: S | OR_i (S & M_i) >> 2^i, where M_i is the set of vertices with bit
-i set.  `steps_down` takes L such steps in one walk over the n coordinates:
-it derives each M_i once and pushes L layer sets down by it, P_j |=
-(P_{j-1} & M_i) >> 2^i for j = L..1, so P_j is the set after j steps.  That
-is n(3L + 2) big-int operations for L radii, where L single steps take 5nL.
-`sweep` answers `covers`, `uncovered` and `code_covering_radius` with it,
-`sweep_layers(n)` radii a pass (8 up to n = 23, then 4 and 2), and holds
-about L + 5 ints of 2^n bits at its peak: the L + 1 layers, the full set,
-the current mask and two temporaries (2^n / 8 bytes each, 2 MB at n = 24).
+the set.  A covering sweep grows a code's set by downward steps, S | OR_i
+(S & M_i) >> 2^i with M_i the set of vertices with bit i set: `steps_down`
+takes L steps in one walk over the coordinates, n(3L + 2) big-int operations,
+and `sweep` takes `sweep_layers(n)` radii a pass (8 up to n = 23, then 4 and
+2), holding about L + 5 sets, 2 MB each at n = 24.  `uncovered` lists what it
+misses.  `covers`, `verify` and `code_covering_radius` only count: through
+`covered_count`, a code of at most n - 6 words is counted by inclusion–
+exclusion over its subsets of words (`union_count`), with no 2^n-bit set.
 
 A single ball is listed by `ball_down`, at the cost of its size, for every n
 up to MAX_DIMENSION.  Its mirror image is the up-set of v, the centers that
@@ -27,14 +24,15 @@ blocks of the cube, listing with `ball_down` only the blocks a ball meets.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice, repeat
 from operator import lt
 
 MAX_DIMENSION = 62  # masks and binomials stay inside unsigned 64-bit range
-BITMAP_MAX_N = 28   # covers()/uncovered() step 2^n-bit sets: 32 MB each, 65 s a call at the cap
+BITMAP_MAX_N = 28   # a sweep steps 2^n-bit sets: 32 MB each, 65 s a call at the cap
 RADIUS_MAX_N = 26  # a radius sweep may take n steps: about 6 s at the cap
 
 
@@ -292,9 +290,54 @@ def sweep(code: Code, R: int | None = None, want_radius: bool = False):
     return at_R, radius
 
 
+@functools.cache  # _tails(m)[j] = sum_{k >= j} C(m, k), j = 0..m
+def _tails(m: int) -> list[int]:
+    return list(accumulate(map(math.comb, repeat(m), range(m, -1, -1))))[::-1]
+
+
+def union_count(code: Code, R: int | None = None, want_radius: bool = False):
+    """`covered_count` by inclusion–exclusion: the R-balls of a set S of words
+    share sum_{k >= t - R} C(m, k) vertices, m the weight of S's AND and t its
+    largest weight.  Subsets grow depth-first by ascending weight, so t - m only
+    rises, cut past the largest radius asked; (m, t) keys the terms for all R."""
+    n = code.n
+    if R is not None and R < 0:
+        raise ValueError(f"radius must be >= 0, got {R}")
+    finite = want_radius and all_ones(n) in code  # nothing but 1̂ covers 1̂
+    rmax = n if finite else -1 if R is None else R
+    ranked = sorted((w.bit_count(), w) for w in code.words)
+    terms = {}  # (m, t) -> sum of (-1)^{|S|+1}
+    stack = [(0, all_ones(n), 1)]
+    while stack:
+        start, meet, sign = stack.pop()
+        for i in range(start, len(ranked)):
+            t, w = ranked[i]
+            m = (meet & w).bit_count()
+            if t - m <= rmax:
+                terms[m, t] = terms.get((m, t), 0) + sign
+                stack.append((i + 1, meet & w, -sign))
+
+    def count(r: int) -> int:
+        return sum(c * _tails(m)[max(0, t - r)] for (m, t), c in terms.items() if t - r <= m)
+
+    radius = math.inf if want_radius else None
+    if finite:  # vertex 0 needs the lightest word's weight; 1̂ alone covers at n
+        radius = next(r for r in range(ranked[0][0], n + 1) if count(r) == 1 << n)
+    return (None if R is None else count(R)), radius
+
+
+def covered_count(code: Code, R: int | None = None, want_radius: bool = False):
+    """`sweep`'s set size at R and radius, each None when not asked; codes of
+    at most n - 6 words, measured faster that way, go to `union_count`."""
+    if code.n > BITMAP_MAX_N or len(code) > code.n - 6:  # past the cap `sweep` raises
+        at_R, radius = sweep(code, R, want_radius)
+        return (None if at_R is None else at_R.bit_count()), radius
+    return union_count(code, R, want_radius)
+
+
 def covers(code: Code, R: int) -> bool:
     """True iff every vertex of Q_n is downward R-covered by some codeword."""
-    return sweep(code, R)[0].bit_count() == 1 << code.n
+    return covered_count(code, R)[0] == 1 << code.n
 
 
 def uncovered(code: Code, R: int) -> list[int]:
@@ -303,12 +346,7 @@ def uncovered(code: Code, R: int) -> list[int]:
 
 
 def code_covering_radius(code: Code) -> int | float:
-    """Smallest R at which `code` downward R-covers Q_n; inf if none exists.
-
-    Counts the steps of the covering sweep until the covered set is full; if
-    a step stops growing the set first, no radius covers.  The value is
-    finite iff 1̂ is a codeword.
-    """
+    """Smallest R at which `code` downward R-covers Q_n; inf unless 1̂ is a word."""
     if code.n > RADIUS_MAX_N:
         raise DimensionCapError(f"covering radius sweep capped at n = {RADIUS_MAX_N}")
-    return sweep(code, want_radius=True)[1]
+    return covered_count(code, want_radius=True)[1]

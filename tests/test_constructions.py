@@ -371,6 +371,22 @@ def test_greedy_one_block_matches_the_blocked_loop(monkeypatch):
     assert {(n, R): greedy_code(n, R).words for n in range(5, 11) for R in range(n + 2)} == one_block
 
 
+@pytest.mark.parametrize("n, R", [(11, 1), (12, 3)])
+def test_greedy_blocked_loop_raises_on_a_miscounted_gain(n, R, monkeypatch):
+    """A block listed twice in a ball counts twice in the gain but is cleared
+    once, so the blocked loop's count of uncovered vertices runs ahead of
+    them; the loop ends with its buckets and names the cell.  A block left
+    out of a ball keeps the gains and the clears in step, and greedy still
+    covers with more words."""
+    ball_down = constructions.ball_down
+    monkeypatch.setattr(constructions, "ball_down", lambda b, r, m: ball_down(b, r, m)[1:])
+    assert covers(greedy_code(n, R), R)
+    monkeypatch.setattr(constructions, "ball_down",
+                        lambda b, r, m: ball_down(b, r, m)[:1] + ball_down(b, r, m))
+    with pytest.raises(RuntimeError, match=rf"\(n, R\) = \({n}, {R}\)"):
+        greedy_code(n, R)
+
+
 def test_greedy_node_limit_boundary_at_8_2():
     # one node per candidate scored per bucket: (8, 2) scores 914 candidates
     assert greedy_code(8, 2, 914) == greedy_code(8, 2)

@@ -7,7 +7,9 @@ from itertools import combinations
 import pytest
 
 from asymcover import cube
-from asymcover.constructions import diagonal_code, greedy_code, random_code_nu
+from asymcover.constructions import (
+    diagonal_code, general_upper_code, greedy_code, random_code_nu
+)
 from asymcover.cube import (
     BITMAP_MAX_N,
     Code,
@@ -18,6 +20,7 @@ from asymcover.cube import (
     ball_size_down,
     ball_size_up,
     binomial,
+    covered_count,
     covers,
     full_set,
     level_profile,
@@ -26,6 +29,7 @@ from asymcover.cube import (
     subset_tables,
     sweep,
     uncovered,
+    union_count,
     vertex_set,
     weight,
 )
@@ -359,3 +363,55 @@ def test_sweep_matches_the_reference_on_the_benchmark_codes():
     ]
     for code in codes:
         assert_sweeps_match_reference(code)
+
+
+def swept_count(code, R=None, want_radius=False):
+    """The sweep's answer as a count: the reference of `union_count`."""
+    at_R, radius = sweep(code, R, want_radius)
+    return (None if at_R is None else at_R.bit_count()), radius
+
+
+def test_union_count_matches_the_sweep():
+    """Inclusion–exclusion gives the sweep's count and radius on random codes,
+    on codes without 1̂ (radius inf) and on the empty code, at every R and
+    with no R, with and without the radius."""
+    rng = random.Random(36)
+    for n in range(1, 11):
+        top = all_ones(n)
+        codes = [
+            *random_codes(n, 12, seed=360 + n),
+            Code.from_words(n, [top ^ 1 << rng.randrange(n)]),  # no 1̂
+            Code.from_words(n, rng.sample(range(top), min(top, 5))),  # no 1̂
+            Code.from_words(n, []),
+        ]
+        for code in codes:
+            for R in (None, *range(n + 2)):
+                for want_radius in (False, True):
+                    want = swept_count(code, R, want_radius)
+                    assert union_count(code, R, want_radius) == want, (code, R, want_radius)
+
+
+@pytest.mark.parametrize("n", range(17, 25))
+def test_union_count_matches_the_sweep_on_diagonal_codes(n):
+    """One radius below the cover, where every ball still misses vertices,
+    with the radius from the same call."""
+    for code in (diagonal_code(n, 4), general_upper_code(n, 6)):
+        want = swept_count(code, code.r - 1, True)
+        assert want[1] == code.r
+        assert union_count(code, code.r - 1, True) == want, (n, len(code))
+
+
+def test_covered_count_sweeps_only_codes_past_n_minus_6_words(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("swept")
+
+    small = diagonal_code(17, 4)  # 5 words
+    large = greedy_code(12, 3)
+    monkeypatch.setattr(cube, "sweep", no_sweep)
+    assert covers(small, 13) and not covers(small, 12)
+    assert covered_count(small, 12, True) == union_count(small, 12, True)
+    assert covered_count(Code.from_words(12, range(6)), 0) == (6, None)
+    with pytest.raises(AssertionError, match="swept"):
+        covered_count(Code.from_words(12, range(7)), 0)
+    with pytest.raises(AssertionError, match="swept"):
+        covers(large, 3)

@@ -16,7 +16,7 @@ from asymcover import cli, ipsolve
 from asymcover.bounds import BoundRecord, best_bounds
 from asymcover.codefiles import load_code, save_code
 from asymcover.constructions import diagonal_code
-from asymcover.cube import Code
+from asymcover.cube import Code, sweep, union_count
 from asymcover.exact import exact_kplus
 from asymcover.table import (
     TableSpec,
@@ -288,6 +288,24 @@ def test_cli_verify_counts_zeros_and_ones_per_word(tmp_path, capsys):
     assert rc == 0
     assert payload["ones_total"] == sum(w.bit_count() for w in code.words)
     assert payload["zeros_total"] == sum(code.n - w.bit_count() for w in code.words)
+
+
+def test_cli_verify_payload_is_the_same_on_either_count_path(tmp_path, capsys, monkeypatch):
+    def swept(code, R, want_radius):
+        at_R, radius = sweep(code, R, want_radius)
+        return at_R.bit_count(), radius
+
+    path = str(tmp_path / "d.json")
+    save_code(path, diagonal_code(17, 4))
+    runs = {}
+    for name, count in (("union", union_count), ("sweep", swept)):
+        monkeypatch.setattr(cli, "covered_count", count)
+        runs[name] = [run_cli(["verify", path, "--r", r, "--json"], capsys) for r in ("12", "13")]
+    assert runs["union"] == runs["sweep"]
+    (rc12, out12, _), (rc13, out13, _) = runs["union"]
+    assert (rc12, rc13) == (2, 0)
+    assert json.loads(out12)["uncovered"] > 0 and json.loads(out13)["covers"] is True
+    assert json.loads(out12)["radius"] == json.loads(out13)["radius"] == 13
 
 
 def test_cli_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
