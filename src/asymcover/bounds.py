@@ -2,11 +2,12 @@
 
 Lower bounds: the levelwise sphere-covering bound, the superdiagonal values,
 exact search, and the difference chain, which lifts a proven lower bound on
-K+(n-1, R) (the table's own, or else the one this module proves for that
-cell) by the zero-count program, or by its LP relaxation when the program
-runs out of nodes.  Upper bounds: diagonal codes, coradius splits, greedy
-codes, exact search, and direct-sum splits applied during grid propagation.
-Every bound value is computed with exact integer arithmetic.
+K+(n-1, R) (the table's own, or else the lower end of `_bracket(n-1, R)`,
+the function that builds every cell) by the zero-count program, or by its
+LP relaxation when the program runs out of nodes.  Upper bounds: diagonal
+codes, coradius splits, greedy codes, exact search, and direct-sum splits
+applied during grid propagation.  Every bound value is computed with exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -113,17 +114,33 @@ def superdiag_exact(n: int, R: int) -> bool:
 def best_bounds(
     n: int, R: int, node_limit: int = ipsolve.DEFAULT_NODE_CAP, below: int | None = None
 ) -> BoundRecord:
-    """Best bracket one cell can get from every bound source.
+    """Best bracket one cell can get from every bound source: `_bracket`'s,
+    with greedy's code added where no search ran, at EXACT_SEARCH_MAX_N < n
+    <= GREEDY_MAX_N.
 
     The difference chain, and the exact search at n <= EXACT_SEARCH_MAX_N,
     step from `below`, a proven lower bound on K+(n-1, R) such as a table's
-    own.  Without it, they step from the best lower bound of (n-1, R), got
-    from the lower-bound sources alone, down the column.  The chain's phi
-    program and greedy each stop after `node_limit` nodes: a chain step then
-    takes phi's LP value, tag "lp", and greedy's upper bound drops out.  The
-    exact search runs to completion; it settles every cell it runs on in
-    6,435 nodes at most.
+    own.  Without it, they step from `_bracket`'s bracket of (n-1, R), down
+    the column, where no greedy runs.  The chain's phi program and greedy
+    each stop after `node_limit` nodes: a chain step then takes phi's LP
+    value, tag "lp", and greedy's upper bound drops out.  The exact search
+    settles every cell it runs on, in 6,435 nodes at most.
     """
+    rec = _bracket(n, R, node_limit, below)
+    # a record that a shortcut settled carries another upper tag than "general"
+    if EXACT_SEARCH_MAX_N < n <= GREEDY_MAX_N and rec.upper_tag == "general":
+        try:
+            size = len(greedy_code(n, R, node_limit))
+        except ipsolve.BudgetExceededError:
+            return rec
+        if size <= rec.upper:  # "g" comes before "general" in its order
+            return replace(rec, upper=size, upper_tag="g")
+    return rec
+
+
+def _bracket(n: int, R: int, node_limit: int, below: int | None) -> BoundRecord:
+    """The bracket of one cell from every bound source but greedy.  Without
+    `below`, the chain steps from this function's bracket of (n-1, R)."""
     _check_cell(n, R)
     if R == 0:
         full = 1 << n
@@ -132,56 +149,30 @@ def best_bounds(
     if superdiag_exact(n, R):
         # the coradius theorem settles the cell, and its tags head both orders
         return BoundRecord(n, R, r + 1, r + 1, "superdiag", "d")
-
-    lowers, search = _lower_sources(n, R, node_limit, below)
+    lowers = [(asym_sphere_bound(n, R), "sphere"), (superdiag_lower(n, R), "superdiag")]
     uppers = [(general_upper_size(n, r), "general")]
-    if search is not None:
+    if n <= EXACT_SEARCH_MAX_N:
         # the search starts at or above the chain and from greedy's code, and
         # "e" comes before "mono" and "g" on a tie, so neither runs beside it
-        uppers.append((search.upper, "e"))
-    elif n <= GREEDY_MAX_N:
-        try:
-            uppers.append((len(greedy_code(n, R, node_limit)), "g"))
-        except ipsolve.BudgetExceededError:
-            pass
-    lower, ltag = _best_lower(lowers)
-    # the least value; on a tie, the tag that comes first in its order
-    upper, utag = min(uppers, key=lambda c: (c[0], UPPER_TAG_ORDER.index(c[1])))
-    return BoundRecord(n, R, lower, upper, ltag, utag)
-
-
-def _best_lower(lowers: list[tuple[int, str]]) -> tuple[int, str]:
-    """The greatest value; on a tie, the tag that comes first in its order."""
-    return max(lowers, key=lambda c: (c[0], -LOWER_TAG_ORDER.index(c[1])))
-
-
-def _lower_sources(n: int, R: int, node_limit: int, below: int | None):
-    """The (value, tag) lower bounds of an open cell, and the exact search's
-    result where one ran, else None."""
-    lowers = [(asym_sphere_bound(n, R), "sphere"), (superdiag_lower(n, R), "superdiag")]
-    if n <= EXACT_SEARCH_MAX_N:
         search = exact.exact_kplus(n, R, below=below)
-        return lowers + [(search.lower, "e")], search
-    if n <= ipsolve.MAX_IP_DIMENSION:
+        lowers.append((search.lower, "e"))
+        uppers.append((search.upper, "e"))
+    elif n <= ipsolve.MAX_IP_DIMENSION:
         tag = "mono"
         if below is None:
-            below, below_tag = _column_lower(n - 1, R, node_limit)
-            if below_tag == "lp":  # the chain rests on a step that took the LP value
+            column = _bracket(n - 1, R, node_limit, None)
+            below = column.lower
+            if column.lower_tag == "lp":  # the chain rests on a step that took the LP value
                 tag = "lp"
         try:
             phi = ipsolve.ip_phi(n, R, node_limit).value
         except ipsolve.BudgetExceededError:
             phi, tag = ipsolve.ip_phi_lp(n, R), "lp"
         lowers.append((ipsolve.diff_lower(n, below, phi), tag))
-    return lowers, None
-
-
-def _column_lower(n: int, R: int, node_limit: int) -> tuple[int, str]:
-    """The best lower bound on K+(n, R), 1 <= R <= n, and its tag, from the
-    lower-bound sources alone: no greedy runs down the column."""
-    if superdiag_exact(n, R):
-        return n - R + 1, "superdiag"
-    return _best_lower(_lower_sources(n, R, node_limit, None)[0])
+    # the greatest lower and least upper value; on a tie, the tag that comes first in its order
+    lower, ltag = max(lowers, key=lambda c: (c[0], -LOWER_TAG_ORDER.index(c[1])))
+    upper, utag = min(uppers, key=lambda c: (c[0], UPPER_TAG_ORDER.index(c[1])))
+    return BoundRecord(n, R, lower, upper, ltag, utag)
 
 
 def _virtual(grid, n: int, R: int, field: str) -> int | None:

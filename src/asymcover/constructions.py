@@ -272,9 +272,10 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
     sum of the popcounts of those sets against the blocks, and selecting a
     center clears them.  A vertex is listed only when the bucket of its ball
     size becomes current.  A bucket is scanned one group of candidates with
-    the same b at a time, so a group shares its block terms, each term is one
-    pass over the group, and a group is sorted by a alone.  A waiting
-    candidate is its a, 4 bytes, and the blocks take 2^n bits.
+    the same b at a time, so a group shares its block terms and is sorted by
+    a alone.  Each candidate is scored at its turn, after every selection
+    before it, as in one block.  A waiting candidate is its a, 4 bytes, and
+    the blocks take 2^n bits.
 
     A node is one candidate scored against one block term, counted once per
     group (per bucket in one block): past `node_limit` the call raises
@@ -294,7 +295,7 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
         for d in range(min(R, n - h) + 1)
     ]
     unc = [full_set(h)] * (1 << (n - h))
-    blocks = {}  # b -> [(x, weight(b) - weight(x))] over the ball of b in Q_{n-h}, b left out
+    blocks = {}  # b -> [(x, rows[weight(b) - weight(x)])] over the ball of b in Q_{n-h}, b left out
     # a vertex enters the buckets only when its weight's ball size is the current gain
     fresh_at = collections.defaultdict(list)
     for w in range(n + 1):
@@ -320,32 +321,24 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
             current.sort()
             terms = blocks.get(b)
             if terms is None:  # b's own block, the last of its ball, is scored apart
-                terms = blocks[b] = [(x, wb - x.bit_count()) for x in ball_down(b, R, n - h)[:-1]]
+                terms = blocks[b] = [(x, rows[wb - x.bit_count()]) for x in ball_down(b, R, n - h)[:-1]]
             nodes += len(current) * (len(terms) + 1)
             if node_limit is not None and nodes > node_limit:
                 raise BudgetExceededError(f"greedy node limit {node_limit} exceeded")
-            u, row = unc[b], rows[0]
-            gains = [(u & row[a]).bit_count() for a in current]
-            for x, d in terms:
-                u, row = unc[x], rows[d]
-                gains = [e + (u & row[a]).bit_count() for e, a in zip(gains, current)]
-            # gains were scored before any selection in this group, so after one a
-            # candidate still at g is scored again before it is selected
-            picked = False
-            for a, e in zip(current, gains):
-                if e == g and picked:
-                    e = (unc[b] & rows[0][a]).bit_count()
-                    for x, d in terms:
-                        e += (unc[x] & rows[d][a]).bit_count()
+            ub, row0 = unc[b], rows[0]
+            for a in current:
+                e = (ub & row0[a]).bit_count()
+                for x, row in terms:
+                    e += (unc[x] & row[a]).bit_count()
                 if e == g:
                     chosen.append(b << h | a)
                     remaining -= g
-                    unc[b] &= ~rows[0][a]
-                    for x, d in terms:
-                        unc[x] &= ~rows[d][a]
-                    picked = True
+                    ub &= ~row0[a]
+                    for x, row in terms:
+                        unc[x] &= ~row[a]
                 elif e:
                     buckets[e][b].append(a)
+            unc[b] = ub
             if not remaining:
                 break
     if any(unc):  # a miscounted gain, not a hang

@@ -236,6 +236,16 @@ def test_best_bounds_default_budget_82():
     assert (rec.upper, rec.upper_tag) == (24, "g")
 
 
+def test_best_bounds_greedy_takes_a_tie_with_general(monkeypatch):
+    # general's (8, 2) code has 36 words; "g" comes before "general" in its order
+    from asymcover import bounds
+
+    for size, want in ((36, (36, "g")), (37, (36, "general"))):
+        monkeypatch.setattr(bounds, "greedy_code", lambda n, R, limit, _k=size: [0] * _k)
+        rec = best_bounds(8, 2)
+        assert (rec.upper, rec.upper_tag) == want, size
+
+
 def test_best_bounds_budget_gating():
     # past the node limit the chain step takes phi's LP value and greedy drops out
     starved = best_bounds(8, 2, node_limit=1)

@@ -394,6 +394,15 @@ def test_greedy_node_limit_boundary_at_8_2():
         greedy_code(8, 2, 913)
 
 
+@pytest.mark.parametrize("n, R, nodes", [(11, 2, 15_427), (12, 3, 51_268)])
+def test_greedy_node_limit_boundary_in_blocks(n, R, nodes):
+    # one node per candidate scored against one block term, counted per group;
+    # a candidate scored after a pick in its group waits at its exact gain
+    assert greedy_code(n, R, nodes) == greedy_code(n, R)
+    with pytest.raises(BudgetExceededError):
+        greedy_code(n, R, nodes - 1)
+
+
 def test_greedy_runs_at_n_20():
     assert greedy_code(20, 20).words == (all_ones(20),)
 
