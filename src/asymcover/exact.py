@@ -88,10 +88,6 @@ class ExactResult:
         return "exact" if self.lower == self.upper else "bracket"
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 def _orbit_key(c: int, cells: tuple[int, ...]) -> tuple[int, ...]:
     """The counts |c & cell| over the cells.  Two candidates that contain the
     branching vertex y have equal keys exactly when a permutation inside the
@@ -213,7 +209,7 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
             # the child's own checks, made here so that a cut child costs no call
             if count >= node_limit:
                 nodes = count
-                raise _BudgetHit
+                raise ipsolve.BudgetExceededError(f"exact node limit {node_limit} exceeded")
             count += 1
             gain = size - (packed >> n)
             if gain == left:
@@ -261,7 +257,7 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
             proven_lower += 1
             if on_progress is not None:
                 on_progress(proven_lower, best, nodes)
-    except _BudgetHit:
+    except ipsolve.BudgetExceededError:
         pass
     elapsed = time.monotonic() - start
     return ExactResult(n, R, proven_lower, best, incumbent, nodes, elapsed)

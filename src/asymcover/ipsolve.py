@@ -16,14 +16,15 @@ the values tried for a_l stay at most C(n, l).  Each row below level l is
 paid off at its own point t_j, and between two such points a child window is
 one subtraction away from the last.
 
-`lp_prices` gives optimal dual prices of the LP relaxation, solved in
-integers; they bound the exact search, priced over the uncovered vertices
-of each level, and `ip_phi_lp` sums them into the ceiling of the LP optimum,
-the bound on phi(n, R) that a chain step takes when `ip_phi` runs out of
-nodes.  `diff_lower` takes one step of the difference chain: from a proven
-lower bound on K+(n-1, R) and the zero-count bound phi(n, R) to one on
-K+(n, R).  Each caller steps from a K+(n-1, R) bound it
-proved itself, so the module keeps no state between calls.
+`lp_prices` gives optimal dual prices of the LP relaxation in closed form,
+a back-substitution in integers checked for feasibility.  They bound the
+exact search, priced over the uncovered vertices of each level, and
+`ip_phi_lp` sums them into the ceiling of the LP optimum, the bound on
+phi(n, R) that a chain step takes when `ip_phi` runs out of nodes.
+`diff_lower` takes one step of the difference chain: from a proven lower
+bound on K+(n-1, R) and the zero-count bound phi(n, R) to one on K+(n, R).
+Each caller steps from a K+(n-1, R) bound it proved itself, so the module
+keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ from .cube import binomial
 
 DEFAULT_NODE_CAP = 10**8
 MAX_IP_DIMENSION = 40
-# degenerate simplex pivots in a row before `_simplex_max` turns to Bland's rule;
-# over the programs n <= 40 Dantzig's rule took 37,183 pivots against Bland's 61,073
-BLAND_AFTER = 50
 
 
 class BudgetExceededError(RuntimeError):
@@ -54,65 +52,40 @@ def _ceildiv(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _simplex_max(c: list[int], A: list[list[int]], b: list[int]) -> tuple[list[int], int]:
-    """Maximize c.y subject to A y <= b, y >= 0, for b >= 0 and a bounded
-    program, as (numerators, D): a dense integer tableau started from the
-    slack basis.  The entering column has the most negative reduced cost
-    (Dantzig's rule); after BLAND_AFTER degenerate pivots in a row it is the
-    first negative one (Bland's rule) until a pivot gains, so degenerate
-    vertices cannot cycle.  The leaving row has the least ratio, ties to the
-    least basic variable.  Each row is a positive multiple of its equation,
-    kept divided by its gcd, so ratios are compared by cross-multiplying."""
-    rows, cols = len(A), len(c)
-    width = cols + rows
-    tab = [A[i] + [int(k == i) for k in range(rows)] + [b[i]] for i in range(rows)]
-    z = [-x for x in c] + [0] * (rows + 1)
-    basis = [cols + i for i in range(rows)]
-    stalled = 0  # degenerate pivots in a row
-    while negative := [k for k in range(width) if z[k] < 0]:
-        enter = negative[0] if stalled >= BLAND_AFTER else min(negative, key=z.__getitem__)
-        leave = -1
-        for i, row in enumerate(tab):
-            if row[enter] > 0:
-                if leave < 0:
-                    leave = i
-                    continue
-                best = tab[leave]
-                diff = row[-1] * best[enter] - best[-1] * row[enter]
-                if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
-                    leave = i
-        if leave < 0:
-            raise ValueError("unbounded program")
-        pivot = tab[leave]
-        stalled = stalled + 1 if pivot[-1] == 0 else 0
-        a = pivot[enter]
-        for row in [*tab, z]:
-            f = row[enter]
-            if row is not pivot and f:
-                row[:] = [x * a - f * q for x, q in zip(row, pivot)]
-                g = math.gcd(*row)
-                if g > 1:
-                    row[:] = [x // g for x in row]
-        basis[leave] = enter
-    D = math.lcm(*(tab[i][v] for i, v in enumerate(basis) if v < cols))
-    y = [0] * cols
-    for i, v in enumerate(basis):
-        if v < cols:
-            y[v] = tab[i][-1] * (D // tab[i][v])
-    return y, D
-
-
 def lp_prices(n: int, R: int, costs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Optimal dual prices of the program's LP relaxation on its full demand, as (p, D).
 
     Maximizes sum C(n, t) * y_t subject to sum_{j<=R} C(m, j) * y_{m-j} <= cost_m
-    for every variable a_m and y >= 0, exactly, and returns y_t = p_t / D in
-    lowest terms.
+    for every variable a_m and y >= 0, and returns y_t = p_t / D in lowest
+    terms.  Constraints n down to R are made tight from the top: y_n = cost_n,
+    y_{n-1} = ... = y_{n-R} = 0, and constraint m fixes y_{m-R}, with D grown
+    by C(m, R) / gcd when a step needs a smaller unit.  The profile a_n = 1,
+    a_m = 0 for m < R, rows 0..n-R-1 tight, is their primal partner for any
+    costs, so feasible prices are optimal by complementary slackness; the
+    tests certify the pair for both objectives at every n <= 40.  Prices
+    that are negative or break a constraint m < R raise ValueError, as only
+    feasible prices bound the program (weak duality).
     """
-    A = [[binomial(m, m - t) if m - t <= R else 0 for t in range(n + 1)] for m in range(n + 1)]
-    y, D = _simplex_max([binomial(n, t) for t in range(n + 1)], A, list(costs))
-    g = math.gcd(D, *y)
-    return tuple(x // g for x in y), D // g
+    if len(costs) != n + 1 or not 0 <= R <= n:
+        raise ValueError(f"need n + 1 = {n + 1} costs and 0 <= R <= n, got R={R}, {costs!r}")
+    p = [0] * (n + 1)
+    p[n], D = costs[n], 1
+    for m in range(n - 1, R - 1, -1):
+        c = binomial(m, R)
+        rest = costs[m] * D - sum(binomial(m, j) * p[m - j] for j in range(R))
+        f = c // math.gcd(rest, c)
+        if f > 1:
+            p = [x * f for x in p]
+            D *= f
+        p[m - R] = rest * f // c
+    g = math.gcd(D, *p)
+    p = [x // g for x in p]
+    D //= g
+    if min(p) < 0 or any(
+        sum(binomial(m, j) * p[m - j] for j in range(m + 1)) > costs[m] * D for m in range(R)
+    ):
+        raise ValueError(f"the closed-form prices are infeasible for costs {costs!r}")
+    return tuple(p), D
 
 
 def solve(n: int, R: int, costs: tuple[int, ...], node_cap: int = DEFAULT_NODE_CAP) -> IPSolution:

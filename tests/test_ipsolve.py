@@ -14,7 +14,6 @@ from asymcover import ipsolve
 from asymcover.bounds import asym_sphere_bound
 from asymcover.cube import binomial
 from asymcover.ipsolve import (
-    BLAND_AFTER,
     DEFAULT_NODE_CAP,
     MAX_IP_DIMENSION,
     BudgetExceededError,
@@ -115,10 +114,14 @@ def test_lp_relaxation_is_a_lower_bound():
     assert lp_prices(7, 2, (1,) * 8) == ((22, 9, 5, 3, 3, 0, 0, 45), 45)
 
 
+# degenerate pivots in a row before reference_prices turns to Bland's rule
+BLAND_AFTER = 50
+
+
 def reference_prices(n, R, costs):
-    """The same tableau from the slack basis in Fractions, each pivot row
-    divided by its pivot, as reduced (p, D): Dantzig's entering column, Bland's
-    after BLAND_AFTER degenerate pivots in a row."""
+    """The LP optimum by a simplex tableau in Fractions from the slack basis,
+    each pivot row divided by its pivot, as reduced (p, D): Dantzig's entering
+    column, Bland's after BLAND_AFTER degenerate pivots in a row."""
     size = n + 1
     tab = [
         [Fraction(math.comb(m, m - t)) if 0 <= m - t <= R else Fraction(0) for t in range(size)]
@@ -149,21 +152,55 @@ def reference_prices(n, R, costs):
 
 
 def test_lp_prices_are_the_lp_optimum():
-    # the integer tableau takes the exact tableau's pivots, so it lands on the same optimum
+    # below R = n the LP optimum is the tableau's vertex; at R = n the LP has
+    # several optima, and the prices reach the same full-demand value
     for n in range(1, 11):
         for R in range(n + 1):
             for costs in objectives(n):
-                assert lp_prices(n, R, costs) == reference_prices(n, R, costs), (n, R, costs)
+                got, want = lp_prices(n, R, costs), reference_prices(n, R, costs)
+                if R < n:
+                    assert got == want, (n, R, costs)
+                else:
+                    assert full_demand_value(n, got) == full_demand_value(n, want), (n, costs)
 
 
-def test_lp_prices_turn_to_blands_rule_after_degenerate_pivots(monkeypatch):
-    # no program with n <= 40 takes more than 15 degenerate pivots in a row; with
-    # no allowance every pivot follows Bland's rule, which at R = n, where the LP
-    # has several optima, stops at another vertex than Dantzig's
-    size = (1,) * 7
-    assert lp_prices(6, 6, size) == ((0, 0, 0, 1, 0, 0, 0), 20)
-    monkeypatch.setattr(ipsolve, "BLAND_AFTER", 0)
-    assert lp_prices(6, 6, size) == ((1, 0, 0, 0, 0, 0, 0), 1)
+def primal_profile(n, R):
+    """The profile a_n = 1, a_m = 0 for m < R, each row l < n - R tight, as
+    integers over one denominator E: (a, E)."""
+    a, E = [0] * (n + 1), 1
+    a[n] = 1
+    for l in range(n - R):
+        c = math.comb(l + R, R)
+        rest = math.comb(n, l) * E - sum(math.comb(l + j, j) * a[l + j] for j in range(R))
+        f = c // math.gcd(rest, c)
+        a, E = [x * f for x in a], E * f
+        a[l + R] = rest * f // c
+    return a, E
+
+
+def test_lp_prices_are_certified_by_a_primal_profile():
+    # weak duality both ways: a feasible profile of cost equal to the prices'
+    # full-demand value proves both optimal, at every n <= 40 with no simplex
+    for n in range(1, MAX_IP_DIMENSION + 1):
+        for R in range(n + 1):
+            a, E = primal_profile(n, R)
+            assert min(a) >= 0, (n, R)
+            for l in range(n + 1):
+                row = sum(math.comb(l + j, j) * a[l + j] for j in range(min(R, n - l) + 1))
+                assert row >= math.comb(n, l) * E, (n, R, l)
+            for costs in objectives(n):
+                price, D = lp_prices(n, R, costs)
+                primal = sum(c * x for c, x in zip(costs, a))
+                dual = sum(math.comb(n, t) * p for t, p in enumerate(price))
+                assert primal * D == dual * E, (n, R, costs)
+
+
+def test_lp_prices_refuse_what_the_closed_form_cannot_serve():
+    # feasible LP, but the top-down prices would make y_0 = 1 against cost_0 = 0
+    with pytest.raises(ValueError):
+        lp_prices(2, 1, (0, 1, 1))
+    with pytest.raises(ValueError):  # n + 1 = 4 costs are needed
+        lp_prices(3, 1, (1, 1, 1))
 
 
 @pytest.mark.parametrize("n", range(1, MAX_IP_DIMENSION + 1))
