@@ -23,6 +23,7 @@ from .cube import (
     MAX_DIMENSION,
     all_ones,
     ball_down,
+    ball_sets,
     ball_size_down,
     ball_size_up,
     binomial,
@@ -236,19 +237,6 @@ def random_code_nu(n: int, R: int, seed: int) -> Code:
     return Code.from_words(n, list(s_code.words) + missing, r=R)
 
 
-@functools.cache
-def _block_tables(h: int) -> tuple[list[int], list[int], list[list[int]]]:
-    """`subset_tables(h)` and the vertices of Q_h by weight, ascending.
-
-    Cached for greedy, which only reads them: h <= GREEDY_BLOCK_BITS, and a
-    table's cells share them.
-    """
-    of_weight = [[] for _ in range(h + 1)]
-    for a in range(1 << h):
-        of_weight[a.bit_count()].append(a)
-    return *subset_tables(h), of_weight
-
-
 def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
     """Classic greedy set cover over downward R-balls.
 
@@ -267,15 +255,15 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
     a its low h = GREEDY_BLOCK_BITS coordinates and b the rest, and unc[x] is
     the set of a with (x, a) uncovered, a 2^h-bit int.  The ball of a center
     (b, a) meets block x, for each x in `ball_down(b, R, n - h)` at distance
-    d = weight(b) - weight(x), in rows[d][a] = down[a] & at_least[max(0,
-    weight(a) - R + d)], with the tables of `subset_tables(h)`.  A gain is the
-    sum of the popcounts of those sets against the blocks, and selecting a
-    center clears them.  A vertex is listed only when the bucket of its ball
-    size becomes current.  A bucket is scanned one group of candidates with
-    the same b at a time, so a group shares its block terms and is sorted by
-    a alone.  Each candidate is scored at its turn, after every selection
-    before it, as in one block.  A waiting candidate is its a, 4 bytes, and
-    the blocks take 2^n bits.
+    d = weight(b) - weight(x), in rows[d][a], the (R - d)-ball of a in Q_h
+    from `ball_sets(h, R - d)`.  A gain is the sum of the popcounts of those
+    sets against the blocks, and selecting a center clears them.  A vertex is
+    listed only when the bucket of its ball size becomes current.  A bucket
+    is scanned one group of candidates with the same b at a time, so a group
+    shares its block terms and is sorted by a alone; a group with no
+    candidate is skipped before its terms are listed.  Each candidate is
+    scored at its turn, after every selection before it, as in one block.  A
+    waiting candidate is its a, 4 bytes, and the blocks take 2^n bits.
 
     A node is one candidate scored against one block term, counted once per
     group (per bucket in one block): past `node_limit` the call raises
@@ -287,13 +275,9 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
     if n <= GREEDY_BLOCK_BITS:
         return _greedy_one_block(n, R, node_limit)
     h = GREEDY_BLOCK_BITS
-    down, at_least, lows_of_weight = _block_tables(h)
+    lows_of_weight = subset_tables(h)[2]
     # rows[d][a]: the ball of (b, a) inside a block at distance d below b
-    rows = [
-        [down[a] & at_least[k] if k > 0 else down[a] for a in range(1 << h)
-         for k in [a.bit_count() - R + d]]
-        for d in range(min(R, n - h) + 1)
-    ]
+    rows = [ball_sets(h, R - d) for d in range(min(R, n - h) + 1)]
     unc = [full_set(h)] * (1 << (n - h))
     blocks = {}  # b -> [(x, rows[weight(b) - weight(x)])] over the ball of b in Q_{n-h}, b left out
     # a vertex enters the buckets only when its weight's ball size is the current gain
@@ -318,6 +302,8 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
             for w in fresh:
                 if 0 <= w - wb <= h:
                     current += lows_of_weight[w - wb]
+            if not current:
+                continue
             current.sort()
             terms = blocks.get(b)
             if terms is None:  # b's own block, the last of its ball, is scored apart
@@ -349,9 +335,8 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
 def _greedy_one_block(n: int, R: int, node_limit: int | None) -> Code:
     """`greedy_code` at n <= GREEDY_BLOCK_BITS: buckets[g] lists the masks whose
     stored gain is g, each vertex at its ball size from the start."""
-    down, at_least, of_weight = _block_tables(n)
-    row = [down[a] & at_least[k] if k > 0 else down[a] for a in range(1 << n)
-           for k in [a.bit_count() - R]]
+    of_weight = subset_tables(n)[2]
+    row = ball_sets(n, R)
     buckets = [[] for _ in range(ball_size_down(n, n, R) + 1)]
     for w in range(n + 1):
         buckets[ball_size_down(n, w, R)] += of_weight[w]

@@ -16,10 +16,10 @@ exclusion over its subsets of words (`union_count`), with no 2^n-bit set.
 A single ball is listed by `ball_down`, at the cost of its size, for every n
 up to MAX_DIMENSION.  Its mirror image is the up-set of v, the centers that
 cover v: top ^ x for x in ball_down(top ^ v, R, n), with top the all-ones
-word; exact search's candidates are built from it.  As a set, a ball is
-down[c] & at_least[k] from the tables of `subset_tables`: exact search takes
-its balls and levels from them, and greedy counts its gains with them on
-blocks of the cube, listing with `ball_down` only the blocks a ball meets.
+word; exact search's candidates are built from it.  As sets, every vertex's
+ball comes from `ball_sets`, over the tables of `subset_tables`: exact search
+takes its balls from it, and greedy counts its gains with them on blocks of
+the cube, listing with `ball_down` only the blocks a ball meets.
 """
 
 from __future__ import annotations
@@ -129,25 +129,37 @@ def ball_down(c: int, R: int, n: int) -> list[int]:
     return out
 
 
-def subset_tables(n: int) -> tuple[list[int], list[int]]:
-    """Two tables of sets of Q_n: (down, at_least).
+@functools.cache  # callers only read the tables
+def subset_tables(n: int) -> tuple[list[int], list[int], list[list[int]]]:
+    """Three tables of Q_n: (down, at_least, of_weight).
 
-    down[a] is the set of every vertex below a, and at_least[k], k = 0..n+1,
-    the set of vertices of weight at least k (at_least[n+1] is empty), so the
-    downward R-ball of c is down[c] & at_least[max(0, weight(c) - R)].  Each
-    down[a] is one doubling of down[a ^ hb], with hb the high bit of a; the
-    weight classes double the same way, one coordinate at a time.
+    down[a] is the set of every vertex below a, at_least[k], k = 0..n+1, the
+    set of vertices of weight at least k (at_least[n+1] is empty), and
+    of_weight[l] the vertices of weight l, ascending.  Each down[a] is one
+    doubling of down[a ^ hb], with hb the high bit of a; the weight classes
+    double the same way, one coordinate at a time.
     """
     down = [1]
-    levels = [1]
+    levels = [1]  # the weight classes as sets
+    of_weight = [[0]]
     for i in range(n):
         hb = 1 << i
         down += [d | d << hb for d in down]
         levels = [lo | hi << hb for lo, hi in zip(levels + [0], [0] + levels)]
+        of_weight = [lo + [v | hb for v in hi]
+                     for lo, hi in zip(of_weight + [[]], [[]] + of_weight)]
     at_least = [0]
     for level in reversed(levels):
         at_least.append(at_least[-1] | level)
-    return down, at_least[::-1]
+    return down, at_least[::-1], of_weight
+
+
+def ball_sets(n: int, R: int) -> list[int]:
+    """The downward R-ball of every vertex c of Q_n as a set, indexed by c:
+    down[c] & at_least[weight(c) - R], all of down[c] when R >= weight(c)."""
+    down, at_least, _ = subset_tables(n)
+    return [down[c] & at_least[k] if k > 0 else down[c] for c in range(1 << n)
+            for k in [c.bit_count() - R]]
 
 
 def full_set(n: int) -> int:

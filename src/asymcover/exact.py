@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 from . import ipsolve
 from .constructions import greedy_code
-from .cube import Code, all_ones, ball_down, full_set, subset_tables, weight
+from .cube import Code, all_ones, ball_down, ball_sets, full_set, subset_tables, weight
 
 EXACT_MAX_N = 8
 # at n = 8 a key is a 256-bit int of about 60 bytes, so a full table takes
@@ -149,8 +149,8 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
         # greedy meets the chain: nothing to search, so no tables to build
         return ExactResult(n, R, proven_lower, best, incumbent, nodes, time.monotonic() - start)
 
-    down, at_least = subset_tables(n)
-    ball_mask = [down[c] & at_least[max(0, weight(c) - R)] for c in range(size)]
+    ball_mask = ball_sets(n, R)
+    at_least = subset_tables(n)[1]
     # per branching vertex y, the centers that can cover it, ascending: the
     # mirror image of a ball, built when y first branches
     candidates_of: list[list[int] | None] = [None] * size

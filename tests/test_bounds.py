@@ -12,14 +12,16 @@ from asymcover.bounds import (
     EXACT_SEARCH_MAX_N,
     LOWER_TAG_ORDER,
     UPPER_TAG_ORDER,
+    _bracket,
     asym_sphere_bound,
     best_bounds,
     propagate,
     superdiag_exact,
     superdiag_lower,
 )
+from asymcover.constructions import general_upper_size
 from asymcover.cube import weight
-from asymcover.ipsolve import DEFAULT_NODE_CAP, diff_lower, ip_phi, ip_plus
+from asymcover.ipsolve import DEFAULT_NODE_CAP, MAX_IP_DIMENSION, diff_lower, ip_phi, ip_plus
 from asymcover.table import TableSpec, build_grid
 
 
@@ -276,6 +278,31 @@ def test_lp_fallback_is_never_above_the_default_lower_bound():
                 assert starved.lower <= REFERENCE_BRACKETS[n, R][1], (n, R)
             if n > EXACT_SEARCH_MAX_N and not superdiag_exact(n, R) and R > 0:
                 assert starved.upper_tag == "general", (n, R)  # greedy dropped out
+
+
+def test_the_chain_or_the_search_beats_the_sphere_bound_wherever_they_run():
+    # each cell steps from its column's lower bound, as the table does; a
+    # one-node limit puts every chain step on phi's LP value, the weakest chain
+    for R in range(1, MAX_IP_DIMENSION):
+        below = 1  # K+(R, R)
+        for n in range(R + 1, MAX_IP_DIMENSION + 1):
+            rec = _bracket(n, R, 1, below)
+            assert rec.lower >= asym_sphere_bound(n, R) and rec.lower_tag != "sphere", (n, R)
+            below = rec.lower
+
+
+def test_cells_past_the_ip_cap_take_the_closed_forms(monkeypatch):
+    from asymcover import bounds, exact, ipsolve
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no search, program or greedy past MAX_IP_DIMENSION")
+
+    for module, name in ((ipsolve, "ip_phi"), (exact, "exact_kplus"), (bounds, "greedy_code")):
+        monkeypatch.setattr(module, name, refuse)
+    assert best_bounds(45, 3) == BoundRecord(
+        45, 3, 14_117_860_416, general_upper_size(45, 42), "sphere", "general")
+    rec = best_bounds(45, 35)
+    assert (rec.lower, rec.lower_tag) == (12, "superdiag")
 
 
 def test_chain_step_rests_on_the_lp_value_of_its_column(monkeypatch):

@@ -403,6 +403,17 @@ def test_greedy_node_limit_boundary_in_blocks(n, R, nodes):
         greedy_code(n, R, nodes - 1)
 
 
+def test_greedy_node_limit_bounds_the_blocked_loops_setup(monkeypatch):
+    # a group with no candidate lists no block terms: at (16, 8) the first
+    # bucket holds the top word alone, so one ball is listed before the limit
+    calls = []
+    ball_down = constructions.ball_down
+    monkeypatch.setattr(constructions, "ball_down", lambda *a: calls.append(a) or ball_down(*a))
+    with pytest.raises(BudgetExceededError):
+        greedy_code(16, 8, node_limit=1)
+    assert len(calls) == 1
+
+
 def test_greedy_runs_at_n_20():
     assert greedy_code(20, 20).words == (all_ones(20),)
 

@@ -17,6 +17,7 @@ from asymcover.cube import (
     MAX_DIMENSION,
     all_ones,
     ball_down,
+    ball_sets,
     ball_size_down,
     ball_size_up,
     binomial,
@@ -88,16 +89,15 @@ def test_ball_down_matches_brute_force():
 
 def test_subset_tables_give_the_balls_and_levels():
     for n in range(1, 7):
-        down, at_least = subset_tables(n)
+        down, at_least, of_weight = subset_tables(n)
         assert len(down) == 1 << n and len(at_least) == n + 2
         assert at_least[0] == full_set(n) and at_least[n + 1] == 0
         for l in range(n + 1):
-            level = vertex_set(n, (v for v in range(1 << n) if weight(v) == l))
-            assert at_least[l] ^ at_least[l + 1] == level
-        for c in range(1 << n):
-            for R in (0, 1, n // 2, n, n + 1):
-                ball = down[c] & at_least[max(0, weight(c) - R)]
-                assert ball == vertex_set(n, brute_ball_down(c, R, n))
+            assert of_weight[l] == [v for v in range(1 << n) if weight(v) == l]
+            assert at_least[l] ^ at_least[l + 1] == vertex_set(n, of_weight[l])
+        assert ball_sets(n, n) == down  # every ball at R = n reaches vertex 0
+        for R in (0, 1, n // 2, n, n + 1):
+            assert ball_sets(n, R) == [vertex_set(n, brute_ball_down(c, R, n)) for c in range(1 << n)]
 
 
 def test_ball_down_works_past_the_bitset_caps():
