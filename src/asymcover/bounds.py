@@ -13,7 +13,7 @@ integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import exact, ipsolve
 from .constructions import GREEDY_MAX_N, general_upper_size, greedy_code
@@ -53,28 +53,20 @@ class BoundRecord:
 
     def to_dict(self) -> dict:
         """The record as a JSON object: its fields plus the derived `exact`."""
-        return {
-            "n": self.n,
-            "R": self.R,
-            "lower": self.lower,
-            "upper": self.upper,
-            "lower_tag": self.lower_tag,
-            "upper_tag": self.upper_tag,
-            "exact": self.lower == self.upper,
-        }
+        return {**vars(self), "exact": self.exact}
 
     @classmethod
     def from_dict(cls, d) -> "BoundRecord":
         """Inverse of to_dict; raises ValueError naming the first bad key."""
         if not isinstance(d, dict):
             raise ValueError(f"a record must be a JSON object, got {type(d).__name__}")
-        for key in ("n", "R", "lower", "upper", "lower_tag", "upper_tag"):
-            if key not in d:
-                raise ValueError(f"record has no {key!r}")
-        for key in ("n", "R", "lower", "upper"):
-            if type(d[key]) is not int:
-                raise ValueError(f"record {key!r} must be an int, got {d[key]!r}")
-        return cls(d["n"], d["R"], d["lower"], d["upper"], d["lower_tag"], d["upper_tag"])
+        for f in fields(cls):
+            if f.name not in d:
+                raise ValueError(f"record has no {f.name!r}")
+            # the annotations are strings; __post_init__ checks the tags
+            if f.type == "int" and type(d[f.name]) is not int:
+                raise ValueError(f"record {f.name!r} must be an int, got {d[f.name]!r}")
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def _check_cell(n: int, R: int) -> None:

@@ -27,6 +27,7 @@ from .cube import (
     ball_size_down,
     ball_size_up,
     binomial,
+    covers,
     full_set,
     subset_tables,
     uncovered,
@@ -218,7 +219,7 @@ def inductive_power2(m: int, R: int, seed: int, trials: int = 32) -> Code:
             if best is None or w < best[0]:
                 best = (w, cand)
         code = semi_direct_sum(best[1], code)
-    if uncovered(code, R):
+    if not covers(code, R):
         raise RuntimeError("power-of-two construction produced a non-covering code")
     return code
 

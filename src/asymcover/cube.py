@@ -9,7 +9,7 @@ the set.  A covering sweep grows a code's set by downward steps, S | OR_i
 takes L steps in one walk over the coordinates, n(3L + 2) big-int operations,
 and `sweep` takes `sweep_layers(n)` radii a pass (8 up to n = 23, then 4 and
 2), holding about L + 5 sets, 2 MB each at n = 24.  `uncovered` lists what it
-misses.  `covers`, `verify` and `code_covering_radius` only count: through
+misses.  `covers` and `code_covering_radius` only count: through
 `covered_count`, a code of at most n - 6 words is counted by inclusion–
 exclusion over its subsets of words (`union_count`), with no 2^n-bit set.
 
@@ -59,21 +59,30 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+@functools.cache  # _tails(m)[j] = sum_{k >= j} C(m, k), j = 0..m
+def _tails(m: int) -> list[int]:
+    return list(accumulate(map(math.comb, repeat(m), range(m, -1, -1))))[::-1]
+
+
 def ball_size_up(n: int, l: int, R: int) -> int:
     """Vertices within R upward steps of a level-l vertex: sum_{j<=R} C(n-l, j)."""
     _check_level(n, l, R)
-    return sum(binomial(n - l, j) for j in range(min(R, n - l) + 1))
+    return _tails(n - l)[max(0, n - l - R)]
 
 
 def ball_size_down(n: int, l: int, R: int) -> int:
     """Vertices within R downward steps of a level-l vertex: sum_{j<=R} C(l, j)."""
     _check_level(n, l, R)
-    return sum(binomial(l, j) for j in range(min(R, l) + 1))
+    return _tails(l)[max(0, l - R)]
+
+
+def _check_dimension(n: int) -> None:
+    if not 1 <= n <= MAX_DIMENSION:
+        raise DimensionCapError(f"need 1 <= n <= {MAX_DIMENSION}, got n={n}")
 
 
 def _check_level(n: int, l: int, R: int) -> None:
-    if not 1 <= n <= MAX_DIMENSION:
-        raise DimensionCapError(f"need 1 <= n <= {MAX_DIMENSION}, got n={n}")
+    _check_dimension(n)
     if not 0 <= l <= n:
         raise ValueError(f"level {l} outside 0..{n}")
     if R < 0:
@@ -116,7 +125,9 @@ def ball_down(c: int, R: int, n: int) -> list[int]:
     subset's sum, so the cost is the ball size itself rather than 2^n, at
     every n up to MAX_DIMENSION.
     """
-    _check_vertex(c, n)
+    _check_dimension(n)
+    if not 0 <= c < (1 << n):
+        raise ValueError(f"vertex {c} outside Q_{n}")
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     bits = [1 << i for i in range(n) if c >> i & 1]
@@ -186,13 +197,6 @@ def members(s: int) -> list[int]:
     return out
 
 
-def _check_vertex(v: int, n: int) -> None:
-    if not 1 <= n <= MAX_DIMENSION:
-        raise DimensionCapError(f"need 1 <= n <= {MAX_DIMENSION}, got n={n}")
-    if not 0 <= v < (1 << n):
-        raise ValueError(f"vertex {v} outside Q_{n}")
-
-
 @dataclass(frozen=True)
 class Code:
     """A duplicate-free vertex set of Q_n with an optional radius annotation.
@@ -205,8 +209,7 @@ class Code:
     r: int | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_DIMENSION:
-            raise DimensionCapError(f"need 1 <= n <= {MAX_DIMENSION}, got n={self.n}")
+        _check_dimension(self.n)
         if self.r is not None and self.r < 0:
             raise ValueError(f"radius annotation must be >= 0, got {self.r}")
         words = self.words
@@ -300,11 +303,6 @@ def sweep(code: Code, R: int | None = None, want_radius: bool = False):
     if want_radius:
         radius = steps if s == full else math.inf
     return at_R, radius
-
-
-@functools.cache  # _tails(m)[j] = sum_{k >= j} C(m, k), j = 0..m
-def _tails(m: int) -> list[int]:
-    return list(accumulate(map(math.comb, repeat(m), range(m, -1, -1))))[::-1]
 
 
 def union_count(code: Code, R: int | None = None, want_radius: bool = False):

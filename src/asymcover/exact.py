@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 from . import ipsolve
 from .constructions import greedy_code
-from .cube import Code, all_ones, ball_down, ball_sets, full_set, subset_tables, weight
+from .cube import Code, DimensionCapError, all_ones, ball_down, ball_sets, full_set, subset_tables, weight
 
 EXACT_MAX_N = 8
 # at n = 8 a key is a 256-bit int of about 60 bytes, so a full table takes
@@ -118,7 +118,7 @@ def exact_kplus(
     if not 0 <= R <= n:
         raise ValueError("need 0 <= R <= n")
     if n < 1 or n > EXACT_MAX_N:
-        raise ValueError(f"exact search supports 1 <= n <= {EXACT_MAX_N}")
+        raise DimensionCapError(f"exact search supports 1 <= n <= {EXACT_MAX_N}")
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
     return _search(n, R, node_limit, on_progress, below)

@@ -19,6 +19,7 @@ import json
 import os
 from dataclasses import dataclass
 
+import asymcover
 from .bounds import BoundRecord, best_bounds, propagate
 from .codefiles import write_atomic
 from .ipsolve import DEFAULT_NODE_CAP
@@ -57,8 +58,6 @@ def cell_dicts(grid: dict[tuple[int, int], BoundRecord]) -> dict[str, dict]:
 
 def _cache_key(node_limit: int) -> dict:
     """What a cache's cells were computed under: the node limit and the package version."""
-    import asymcover  # here, as the package sets __version__ after it imports this module
-
     return {"node_limit": node_limit, "version": asymcover.__version__}
 
 

@@ -1,5 +1,6 @@
 """Analytic bounds, their aggregation, and grid propagation."""
 
+import dataclasses
 import itertools
 import math
 from dataclasses import replace
@@ -124,6 +125,43 @@ def test_bound_record_validation():
         BoundRecord(4, 1, 6, 6, "i", "e")
     with pytest.raises(ValueError, match="'upper_tag'"):
         BoundRecord(4, 1, 6, 6, "mono", "i")
+    with pytest.raises(ValueError, match=r"^need n >= 1 and R >= 0$"):
+        BoundRecord(0, 0, 1, 1, "sphere", "sphere")
+    with pytest.raises(ValueError, match=r"^need n >= 1 and R >= 0$"):
+        BoundRecord(4, -1, 6, 6, "mono", "e")
+
+
+RECORD_FIELDS = ("n", "R", "lower", "upper", "lower_tag", "upper_tag")
+
+
+def test_record_dict_is_the_fields_plus_exact():
+    rec = BoundRecord(4, 1, 5, 6, "mono", "g")
+    assert [f.name for f in dataclasses.fields(BoundRecord)] == list(RECORD_FIELDS)
+    assert rec.to_dict() == {"n": 4, "R": 1, "lower": 5, "upper": 6, "lower_tag": "mono",
+                             "upper_tag": "g", "exact": False}
+
+
+@pytest.mark.parametrize("field", RECORD_FIELDS)
+def test_from_dict_names_a_missing_field(field):
+    d = BoundRecord(4, 1, 5, 6, "mono", "g").to_dict()
+    del d[field]
+    with pytest.raises(ValueError, match=f"^record has no '{field}'$"):
+        BoundRecord.from_dict(d)
+
+
+@pytest.mark.parametrize("field", ["n", "R", "lower", "upper"])
+@pytest.mark.parametrize("value", ["4", 4.0, True])
+def test_from_dict_names_a_field_that_is_not_an_int(field, value):
+    d = {**BoundRecord(4, 1, 5, 6, "mono", "g").to_dict(), field: value}
+    with pytest.raises(ValueError, match=f"^record '{field}' must be an int"):
+        BoundRecord.from_dict(d)
+
+
+@pytest.mark.parametrize("n,R", [(0, 0), (3, -1), (3, 4)])
+def test_cell_checks_raise(n, R):
+    for bound in (asym_sphere_bound, superdiag_exact):
+        with pytest.raises(ValueError, match=r"^need 1 <= n and 0 <= R <= n$"):
+            bound(n, R)
 
 
 def test_best_bounds_pinned_cells():

@@ -498,3 +498,40 @@ def test_formula_target_is_not_a_valid_bound():
     assert general_upper_value(8, 5) == 8
     assert min_split_product(8, 5) > 8
     assert ip_plus(8, 3).value == 9
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: diagonal_code(5, -1), ValueError, "coradius must be nonnegative"),
+        (lambda: direct_sum(Code.from_words(62, [0]), Code.from_words(1, [0])),
+         DimensionCapError, "direct sum dimension 63 exceeds 62"),
+        (lambda: semi_direct_sum(
+            PatchedCode(62, 1, Code.from_words(62, [0]), Code.from_words(62, [])),
+            Code.from_words(1, [1], r=1)),
+         DimensionCapError, "semi-direct sum dimension 63 exceeds 62"),
+        (lambda: general_upper_code(63, 1), DimensionCapError, "dimension 63 exceeds 62"),
+        (lambda: nu(-1, 1), ValueError, "parameters must be nonnegative"),
+        (lambda: nu(3, -1), ValueError, "parameters must be nonnegative"),
+        (lambda: estimate_alpha(0), ValueError, "radius must be at least 1"),
+        (lambda: random_patched(4, 0, 1, seed=0), ValueError, "radius must be at least 1"),
+        (lambda: random_code_nu(4, 0, seed=0), ValueError, "radius must be at least 1"),
+        (lambda: random_code_nu(0, 1, seed=0), ValueError, "dimension must be at least 1"),
+        (lambda: inductive_power2(1, 0, seed=0), ValueError, "radius must be at least 1"),
+        (lambda: inductive_power2(-1, 1, seed=0), ValueError, "m must be nonnegative"),
+        (lambda: inductive_power2(1, 1, seed=0, trials=0), ValueError,
+         "trials must be at least 1"),
+        (lambda: inductive_power2(5, 1, seed=0), DimensionCapError,
+         f"2^5 exceeds the sweep cap {GREEDY_MAX_N}"),
+        (lambda: greedy_code(4, -1), ValueError, "radius must be nonnegative"),
+        (lambda: coradius_split(4, 0), ValueError, "need 1 <= coradius <= n"),
+        (lambda: coradius_split(4, 5), ValueError, "need 1 <= coradius <= n"),
+    ],
+    ids=["diagonal-coradius", "direct-sum-cap", "semi-direct-sum-cap", "general-cap",
+         "nu-n", "nu-R", "alpha-R", "patched-R", "nu-code-R", "sweep-dim", "power2-R",
+         "power2-m", "power2-trials", "power2-cap", "greedy-R", "split-0", "split-past-n"],
+)
+def test_construction_input_checks_raise(call, error, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message

@@ -415,3 +415,37 @@ def test_covered_count_sweeps_only_codes_past_n_minus_6_words(monkeypatch):
         covered_count(Code.from_words(12, range(7)), 0)
     with pytest.raises(AssertionError, match="swept"):
         covers(large, 3)
+
+
+def test_ball_sizes_match_the_summed_binomials():
+    for n in range(1, MAX_DIMENSION + 1):
+        for l in range(n + 1):
+            down = up = 0  # sum_{j<=R} C(l, j) and sum_{j<=R} C(n-l, j)
+            for R in range(n + 3):
+                down += math.comb(l, R)
+                up += math.comb(n - l, R)
+                assert ball_size_down(n, l, R) == down, (n, l, R)
+                assert ball_size_up(n, l, R) == up, (n, l, R)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: binomial(63, 1), DimensionCapError, "binomial needs 0 <= n <= 62, got n=63"),
+        (lambda: ball_down(3, -1, 2), ValueError, "radius must be >= 0, got -1"),
+        (lambda: sweep(Code.from_words(3, [7]), -1), ValueError, "radius must be >= 0, got -1"),
+        (lambda: union_count(Code.from_words(3, [7]), -1), ValueError,
+         "radius must be >= 0, got -1"),
+        (lambda: ball_down(0, 1, 0), DimensionCapError, "need 1 <= n <= 62, got n=0"),
+        (lambda: ball_down(0, 1, 63), DimensionCapError, "need 1 <= n <= 62, got n=63"),
+        (lambda: ball_down(4, 1, 2), ValueError, "vertex 4 outside Q_2"),
+        (lambda: ball_down(-1, 1, 2), ValueError, "vertex -1 outside Q_2"),
+        (lambda: Code(3, (7,), r=-1), ValueError, "radius annotation must be >= 0, got -1"),
+    ],
+    ids=["binomial-cap", "ball-R", "sweep-R", "union-R", "vertex-n-0", "vertex-n-63",
+         "vertex-past-top", "vertex-negative", "code-r"],
+)
+def test_cube_input_checks_raise(call, error, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message

@@ -9,7 +9,7 @@ import pytest
 
 from asymcover import cli, exact, ipsolve
 from asymcover.codefiles import load_code
-from asymcover.cube import Code, ball_down, covers
+from asymcover.cube import Code, DimensionCapError, ball_down, covers
 from asymcover.exact import EXACT_MAX_N, ExactResult, exact_kplus
 from asymcover.ipsolve import ip_plus
 from asymcover.table import TableSpec, build_grid
@@ -99,7 +99,7 @@ def test_exact_rejects_bad_parameters():
         exact_kplus(3, 4)
     with pytest.raises(ValueError):
         exact_kplus(3, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionCapError, match=f"^exact search supports 1 <= n <= {EXACT_MAX_N}$"):
         exact_kplus(EXACT_MAX_N + 1, 1)
     with pytest.raises(ValueError):
         exact_kplus(0, 0)

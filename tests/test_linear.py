@@ -184,3 +184,9 @@ def test_linear_cover_beats_no_smaller_subspace():
     assert want == 2
     assert not any(covers(code, 2) for code in enumerate_subspaces(4, 1))
     assert any(covers(code, 2) for code in enumerate_subspaces(4, 2))
+
+
+@pytest.mark.parametrize("n,R", [(0, 1), (3, 0)])
+def test_a_code_checks_its_arguments(n, R):
+    with pytest.raises(ValueError, match=r"^need n >= 1 and R >= 1$"):
+        a_code(n, R)
