@@ -53,15 +53,8 @@ def diagonal_code(n: int, coradius: int) -> Code:
         raise ValueError("coradius must be nonnegative")
     need = coradius * (coradius + 1) // 2
     if n < need:
-        raise ValueError(
-            f"dimension {n} too small for coradius {coradius}: need n >= {need}"
-        )
-    top = all_ones(n)
-    words = []
-    for i in range(coradius + 1):
-        zeros = ((1 << i) - 1) << ((i - 1) * i // 2)
-        words.append(top ^ zeros)
-    return Code.from_words(n, words, r=n - coradius)
+        raise ValueError(f"dimension {n} too small for coradius {coradius}: need n >= {need}")
+    return general_upper_code(n, coradius)  # its split is the one part [coradius]
 
 
 def direct_sum(c1: Code, c2: Code) -> Code:
@@ -99,6 +92,8 @@ def nu(n: int, R: int) -> Fraction:
     """Exact value of sum_j C(n,j) / b+(j,R), the fractional cover measure."""
     if n < 0 or R < 0:
         raise ValueError("parameters must be nonnegative")
+    if n == 0:
+        raise ValueError("dimension must be at least 1")
     return sum(
         Fraction(binomial(n, j), ball_size_up(n, j, R)) for j in range(n + 1)
     )
@@ -369,10 +364,12 @@ def coradius_split(n: int, coradius: int) -> list[int]:
     Uses the fewest parts M >= ceil(coradius^2 / (2n - coradius)) such that
     the per-part dimension floors r_i(r_i+1)/2 sum to at most n.  M = coradius
     (all parts 1, total floor coradius <= n) always fits, so the scan
-    terminates.
+    terminates.  Takes coradius 0..n; coradius 0 has no parts.
     """
-    if not 1 <= coradius <= n:
-        raise ValueError("need 1 <= coradius <= n")
+    if not 0 <= coradius <= n:
+        raise ValueError("need 0 <= coradius <= n")
+    if coradius == 0:
+        return []
     d = 2 * n - coradius
     m0 = max(1, -(-(coradius * coradius) // d))
     for m in range(m0, coradius + 1):
@@ -394,14 +391,15 @@ def general_upper_code(n: int, coradius: int) -> Code:
     Each part r_i gets a block of dimension r_i(r_i+1)/2 (the first block
     absorbs leftover coordinates), so the blocks' coradii sum to exactly
     `coradius` and the result downward (n - coradius)-covers Q_n with
-    size = prod(r_i + 1).
+    size = prod(r_i + 1): a word is the all-ones word with one of the zero
+    runs of `diagonal_code(dim_i, r_i)` cleared in each block.
     """
     if n > MAX_DIMENSION:
         raise DimensionCapError(f"dimension {n} exceeds {MAX_DIMENSION}")
     parts = coradius_split(n, coradius)
-    dims = [p * (p + 1) // 2 for p in parts]
-    dims[0] += n - sum(dims)
-    code = diagonal_code(dims[0], parts[0])
-    for dim, part in zip(dims[1:], parts[1:]):
-        code = direct_sum(code, diagonal_code(dim, part))
-    return code
+    dims = [p * (p + 1) // 2 for p in parts[1:]]
+    words, start = [all_ones(n)], 0
+    for p, dim in zip(parts, [n - sum(dims)] + dims):
+        words = [w ^ ((1 << j) - 1) << (start + (j - 1) * j // 2) for w in words for j in range(p + 1)]
+        start += dim
+    return Code.from_words(n, words, r=n - coradius)

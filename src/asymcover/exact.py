@@ -259,5 +259,8 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
                 on_progress(proven_lower, best, nodes)
     except ipsolve.BudgetExceededError:
         pass
+    finally:
+        # dfs reaches itself through its closure cell: free its tables now, not at a collection
+        del dfs
     elapsed = time.monotonic() - start
     return ExactResult(n, R, proven_lower, best, incumbent, nodes, elapsed)

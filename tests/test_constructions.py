@@ -460,6 +460,44 @@ def test_general_upper_code_covers_and_counts():
             assert covers(code, n - c)
 
 
+def zero_run_oracle(n, coradius):
+    """The coradius family built block by block: each block's zero runs written
+    out one word at a time, blocks joined by direct_sum, the first block
+    holding the leftover coordinates."""
+    parts = coradius_split(n, coradius)
+    dims = [p * (p + 1) // 2 for p in parts]
+    dims[0] += n - sum(dims)
+    code = None
+    for dim, part in zip(dims, parts):
+        top = all_ones(dim)
+        words = [top ^ ((1 << i) - 1) << ((i - 1) * i // 2) for i in range(part + 1)]
+        block = Code.from_words(dim, words, r=dim - part)
+        code = block if code is None else direct_sum(code, block)
+    return code
+
+
+def test_coradius_builders_match_the_zero_run_oracle():
+    for n in range(1, 41):
+        for c in range(1, n + 1):
+            if general_upper_size(n, c) > 20_000:
+                continue
+            want = zero_run_oracle(n, c)
+            codes = [general_upper_code(n, c)]
+            if n >= c * (c + 1) // 2:
+                codes.append(diagonal_code(n, c))
+            for code in codes:
+                assert (code.n, code.r, code.words) == (want.n, want.r, want.words), (n, c)
+
+
+@pytest.mark.parametrize("n", [1, 6, 62])
+def test_coradius_zero_is_the_all_ones_word(n):
+    # K+(n, n) = 1: the top word alone covers Q_n at radius n
+    assert coradius_split(n, 0) == []
+    assert general_upper_size(n, 0) == 1
+    for code in (general_upper_code(n, 0), diagonal_code(n, 0)):
+        assert (code.n, code.r, code.words) == (n, n, (all_ones(n),))
+
+
 def test_general_upper_pinned_sizes():
     assert general_upper_size(6, 3) == 4       # one block
     assert general_upper_size(12, 6) == 16     # two blocks of coradius 3
@@ -524,12 +562,14 @@ def test_formula_target_is_not_a_valid_bound():
         (lambda: inductive_power2(5, 1, seed=0), DimensionCapError,
          f"2^5 exceeds the sweep cap {GREEDY_MAX_N}"),
         (lambda: greedy_code(4, -1), ValueError, "radius must be nonnegative"),
-        (lambda: coradius_split(4, 0), ValueError, "need 1 <= coradius <= n"),
-        (lambda: coradius_split(4, 5), ValueError, "need 1 <= coradius <= n"),
+        (lambda: coradius_split(4, -1), ValueError, "need 0 <= coradius <= n"),
+        (lambda: coradius_split(4, 5), ValueError, "need 0 <= coradius <= n"),
+        (lambda: nu(0, 1), ValueError, "dimension must be at least 1"),
     ],
     ids=["diagonal-coradius", "direct-sum-cap", "semi-direct-sum-cap", "general-cap",
          "nu-n", "nu-R", "alpha-R", "patched-R", "nu-code-R", "sweep-dim", "power2-R",
-         "power2-m", "power2-trials", "power2-cap", "greedy-R", "split-0", "split-past-n"],
+         "power2-m", "power2-trials", "power2-cap", "greedy-R", "split-negative",
+         "split-past-n", "nu-n-0"],
 )
 def test_construction_input_checks_raise(call, error, message):
     with pytest.raises(ValueError) as caught:

@@ -1,7 +1,9 @@
 """Exact minimum covers checked against a subset-enumeration oracle."""
 
+import gc
 import hashlib
 import json
+import tracemalloc
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -375,6 +377,22 @@ def test_exact_proves_kplus_7_1():
     res = exact_kplus(7, 1)
     assert (res.status, res.upper, len(res.witness)) == ("exact", 31, 31)
     assert covers(res.witness, 1)
+
+
+def test_exact_frees_its_tables_when_it_returns():
+    # with the cyclic collector off, nothing of a stopped (7, 1) search's
+    # transposition table and per-vertex tables may outlive the call
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = exact_kplus(7, 1, node_limit=50_000)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert (res.status, res.nodes) == ("bracket", 50_000)
+    assert kept < 200_000  # about 0.96 MB when the tables outlived the call
 
 
 DATA = Path(__file__).resolve().parent / "data"

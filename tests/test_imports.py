@@ -64,7 +64,8 @@ def foreign_imports(source: str) -> list[str]:
 
 
 def private_reads(source: str) -> list[str]:
-    """Underscore names read from another module: `mod._x` or `from .mod import _x`."""
+    """Underscore names, dunders aside, read from another module: `mod._x` or
+    `from .mod import _x`."""
     tree = ast.parse(source)
     imported = imported_names(tree)
     found = []
@@ -73,7 +74,7 @@ def private_reads(source: str) -> list[str]:
             found += [
                 f"{node.module or ''}.{alias.name} (line {node.lineno})"
                 for alias in node.names
-                if alias.name.startswith("_")
+                if alias.name.startswith("_") and not alias.name.startswith("__")
             ]
         elif (
             isinstance(node, ast.Attribute)
@@ -227,6 +228,7 @@ def test_guard_sees_a_private_read():
         "from . import ipsolve\nfrom .cube import _step, weight\n\n"
         "dual = ipsolve._dual_vector(ipsolve.IPSolution)\n"
         "x = _step(weight.__name__)\n"
+        "from . import __version__\nv = ipsolve.__version__\n"
     )
     assert private_reads(source) == ["cube._step (line 2)", "ipsolve._dual_vector (line 4)"]
 

@@ -432,6 +432,14 @@ def test_cli_construct_method_pins(method, construct_inputs, capsys):
     assert _sha256("o.json") == digest
 
 
+def test_cli_construct_general_at_coradius_zero(construct_inputs, capsys):
+    # K+(6, 6) = 1: the all-ones word alone
+    rc, out, err = run_cli(["construct", "--method", "general", "--n", "6", "--coradius", "0",
+                            "--out", "o.json"], capsys)
+    assert (rc, out, err) == (0, "1 words (n=6, R=6) -> o.json\n", "")
+    assert load_code("o.json").words == (63,)
+
+
 @pytest.mark.parametrize("method", CONSTRUCT_NEEDS)
 def test_cli_construct_method_needs_its_flags(method, construct_inputs, capsys):
     before = sorted(os.listdir(construct_inputs))
