@@ -10,8 +10,9 @@ takes L steps in one walk over the coordinates, n(3L + 2) big-int operations,
 and `sweep` takes `sweep_layers(n)` radii a pass (8 up to n = 23, then 4 and
 2), holding about L + 5 sets, 2 MB each at n = 24.  `uncovered` lists what it
 misses.  `covers` and `code_covering_radius` only count: through
-`covered_count`, a code of at most n - 6 words is counted by inclusion–
-exclusion over its subsets of words (`union_count`), with no 2^n-bit set.
+`covered_count`, a code of at most min(n, BITMAP_MAX_N) - 6 words is counted
+by inclusion–exclusion over its subsets of words (`union_count`), with no
+2^n-bit set, so up to 22 words are counted past the sweep's cap.
 
 A single ball is listed by `ball_down`, at the cost of its size, for every n
 up to MAX_DIMENSION.  Its mirror image is the up-set of v, the centers that
@@ -231,9 +232,6 @@ class Code:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __iter__(self):
-        return iter(self.words)
-
     def __contains__(self, v: int) -> bool:
         i = bisect_left(self.words, v)
         return i < len(self.words) and self.words[i] == v
@@ -338,8 +336,9 @@ def union_count(code: Code, R: int | None = None, want_radius: bool = False):
 
 def covered_count(code: Code, R: int | None = None, want_radius: bool = False):
     """`sweep`'s set size at R and radius, each None when not asked; codes of
-    at most n - 6 words, measured faster that way, go to `union_count`."""
-    if code.n > BITMAP_MAX_N or len(code) > code.n - 6:  # past the cap `sweep` raises
+    at most min(n, BITMAP_MAX_N) - 6 words go to `union_count`: faster up to
+    the sweep's cap, and past it the only count, as it builds no 2^n-bit set."""
+    if len(code) > min(code.n, BITMAP_MAX_N) - 6:  # past the cap `sweep` raises
         at_R, radius = sweep(code, R, want_radius)
         return (None if at_R is None else at_R.bit_count()), radius
     return union_count(code, R, want_radius)

@@ -195,9 +195,6 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
         split = len(cells) < n
         if split:
             seen = set()
-        # the node count, kept local in the loop and written back before
-        # each call, return and raise
-        count = nodes
         # largest gain first, ties by ascending center
         for packed in sorted([(size - (ball_mask[c] & u).bit_count()) << n | c for c in candidates]):
             c = packed & top
@@ -207,13 +204,11 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
                     continue
                 seen.add(key)
             # the child's own checks, made here so that a cut child costs no call
-            if count >= node_limit:
-                nodes = count
+            if nodes >= node_limit:
                 raise ipsolve.BudgetExceededError(f"exact node limit {node_limit} exceeded")
-            count += 1
+            nodes += 1
             gain = size - (packed >> n)
             if gain == left:
-                nodes = count
                 return [c]
             if budget == 1 or total - pmax[c] * gain > room:
                 continue
@@ -234,12 +229,9 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
             child = cells
             if split:
                 child = tuple(part for cell in cells for part in (cell & c, cell & ~c) if part)
-            nodes = count
             sol = dfs(v, budget - 1, child, child_total, l)
-            count = nodes
             if sol is not None:
                 return [c] + sol
-        nodes = count
         # tt.get(u, 0) <= budget here, or the parent would have cut u;
         # and u cannot recur below itself, as every child covers more
         if len(tt) < TT_CAP:

@@ -127,9 +127,11 @@ def test_dimension_cap():
         Code.from_words(MAX_DIMENSION + 1, [0])
     big = Code.from_words(BITMAP_MAX_N + 1, [all_ones(BITMAP_MAX_N + 1)])
     with pytest.raises(DimensionCapError):
-        covers(big, 1)
-    with pytest.raises(DimensionCapError):
         uncovered(big, 1)
+    # past the cap only codes of more than BITMAP_MAX_N - 6 words are swept
+    many = Code.from_words(BITMAP_MAX_N + 1, range(BITMAP_MAX_N - 5))
+    with pytest.raises(DimensionCapError):
+        covers(many, 1)
 
 
 def test_code_basics():
@@ -415,6 +417,17 @@ def test_covered_count_sweeps_only_codes_past_n_minus_6_words(monkeypatch):
         covered_count(Code.from_words(12, range(7)), 0)
     with pytest.raises(AssertionError, match="swept"):
         covers(large, 3)
+    # past the sweep's cap a code of at most BITMAP_MAX_N - 6 words is counted:
+    # the zero-diagonal code's words clear disjoint runs of lengths 0..10, so
+    # at R = 51 a vertex of weight w <= 10 escapes them iff it has a single one in
+    # each of the w longest runs and none elsewhere: sum of 10!/(10 - w)!
+    big = diagonal_code(62, 10)
+    assert covers(big, 52) and not covers(big, 51)
+    misses = sum(math.perm(10, w) for w in range(11))
+    assert covered_count(big, 51) == ((1 << 62) - misses, None)
+    assert not covers(Code.from_words(BITMAP_MAX_N + 1, range(BITMAP_MAX_N - 6)), 1)
+    with pytest.raises(AssertionError, match="swept"):
+        covered_count(Code.from_words(BITMAP_MAX_N + 1, range(BITMAP_MAX_N - 5)), 1)
 
 
 def test_ball_sizes_match_the_summed_binomials():

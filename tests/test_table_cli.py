@@ -21,6 +21,7 @@ from asymcover.exact import exact_kplus
 from asymcover.table import (
     TableSpec,
     build_grid,
+    cell_dicts,
     load_cache,
     render_cell,
     render_table,
@@ -151,6 +152,11 @@ def test_bound_has_the_tables_lower_bound():
     assert len(cells) == 77
     assert [(n, R, best_bounds(n, R).lower) for n, R in cells] == [
         (n, R, grid[n, R].lower) for n, R in cells]
+    # the grid is `table --n-max 13 --r-max 11`'s: its --json stdout, byte for
+    # byte; a change that moves a bracket re-pins it and names the cells moved
+    out = json.dumps(cell_dicts(grid), indent=1, sort_keys=True) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "537d762f5149eb72b6a49a7de23584b3ecfe4eadd0042f56fd3f7a830375094d")
 
 
 @pytest.mark.parametrize("n_cached", [6, 8])
