@@ -150,14 +150,10 @@ def _bracket(n: int, R: int, node_limit: int, below: int | None) -> BoundRecord:
         lowers.append((search.lower, "e"))
         uppers.append((search.upper, "e"))
     elif n <= ipsolve.MAX_IP_DIMENSION:
-        tag = "mono"
         if below is None:
-            column = _bracket(n - 1, R, node_limit, None)
-            below = column.lower
-            if column.lower_tag == "lp":  # the chain rests on a step that took the LP value
-                tag = "lp"
+            below = _bracket(n - 1, R, node_limit, None).lower
         try:
-            phi = ipsolve.ip_phi(n, R, node_limit).value
+            phi, tag = ipsolve.ip_phi(n, R, node_limit).value, "mono"
         except ipsolve.BudgetExceededError:
             phi, tag = ipsolve.ip_phi_lp(n, R), "lp"
         lowers.append((ipsolve.diff_lower(n, below, phi), tag))

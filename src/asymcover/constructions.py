@@ -35,6 +35,11 @@ from .cube import (
 from .ipsolve import BudgetExceededError
 
 GREEDY_MAX_N = 26  # greedy / sampling sweeps touch every vertex of Q_n
+# general_upper_code's word cap: on an 8 GB, 2-vCPU VM, 2^22 words built in
+# 1.7 s (403 MB peak with the covers check) and 2^23 in 3.9 s and 758 MB, so
+# 2^26 would need about 6 GB; greedy's code at its cap, (26, 1), has at least
+# 4,615,954 words (its sphere bound)
+GENERAL_MAX_WORDS = 1 << 23
 # low coordinates per greedy block; measured on a 2-vCPU VM, blocks of 2^13
 # bits took 1.4x as long at (17,1) and 1.6x at (18,1), blocks of 2^8 bits
 # 1.4x at (14,6) and 1.5x at (16,4)
@@ -392,11 +397,15 @@ def general_upper_code(n: int, coradius: int) -> Code:
     absorbs leftover coordinates), so the blocks' coradii sum to exactly
     `coradius` and the result downward (n - coradius)-covers Q_n with
     size = prod(r_i + 1): a word is the all-ones word with one of the zero
-    runs of `diagonal_code(dim_i, r_i)` cleared in each block.
+    runs of `diagonal_code(dim_i, r_i)` cleared in each block.  Refuses,
+    before building, a code of more than GENERAL_MAX_WORDS words.
     """
     if n > MAX_DIMENSION:
         raise DimensionCapError(f"dimension {n} exceeds {MAX_DIMENSION}")
     parts = coradius_split(n, coradius)
+    if (size := math.prod(p + 1 for p in parts)) > GENERAL_MAX_WORDS:
+        raise DimensionCapError(
+            f"general code of {size} words exceeds the word cap {GENERAL_MAX_WORDS}")
     dims = [p * (p + 1) // 2 for p in parts[1:]]
     words, start = [all_ones(n)], 0
     for p, dim in zip(parts, [n - sum(dims)] + dims):

@@ -46,11 +46,6 @@ def all_ones(n: int) -> int:
     return (1 << n) - 1
 
 
-def weight(v: int) -> int:
-    """Number of ones of a vertex (its level)."""
-    return v.bit_count()
-
-
 def binomial(n: int, k: int) -> int:
     """Exact C(n, k), zero outside 0 <= k <= n."""
     if not 0 <= n <= MAX_DIMENSION:

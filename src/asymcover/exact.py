@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 from . import ipsolve
 from .constructions import greedy_code
-from .cube import Code, DimensionCapError, all_ones, ball_down, ball_sets, full_set, subset_tables, weight
+from .cube import Code, DimensionCapError, all_ones, ball_down, ball_sets, full_set, subset_tables
 
 EXACT_MAX_N = 8
 # at n = 8 a key is a 256-bit int of about 60 bytes, so a full table takes
@@ -166,7 +166,7 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
     # a priced gain is at most it times the gain; taken once per weight and
     # spread over the centers, so the child loop reads it with one index
     pmax_of_weight = [max(price[max(0, w - R):w + 1]) for w in range(n + 1)]
-    pmax = [pmax_of_weight[weight(c)] for c in range(size)]
+    pmax = [pmax_of_weight[c.bit_count()] for c in range(size)]
 
     cube = full_set(n)
     cube_total = sum(p * m.bit_count() for m, p in zip(level_mask, price))

@@ -21,7 +21,6 @@ from asymcover.bounds import (
     superdiag_lower,
 )
 from asymcover.constructions import general_upper_size
-from asymcover.cube import weight
 from asymcover.ipsolve import DEFAULT_NODE_CAP, MAX_IP_DIMENSION, diff_lower, ip_phi, ip_plus
 from asymcover.table import TableSpec, build_grid
 
@@ -29,7 +28,7 @@ from asymcover.table import TableSpec, build_grid
 def brute_ball_down_size(n, l, R):
     c = (1 << l) - 1
     return sum(
-        1 for v in range(1 << n) if v & c == v and l - weight(v) <= R
+        1 for v in range(1 << n) if v & c == v and l - v.bit_count() <= R
     )
 
 
@@ -343,9 +342,10 @@ def test_cells_past_the_ip_cap_take_the_closed_forms(monkeypatch):
     assert (rec.lower, rec.lower_tag) == (12, "superdiag")
 
 
-def test_chain_step_rests_on_the_lp_value_of_its_column(monkeypatch):
-    # a step whose own phi finishes still carries "lp" when the (n-1, R) bound
-    # it lifts took the LP value
+def test_chain_step_takes_the_tag_of_its_own_phi(monkeypatch):
+    # a step whose own phi finishes is "mono" even where the (n-1, R) bound it
+    # lifts took the LP value: a cell's record is one function of (n, R), the
+    # node limit and the (n-1, R) lower bound, whoever supplies that bound
     from asymcover import ipsolve
 
     real = ipsolve.ip_phi
@@ -355,8 +355,8 @@ def test_chain_step_rests_on_the_lp_value_of_its_column(monkeypatch):
 
     monkeypatch.setattr(ipsolve, "ip_phi", starved_at_7_and_8)
     rec = best_bounds(9, 2)
-    assert (rec.lower, rec.lower_tag) == (31, "lp")
-    # handed a proven (8, 2) bound, as a table does, the step is the chain's own
+    assert (rec.lower, rec.lower_tag) == (31, "mono")
+    # handed a proven (8, 2) bound, as a table does, the step lifts that bound
     rec = best_bounds(9, 2, below=20)
     assert (rec.lower, rec.lower_tag) == (32, "mono")
 

@@ -30,7 +30,6 @@ from asymcover.cube import (
     ball_down,
     covers,
     uncovered,
-    weight,
 )
 from asymcover.ipsolve import BudgetExceededError
 
@@ -42,7 +41,7 @@ def brute_nu(n, R):
         up = sum(
             1
             for u in range(1 << n)
-            if v & u == v and weight(u) - weight(v) <= R
+            if v & u == v and u.bit_count() - v.bit_count() <= R
         )
         total += Fraction(1, up)
     return total
@@ -458,6 +457,14 @@ def test_general_upper_code_covers_and_counts():
         assert code.r == n - c
         if n <= 14:
             assert covers(code, n - c)
+
+
+def test_general_upper_code_refuses_past_its_word_cap(monkeypatch):
+    # the size comes from the split, so a refused code allocates nothing
+    monkeypatch.setattr(constructions, "GENERAL_MAX_WORDS", 16)
+    assert len(general_upper_code(14, 6)) == 16
+    with pytest.raises(DimensionCapError, match="general code of 36 words exceeds the word cap 16"):
+        general_upper_code(14, 7)
 
 
 def zero_run_oracle(n, coradius):

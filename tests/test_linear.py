@@ -14,7 +14,6 @@ from asymcover.cube import (
     all_ones,
     code_covering_radius,
     covers,
-    weight,
 )
 from asymcover.linear import a_code, enumerate_subspaces, min_linear_dim, span
 
@@ -32,7 +31,7 @@ def brute_radius(code):
         best = math.inf
         for c in code.words:
             if v & c == v:
-                best = min(best, weight(c) - weight(v))
+                best = min(best, c.bit_count() - v.bit_count())
         worst = max(worst, best)
     return worst
 

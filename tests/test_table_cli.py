@@ -144,19 +144,33 @@ def test_table_chains_from_its_own_grid():
     assert render_cell(best_bounds(8, 1)) == "52-64[mono/g]"
 
 
+def lower_brackets(records):
+    return [(rec.n, rec.R, rec.lower, rec.lower_tag) for rec in records]
+
+
 def test_bound_has_the_tables_lower_bound():
     # one chain: bound steps from the (n-1, R) lower bound it proves itself,
     # the table from its grid's, and the two agree on every open cell
     grid = build_grid(TableSpec(n_min=1, n_max=13, r_min=0, r_max=11))
     cells = [(n, R) for (n, R) in grid if 0 < R < n]
     assert len(cells) == 77
-    assert [(n, R, best_bounds(n, R).lower) for n, R in cells] == [
-        (n, R, grid[n, R].lower) for n, R in cells]
+    assert lower_brackets(best_bounds(n, R) for n, R in cells) == lower_brackets(
+        grid[cell] for cell in cells)
     # the grid is `table --n-max 13 --r-max 11`'s: its --json stdout, byte for
     # byte; a change that moves a bracket re-pins it and names the cells moved
     out = json.dumps(cell_dicts(grid), indent=1, sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "537d762f5149eb72b6a49a7de23584b3ecfe4eadd0042f56fd3f7a830375094d")
+
+
+@pytest.mark.parametrize("node_limit, n_max, count", [(1, 20, 189), (1000, 16, 119)])
+def test_bound_has_the_tables_lower_bound_under_a_small_limit(node_limit, n_max, count):
+    # where phi runs out, bound's column and the table's grid tag a step alike
+    grid = build_grid(TableSpec(1, n_max, 0, n_max - 2, node_limit=node_limit))
+    cells = [(n, R) for (n, R) in grid if 0 < R < n]
+    assert len(cells) == count
+    assert lower_brackets(best_bounds(n, R, node_limit) for n, R in cells) == (
+        lower_brackets(grid[cell] for cell in cells))
 
 
 @pytest.mark.parametrize("n_cached", [6, 8])
@@ -444,6 +458,15 @@ def test_cli_construct_general_at_coradius_zero(construct_inputs, capsys):
                             "--out", "o.json"], capsys)
     assert (rc, out, err) == (0, "1 words (n=6, R=6) -> o.json\n", "")
     assert load_code("o.json").words == (63,)
+
+
+def test_cli_construct_general_refuses_past_its_word_cap(construct_inputs, capsys):
+    # 2^62 words: refused from the split's size before a word is built
+    rc, out, err = run_cli(["construct", "--method", "general", "--n", "62", "--coradius", "62",
+                            "--out", "o.json"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: general code of {1 << 62} words exceeds the word cap {1 << 23}\n"
+    assert not os.path.exists("o.json")
 
 
 @pytest.mark.parametrize("method", CONSTRUCT_NEEDS)
