@@ -40,15 +40,6 @@ EXIT_VERIFY = 2
 EXIT_BUDGET = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad arguments; remap that to the usage code."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
 def _positive(text: str) -> int:
     """An argparse type: an int, refused unless it is above zero."""
     value = int(text)
@@ -271,7 +262,7 @@ def cmd_linear(args) -> int:
 
 
 @functools.cache
-def build_parser() -> _Parser:
+def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built by the first call and shared by all later ones.
 
     `main` reuses it: `parse_args` keeps no state between calls, and each
@@ -283,8 +274,8 @@ def build_parser() -> _Parser:
     """
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="machine-readable output")
-    parser = _Parser(prog="asymcover", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="asymcover", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("bound", parents=[json_flag], help="best bounds for one cell")
     _add_node_limit(p, _LIMIT_HELP)
@@ -347,8 +338,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits with 2 on bad arguments: a usage error
+        return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError

@@ -13,6 +13,7 @@ import json
 import os
 import stat
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import repeat
 from operator import itemgetter, or_
 
@@ -21,6 +22,8 @@ from .cube import Code
 _NOT_BITS = str.maketrans("", "", "01")  # deletes the two bit characters
 _REVERSED = itemgetter(slice(None, None, -1))
 _LOW_BITS_FIRST = itemgetter(slice(None, 2, -1))  # reversed, less the "1b0" of "0b1"
+# words per piece of a saved file, so that no file's whole text is held at once
+PIECE_WORDS = 1 << 16
 
 
 def words_to_bits(words, n: int) -> list[str]:
@@ -52,21 +55,31 @@ def bits_to_word(s: str, n: int) -> int:
     return int(s[::-1] or "0", 2)  # "" at n = 0 reaches Code's own check on n
 
 
-def to_json_text(code: Code) -> str:
-    """The JSON form, byte for byte as json.dumps(obj, indent=1) + "\\n" lays it out.
+def code_pieces(code: Code, fmt: str = "json") -> Iterator[str]:
+    """The text of `code` in `fmt` ("json" or "text"), PIECE_WORDS words a piece.
 
-    Joined directly: with an indent, json.dumps runs its pure-Python encoder,
+    JSON comes byte for byte as json.dumps(obj, indent=1) + "\\n" lays it out,
+    joined directly: with an indent, json.dumps runs its pure-Python encoder,
     and a bitstring needs no escaping.
     """
-    r = "null" if code.r is None else code.r
-    words = '",\n  "'.join(words_to_bits(code.words, code.n))
-    listed = f'[\n  "{words}"\n ]' if code.words else "[]"
-    return f'{{\n "n": {code.n},\n "r": {r},\n "words": {listed}\n}}\n'
+    if fmt == "json":
+        r = "null" if code.r is None else code.r
+        head = f'{{\n "n": {code.n},\n "r": {r},\n "words": '
+        start, sep, end, empty = head + '[\n  "', '",\n  "', '"\n ]\n}\n', head + "[]\n}\n"
+    elif fmt == "text":
+        start = empty = f"{code.n} {'-' if code.r is None else code.r}\n"
+        sep = end = "\n"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    return _pieces(code, start, sep, end) if code.words else iter([empty])
 
 
-def to_plain_text(code: Code) -> str:
-    head = f"{code.n} {'-' if code.r is None else code.r}"
-    return "\n".join([head, *words_to_bits(code.words, code.n)]) + "\n"
+def _pieces(code: Code, start: str, sep: str, end: str) -> Iterator[str]:
+    """start, the bitstrings joined by sep, end, in pieces of PIECE_WORDS words."""
+    for i in range(0, len(code.words), PIECE_WORDS):
+        yield start + sep.join(words_to_bits(code.words[i:i + PIECE_WORDS], code.n))
+        start = sep
+    yield end
 
 
 def _dedupe(n: int, words: list[int], r, origin: str) -> Code:
@@ -127,8 +140,8 @@ def load_code(path: str) -> Code:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then rename it over
+def write_atomic(path: str, pieces: Iterable[str]) -> None:
+    """Write the text `pieces` to a temporary file beside `path`, then rename it over
     `path`; on any failure the temporary file is removed and `path` is left
     as it was.  The file gets the mode that open(path, "w") would give it:
     the mode of the file it replaces, else 0o666 less the umask."""
@@ -137,7 +150,7 @@ def write_atomic(path: str, text: str) -> None:
     fh = open(tmp, "x", encoding="utf-8")  # created with the mode open(path, "w") gives
     try:
         with fh:
-            fh.write(text)
+            fh.writelines(pieces)
         with contextlib.suppress(FileNotFoundError):  # a new file keeps that mode
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
@@ -147,11 +160,5 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def save_code(path: str, code: Code, fmt: str = "json") -> None:
-    """Write the code in `fmt` ("json" or "text") atomically."""
-    if fmt == "json":
-        payload = to_json_text(code)
-    elif fmt == "text":
-        payload = to_plain_text(code)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    write_atomic(path, payload)
+    """Write the code in `fmt` ("json" or "text") atomically, a piece at a time."""
+    write_atomic(path, code_pieces(code, fmt))

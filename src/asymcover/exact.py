@@ -43,12 +43,13 @@ refined by each new word, so permuting coordinates inside the cells fixes
 the uncovered set.  Such a permutation that also fixes the branching vertex
 y maps a candidate c onto every candidate with the same counts |c & cell|
 (each candidate contains y, so equal counts over the cells are equal counts
-over the cells split by y), and only the first candidate of each count key
-is tried: orbital branching over this Young subgroup (Ostrowski, Linderoth,
-Rossi and Smriglio, Math. Programming 126, 2011).  A skipped candidate is
-the image of an earlier one that failed, so it fails too.  The search thus
-returns the same witness as without the skipping, and the transposition
-table stays sound, as infeasibility depends on the uncovered set alone.
+over the cells split by y), and as it fixes u the two have one gain.  A node
+keeps the least candidate of each key, which its sort would reach first, and
+drops the rest before sorting: orbital branching over this Young subgroup
+(Ostrowski, Linderoth, Rossi and Smriglio, Math. Programming 126, 2011).  A
+dropped candidate is the image of a kept one that failed, so it fails too,
+and the witness is as without the dropping; the transposition table stays
+sound, as infeasibility depends on the uncovered set alone.
 """
 
 from __future__ import annotations
@@ -190,19 +191,13 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
         left = u.bit_count()
         # a child fits its budget - 1 words while its priced total is at most this
         room = D * (budget - 1)
-        # one candidate per count key over the cells (see the module
-        # docstring); singleton cells leave nothing to permute
+        # one candidate per orbit (module docstring); singleton cells leave none to drop
         split = len(cells) < n
         if split:
-            seen = set()
+            candidates = {_orbit_key(c, cells): c for c in reversed(candidates)}.values()
         # largest gain first, ties by ascending center
         for packed in sorted([(size - (ball_mask[c] & u).bit_count()) << n | c for c in candidates]):
             c = packed & top
-            if split:
-                key = _orbit_key(c, cells)
-                if key in seen:
-                    continue
-                seen.add(key)
             # the child's own checks, made here so that a cut child costs no call
             if nodes >= node_limit:
                 raise ipsolve.BudgetExceededError(f"exact node limit {node_limit} exceeded")

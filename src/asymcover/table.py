@@ -93,7 +93,7 @@ def load_cache(path: str, node_limit: int) -> dict[tuple[int, int], BoundRecord]
 
 def save_cache(path: str, grid: dict[tuple[int, int], BoundRecord], node_limit: int) -> None:
     payload = {**_cache_key(node_limit), "cells": cell_dicts(grid)}
-    write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_atomic(path, [json.dumps(payload, indent=1, sort_keys=True) + "\n"])
 
 
 def build_grid(spec: TableSpec) -> dict[tuple[int, int], BoundRecord]:

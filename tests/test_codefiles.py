@@ -29,7 +29,7 @@ def test_bits_to_word_validates():
 
 def test_json_round_trip():
     code = Code.from_words(3, [7, 6, 1], r=1)
-    text = codefiles.to_json_text(code)
+    text = "".join(codefiles.code_pieces(code))
     data = json.loads(text)
     assert data["n"] == 3
     assert data["r"] == 1
@@ -40,14 +40,14 @@ def test_json_round_trip():
 
 def test_json_without_radius():
     code = Code.from_words(2, [0, 3])
-    back = codefiles.from_json_text(codefiles.to_json_text(code))
+    back = codefiles.from_json_text("".join(codefiles.code_pieces(code)))
     assert back.r is None
     assert back.words == (0, 3)
 
 
 def test_plain_text_round_trip():
     code = Code.from_words(3, [7, 6, 1], r=1)
-    text = codefiles.to_plain_text(code)
+    text = "".join(codefiles.code_pieces(code, "text"))
     first = text.splitlines()[0].split()
     assert first[0] == "3"
     back = codefiles.from_plain_text(text)
@@ -56,8 +56,8 @@ def test_plain_text_round_trip():
 
 def test_loads_autodetects_format():
     code = Code.from_words(4, [0b1010, 0b1111], r=2)
-    assert codefiles.loads(codefiles.to_json_text(code)) == code
-    assert codefiles.loads(codefiles.to_plain_text(code)) == code
+    assert codefiles.loads("".join(codefiles.code_pieces(code))) == code
+    assert codefiles.loads("".join(codefiles.code_pieces(code, "text"))) == code
 
 
 def test_duplicate_words_warn_and_collapse(capsys):
@@ -103,6 +103,22 @@ def test_large_code_round_trips_byte_identically(fmt, r, size, tmp_path):
     assert back == code
     codefiles.save_code(str(second), back, fmt=fmt)
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 5])
+def test_a_code_saved_in_pieces_has_the_one_piece_layout(fmt, size, tmp_path, monkeypatch):
+    # two words a piece: an empty code, a lone piece, a full one and one past it
+    monkeypatch.setattr(codefiles, "PIECE_WORDS", 2)
+    code = Code.from_words(5, random.Random(size).sample(range(32), size), r=2)
+    bits = [f"{w:05b}"[::-1] for w in code.words]
+    expected = {
+        "json": json.dumps({"n": 5, "r": 2, "words": bits}, indent=1) + "\n",
+        "text": "\n".join(["5 2", *bits]) + "\n",
+    }[fmt]
+    path = tmp_path / "c"
+    codefiles.save_code(str(path), code, fmt=fmt)
+    assert path.read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

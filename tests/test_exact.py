@@ -11,7 +11,7 @@ import pytest
 
 from asymcover import cli, exact, ipsolve
 from asymcover.codefiles import load_code
-from asymcover.cube import Code, DimensionCapError, ball_down, covers
+from asymcover.cube import Code, DimensionCapError, ball_down, ball_sets, covers, full_set
 from asymcover.exact import EXACT_MAX_N, ExactResult, exact_kplus
 from asymcover.ipsolve import ip_plus
 from asymcover.table import TableSpec, build_grid
@@ -310,6 +310,29 @@ def test_orbit_key_matches_the_orbits(n):
                 for c2 in supersets:
                     same_key = exact._orbit_key(c, cells) == exact._orbit_key(c2, cells)
                     assert same_key == (c2 in orbit), (cells, y, c, c2)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_candidates_with_one_orbit_key_have_one_gain(n):
+    # dfs keeps only the least candidate of each key and then sorts by gain,
+    # which is sound only if every candidate of a key covers as much of u: here
+    # u is the cube less the balls of the all-ones word and of up to two unions
+    # of cells, as a node's chosen words are
+    top = (1 << n) - 1
+    for R in range(1, n + 1):
+        balls = ball_sets(n, R)
+        for partition in _set_partitions(list(range(n))):
+            cells = tuple(sum(1 << i for i in cell) for cell in partition)
+            unions = [sum(cell for i, cell in enumerate(cells) if pick >> i & 1)
+                      for pick in range(1 << len(cells))]
+            rest = full_set(n) & ~balls[top]
+            for u in {rest} | {rest & ~balls[a] & ~balls[b] for a in unions for b in unions}:
+                for y in (y for y in range(1 << n) if u >> y & 1):
+                    gains = {}
+                    for c in (top ^ x for x in ball_down(top ^ y, R, n)):
+                        key = exact._orbit_key(c, cells)
+                        gains.setdefault(key, set()).add((balls[c] & u).bit_count())
+                    assert all(len(g) == 1 for g in gains.values()), (R, cells, u, y)
 
 
 def test_exact_bracket_at_n_8():
