@@ -13,7 +13,7 @@ integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from . import exact, ipsolve
 from .constructions import GREEDY_MAX_N, general_upper_size, greedy_code
@@ -34,6 +34,7 @@ class BoundRecord:
     upper: int
     lower_tag: str
     upper_tag: str
+    limit_hit: bool = False  # some bound source of the cell stopped at its node limit
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.R < 0:
@@ -57,16 +58,18 @@ class BoundRecord:
 
     @classmethod
     def from_dict(cls, d) -> "BoundRecord":
-        """Inverse of to_dict; raises ValueError naming the first bad key."""
+        """Inverse of to_dict; raises ValueError naming the first bad key.  A
+        key that `d` lacks takes its field's default, if the field has one."""
         if not isinstance(d, dict):
             raise ValueError(f"a record must be a JSON object, got {type(d).__name__}")
         for f in fields(cls):
-            if f.name not in d:
+            if f.name not in d and f.default is MISSING:
                 raise ValueError(f"record has no {f.name!r}")
             # the annotations are strings; __post_init__ checks the tags
-            if f.type == "int" and type(d[f.name]) is not int:
-                raise ValueError(f"record {f.name!r} must be an int, got {d[f.name]!r}")
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+            kind = {"int": "an int", "bool": "a bool"}.get(f.type)
+            if kind and f.name in d and type(d[f.name]).__name__ != f.type:
+                raise ValueError(f"record {f.name!r} must be {kind}, got {d[f.name]!r}")
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def _check_cell(n: int, R: int) -> None:
@@ -107,24 +110,25 @@ def best_bounds(
     n: int, R: int, node_limit: int = ipsolve.DEFAULT_NODE_CAP, below: int | None = None
 ) -> BoundRecord:
     """Best bracket one cell can get from every bound source: `_bracket`'s,
-    with greedy's code added where no search ran, at EXACT_SEARCH_MAX_N < n
-    <= GREEDY_MAX_N.
+    with greedy's code added where no search ran.
 
     The difference chain, and the exact search at n <= EXACT_SEARCH_MAX_N,
     step from `below`, a proven lower bound on K+(n-1, R) such as a table's
-    own.  Without it, they step from `_bracket`'s bracket of (n-1, R), down
-    the column, where no greedy runs.  The chain's phi program and greedy
-    each stop after `node_limit` nodes: a chain step then takes phi's LP
-    value, tag "lp", and greedy's upper bound drops out.  The exact search
-    settles every cell it runs on, in 6,435 nodes at most.
+    own.  Without it, the chain steps from `_bracket`'s bracket of (n-1, R),
+    down the column, where no greedy runs; the exact search walks its own
+    column of searches, each seeded by greedy's code.  The chain's phi
+    program and greedy each stop after `node_limit` nodes: a chain step then
+    takes phi's LP value, tag "lp", and greedy's upper bound drops out; either
+    sets the record's `limit_hit`.  The exact search settles every cell it
+    runs on, in 6,435 nodes at most.
     """
     rec = _bracket(n, R, node_limit, below)
-    # a record that a shortcut settled carries another upper tag than "general"
-    if EXACT_SEARCH_MAX_N < n <= GREEDY_MAX_N and rec.upper_tag == "general":
+    # a record that a shortcut or the search settled carries another upper tag than "general"
+    if n <= GREEDY_MAX_N and rec.upper_tag == "general":
         try:
             size = len(greedy_code(n, R, node_limit))
         except ipsolve.BudgetExceededError:
-            return rec
+            return replace(rec, limit_hit=True)
         if size <= rec.upper:  # "g" comes before "general" in its order
             return replace(rec, upper=size, upper_tag="g")
     return rec
@@ -143,6 +147,7 @@ def _bracket(n: int, R: int, node_limit: int, below: int | None) -> BoundRecord:
         return BoundRecord(n, R, r + 1, r + 1, "superdiag", "d")
     lowers = [(asym_sphere_bound(n, R), "sphere"), (superdiag_lower(n, R), "superdiag")]
     uppers = [(general_upper_size(n, r), "general")]
+    limit_hit = False
     if n <= EXACT_SEARCH_MAX_N:
         # the search starts at or above the chain and from greedy's code, and
         # "e" comes before "mono" and "g" on a tie, so neither runs beside it
@@ -155,12 +160,12 @@ def _bracket(n: int, R: int, node_limit: int, below: int | None) -> BoundRecord:
         try:
             phi, tag = ipsolve.ip_phi(n, R, node_limit).value, "mono"
         except ipsolve.BudgetExceededError:
-            phi, tag = ipsolve.ip_phi_lp(n, R), "lp"
+            phi, tag, limit_hit = ipsolve.ip_phi_lp(n, R), "lp", True
         lowers.append((ipsolve.diff_lower(n, below, phi), tag))
     # the greatest lower and least upper value; on a tie, the tag that comes first in its order
     lower, ltag = max(lowers, key=lambda c: (c[0], -LOWER_TAG_ORDER.index(c[1])))
     upper, utag = min(uppers, key=lambda c: (c[0], UPPER_TAG_ORDER.index(c[1])))
-    return BoundRecord(n, R, lower, upper, ltag, utag)
+    return BoundRecord(n, R, lower, upper, ltag, utag, limit_hit)
 
 
 def _virtual(grid, n: int, R: int, field: str) -> int | None:

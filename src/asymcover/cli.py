@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage or argument error, 2 verification failure,
 3 node limit reached (exact search returned a bracket instead of a value, or
-a lower bound of bound or table rests on a chain step's LP value).
+some bound source of a cell of bound or table stopped at its node limit).
 Every command takes --json for machine-readable output on stdout;
 diagnostics go to stderr.
 """
@@ -68,9 +68,9 @@ _LIMIT_HELP = ("node limit of each bound source: the zero-count program of each 
 
 
 def _exit_code(records) -> int:
-    """EXIT_BUDGET when a record's lower bound rests on a chain step that took
-    the LP value, so a larger node limit may tighten it."""
-    return EXIT_BUDGET if any(rec.lower_tag == "lp" for rec in records) else EXIT_OK
+    """EXIT_BUDGET when some bound source of a record's cell stopped at its
+    node limit, so a larger limit may tighten the bracket."""
+    return EXIT_BUDGET if any(rec.limit_hit for rec in records) else EXIT_OK
 
 
 def cmd_bound(args) -> int:

@@ -130,14 +130,22 @@ def test_bound_record_validation():
         BoundRecord(4, -1, 6, 6, "mono", "e")
 
 
+# the fields a record must name; limit_hit, which defaults to False, follows them
 RECORD_FIELDS = ("n", "R", "lower", "upper", "lower_tag", "upper_tag")
 
 
 def test_record_dict_is_the_fields_plus_exact():
     rec = BoundRecord(4, 1, 5, 6, "mono", "g")
-    assert [f.name for f in dataclasses.fields(BoundRecord)] == list(RECORD_FIELDS)
+    assert [f.name for f in dataclasses.fields(BoundRecord)] == [*RECORD_FIELDS, "limit_hit"]
     assert rec.to_dict() == {"n": 4, "R": 1, "lower": 5, "upper": 6, "lower_tag": "mono",
-                             "upper_tag": "g", "exact": False}
+                             "upper_tag": "g", "limit_hit": False, "exact": False}
+
+
+def test_from_dict_takes_a_missing_limit_hit_as_false():
+    # a 0.3.0 record has no limit_hit; it parses, and its cache's version recomputes it
+    d = BoundRecord(4, 1, 5, 6, "mono", "g", limit_hit=True).to_dict()
+    del d["limit_hit"]
+    assert BoundRecord.from_dict(d) == BoundRecord(4, 1, 5, 6, "mono", "g")
 
 
 @pytest.mark.parametrize("field", RECORD_FIELDS)
@@ -200,6 +208,41 @@ SEARCHED_CELLS = {
 
 # K+(n-1, R) below each searched cell
 SEARCHED_BELOW = {(4, 1): 3, (5, 1): 6, (5, 2): 3, (6, 1): 10, (6, 2): 5}
+
+
+def test_best_bounds_settles_every_cell_up_to_the_search_cap_without_general():
+    # so greedy's gate, an upper tag of "general", never opens where the search runs
+    tags = {best_bounds(n, R).upper_tag
+            for n in range(1, EXACT_SEARCH_MAX_N + 1) for R in range(n + 1)}
+    assert tags == {"sphere", "d", "e"}
+
+
+# node limit -> the cells at 7 <= n <= 15 whose greedy stops at it; a
+# BudgetExceededError from greedy_code drops its upper bound
+GREEDY_CUT = {
+    1000: {(9, 1), (9, 2), (9, 5), (10, 1), (11, 6), (12, 7), (13, 8), (14, 9)},
+    100_000: {(13, 2), (14, 1), (14, 9)},
+}
+
+
+def test_limit_hit_is_set_where_phi_or_greedy_stops():
+    # at 1,000 nodes every open cell of 7 <= n <= 15: the verdict is a cut phi,
+    # tag "lp", or a cut greedy; at 100,000 the greedy cuts, where phi finishes
+    for n in range(7, 16):
+        for R in range(1, n):
+            rec = best_bounds(n, R, 1000)
+            assert rec.limit_hit == (rec.lower_tag == "lp" or (n, R) in GREEDY_CUT[1000]), rec
+    for n, R in GREEDY_CUT[100_000]:
+        rec = best_bounds(n, R, 100_000)
+        assert rec.limit_hit and rec.lower_tag != "lp" and rec.upper_tag == "general", rec
+
+
+def test_limit_hit_is_set_where_phi_stops_but_another_lower_bound_wins():
+    # a larger limit may lift the chain past superdiag, so the verdict stands
+    rec = best_bounds(27, 19, 1)
+    assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag, rec.limit_hit) == (
+        10, 25, "superdiag", "general", True)
+    assert not best_bounds(14, 9).limit_hit
 
 
 def test_best_bounds_runs_greedy_and_the_chain_once_inside_the_search(monkeypatch):

@@ -160,7 +160,7 @@ def test_bound_has_the_tables_lower_bound():
     # byte; a change that moves a bracket re-pins it and names the cells moved
     out = json.dumps(cell_dicts(grid), indent=1, sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "537d762f5149eb72b6a49a7de23584b3ecfe4eadd0042f56fd3f7a830375094d")
+        "304e5b6b3eae41ab7d3d0a5703a11adc5c527948f5b1c087e0a95e00dbf4fea4")
 
 
 @pytest.mark.parametrize("node_limit, n_max, count", [(1, 20, 189), (1000, 16, 119)])
@@ -640,10 +640,10 @@ def test_cli_bound_exits_3_when_a_program_runs_out_of_nodes(capsys, monkeypatch)
 
 
 def test_cli_bound_and_table_exit_3_past_the_node_limit(capsys):
-    # phi(8,2) takes 375 nodes and greedy's (8,2) code 914
+    # phi(8,2) takes 375 nodes and greedy's (8,2) code 914: at 500, greedy stops
     runs = {limit: run_cli(["bound", "--n", "8", "--r", "2", "--node-limit", limit], capsys)
             for limit in ("1", "500", "1000")}
-    assert runs == {"1": (3, "19-36[lp/general]\n", ""), "500": (0, "20-36[mono/general]\n", ""),
+    assert runs == {"1": (3, "19-36[lp/general]\n", ""), "500": (3, "20-36[mono/general]\n", ""),
                     "1000": (0, "20-24[mono/g]\n", "")}
     rc, out, _ = run_cli(["table", "--n-max", "8", "--r-max", "2", "--node-limit", "1"], capsys)
     assert rc == 3 and "[lp/" in out
@@ -825,9 +825,38 @@ def test_cli_table_recomputes_a_cache_of_another_version(version, tmp_path, caps
     rc, out, err = run_cli(args + ["--cache", str(cache)], capsys)
     assert (rc, out, err) == (0, fresh, "")
     written = read_json(cache)
-    assert written["version"] == asymcover.__version__ == "0.3.0"
+    assert written["version"] == asymcover.__version__ == "0.4.0"
     assert written["cells"]["7,1"]["lower"] == 30
     assert load_cache(str(cache), ipsolve.DEFAULT_NODE_CAP) == build_grid(TableSpec(1, 7, 0, 3))
+
+
+def test_cli_table_recomputes_a_cache_of_0_3_0(tmp_path, capsys):
+    # 0.3.0's records have no limit_hit: they parse, with the field's default,
+    # and the version recomputes them, so the cut greedy of (14, 9) exits 3
+    args = ["table", "--n-max", "14", "--r-max", "9", "--node-limit", "1000", "--json"]
+    fresh = run_cli(args, capsys)
+    assert fresh[0] == 3
+    cache = tmp_path / "cache.json"
+    cells = {key: {k: v for k, v in d.items() if k != "limit_hit"}
+             for key, d in json.loads(fresh[1]).items()}
+    cache.write_text(json.dumps({"node_limit": 1000, "version": "0.3.0", "cells": cells}))
+    assert run_cli(args + ["--cache", str(cache)], capsys) == fresh
+    written = read_json(cache)
+    assert written["version"] == asymcover.__version__
+    assert written["cells"]["14,9"]["limit_hit"] is True
+
+
+def test_cli_table_exits_3_from_a_warm_cache_as_from_a_cold_one(tmp_path, capsys):
+    # the verdict is cached with its record: greedy's (14, 9) code stops at 1,000
+    # nodes, and the split that tightens the cell to 7-10 keeps the verdict
+    cache = str(tmp_path / "cache.json")
+    args = ["table", "--n-max", "14", "--r-max", "9", "--node-limit", "1000", "--cache", cache]
+    cold = run_cli(args, capsys)
+    assert cold[0] == 3 and "7-10[superdiag/s]" in cold[1]
+    assert read_json(cache)["cells"]["14,9"]["limit_hit"] is True
+    before = os.stat(cache).st_mtime_ns
+    assert run_cli(args, capsys) == cold
+    assert os.stat(cache).st_mtime_ns == before  # the warm run changed no record
 
 
 def test_cli_table_keeps_cached_cells_outside_its_window(tmp_path, capsys):
@@ -896,6 +925,8 @@ def _cache_text(cell):
         (_cache_text({k: v for k, v in GOOD_CELL.items() if k != "upper"}), "'upper'"),
         (_cache_text({**GOOD_CELL, "lower": "2"}), "'lower'"),
         (_cache_text({**GOOD_CELL, "n": True}), "'n'"),
+        (_cache_text({**GOOD_CELL, "limit_hit": 1}), "'limit_hit'"),
+        (_cache_text({**GOOD_CELL, "limit_hit": "true"}), "'limit_hit'"),
         (_cache_text({**GOOD_CELL, "upper_tag": "x"}), "'upper_tag'"),
         (_cache_text({**GOOD_CELL, "lower_tag": "i"}), "'lower_tag'"),  # a retired tag
         (_cache_text({**GOOD_CELL, "upper_tag": "nu"}), "'upper_tag'"),  # a retired tag
@@ -907,7 +938,8 @@ def _cache_text(cell):
         ('{"n": 2, "words": ["11"]}', "node_limit"),  # a code file
         ("11\n01\n", "not a bound cache"),
     ],
-    ids=["missing-field", "string-lower", "bool-n", "unknown-tag", "retired-tag",
+    ids=["missing-field", "string-lower", "bool-n", "int-limit-hit", "string-limit-hit",
+         "unknown-tag", "retired-tag",
          "retired-upper-tag", "key-mismatch", "list-record", "top-level-list", "no-budget",
          "list-budget", "code-json", "code-text"],
 )
