@@ -122,6 +122,8 @@ def best_bounds(
     sets the record's `limit_hit`.  The exact search settles every cell it
     runs on, in 6,435 nodes at most.
     """
+    if node_limit <= 0:
+        raise ValueError("node_limit must be positive")
     rec = _bracket(n, R, node_limit, below)
     # a record that a shortcut or the search settled carries another upper tag than "general"
     if n <= GREEDY_MAX_N and rec.upper_tag == "general":

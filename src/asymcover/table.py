@@ -3,8 +3,8 @@
 The working grid always spans n = 1..n_max with the radius-zero column and
 every R up to min(n, r_max), so monotonicity chains and direct-sum splits
 have their neighbors available; rendering then restricts to the requested
-window.  Each cell's difference chain takes its last step from the grid's
-own (n-1, R) lower bound, computed just before it or loaded from the cache.
+window.  Each column R is walked up from the cell below: a cell's difference
+chain steps from the (n-1, R) lower bound computed or cached just before it.
 The cache is a JSON object written atomically: the node limit and the
 package version its cells were computed under, and the map "n,R" -> record.
 A cache is reused only under an equal node limit and version; anything else,
@@ -41,14 +41,8 @@ class TableSpec:
             raise ValueError("need 1 <= n_min <= n_max")
         if not 0 <= self.r_min <= self.r_max:
             raise ValueError("need 0 <= r_min <= r_max")
-
-    def cells(self) -> list[tuple[int, int]]:
-        """Full working domain, a superset of the rendered window."""
-        return [
-            (n, R)
-            for n in range(1, self.n_max + 1)
-            for R in range(0, min(n, self.r_max) + 1)
-        ]
+        if self.node_limit <= 0:
+            raise ValueError("node_limit must be positive")
 
 
 def cell_dicts(grid: dict[tuple[int, int], BoundRecord]) -> dict[str, dict]:
@@ -97,15 +91,18 @@ def save_cache(path: str, grid: dict[tuple[int, int], BoundRecord], node_limit: 
 
 
 def build_grid(spec: TableSpec) -> dict[tuple[int, int], BoundRecord]:
-    """Aggregate per-cell bounds (cache hits skip the work), then propagate."""
+    """Aggregate per-cell bounds one column R at a time, each walked up from
+    the cell below it (cache hits skip the work), then propagate."""
     cached: dict[tuple[int, int], BoundRecord] = {}
     if spec.cache_path and os.path.exists(spec.cache_path):
         cached = load_cache(spec.cache_path, spec.node_limit)
     grid = {}
-    for n, R in spec.cells():  # n ascending, so (n-1, R) is in the grid when 0 < R < n
-        below = grid[(n - 1, R)].lower if 0 < R < n else None
-        rec = cached.get((n, R))
-        grid[(n, R)] = rec if rec is not None else best_bounds(n, R, spec.node_limit, below)
+    for R in range(spec.r_max + 1):
+        below = None  # the column's first cell has R = 0 or R = n, and no chain step
+        for n in range(max(R, 1), spec.n_max + 1):
+            rec = cached.get((n, R)) or best_bounds(n, R, spec.node_limit, below)
+            grid[(n, R)] = rec
+            below = rec.lower
     grid = propagate(grid)
     # another node limit's or version's cache loads as {}, so an unchanged grid
     # implies the same key

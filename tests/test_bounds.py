@@ -306,6 +306,13 @@ def test_best_bounds_and_the_table_do_not_read_the_clock(monkeypatch):
     assert next(ticks) > 0  # the search did read the jumping clock
 
 
+@pytest.mark.parametrize("node_limit", [0, -5])
+def test_best_bounds_refuses_a_node_limit_below_one(node_limit):
+    # as exact_kplus does
+    with pytest.raises(ValueError, match="node_limit must be positive"):
+        best_bounds(8, 2, node_limit=node_limit)
+
+
 def test_best_bounds_radius_zero():
     rec = best_bounds(5, 0)
     assert (rec.lower, rec.upper) == (32, 32)

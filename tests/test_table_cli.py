@@ -37,7 +37,7 @@ def test_every_exported_name_resolves():
 
 
 def test_tablespec_domain_includes_working_margin():
-    cells = SMALL.cells()
+    cells = build_grid(SMALL).keys()
     assert (1, 0) in cells  # below the rendered window
     assert (5, 0) in cells
     assert (3, 3) in cells
@@ -52,6 +52,14 @@ def test_tablespec_validation():
         TableSpec(n_min=2, n_max=1, r_min=1, r_max=2)
     with pytest.raises(ValueError):
         TableSpec(n_min=1, n_max=3, r_min=2, r_max=1)
+
+
+@pytest.mark.parametrize("node_limit", [0, -5])
+def test_build_grid_refuses_a_node_limit_below_one_before_it_writes_a_cache(tmp_path, node_limit):
+    path = tmp_path / "cache.json"
+    with pytest.raises(ValueError, match="node_limit must be positive"):
+        build_grid(TableSpec(1, 8, 0, 3, node_limit=node_limit, cache_path=str(path)))
+    assert not path.exists()
 
 
 def test_render_cell_formats():
