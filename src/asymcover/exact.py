@@ -54,7 +54,6 @@ sound, as infeasibility depends on the uncovered set alone.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from . import ipsolve
@@ -73,7 +72,8 @@ class ExactResult:
 
     The witness covers with `upper` words; the value is settled, status
     "exact", when lower == upper, and a search stopped by its node limit
-    leaves status "bracket".
+    leaves status "bracket".  It holds no time, so equal arguments give
+    equal results.
     """
 
     n: int
@@ -82,7 +82,6 @@ class ExactResult:
     upper: int
     witness: Code
     nodes: int
-    elapsed: float
 
     @property
     def status(self) -> str:
@@ -113,8 +112,7 @@ def exact_kplus(
     column.  `on_progress`, when given, is called with (proven_lower,
     incumbent_size, nodes) after each exhausted size budget.  The node
     limit, checked at every node and shared with the column's searches,
-    stops the search with the bracket proven so far; the clock is read only
-    for `elapsed`.
+    stops the search with the bracket proven so far.
     """
     if not 0 <= R <= n:
         raise ValueError("need 0 <= R <= n")
@@ -128,13 +126,11 @@ def exact_kplus(
 def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> ExactResult:
     """exact_kplus on checked arguments.  The column below is searched by a
     call of this helper, so each request enters exact_kplus once."""
-    start = time.monotonic()
-
     size = 1 << n
     top = all_ones(n)
     if R == 0:
         witness = Code.from_words(n, range(size), r=R)
-        return ExactResult(n, R, size, size, witness, 0, time.monotonic() - start)
+        return ExactResult(n, R, size, size, witness, 0)
 
     nodes = 0
     if below is None:
@@ -148,7 +144,7 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
     proven_lower = ipsolve.diff_lower(n, below, ipsolve.ip_phi(n, R).value)
     if proven_lower >= best:
         # greedy meets the chain: nothing to search, so no tables to build
-        return ExactResult(n, R, proven_lower, best, incumbent, nodes, time.monotonic() - start)
+        return ExactResult(n, R, proven_lower, best, incumbent, nodes)
 
     ball_mask = ball_sets(n, R)
     at_least = subset_tables(n)[1]
@@ -249,5 +245,4 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
     finally:
         # dfs reaches itself through its closure cell: free its tables now, not at a collection
         del dfs
-    elapsed = time.monotonic() - start
-    return ExactResult(n, R, proven_lower, best, incumbent, nodes, elapsed)
+    return ExactResult(n, R, proven_lower, best, incumbent, nodes)

@@ -2,8 +2,9 @@
 outside the standard library and itself, and reads no other module's
 underscore names, every function reads each of its parameters, every
 public name is read or documented, every underscore name a module defines
-is read by that module, the lower-bound module uses no float, and every
-module parses under the oldest Python that pyproject.toml admits."""
+is read by that module, the lower-bound module uses no float, no module
+but the command line reads a clock, and every module parses under the
+oldest Python that pyproject.toml admits."""
 
 import ast
 import os
@@ -209,6 +210,32 @@ def float_uses(source: str) -> list[str]:
     return sorted(found)
 
 
+CLOCK_MODULES = ("time", "datetime")
+CLOCKS = (
+    "monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns", "process_time",
+    "process_time_ns", "thread_time", "thread_time_ns", "time_ns", "clock_gettime",
+    "clock_gettime_ns", "now", "utcnow", "today",
+)
+
+
+def clock_uses(source: str) -> list[str]:
+    """Each way the source can read a clock: an import of `time` or `datetime`,
+    or a clock function read as an attribute, such as `time.monotonic`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [
+                f"import {alias.name} (line {node.lineno})"
+                for alias in node.names
+                if alias.name.split(".")[0] in CLOCK_MODULES
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module in CLOCK_MODULES:
+            found.append(f"from {node.module} (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr in CLOCKS:
+            found.append(f".{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
 def test_guard_sees_an_unused_import():
     source = "from .cube import Code, weight\nimport os\n\nweight(Code)\n"
     assert unused_imports(source) == ["os (line 2)"]
@@ -282,6 +309,17 @@ def test_guard_sees_a_float():
     ]
 
 
+def test_guard_sees_a_clock():
+    source = (
+        "import os, time as t\nfrom datetime import datetime\nfrom .cube import weight\n\n\n"
+        "def search(n):\n    start = t.perf_counter()\n"
+        "    return weight(n), datetime.now() - start, os.times()\n"
+    )
+    assert clock_uses(source) == [
+        ".now (line 8)", ".perf_counter (line 7)", "from datetime (line 2)", "import time (line 1)",
+    ]
+
+
 def test_guard_sees_syntax_newer_than_the_oldest_python():
     assert OLDEST_PYTHON == (3, 10)
     newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # 3.11
@@ -327,6 +365,14 @@ def test_every_public_name_is_read_or_documented():
 
 def test_lower_bound_module_uses_no_float():
     assert float_uses((PACKAGE / "ipsolve.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.rglob("*.py") if p.name != "cli.py"), ids=lambda p: p.name
+)
+def test_module_reads_no_clock(path):
+    # a result depends on its arguments alone; the command line times its own calls
+    assert clock_uses(path.read_text(encoding="utf-8")) == []
 
 
 def test_cli_import_leaves_openssl_unloaded():

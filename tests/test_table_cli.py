@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -631,6 +632,8 @@ def test_cli_exact_reports_progress(capsys):
     assert (rc, out) == (0, "18\n")
     # the nodes include the searches of (2..5, 1) down the column
     assert err.startswith("progress: lower 18, incumbent 18, nodes 6435\n")
+    # the timing line is the command's own: the search result holds no time
+    assert re.fullmatch(r"nodes: 6435, elapsed: \d+\.\d\ds", err.splitlines()[-1])
 
 
 def test_cli_bound_exits_3_when_a_program_runs_out_of_nodes(capsys, monkeypatch):
