@@ -112,15 +112,19 @@ def _semidirect(args) -> Code:
 
 # Each construct method: the options it requires (by argparse dest) and its
 # builder.  Builders look their library function up when called, so a
-# wrapper set on this module's attribute sees the call.
+# wrapper set on this module's attribute sees the call.  `covers` checks every
+# built code, so the coradius builders refuse one it could not count before
+# a word is built.
 _METHODS = {
-    "diagonal": (("n", "coradius"), lambda args: diagonal_code(args.n, args.coradius)),
+    "diagonal": (("n", "coradius"),
+                 lambda args: diagonal_code(args.n, args.coradius, checkable=True)),
     "directsum": (("in1", "in2"), _directsum),
     "semidirect": (("s_in", "t_in", "code_in", "r"), _semidirect),
     "greedy": (("n", "r"), lambda args: greedy_code(args.n, args.r)),
     "nu-random": (("n", "r"), lambda args: random_code_nu(args.n, args.r, args.seed)),
     "power2": (("m", "r"), lambda args: inductive_power2(args.m, args.r, args.seed, args.trials)),
-    "general": (("n", "coradius"), lambda args: general_upper_code(args.n, args.coradius)),
+    "general": (("n", "coradius"),
+                lambda args: general_upper_code(args.n, args.coradius, checkable=True)),
 }
 
 

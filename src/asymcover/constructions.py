@@ -27,6 +27,7 @@ from .cube import (
     ball_size_down,
     ball_size_up,
     binomial,
+    check_countable,
     covers,
     full_set,
     subset_tables,
@@ -40,26 +41,32 @@ GREEDY_MAX_N = 26  # greedy / sampling sweeps touch every vertex of Q_n
 # 2^26 would need about 6 GB; greedy's code at its cap, (26, 1), has at least
 # 4,615,954 words (its sphere bound)
 GENERAL_MAX_WORDS = 1 << 23
-# low coordinates per greedy block; measured on a 2-vCPU VM, blocks of 2^13
-# bits took 1.4x as long at (17,1) and 1.6x at (18,1), blocks of 2^8 bits
-# 1.4x at (14,6) and 1.5x at (16,4)
+# greedy covers Q_n in one block up to this n; in two sets of runs on a 2-vCPU
+# VM, the one-block pass took 0.57-0.76x the blocked loop's time at every R of
+# n = 11 and 0.64-0.94x at n = 12, but 0.61-1.27x at n = 13, slower at (13,1)
+GREEDY_ONE_BLOCK_MAX_N = 12
+# low coordinates per block of greedy's blocked loop; measured on a 2-vCPU VM,
+# blocks of 2^13 bits took 1.4x as long at (17,1) and 1.6x at (18,1), blocks
+# of 2^8 bits 1.4x at (14,6) and 1.5x at (16,4)
 GREEDY_BLOCK_BITS = 10
 
 
-def diagonal_code(n: int, coradius: int) -> Code:
+def diagonal_code(n: int, coradius: int, *, checkable: bool = False) -> Code:
     """Code of size coradius+1 whose i-th extra word has i consecutive zeros.
 
     Word i+1 (i = 0..coradius) is all ones except for i zeros occupying
     coordinates (i-1)i/2 + 1 through (i-1)i/2 + i.  The zero blocks are
     pairwise disjoint, which is what makes the set cover at radius
-    n - coradius; that requires n >= coradius(coradius+1)/2.
+    n - coradius; that requires n >= coradius(coradius+1)/2.  `checkable` is
+    `general_upper_code`'s.
     """
     if coradius < 0:
         raise ValueError("coradius must be nonnegative")
     need = coradius * (coradius + 1) // 2
     if n < need:
         raise ValueError(f"dimension {n} too small for coradius {coradius}: need n >= {need}")
-    return general_upper_code(n, coradius)  # its split is the one part [coradius]
+    # its split is the one part [coradius]
+    return general_upper_code(n, coradius, checkable=checkable)
 
 
 def direct_sum(c1: Code, c2: Code) -> Code:
@@ -248,11 +255,13 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
     mask order, and a candidate whose exact gain is g is selected: none gains
     more, and every smaller mask in the bucket gains less.  Every other
     candidate moves to the bucket of its exact gain, a lower one, and a gain
-    of 0 drops it.  At n <= GREEDY_BLOCK_BITS the uncovered set is one int,
-    and `_greedy_one_block` scores each candidate at its turn, in one AND and
-    one popcount, after every selection before it.
+    of 0 drops it.  At n <= GREEDY_ONE_BLOCK_MAX_N the uncovered set is one
+    int, and `_greedy_one_block` scores each candidate at its turn, in one AND
+    and one popcount, after every selection before it.  That cutoff is 12, not
+    the block width 10: the one pass took 0.57-0.76x the blocked loop's time
+    at every R of n = 11 and 0.64-0.94x at n = 12, but up to 1.27x at n = 13.
 
-    Above that the uncovered set is kept in blocks.  A vertex is (b, a), with
+    Above it the uncovered set is kept in blocks.  A vertex is (b, a), with
     a its low h = GREEDY_BLOCK_BITS coordinates and b the rest, and unc[x] is
     the set of a with (x, a) uncovered, a 2^h-bit int.  The ball of a center
     (b, a) meets block x, for each x in `ball_down(b, R, n - h)` at distance
@@ -267,13 +276,13 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
     waiting candidate is its a, 4 bytes, and the blocks take 2^n bits.
 
     A node is one candidate scored against one block term, counted once per
-    group (per bucket in one block): past `node_limit` the call raises
-    BudgetExceededError.  Without a limit it runs to the end.
+    group (in one block, one candidate scored per bucket): past `node_limit`
+    the call raises BudgetExceededError.  Without a limit it runs to the end.
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
     _check_sweep_dim(n)
-    if n <= GREEDY_BLOCK_BITS:
+    if n <= GREEDY_ONE_BLOCK_MAX_N:
         return _greedy_one_block(n, R, node_limit)
     h = GREEDY_BLOCK_BITS
     lows_of_weight = subset_tables(h)[2]
@@ -334,7 +343,7 @@ def greedy_code(n: int, R: int, node_limit: int | None = None) -> Code:
 
 
 def _greedy_one_block(n: int, R: int, node_limit: int | None) -> Code:
-    """`greedy_code` at n <= GREEDY_BLOCK_BITS: buckets[g] lists the masks whose
+    """`greedy_code` at n <= GREEDY_ONE_BLOCK_MAX_N: buckets[g] lists the masks whose
     stored gain is g, each vertex at its ball size from the start."""
     of_weight = subset_tables(n)[2]
     row = ball_sets(n, R)
@@ -390,7 +399,7 @@ def general_upper_size(n: int, coradius: int) -> int:
     return math.prod(p + 1 for p in coradius_split(n, coradius))
 
 
-def general_upper_code(n: int, coradius: int) -> Code:
+def general_upper_code(n: int, coradius: int, *, checkable: bool = False) -> Code:
     """Direct sum of diagonal blocks realizing an exact coradius split.
 
     Each part r_i gets a block of dimension r_i(r_i+1)/2 (the first block
@@ -398,7 +407,8 @@ def general_upper_code(n: int, coradius: int) -> Code:
     `coradius` and the result downward (n - coradius)-covers Q_n with
     size = prod(r_i + 1): a word is the all-ones word with one of the zero
     runs of `diagonal_code(dim_i, r_i)` cleared in each block.  Refuses,
-    before building, a code of more than GENERAL_MAX_WORDS words.
+    before building, a code of more than GENERAL_MAX_WORDS words and, when
+    `checkable`, one that `covers` could not count (`check_countable`).
     """
     if n > MAX_DIMENSION:
         raise DimensionCapError(f"dimension {n} exceeds {MAX_DIMENSION}")
@@ -406,6 +416,8 @@ def general_upper_code(n: int, coradius: int) -> Code:
     if (size := math.prod(p + 1 for p in parts)) > GENERAL_MAX_WORDS:
         raise DimensionCapError(
             f"general code of {size} words exceeds the word cap {GENERAL_MAX_WORDS}")
+    if checkable:
+        check_countable(n, size)
     dims = [p * (p + 1) // 2 for p in parts[1:]]
     words, start = [all_ones(n)], 0
     for p, dim in zip(parts, [n - sum(dims)] + dims):

@@ -247,6 +247,26 @@ def sweep_layers(n: int) -> int:
     return min(8, max(2, 1 << max(0, 26 - n)))
 
 
+def _check_sweep_cap(n: int) -> None:
+    if n > BITMAP_MAX_N:
+        raise DimensionCapError(
+            f"covering sweep steps sets of 2^{n} bits; cap is n <= {BITMAP_MAX_N}"
+        )
+
+
+def union_counts(n: int, size: int) -> bool:
+    """True when `covered_count` counts a code of `size` words in Q_n by
+    inclusion–exclusion; any other code it sweeps, up to n = BITMAP_MAX_N."""
+    return size <= min(n, BITMAP_MAX_N) - 6
+
+
+def check_countable(n: int, size: int) -> None:
+    """Raise DimensionCapError, as `covers` would, unless `covered_count` can
+    count a code of `size` words in Q_n; no word is needed to tell."""
+    if not union_counts(n, size):
+        _check_sweep_cap(n)
+
+
 def sweep(code: Code, R: int | None = None, want_radius: bool = False):
     """One covering sweep of `code`: (covered set at radius R, covering radius).
 
@@ -261,10 +281,7 @@ def sweep(code: Code, R: int | None = None, want_radius: bool = False):
     n = code.n
     if R is not None and R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
-    if n > BITMAP_MAX_N:
-        raise DimensionCapError(
-            f"covering sweep steps sets of 2^{n} bits; cap is n <= {BITMAP_MAX_N}"
-        )
+    _check_sweep_cap(n)
     full = full_set(n)
     s = vertex_set(n, code.words)
     limit = None if want_radius else R or 0
@@ -331,12 +348,13 @@ def union_count(code: Code, R: int | None = None, want_radius: bool = False):
 
 def covered_count(code: Code, R: int | None = None, want_radius: bool = False):
     """`sweep`'s set size at R and radius, each None when not asked; codes of
-    at most min(n, BITMAP_MAX_N) - 6 words go to `union_count`: faster up to
-    the sweep's cap, and past it the only count, as it builds no 2^n-bit set."""
-    if len(code) > min(code.n, BITMAP_MAX_N) - 6:  # past the cap `sweep` raises
-        at_R, radius = sweep(code, R, want_radius)
-        return (None if at_R is None else at_R.bit_count()), radius
-    return union_count(code, R, want_radius)
+    at most min(n, BITMAP_MAX_N) - 6 words go to `union_count` (`union_counts`):
+    faster up to the sweep's cap, and past it the only count, as it builds no
+    2^n-bit set."""
+    if union_counts(code.n, len(code)):
+        return union_count(code, R, want_radius)
+    at_R, radius = sweep(code, R, want_radius)  # past the cap `sweep` raises
+    return (None if at_R is None else at_R.bit_count()), radius
 
 
 def covers(code: Code, R: int) -> bool:

@@ -358,19 +358,25 @@ def grid_digest(n_max):
 
 def test_greedy_pinned_grid():
     # the words greedy chose at every cell 2 <= n <= 13, 1 <= R < n when it kept a
-    # count of covered vertices per center; n <= 10 is one block, n = 11..13 several
+    # count of covered vertices per center; n <= 12 is one block, n = 13 several
     assert grid_digest(13) == "a4d485dc6a4d9a996c74c3c59041ee40c0ecfafb89c98fb0a1b0fd24984fde8b"
 
 
 def test_greedy_one_block_matches_the_blocked_loop(monkeypatch):
-    # with blocks of 2^4 bits, n = 5..10 take the blocked loop, and its words
-    # must be the one-block pass's at every radius
-    one_block = {(n, R): greedy_code(n, R).words for n in range(5, 11) for R in range(n + 2)}
+    # with the one-block cutoff at 4, n = 5..12 take the blocked loop, in blocks
+    # of 2^4 bits and at n = 11, 12 also of 2^10, and its words must be the
+    # one-block pass's at every radius
+    cells = [(n, R) for n in range(5, 13) for R in range(n + 2)]
+    one_block = {cell: greedy_code(*cell).words for cell in cells}
+    monkeypatch.setattr(constructions, "GREEDY_ONE_BLOCK_MAX_N", 4)
+    monkeypatch.setattr(constructions, "_greedy_one_block", None)  # a call would fail
+    assert {cell: greedy_code(*cell).words for cell in cells if cell[0] > 10} == {
+        cell: words for cell, words in one_block.items() if cell[0] > 10}
     monkeypatch.setattr(constructions, "GREEDY_BLOCK_BITS", 4)
-    assert {(n, R): greedy_code(n, R).words for n in range(5, 11) for R in range(n + 2)} == one_block
+    assert {cell: greedy_code(*cell).words for cell in cells} == one_block
 
 
-@pytest.mark.parametrize("n, R", [(11, 1), (12, 3)])
+@pytest.mark.parametrize("n, R", [(13, 1), (13, 3)])
 def test_greedy_blocked_loop_raises_on_a_miscounted_gain(n, R, monkeypatch):
     """A block listed twice in a ball counts twice in the gain but is cleared
     once, so the blocked loop's count of uncovered vertices runs ahead of
@@ -393,7 +399,16 @@ def test_greedy_node_limit_boundary_at_8_2():
         greedy_code(8, 2, 913)
 
 
-@pytest.mark.parametrize("n, R, nodes", [(11, 2, 15_427), (12, 3, 51_268)])
+@pytest.mark.parametrize("n, R, nodes", [(11, 2, 9_980), (12, 3, 21_849)])
+def test_greedy_node_limit_boundary_in_one_block(n, R, nodes):
+    # up to n = 12 greedy covers Q_n in one block: one node per candidate
+    # scored per bucket, as at (8, 2)
+    assert greedy_code(n, R, nodes) == greedy_code(n, R)
+    with pytest.raises(BudgetExceededError):
+        greedy_code(n, R, nodes - 1)
+
+
+@pytest.mark.parametrize("n, R, nodes", [(13, 1, 72_115), (13, 3, 172_895)])
 def test_greedy_node_limit_boundary_in_blocks(n, R, nodes):
     # one node per candidate scored against one block term, counted per group;
     # a candidate scored after a pick in its group waits at its exact gain

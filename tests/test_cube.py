@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from asymcover.cube import (
     ball_size_down,
     ball_size_up,
     binomial,
+    check_countable,
     covered_count,
     covers,
     full_set,
@@ -31,6 +33,7 @@ from asymcover.cube import (
     sweep,
     uncovered,
     union_count,
+    union_counts,
     vertex_set,
 )
 
@@ -425,6 +428,23 @@ def test_covered_count_sweeps_only_codes_past_n_minus_6_words(monkeypatch):
     assert not covers(Code.from_words(BITMAP_MAX_N + 1, range(BITMAP_MAX_N - 6)), 1)
     with pytest.raises(AssertionError, match="swept"):
         covered_count(Code.from_words(BITMAP_MAX_N + 1, range(BITMAP_MAX_N - 5)), 1)
+
+
+def test_check_countable_refuses_what_covered_count_cannot_count():
+    # union_counts is the routing rule the test above checks through
+    # covered_count; check_countable refuses, with covers' message, only a
+    # code past the sweep's cap that union_counts does not admit
+    assert union_counts(12, 6) and not union_counts(12, 7)
+    assert union_counts(MAX_DIMENSION, BITMAP_MAX_N - 6)
+    assert not union_counts(MAX_DIMENSION, BITMAP_MAX_N - 5)
+    for n, size in [(1, 2), (BITMAP_MAX_N, 1 << 40), (BITMAP_MAX_N + 1, BITMAP_MAX_N - 6),
+                    (MAX_DIMENSION, BITMAP_MAX_N - 6)]:
+        check_countable(n, size)
+    message = re.escape(f"covering sweep steps sets of 2^40 bits; cap is n <= {BITMAP_MAX_N}")
+    with pytest.raises(DimensionCapError, match=message):
+        check_countable(40, BITMAP_MAX_N - 5)
+    with pytest.raises(DimensionCapError, match=message):
+        covers(Code.from_words(40, range(BITMAP_MAX_N - 5)), 1)
 
 
 def test_ball_sizes_match_the_summed_binomials():

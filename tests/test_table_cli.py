@@ -13,7 +13,7 @@ import time
 import pytest
 
 import asymcover
-from asymcover import cli, ipsolve
+from asymcover import cli, constructions, ipsolve
 from asymcover.bounds import BoundRecord, best_bounds
 from asymcover.codefiles import load_code, save_code
 from asymcover.constructions import diagonal_code
@@ -476,6 +476,27 @@ def test_cli_construct_general_refuses_past_its_word_cap(construct_inputs, capsy
     assert (rc, out) == (1, "")
     assert err == f"error: general code of {1 << 62} words exceeds the word cap {1 << 23}\n"
     assert not os.path.exists("o.json")
+
+
+@pytest.mark.parametrize("coradius", [20, 27])
+def test_cli_construct_general_refuses_a_code_covers_cannot_count(coradius, construct_inputs,
+                                                                   capsys, monkeypatch):
+    # past n = 28 covers counts at most 22 words: 12,288 words at coradius 20 and
+    # 3,188,646 at 27 are refused before a word is built, where building the
+    # latter before covers refused it took about 8 s and 350 MB
+    built = []
+    monkeypatch.setattr(constructions, "all_ones", lambda n: built.append(n) or (1 << n) - 1)
+    start = time.monotonic()
+    rc, out, err = run_cli(["construct", "--method", "general", "--n", "40",
+                            "--coradius", str(coradius), "--out", "o.json"], capsys)
+    assert time.monotonic() - start < 1.0
+    assert (rc, out, built) == (1, "", [])
+    assert err == "error: covering sweep steps sets of 2^40 bits; cap is n <= 28\n"
+    assert not os.path.exists("o.json")
+    # a code of at most 22 words is still built and counted there
+    rc, out, err = run_cli(["construct", "--method", "general", "--n", "40", "--coradius", "5",
+                            "--out", "o.json"], capsys)
+    assert (rc, out, err, built) == (0, "6 words (n=40, R=35) -> o.json\n", "", [40])
 
 
 @pytest.mark.parametrize("method", CONSTRUCT_NEEDS)
