@@ -18,17 +18,20 @@ import time
 from . import codefiles
 from .bounds import best_bounds
 from .constructions import (
+    GENERAL_MAX_WORDS,
     PatchedCode,
     diagonal_code,
     direct_sum,
     general_upper_code,
+    general_upper_size,
     greedy_code,
     inductive_power2,
     random_code_nu,
     semi_direct_sum,
 )
 from .cube import (
-    RADIUS_MAX_N, Code, all_ones, code_covering_radius, covered_count, covers, level_profile
+    MAX_DIMENSION, RADIUS_MAX_N, Code, all_ones, check_countable, code_covering_radius,
+    covered_count, covers, level_profile,
 )
 from .exact import exact_kplus
 from .ipsolve import DEFAULT_NODE_CAP
@@ -110,21 +113,27 @@ def _semidirect(args) -> Code:
     return semi_direct_sum(patched, inner)
 
 
+def _general(args) -> Code:
+    # `covers` checks every built code: one it could not count is refused from
+    # the split's size, before a word is built.  Past the dimension or word cap
+    # general_upper_code's own refusal speaks first.
+    n, coradius = args.n, args.coradius
+    if n <= MAX_DIMENSION and (size := general_upper_size(n, coradius)) <= GENERAL_MAX_WORDS:
+        check_countable(n, size)
+    return general_upper_code(n, coradius)
+
+
 # Each construct method: the options it requires (by argparse dest) and its
 # builder.  Builders look their library function up when called, so a
-# wrapper set on this module's attribute sees the call.  `covers` checks every
-# built code, so the coradius builders refuse one it could not count before
-# a word is built.
+# wrapper set on this module's attribute sees the call.
 _METHODS = {
-    "diagonal": (("n", "coradius"),
-                 lambda args: diagonal_code(args.n, args.coradius, checkable=True)),
+    "diagonal": (("n", "coradius"), lambda args: diagonal_code(args.n, args.coradius)),
     "directsum": (("in1", "in2"), _directsum),
     "semidirect": (("s_in", "t_in", "code_in", "r"), _semidirect),
     "greedy": (("n", "r"), lambda args: greedy_code(args.n, args.r)),
     "nu-random": (("n", "r"), lambda args: random_code_nu(args.n, args.r, args.seed)),
     "power2": (("m", "r"), lambda args: inductive_power2(args.m, args.r, args.seed, args.trials)),
-    "general": (("n", "coradius"),
-                lambda args: general_upper_code(args.n, args.coradius, checkable=True)),
+    "general": (("n", "coradius"), _general),
 }
 
 

@@ -27,7 +27,6 @@ from .cube import (
     ball_size_down,
     ball_size_up,
     binomial,
-    check_countable,
     covers,
     full_set,
     subset_tables,
@@ -51,22 +50,20 @@ GREEDY_ONE_BLOCK_MAX_N = 12
 GREEDY_BLOCK_BITS = 10
 
 
-def diagonal_code(n: int, coradius: int, *, checkable: bool = False) -> Code:
+def diagonal_code(n: int, coradius: int) -> Code:
     """Code of size coradius+1 whose i-th extra word has i consecutive zeros.
 
     Word i+1 (i = 0..coradius) is all ones except for i zeros occupying
     coordinates (i-1)i/2 + 1 through (i-1)i/2 + i.  The zero blocks are
     pairwise disjoint, which is what makes the set cover at radius
-    n - coradius; that requires n >= coradius(coradius+1)/2.  `checkable` is
-    `general_upper_code`'s.
+    n - coradius; that requires n >= coradius(coradius+1)/2.
     """
     if coradius < 0:
         raise ValueError("coradius must be nonnegative")
     need = coradius * (coradius + 1) // 2
     if n < need:
         raise ValueError(f"dimension {n} too small for coradius {coradius}: need n >= {need}")
-    # its split is the one part [coradius]
-    return general_upper_code(n, coradius, checkable=checkable)
+    return general_upper_code(n, coradius)  # its split is the one part [coradius]
 
 
 def direct_sum(c1: Code, c2: Code) -> Code:
@@ -399,7 +396,7 @@ def general_upper_size(n: int, coradius: int) -> int:
     return math.prod(p + 1 for p in coradius_split(n, coradius))
 
 
-def general_upper_code(n: int, coradius: int, *, checkable: bool = False) -> Code:
+def general_upper_code(n: int, coradius: int) -> Code:
     """Direct sum of diagonal blocks realizing an exact coradius split.
 
     Each part r_i gets a block of dimension r_i(r_i+1)/2 (the first block
@@ -407,8 +404,7 @@ def general_upper_code(n: int, coradius: int, *, checkable: bool = False) -> Cod
     `coradius` and the result downward (n - coradius)-covers Q_n with
     size = prod(r_i + 1): a word is the all-ones word with one of the zero
     runs of `diagonal_code(dim_i, r_i)` cleared in each block.  Refuses,
-    before building, a code of more than GENERAL_MAX_WORDS words and, when
-    `checkable`, one that `covers` could not count (`check_countable`).
+    before building, a code of more than GENERAL_MAX_WORDS words.
     """
     if n > MAX_DIMENSION:
         raise DimensionCapError(f"dimension {n} exceeds {MAX_DIMENSION}")
@@ -416,8 +412,6 @@ def general_upper_code(n: int, coradius: int, *, checkable: bool = False) -> Cod
     if (size := math.prod(p + 1 for p in parts)) > GENERAL_MAX_WORDS:
         raise DimensionCapError(
             f"general code of {size} words exceeds the word cap {GENERAL_MAX_WORDS}")
-    if checkable:
-        check_countable(n, size)
     dims = [p * (p + 1) // 2 for p in parts[1:]]
     words, start = [all_ones(n)], 0
     for p, dim in zip(parts, [n - sum(dims)] + dims):

@@ -486,10 +486,8 @@ def test_cli_construct_general_refuses_a_code_covers_cannot_count(coradius, cons
     # latter before covers refused it took about 8 s and 350 MB
     built = []
     monkeypatch.setattr(constructions, "all_ones", lambda n: built.append(n) or (1 << n) - 1)
-    start = time.monotonic()
     rc, out, err = run_cli(["construct", "--method", "general", "--n", "40",
                             "--coradius", str(coradius), "--out", "o.json"], capsys)
-    assert time.monotonic() - start < 1.0
     assert (rc, out, built) == (1, "", [])
     assert err == "error: covering sweep steps sets of 2^40 bits; cap is n <= 28\n"
     assert not os.path.exists("o.json")
