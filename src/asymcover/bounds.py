@@ -1,13 +1,14 @@
 """Analytic bounds on K+(n,R) and bound aggregation.
 
 Lower bounds: the levelwise sphere-covering bound, the superdiagonal values,
-exact search, and the difference chain, which lifts a proven lower bound on
-K+(n-1, R) (the table's own, or else the lower end of `_bracket(n-1, R)`,
-the function that builds every cell) by the zero-count program, or by its
-LP relaxation when the program runs out of nodes.  Upper bounds: diagonal
-codes, coradius splits, greedy codes, exact search, and direct-sum splits
-applied during grid propagation.  Every bound value is computed with exact
-integer arithmetic.
+exact search, the stored exact proofs of `EXACT_ANCHORS`, and the difference
+chain, which lifts a proven lower bound on K+(n-1, R) (the table's own, or
+else the lower end of `_bracket(n-1, R)`, the function that builds every
+cell) by the zero-count program, or by its LP relaxation when the program
+runs out of nodes.  Upper bounds: diagonal codes, coradius splits, greedy
+codes, exact search and its stored proofs, and direct-sum splits applied
+during grid propagation.  Every bound value is computed with exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from .cube import ball_size_down, binomial
 LOWER_TAG_ORDER = ("superdiag", "e", "mono", "lp", "sphere")
 UPPER_TAG_ORDER = ("d", "e", "g", "s", "general", "sphere")
 EXACT_SEARCH_MAX_N = 6  # best_bounds runs exact search on cells up to this n
+# K+(n, R) proved by exact_kplus at its default node limit, too slow to rerun
+# on every build: (7, 2) takes 4,497,154 nodes.  The tests re-prove each value
+# and check its witness with covers.
+EXACT_ANCHORS = {(7, 1): 31, (7, 2): 14, (7, 3): 7}
 
 
 @dataclass(frozen=True)
@@ -110,22 +115,24 @@ def best_bounds(
     n: int, R: int, node_limit: int = ipsolve.DEFAULT_NODE_CAP, below: int | None = None
 ) -> BoundRecord:
     """Best bracket one cell can get from every bound source: `_bracket`'s,
-    with greedy's code added where no search ran.
+    with greedy's code added where no search ran and no anchor holds.
 
-    The difference chain, and the exact search at n <= EXACT_SEARCH_MAX_N,
-    step from `below`, a proven lower bound on K+(n-1, R) such as a table's
-    own.  Without it, the chain steps from `_bracket`'s bracket of (n-1, R),
-    down the column, where no greedy runs; the exact search walks its own
-    column of searches, each seeded by greedy's code.  The chain's phi
-    program and greedy each stop after `node_limit` nodes: a chain step then
-    takes phi's LP value, tag "lp", and greedy's upper bound drops out; either
-    sets the record's `limit_hit`.  The exact search settles every cell it
-    runs on, in 6,435 nodes at most.
+    A cell of `EXACT_ANCHORS` takes its stored proof, tags "e"/"e", and runs
+    nothing.  The difference chain, and the exact search at
+    n <= EXACT_SEARCH_MAX_N, step from `below`, a proven lower bound on
+    K+(n-1, R) such as a table's own.  Without it, the chain steps from
+    `_bracket`'s bracket of (n-1, R), down the column, where no greedy runs;
+    the exact search walks its own column of searches, each seeded by
+    greedy's code.  The chain's phi program and greedy each stop after
+    `node_limit` nodes: a chain step then takes phi's LP value, tag "lp", and
+    greedy's upper bound drops out; either sets the record's `limit_hit`.
+    The exact search settles every cell it runs on, in 6,435 nodes at most,
+    and neither it nor an anchor heeds `node_limit`.
     """
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
     rec = _bracket(n, R, node_limit, below)
-    # a record that a shortcut or the search settled carries another upper tag than "general"
+    # a record settled by a shortcut, the search or an anchor has another upper tag than "general"
     if n <= GREEDY_MAX_N and rec.upper_tag == "general":
         try:
             size = len(greedy_code(n, R, node_limit))
@@ -150,7 +157,11 @@ def _bracket(n: int, R: int, node_limit: int, below: int | None) -> BoundRecord:
     lowers = [(asym_sphere_bound(n, R), "sphere"), (superdiag_lower(n, R), "superdiag")]
     uppers = [(general_upper_size(n, r), "general")]
     limit_hit = False
-    if n <= EXACT_SEARCH_MAX_N:
+    if (n, R) in EXACT_ANCHORS:
+        # a stored proof, read as a finished search: no chain step beside it
+        lowers.append((EXACT_ANCHORS[n, R], "e"))
+        uppers.append((EXACT_ANCHORS[n, R], "e"))
+    elif n <= EXACT_SEARCH_MAX_N:
         # the search starts at or above the chain and from greedy's code, and
         # "e" comes before "mono" and "g" on a tie, so neither runs beside it
         search = exact.exact_kplus(n, R, below=below)

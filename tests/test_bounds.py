@@ -11,6 +11,7 @@ import pytest
 
 from asymcover.bounds import (
     BoundRecord,
+    EXACT_ANCHORS,
     EXACT_SEARCH_MAX_N,
     LOWER_TAG_ORDER,
     UPPER_TAG_ORDER,
@@ -196,6 +197,25 @@ def test_best_bounds_settles_superdiag_cells_without_search(monkeypatch):
         assert best_bounds(n, R) == want
 
 
+def test_best_bounds_reads_an_anchor_and_runs_no_bound_source(monkeypatch):
+    # a stored proof is read as a finished search, whatever the node limit and
+    # the (n-1, R) bound: no search, no chain step and no greedy
+    from asymcover import bounds, exact, ipsolve
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an anchored cell ran a bound source")
+
+    monkeypatch.setattr(bounds, "greedy_code", forbidden)
+    for name in ("ip_plus", "ip_phi", "ip_phi_lp", "diff_lower"):
+        monkeypatch.setattr(ipsolve, name, forbidden)
+    monkeypatch.setattr(exact, "exact_kplus", forbidden)
+    for (n, R), value in EXACT_ANCHORS.items():
+        want = BoundRecord(n, R, value, value, "e", "e")
+        for node_limit in (DEFAULT_NODE_CAP, 1):
+            assert best_bounds(n, R, node_limit) == want
+            assert best_bounds(n, R, node_limit, below=1) == want
+
+
 # best_bounds(n, R) at every cell n <= 6 that the coradius theorem leaves open,
 # as it was when greedy and the chain ran beside the search
 SEARCHED_CELLS = {
@@ -212,9 +232,11 @@ SEARCHED_BELOW = {(4, 1): 3, (5, 1): 6, (5, 2): 3, (6, 1): 10, (6, 2): 5}
 
 
 def test_best_bounds_settles_every_cell_up_to_the_search_cap_without_general():
-    # so greedy's gate, an upper tag of "general", never opens where the search runs
+    # so greedy's gate, an upper tag of "general", never opens where the search
+    # runs, nor at n = 7, where the anchors settle every cell the coradius leaves
+    assert {n for n, _ in EXACT_ANCHORS} == {EXACT_SEARCH_MAX_N + 1}
     tags = {best_bounds(n, R).upper_tag
-            for n in range(1, EXACT_SEARCH_MAX_N + 1) for R in range(n + 1)}
+            for n in range(1, EXACT_SEARCH_MAX_N + 2) for R in range(n + 1)}
     assert tags == {"sphere", "d", "e"}
 
 
@@ -320,8 +342,9 @@ def test_best_bounds_radius_zero():
 
 
 def test_best_bounds_default_budget_82():
+    # one chain step from the (7, 2) anchor, 14
     rec = best_bounds(8, 2)
-    assert (rec.lower, rec.lower_tag) == (20, "mono")
+    assert (rec.lower, rec.lower_tag) == (21, "mono")
     assert (rec.upper, rec.upper_tag) == (24, "g")
 
 
@@ -338,7 +361,7 @@ def test_best_bounds_greedy_takes_a_tie_with_general(monkeypatch):
 def test_best_bounds_budget_gating():
     # past the node limit the chain step takes phi's LP value and greedy drops out
     starved = best_bounds(8, 2, node_limit=1)
-    assert (starved.lower, starved.lower_tag) == (19, "lp")
+    assert (starved.lower, starved.lower_tag) == (21, "lp")
     assert (starved.upper, starved.upper_tag) == (36, "general")
     analytic = best_bounds(9, 2, node_limit=1)
     assert analytic.upper_tag in ("d", "general")
@@ -363,7 +386,8 @@ def test_lp_fallback_is_never_above_the_default_lower_bound():
             assert starved.lower <= default.lower, (n, R)
             if (n, R) in REFERENCE_BRACKETS:
                 assert starved.lower <= REFERENCE_BRACKETS[n, R][1], (n, R)
-            if n > EXACT_SEARCH_MAX_N and not superdiag_exact(n, R) and R > 0:
+            open_cell = not superdiag_exact(n, R) and R > 0 and (n, R) not in EXACT_ANCHORS
+            if n > EXACT_SEARCH_MAX_N and open_cell:
                 assert starved.upper_tag == "general", (n, R)  # greedy dropped out
 
 
@@ -405,19 +429,21 @@ def test_chain_step_takes_the_tag_of_its_own_phi(monkeypatch):
 
     monkeypatch.setattr(ipsolve, "ip_phi", starved_at_7_and_8)
     rec = best_bounds(9, 2)
-    assert (rec.lower, rec.lower_tag) == (31, "mono")
+    assert (rec.lower, rec.lower_tag) == (33, "mono")
     # handed a proven (8, 2) bound, as a table does, the step lifts that bound
     rec = best_bounds(9, 2, below=20)
     assert (rec.lower, rec.lower_tag) == (32, "mono")
 
 
 def test_best_bounds_brackets_nest_as_budget_grows():
-    # past EXACT_SEARCH_MAX_N no search settles the cell, so the node limit shows:
-    # phi(7,2) takes 172 nodes and greedy's (7,2) code 477
-    assert 7 > EXACT_SEARCH_MAX_N
-    lean = best_bounds(7, 2, node_limit=1)
-    chain = best_bounds(7, 2, node_limit=300)
-    default = best_bounds(7, 2)
+    # past EXACT_SEARCH_MAX_N and the anchors no search settles the cell, so the
+    # node limit shows: the phi steps of (8, 2) and (9, 2) take 919 nodes at
+    # most and greedy's (9, 2) code 1,933; at (8, 2) phi's LP value and its
+    # optimum lift the (7, 2) anchor to the same 21
+    assert 9 > EXACT_SEARCH_MAX_N and (9, 2) not in EXACT_ANCHORS
+    lean = best_bounds(9, 2, node_limit=1)
+    chain = best_bounds(9, 2, node_limit=1000)
+    default = best_bounds(9, 2)
     assert (lean.lower_tag, chain.lower_tag, default.lower_tag) == ("lp", "mono", "mono")
     assert (lean.upper_tag, chain.upper_tag, default.upper_tag) == ("general", "general", "g")
     assert lean.lower < chain.lower == default.lower

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from asymcover import cli, exact, ipsolve
+from asymcover.bounds import EXACT_ANCHORS
 from asymcover.codefiles import load_code
 from asymcover.cube import Code, DimensionCapError, ball_down, ball_sets, covers, full_set
 from asymcover.exact import EXACT_MAX_N, ExactResult, exact_kplus
@@ -414,12 +415,6 @@ def test_a_column_level_with_nothing_to_search_solves_no_lp(monkeypatch):
     assert seen == [(5, 1), (6, 1), (7, 1)]
 
 
-def test_exact_proves_kplus_7_1():
-    res = exact_kplus(7, 1)
-    assert (res.status, res.upper, len(res.witness)) == ("exact", 31, 31)
-    assert covers(res.witness, 1)
-
-
 def test_exact_frees_its_tables_when_it_returns():
     # with the cyclic collector off, nothing of a stopped (7, 1) search's
     # transposition table and per-vertex tables may outlive the call
@@ -439,15 +434,29 @@ def test_exact_frees_its_tables_when_it_returns():
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def test_exact_proves_kplus_7_2():
-    res = exact_kplus(7, 2)
-    assert (res.status, res.upper, res.nodes) == ("exact", 14, 4_497_154)
-    assert res.witness.words == load_code(str(DATA / "kplus-7-2.json")).words
+# what each anchor's proof pins beyond its value: the node count, and a
+# shipped witness that the search's own must equal
+ANCHOR_PROOFS = {(7, 2): (4_497_154, "kplus-7-2.json")}
+
+
+@pytest.mark.parametrize("n,R", list(EXACT_ANCHORS))
+def test_exact_reproves_every_anchor(n, R):
+    # from scratch at the default limit: the table reads these values without
+    # searching, so this run is their proof
+    res = exact_kplus(n, R)
+    value = EXACT_ANCHORS[n, R]
+    assert (res.status, res.lower, res.upper) == ("exact", value, value)
+    assert len(res.witness) == res.upper
+    assert covers(res.witness, R)
+    if (n, R) in ANCHOR_PROOFS:
+        nodes, witness = ANCHOR_PROOFS[n, R]
+        assert res.nodes == nodes
+        assert res.witness.words == load_code(str(DATA / witness)).words
 
 
 @pytest.mark.parametrize("R,size", [(1, 31), (2, 14)])
 def test_shipped_witness_verifies(R, size, capsys):
-    # K+(7,1) = 31 and K+(7,2) = 14 are proved above, the latter with this very witness
+    # K+(7,1) = 31 and K+(7,2) = 14 are re-proved above, the latter with this very witness
     assert cli.main(["verify", str(DATA / f"kplus-7-{R}.json"), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["covers"], out["size"], out["r"]) == (True, size, R)

@@ -49,7 +49,7 @@ EXAMPLES = examples()
 
 def test_readme_shows_the_documented_examples():
     shown = {" ".join(argv): (out, code) for argv, out, code in EXAMPLES}
-    assert shown["bound --n 8 --r 2"] == (["20-24[mono/g]"], 0)
+    assert shown["bound --n 8 --r 2"] == (["21-24[mono/g]"], 0)
     assert shown["exact --n 6 --r 1 --node-limit 100"] == (["17-18 (bracket)"], 3)
     assert shown["linear --n 5 --r 2 --exhaustive"][1] == 0
     assert len(EXAMPLES) == 11

@@ -139,18 +139,18 @@ def test_warm_table_leaves_its_cache_file_alone(tmp_path):
 
 
 def test_table_chains_from_its_own_grid():
-    # (6,1) is the exact 18 where the bare chain has 17, so the R = 1 column
-    # sits one above the bare chain from n = 7 on
+    # (7,1) is the anchor 31 where the chain from the exact K+(6,1) = 18 has
+    # 30, so the R = 1 column sits one above that chain from n = 7 on
     grid = build_grid(TableSpec(n_min=1, n_max=10, r_min=0, r_max=10))
-    assert [grid[(n, 1)].lower for n in range(7, 11)] == [30, 52, 93, 168]
+    assert [grid[(n, 1)].lower for n in range(7, 11)] == [31, 53, 94, 169]
     # bound runs the same chain down its own column, so only the table's
-    # propagated upper bound can be tighter: (8,1) is 52-62[mono/s] there and
-    # 52-64[mono/g] from bound
+    # propagated upper bound can be tighter: (8,1) is 53-62[mono/s] there and
+    # 53-64[mono/g] from bound
     for (n, R), rec in grid.items():
         alone = best_bounds(n, R)
         assert alone.lower <= rec.lower <= rec.upper <= alone.upper, (rec, alone)
-    assert render_cell(grid[(8, 1)]) == "52-62[mono/s]"
-    assert render_cell(best_bounds(8, 1)) == "52-64[mono/g]"
+    assert render_cell(grid[(8, 1)]) == "53-62[mono/s]"
+    assert render_cell(best_bounds(8, 1)) == "53-64[mono/g]"
 
 
 def lower_brackets(records):
@@ -169,7 +169,7 @@ def test_bound_has_the_tables_lower_bound():
     # byte; a change that moves a bracket re-pins it and names the cells moved
     out = json.dumps(cell_dicts(grid), indent=1, sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "304e5b6b3eae41ab7d3d0a5703a11adc5c527948f5b1c087e0a95e00dbf4fea4")
+        "23e04ff4fe3f750fe0affd041ec8f06f9e03947f055e87b40be7c6b6bcb77c2b")
 
 
 @pytest.mark.parametrize("node_limit, n_max, count", [(1, 20, 189), (1000, 16, 119)])
@@ -221,9 +221,9 @@ def test_cli_bound_text(capsys):
 
 
 def test_cli_bound_steps_from_its_own_column(capsys):
-    # from the exact K+(6, 1) = 18, not the bare chain's 17
-    rc, out, _ = run_cli(["bound", "--n", "7", "--r", "1"], capsys)
-    assert (rc, out) == (0, "30-31[mono/g]\n")
+    # from the (7, 1) anchor 31, not the 30 that the chain from K+(6, 1) = 18 gives
+    rc, out, _ = run_cli(["bound", "--n", "8", "--r", "1"], capsys)
+    assert (rc, out) == (0, "53-64[mono/g]\n")
 
 
 def test_cli_bound_json(capsys):
@@ -666,15 +666,15 @@ def test_cli_bound_exits_3_when_a_program_runs_out_of_nodes(capsys, monkeypatch)
 
     monkeypatch.setattr(ipsolve, "ip_phi", exhausted)
     rc, out, err = run_cli(["bound", "--n", "8", "--r", "2"], capsys)
-    assert (rc, out, err) == (3, "19-24[lp/g]\n", "")
+    assert (rc, out, err) == (3, "21-24[lp/g]\n", "")
 
 
 def test_cli_bound_and_table_exit_3_past_the_node_limit(capsys):
     # phi(8,2) takes 375 nodes and greedy's (8,2) code 914: at 500, greedy stops
     runs = {limit: run_cli(["bound", "--n", "8", "--r", "2", "--node-limit", limit], capsys)
             for limit in ("1", "500", "1000")}
-    assert runs == {"1": (3, "19-36[lp/general]\n", ""), "500": (3, "20-36[mono/general]\n", ""),
-                    "1000": (0, "20-24[mono/g]\n", "")}
+    assert runs == {"1": (3, "21-36[lp/general]\n", ""), "500": (3, "21-36[mono/general]\n", ""),
+                    "1000": (0, "21-24[mono/g]\n", "")}
     rc, out, _ = run_cli(["table", "--n-max", "8", "--r-max", "2", "--node-limit", "1"], capsys)
     assert rc == 3 and "[lp/" in out
     assert run_cli(["table", "--n-max", "8", "--r-max", "2", "--node-limit", "1000"],
@@ -694,7 +694,7 @@ def test_cli_bound_runs_greedy_once(capsys, monkeypatch):
         monkeypatch.setattr(module, "greedy_code", lambda n, R, *a, _real=real, _m=module: (
             calls.append((_m.__name__, n)) or _real(n, R, *a)))
     rc, out, _ = run_cli(["bound", "--n", "13", "--r", "1"], capsys)
-    assert (rc, out) == (0, "1046-1560[mono/g]\n")
+    assert (rc, out) == (0, "1047-1560[mono/g]\n")
     assert [call for call in calls if call[0] == "asymcover.bounds"] == [("asymcover.bounds", 13)]
     assert all(n <= 6 for _, n in calls if _ == "asymcover.exact")
 
@@ -796,14 +796,15 @@ def test_cli_table_json_is_the_cache_cells(tmp_path, capsys):
 
 
 def test_cli_table_recomputes_a_cache_from_another_budget(tmp_path, capsys):
-    # a one-node limit starves the chain past n = 6 and greedy, so its cells differ
-    args = ["table", "--n-max", "7", "--r-max", "3", "--json"]
+    # a one-node limit starves the chain past the n = 7 anchors and greedy, so
+    # its cells differ
+    args = ["table", "--n-max", "8", "--r-max", "3", "--json"]
     weak = ["--node-limit", "1"]
     cache = str(tmp_path / "cache.json")
     _, fresh, _ = run_cli(args, capsys)
     rc, weak_out, _ = run_cli(args + weak + ["--cache", cache], capsys)
     assert rc == 3 and weak_out != fresh
-    assert json.loads(weak_out)["7,2"]["lower_tag"] == "lp"
+    assert json.loads(weak_out)["8,2"]["lower_tag"] == "lp"
     assert read_json(cache)["node_limit"] == 1
     assert run_cli(args + weak + ["--cache", cache], capsys)[:2] == (3, weak_out)  # reused
     rc, reused, _ = run_cli(args + ["--cache", cache], capsys)
@@ -840,23 +841,25 @@ def test_cli_table_recomputes_a_cache_whose_budget_holds_a_retired_field(stale, 
     assert written["cells"]["6,1"]["lower"] == 18
 
 
-@pytest.mark.parametrize("version", [None, "0.1.0"], ids=["no-version", "older-version"])
-def test_cli_table_recomputes_a_cache_of_another_version(version, tmp_path, capsys):
+@pytest.mark.parametrize("version, lower", [(None, 29), ("0.1.0", 29), ("0.4.0", 30)],
+                         ids=["no-version", "older-version", "0.4.0"])
+def test_cli_table_recomputes_a_cache_of_another_version(version, lower, tmp_path, capsys):
     # a change to the package can move records under the same node limit: version
-    # 0.1.0 chained (7,1) up from K+(1,1) to 29, and caches before it stored no version
+    # 0.1.0 chained (7,1) up from K+(1,1) to 29, caches before it stored no
+    # version, and 0.4.0 chained it from K+(6,1) to 30, below the anchor's 31
     args = ["table", "--n-max", "7", "--r-max", "3", "--json"]
     _, fresh, _ = run_cli(args, capsys)
     cache = tmp_path / "cache.json"
     old = {"node_limit": ipsolve.DEFAULT_NODE_CAP,
-           "cells": {"7,1": BoundRecord(7, 1, 29, 31, "mono", "g").to_dict()}}
+           "cells": {"7,1": BoundRecord(7, 1, lower, 31, "mono", "g").to_dict()}}
     if version is not None:
         old["version"] = version
     cache.write_text(json.dumps(old))
     rc, out, err = run_cli(args + ["--cache", str(cache)], capsys)
     assert (rc, out, err) == (0, fresh, "")
     written = read_json(cache)
-    assert written["version"] == asymcover.__version__ == "0.4.0"
-    assert written["cells"]["7,1"]["lower"] == 30
+    assert written["version"] == asymcover.__version__ == "0.5.0"
+    assert written["cells"]["7,1"]["lower"] == 31
     assert load_cache(str(cache), ipsolve.DEFAULT_NODE_CAP) == build_grid(TableSpec(1, 7, 0, 3))
 
 
@@ -915,10 +918,10 @@ def test_cli_table_without_exact_search_never_solves_the_size_program(capsys, mo
     assert solved == []
     cells = json.loads(out)
     pinned = {
-        "8,2": (20, 24, "mono", "g"),
-        "8,3": (9, 13, "mono", "g"),
-        "9,1": (93, 120, "mono", "g"),
-        "9,3": (14, 21, "mono", "g"),
+        "8,2": (21, 24, "mono", "g"),
+        "8,3": (10, 13, "mono", "g"),
+        "9,1": (94, 120, "mono", "g"),
+        "9,3": (15, 21, "mono", "g"),
     }
     for key, want in pinned.items():
         cell = cells[key]
