@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 from . import exact, ipsolve
 from .constructions import GREEDY_MAX_N, general_upper_size, greedy_code
-from .cube import ball_size_down, binomial
+from .cube import ball_size_down, binomial, check_dimension
 
 LOWER_TAG_ORDER = ("superdiag", "e", "mono", "lp", "sphere")
 UPPER_TAG_ORDER = ("d", "e", "g", "s", "general", "sphere")
@@ -80,6 +80,7 @@ class BoundRecord:
 def _check_cell(n: int, R: int) -> None:
     if n < 1 or R < 0 or R > n:
         raise ValueError("need 1 <= n and 0 <= R <= n")
+    check_dimension(n)  # before the R = 0 and coradius shortcuts answer
 
 
 def asym_sphere_bound(n: int, R: int) -> int:

@@ -16,9 +16,10 @@ import sys
 import time
 
 from . import codefiles
-from .bounds import best_bounds
+from .bounds import asym_sphere_bound, best_bounds
 from .constructions import (
     GENERAL_MAX_WORDS,
+    GREEDY_MAX_N,
     PatchedCode,
     diagonal_code,
     direct_sum,
@@ -123,6 +124,18 @@ def _general(args) -> Code:
     return general_upper_code(n, coradius)
 
 
+def _greedy(args) -> Code:
+    # a greedy code has at least the sphere bound's words, 2^n at R = 0: past
+    # general's word cap it is refused before a word is built.  Past the sweep
+    # cap, or at a radius outside 0..n, greedy_code's own refusal speaks.
+    n, R = args.n, args.r
+    if 1 <= n <= GREEDY_MAX_N and 0 <= R <= n and (
+            size := asym_sphere_bound(n, R)) > GENERAL_MAX_WORDS:
+        raise ValueError(
+            f"greedy code of at least {size} words exceeds the word cap {GENERAL_MAX_WORDS}")
+    return greedy_code(n, R)
+
+
 # Each construct method: the options it requires (by argparse dest) and its
 # builder.  Builders look their library function up when called, so a
 # wrapper set on this module's attribute sees the call.
@@ -130,7 +143,7 @@ _METHODS = {
     "diagonal": (("n", "coradius"), lambda args: diagonal_code(args.n, args.coradius)),
     "directsum": (("in1", "in2"), _directsum),
     "semidirect": (("s_in", "t_in", "code_in", "r"), _semidirect),
-    "greedy": (("n", "r"), lambda args: greedy_code(args.n, args.r)),
+    "greedy": (("n", "r"), _greedy),
     "nu-random": (("n", "r"), lambda args: random_code_nu(args.n, args.r, args.seed)),
     "power2": (("m", "r"), lambda args: inductive_power2(args.m, args.r, args.seed, args.trials)),
     "general": (("n", "coradius"), _general),

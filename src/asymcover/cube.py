@@ -72,13 +72,15 @@ def ball_size_down(n: int, l: int, R: int) -> int:
     return _tails(l)[max(0, l - R)]
 
 
-def _check_dimension(n: int) -> None:
+def check_dimension(n: int) -> None:
+    """Raise DimensionCapError unless 1 <= n <= MAX_DIMENSION: the one
+    dimension check, which the bound cells and the table spec also make."""
     if not 1 <= n <= MAX_DIMENSION:
         raise DimensionCapError(f"need 1 <= n <= {MAX_DIMENSION}, got n={n}")
 
 
 def _check_level(n: int, l: int, R: int) -> None:
-    _check_dimension(n)
+    check_dimension(n)
     if not 0 <= l <= n:
         raise ValueError(f"level {l} outside 0..{n}")
     if R < 0:
@@ -121,7 +123,7 @@ def ball_down(c: int, R: int, n: int) -> list[int]:
     subset's sum, so the cost is the ball size itself rather than 2^n, at
     every n up to MAX_DIMENSION.
     """
-    _check_dimension(n)
+    check_dimension(n)
     if not 0 <= c < (1 << n):
         raise ValueError(f"vertex {c} outside Q_{n}")
     if R < 0:
@@ -205,7 +207,7 @@ class Code:
     r: int | None = None
 
     def __post_init__(self) -> None:
-        _check_dimension(self.n)
+        check_dimension(self.n)
         if self.r is not None and self.r < 0:
             raise ValueError(f"radius annotation must be >= 0, got {self.r}")
         words = self.words

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import asymcover
 from .bounds import BoundRecord, best_bounds, propagate
 from .codefiles import write_atomic
+from .cube import check_dimension
 from .ipsolve import DEFAULT_NODE_CAP
 
 
@@ -39,6 +40,7 @@ class TableSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError("need 1 <= n_min <= n_max")
+        check_dimension(self.n_max)  # before any cell is built
         if not 0 <= self.r_min <= self.r_max:
             raise ValueError("need 0 <= r_min <= r_max")
         if self.node_limit <= 0:

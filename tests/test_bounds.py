@@ -23,6 +23,7 @@ from asymcover.bounds import (
     superdiag_lower,
 )
 from asymcover.constructions import general_upper_size
+from asymcover.cube import DimensionCapError
 from asymcover.ipsolve import DEFAULT_NODE_CAP, MAX_IP_DIMENSION, diff_lower, ip_phi, ip_plus
 from asymcover.table import TableSpec, build_grid
 
@@ -171,6 +172,16 @@ def test_cell_checks_raise(n, R):
     for bound in (asym_sphere_bound, superdiag_exact):
         with pytest.raises(ValueError, match=r"^need 1 <= n and 0 <= R <= n$"):
             bound(n, R)
+
+
+@pytest.mark.parametrize("n,R", [(63, 1), (100, 0), (1000, 1000)])
+def test_cells_past_the_dimension_cap_are_refused(n, R):
+    # before the R = 0 and coradius shortcuts, which need no kernel call
+    for bound in (asym_sphere_bound, superdiag_exact, best_bounds):
+        with pytest.raises(DimensionCapError, match=f"^need 1 <= n <= 62, got n={n}$"):
+            bound(n, R)
+    with pytest.raises(DimensionCapError, match=f"^need 1 <= n <= 62, got n={n}$"):
+        TableSpec(n, n, R, R)
 
 
 def test_best_bounds_pinned_cells():

@@ -19,7 +19,6 @@ from asymcover.codefiles import load_code
 from asymcover.constructions import direct_sum, greedy_code
 from asymcover.cube import Code, covers
 from asymcover.ipsolve import diff_lower
-from asymcover.table import TableSpec, build_grid
 from test_acceptance import REFERENCE_BRACKETS
 from test_ipsolve import objectives, reference_solve
 
@@ -48,15 +47,10 @@ UPPER_PAST_REFERENCE = {
 GREEDY_CELLS = [(7, 1)] + [cell for cell, (_, tag) in UPPER_PAST_REFERENCE.items() if tag == "g"]
 
 
-@pytest.fixture(scope="module")
-def grid():
-    return build_grid(TableSpec(1, 13, 0, 11))
-
-
-def test_every_cell_past_the_reference_is_in_the_ledger(grid):
+def test_every_cell_past_the_reference_is_in_the_ledger(acceptance_grid):
     lower_past, upper_past = {}, {}
     for cell, (ref_lower, ref_upper) in REFERENCE_BRACKETS.items():
-        rec = grid[cell]
+        rec = acceptance_grid[cell]
         if rec.lower > ref_lower:
             lower_past[cell] = (rec.lower, rec.lower_tag)
         if rec.upper < ref_upper:

@@ -157,10 +157,10 @@ def lower_brackets(records):
     return [(rec.n, rec.R, rec.lower, rec.lower_tag) for rec in records]
 
 
-def test_bound_has_the_tables_lower_bound():
+def test_bound_has_the_tables_lower_bound(acceptance_grid):
     # one chain: bound steps from the (n-1, R) lower bound it proves itself,
     # the table from its grid's, and the two agree on every open cell
-    grid = build_grid(TableSpec(n_min=1, n_max=13, r_min=0, r_max=11))
+    grid = acceptance_grid
     cells = [(n, R) for (n, R) in grid if 0 < R < n]
     assert len(cells) == 77
     assert lower_brackets(best_bounds(n, R) for n, R in cells) == lower_brackets(
@@ -476,6 +476,18 @@ def test_cli_construct_general_refuses_past_its_word_cap(construct_inputs, capsy
     assert (rc, out) == (1, "")
     assert err == f"error: general code of {1 << 62} words exceeds the word cap {1 << 23}\n"
     assert not os.path.exists("o.json")
+
+
+def test_cli_construct_greedy_builds_a_code_at_the_word_cap(construct_inputs, capsys,
+                                                           monkeypatch):
+    # the sphere bound of (23, 0) is 2^23 words, the cap itself: greedy is still
+    # called there, and (24, 0) is refused (test_cli_contracts.py)
+    built = []
+    monkeypatch.setattr(cli, "greedy_code", lambda n, R: built.append((n, R)) or Code.from_words(
+        1, [1], r=1))
+    rc, out, err = run_cli(["construct", "--method", "greedy", "--n", "23", "--r", "0",
+                            "--out", "o.json"], capsys)
+    assert (rc, out, err, built) == (0, "1 words (n=1, R=1) -> o.json\n", "", [(23, 0)])
 
 
 @pytest.mark.parametrize("coradius", [20, 27])
