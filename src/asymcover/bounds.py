@@ -22,11 +22,11 @@ from .cube import ball_size_down, binomial, check_dimension
 
 LOWER_TAG_ORDER = ("superdiag", "e", "mono", "lp", "sphere")
 UPPER_TAG_ORDER = ("d", "e", "g", "s", "general", "sphere")
-EXACT_SEARCH_MAX_N = 6  # best_bounds runs exact search on cells up to this n
+EXACT_SEARCH_MAX_N = 5  # best_bounds runs exact search on cells up to this n
 # K+(n, R) proved by exact_kplus at its default node limit, too slow to rerun
-# on every build: (7, 2) takes 4,497,154 nodes.  The tests re-prove each value
-# and check its witness with covers.
-EXACT_ANCHORS = {(7, 1): 31, (7, 2): 14, (7, 3): 7}
+# on every build: (6, 1) takes 6,435 nodes against 15 for all of n <= 5, and
+# (7, 2) 4,497,154.  The tests re-prove each value and check its witness.
+EXACT_ANCHORS = {(6, 1): 18, (6, 2): 8, (7, 1): 31, (7, 2): 14, (7, 3): 7}
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def best_bounds(
     greedy's code.  The chain's phi program and greedy each stop after
     `node_limit` nodes: a chain step then takes phi's LP value, tag "lp", and
     greedy's upper bound drops out; either sets the record's `limit_hit`.
-    The exact search settles every cell it runs on, in 6,435 nodes at most,
+    The exact search settles every cell it runs on, in 15 nodes at most,
     and neither it nor an anchor heeds `node_limit`.
     """
     if node_limit <= 0:

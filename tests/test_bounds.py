@@ -225,30 +225,49 @@ def test_best_bounds_reads_an_anchor_and_runs_no_bound_source(monkeypatch):
         for node_limit in (DEFAULT_NODE_CAP, 1):
             assert best_bounds(n, R, node_limit) == want
             assert best_bounds(n, R, node_limit, below=1) == want
+    # the (6, R) records are the ones the search gave when it ran there
+    assert best_bounds(6, 1) == BoundRecord(6, 1, 18, 18, "e", "e")
+    assert best_bounds(6, 2) == BoundRecord(6, 2, 8, 8, "e", "e")
 
 
-# best_bounds(n, R) at every cell n <= 6 that the coradius theorem leaves open,
-# as it was when greedy and the chain ran beside the search
+# best_bounds(n, R) at every cell n <= EXACT_SEARCH_MAX_N that the coradius
+# theorem leaves open, as it was when greedy and the chain ran beside the search
 SEARCHED_CELLS = {
     (4, 1): BoundRecord(4, 1, 6, 6, "e", "e"),
     (5, 1): BoundRecord(5, 1, 10, 10, "e", "e"),
     (5, 2): BoundRecord(5, 2, 5, 5, "superdiag", "e"),
-    (6, 1): BoundRecord(6, 1, 18, 18, "e", "e"),
-    (6, 2): BoundRecord(6, 2, 8, 8, "e", "e"),
 }
 
 
 # K+(n-1, R) below each searched cell
-SEARCHED_BELOW = {(4, 1): 3, (5, 1): 6, (5, 2): 3, (6, 1): 10, (6, 2): 5}
+SEARCHED_BELOW = {(4, 1): 3, (5, 1): 6, (5, 2): 3}
 
 
 def test_best_bounds_settles_every_cell_up_to_the_search_cap_without_general():
     # so greedy's gate, an upper tag of "general", never opens where the search
-    # runs, nor at n = 7, where the anchors settle every cell the coradius leaves
-    assert {n for n, _ in EXACT_ANCHORS} == {EXACT_SEARCH_MAX_N + 1}
+    # runs, nor at n = 6 and 7, where the anchors settle every cell the coradius leaves
+    assert {n for n, _ in EXACT_ANCHORS} == {EXACT_SEARCH_MAX_N + 1, EXACT_SEARCH_MAX_N + 2}
     tags = {best_bounds(n, R).upper_tag
-            for n in range(1, EXACT_SEARCH_MAX_N + 2) for R in range(n + 1)}
+            for n in range(1, EXACT_SEARCH_MAX_N + 3) for R in range(n + 1)}
     assert tags == {"sphere", "d", "e"}
+
+
+def test_a_table_searches_only_below_the_anchors(monkeypatch):
+    # the n <= 10 grid of the benchmark's table searches (4, 1), (5, 1) and
+    # (5, 2) in 15 nodes; a search at (6, 1) would add 6,420
+    from asymcover import exact
+
+    searched = []
+
+    def search(*args, _search=exact.exact_kplus, **kwargs):
+        res = _search(*args, **kwargs)
+        searched.append(((res.n, res.R), res.nodes))
+        return res
+
+    monkeypatch.setattr(exact, "exact_kplus", search)
+    build_grid(TableSpec(n_min=1, n_max=10, r_min=0, r_max=11))
+    assert [cell for cell, _ in searched] == list(SEARCHED_CELLS)
+    assert sum(nodes for _, nodes in searched) == 15
 
 
 # node limit -> the cells at 7 <= n <= 15 whose greedy stops at it; a
@@ -302,7 +321,8 @@ def test_best_bounds_runs_greedy_and_the_chain_once_inside_the_search(monkeypatc
                          (ipsolve, "ip_phi"), (ipsolve, "diff_lower")):
         label = f"{module.__name__.rpartition('.')[2]}.{name}"
         monkeypatch.setattr(module, name, counted(label, getattr(module, name)))
-    cells = [(n, R) for n in range(1, 7) for R in range(1, n + 1) if not superdiag_exact(n, R)]
+    cells = [(n, R) for n in range(1, EXACT_SEARCH_MAX_N + 1) for R in range(1, n + 1)
+             if not superdiag_exact(n, R)]
     assert cells == list(SEARCHED_CELLS) == list(SEARCHED_BELOW)
     once = [("exact.greedy_code", True), ("ipsolve.diff_lower", True), ("ipsolve.ip_phi", True)]
     # whatever the node limit: the search runs to completion, and greedy and the

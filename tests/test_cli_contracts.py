@@ -109,9 +109,10 @@ CHECKS = [
     # although no chain step took phi's LP value; the default limit settles it
     [("bound --n 14 --r 9 --node-limit 1000", 3, ["7-12[superdiag/general]"])],
     [("bound --n 14 --r 9", 0, ["7[superdiag/g]"])],
-    # the (7, R) cells are stored exact proofs, which bound reads without a
-    # search and whatever the node limit
+    # the (6, R) and (7, R) cells are stored exact proofs, which bound reads
+    # without a search and whatever the node limit
     [("bound --n 7 --r 2", 0, ["14[e/e]"])],
+    [("bound --n 6 --r 1 --node-limit 1", 0, ["18[e/e]"])],
     [("bound --n 7 --r 1 --node-limit 1", 0, ["31[e/e]"])],
     # a cell past the cube's dimension cap of 62 is refused before any bound
     # source runs, even where the R = 0 or coradius shortcut needs no kernel call

@@ -668,12 +668,9 @@ def test_cli_exact_reports_progress(capsys):
 
 
 def test_cli_bound_exits_3_when_a_program_runs_out_of_nodes(capsys, monkeypatch):
-    # the chain step takes phi's LP value, and the bracket is still printed
-    real = ipsolve.ip_phi
-
+    # the chain step from the (7, 2) anchor takes phi's LP value, and the
+    # bracket is still printed
     def exhausted(n, R, node_cap=ipsolve.DEFAULT_NODE_CAP):
-        if n <= 6:  # the exact searches' own chain, which runs to completion
-            return real(n, R)
         raise ipsolve.BudgetExceededError(f"IP node budget {node_cap} exceeded")
 
     monkeypatch.setattr(ipsolve, "ip_phi", exhausted)
@@ -696,8 +693,8 @@ def test_cli_bound_and_table_exit_3_past_the_node_limit(capsys):
 
 
 def test_cli_bound_runs_greedy_once(capsys, monkeypatch):
-    # the (n-1, R) column asks for lower bounds alone; greedy runs only inside
-    # the exact searches at n <= 6, for their incumbent
+    # the (n-1, R) column asks for lower bounds alone and stops at the (7, 1)
+    # anchor, so no search runs and greedy builds the (13, 1) code alone
     from asymcover import bounds, exact
 
     calls = []
@@ -707,8 +704,7 @@ def test_cli_bound_runs_greedy_once(capsys, monkeypatch):
             calls.append((_m.__name__, n)) or _real(n, R, *a)))
     rc, out, _ = run_cli(["bound", "--n", "13", "--r", "1"], capsys)
     assert (rc, out) == (0, "1047-1560[mono/g]\n")
-    assert [call for call in calls if call[0] == "asymcover.bounds"] == [("asymcover.bounds", 13)]
-    assert all(n <= 6 for _, n in calls if _ == "asymcover.exact")
+    assert calls == [("asymcover.bounds", 13)]
 
 
 def test_cli_bound_answers_at_20_10_within_a_node_limit():
