@@ -1,14 +1,15 @@
 """Analytic bounds on K+(n,R) and bound aggregation.
 
 Lower bounds: the levelwise sphere-covering bound, the superdiagonal values,
-exact search, the stored exact proofs of `EXACT_ANCHORS`, and the difference
-chain, which lifts a proven lower bound on K+(n-1, R) (the table's own, or
-else the lower end of `_bracket(n-1, R)`, the function that builds every
-cell) by the zero-count program, or by its LP relaxation when the program
-runs out of nodes.  Upper bounds: diagonal codes, coradius splits, greedy
-codes, exact search and its stored proofs, and direct-sum splits applied
-during grid propagation.  Every bound value is computed with exact integer
-arithmetic.
+the stored exact proofs of `EXACT_ANCHORS`, and the difference chain, which
+lifts a proven lower bound on K+(n-1, R) (the table's own, or else the lower
+end of `_bracket(n-1, R)`, the function that builds every cell) by the
+zero-count program, or by its LP relaxation when the program runs out of
+nodes.  Upper bounds: diagonal codes, coradius splits, greedy codes, the
+stored exact proofs, and direct-sum splits applied during grid propagation.
+Every bound value is computed with exact integer arithmetic.  No exact
+search runs here: `exact.exact_kplus` is the prover of the anchors, which
+the tests re-run.
 """
 
 from __future__ import annotations
@@ -16,17 +17,17 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 
-from . import exact, ipsolve
+from . import ipsolve
 from .constructions import GREEDY_MAX_N, general_upper_size, greedy_code
 from .cube import ball_size_down, binomial, check_dimension
 
 LOWER_TAG_ORDER = ("superdiag", "e", "mono", "lp", "sphere")
 UPPER_TAG_ORDER = ("d", "e", "g", "s", "general", "sphere")
-EXACT_SEARCH_MAX_N = 5  # best_bounds runs exact search on cells up to this n
-# K+(n, R) proved by exact_kplus at its default node limit, too slow to rerun
-# on every build: (6, 1) takes 6,435 nodes against 15 for all of n <= 5, and
-# (7, 2) 4,497,154.  The tests re-prove each value and check its witness.
-EXACT_ANCHORS = {(6, 1): 18, (6, 2): 8, (7, 1): 31, (7, 2): 14, (7, 3): 7}
+# K+(n, R) proved by exact_kplus at its default node limit, at the open cells
+# that the chain and greedy leave unsettled: (5, 1) takes 15 nodes but they
+# leave it at 10-11, (6, 1) takes 6,435 and (7, 2) 4,497,154.  The tests
+# re-prove each value and check its witness.
+EXACT_ANCHORS = {(5, 1): 10, (6, 1): 18, (6, 2): 8, (7, 1): 31, (7, 2): 14, (7, 3): 7}
 
 
 @dataclass(frozen=True)
@@ -116,24 +117,21 @@ def best_bounds(
     n: int, R: int, node_limit: int = ipsolve.DEFAULT_NODE_CAP, below: int | None = None
 ) -> BoundRecord:
     """Best bracket one cell can get from every bound source: `_bracket`'s,
-    with greedy's code added where no search ran and no anchor holds.
+    with greedy's code added where no shortcut or anchor settled the cell.
 
     A cell of `EXACT_ANCHORS` takes its stored proof, tags "e"/"e", and runs
-    nothing.  The difference chain, and the exact search at
-    n <= EXACT_SEARCH_MAX_N, step from `below`, a proven lower bound on
-    K+(n-1, R) such as a table's own.  Without it, the chain steps from
-    `_bracket`'s bracket of (n-1, R), down the column, where no greedy runs;
-    the exact search walks its own column of searches, each seeded by
-    greedy's code.  The chain's phi program and greedy each stop after
-    `node_limit` nodes: a chain step then takes phi's LP value, tag "lp", and
-    greedy's upper bound drops out; either sets the record's `limit_hit`.
-    The exact search settles every cell it runs on, in 15 nodes at most,
-    and neither it nor an anchor heeds `node_limit`.
+    nothing.  The difference chain steps from `below`, a proven lower bound
+    on K+(n-1, R) such as a table's own.  Without it, the chain steps from
+    `_bracket`'s bracket of (n-1, R), down the column, where no greedy runs.
+    The chain's phi program and greedy each stop after `node_limit` nodes: a
+    chain step then takes phi's LP value, tag "lp", and greedy's upper bound
+    drops out; either sets the record's `limit_hit`.  The limit binds every
+    computed source; only a stored proof ignores it.
     """
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
     rec = _bracket(n, R, node_limit, below)
-    # a record settled by a shortcut, the search or an anchor has another upper tag than "general"
+    # a record settled by a shortcut or an anchor has another upper tag than "general"
     if n <= GREEDY_MAX_N and rec.upper_tag == "general":
         try:
             size = len(greedy_code(n, R, node_limit))
@@ -162,12 +160,6 @@ def _bracket(n: int, R: int, node_limit: int, below: int | None) -> BoundRecord:
         # a stored proof, read as a finished search: no chain step beside it
         lowers.append((EXACT_ANCHORS[n, R], "e"))
         uppers.append((EXACT_ANCHORS[n, R], "e"))
-    elif n <= EXACT_SEARCH_MAX_N:
-        # the search starts at or above the chain and from greedy's code, and
-        # "e" comes before "mono" and "g" on a tie, so neither runs beside it
-        search = exact.exact_kplus(n, R, below=below)
-        lowers.append((search.lower, "e"))
-        uppers.append((search.upper, "e"))
     elif n <= ipsolve.MAX_IP_DIMENSION:
         if below is None:
             below = _bracket(n - 1, R, node_limit, None).lower

@@ -31,10 +31,13 @@ keeps the whole cube.  The search stops on its node count alone, never on
 the clock, so a result does not change with host speed, and a stopped
 search has visited exactly its limit of nodes.  Stopping never makes a
 wrong exact claim: it yields the bracket proven so far.  The first size
-tried is one difference-chain step above a lower bound on K+(n-1, R), the
-caller's or one that a search of (n-1, R) proves under the same limit;
-where greedy's code already meets it, nothing is searched and no table is
-built.
+tried is one difference-chain step above the lower bound on K+(n-1, R)
+that a search of (n-1, R) proves under the same limit; where greedy's code
+already meets it, nothing is searched and no table is built.
+
+This module is the prover behind the `exact` command and the stored proofs
+of `bounds.EXACT_ANCHORS`, which the tests re-prove with it; `bound` and
+`table` never search.
 
 Coordinate permutations map downward covers to downward covers.  Each node
 carries the partition of the coordinates into cells that every chosen word
@@ -100,19 +103,17 @@ def exact_kplus(
     R: int,
     node_limit: int = ipsolve.DEFAULT_NODE_CAP,
     on_progress=None,
-    below: int | None = None,
 ) -> ExactResult:
     """Minimum number of downward R-balls covering Q_n, with witness.
 
     Accepts R = 0 (the answer is 2^n, every vertex covering only itself).
     Iterative deepening proves minimality: a value v is exact only after
     every budget below v has been exhausted.  It starts one difference-chain
-    step above `below`, a proven lower bound on K+(n-1, R), or else above
-    the bound that it first proves by searching (n-1, R), and so on down the
-    column.  `on_progress`, when given, is called with (proven_lower,
-    incumbent_size, nodes) after each exhausted size budget.  The node
-    limit, checked at every node and shared with the column's searches,
-    stops the search with the bracket proven so far.
+    step above the bound that it first proves by searching (n-1, R), and so
+    on down the column.  `on_progress`, when given, is called with
+    (proven_lower, incumbent_size, nodes) after each exhausted size budget.
+    The node limit, checked at every node and shared with the column's
+    searches, stops the search with the bracket proven so far.
     """
     if not 0 <= R <= n:
         raise ValueError("need 0 <= R <= n")
@@ -120,10 +121,10 @@ def exact_kplus(
         raise DimensionCapError(f"exact search supports 1 <= n <= {EXACT_MAX_N}")
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
-    return _search(n, R, node_limit, on_progress, below)
+    return _search(n, R, node_limit, on_progress)
 
 
-def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> ExactResult:
+def _search(n: int, R: int, node_limit: int, on_progress) -> ExactResult:
     """exact_kplus on checked arguments.  The column below is searched by a
     call of this helper, so each request enters exact_kplus once."""
     size = 1 << n
@@ -132,12 +133,10 @@ def _search(n: int, R: int, node_limit: int, on_progress, below: int | None) -> 
         witness = Code.from_words(n, range(size), r=R)
         return ExactResult(n, R, size, size, witness, 0)
 
-    nodes = 0
-    if below is None:
-        below = 1
-        if R < n - 1:
-            column = _search(n - 1, R, node_limit, None, None)
-            below, nodes = column.lower, column.nodes
+    below, nodes = 1, 0  # K+(R, R) = 1
+    if R < n - 1:
+        column = _search(n - 1, R, node_limit, None)
+        below, nodes = column.lower, column.nodes
     incumbent = greedy_code(n, R)
     best = len(incumbent)
     # the zero-count chain is at or above ip_plus at every n <= 12

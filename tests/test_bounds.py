@@ -12,7 +12,6 @@ import pytest
 from asymcover.bounds import (
     BoundRecord,
     EXACT_ANCHORS,
-    EXACT_SEARCH_MAX_N,
     LOWER_TAG_ORDER,
     UPPER_TAG_ORDER,
     _bracket,
@@ -187,8 +186,9 @@ def test_cells_past_the_dimension_cap_are_refused(n, R):
 def test_best_bounds_pinned_cells():
     rec = best_bounds(6, 3)
     assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (4, 4, "superdiag", "d")
+    # the chain lifts K+(3, 1) = 3 to 6, and greedy's code meets it
     rec = best_bounds(4, 1)
-    assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (6, 6, "e", "e")
+    assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag) == (6, 6, "mono", "g")
 
 
 def test_best_bounds_settles_superdiag_cells_without_search(monkeypatch):
@@ -230,44 +230,46 @@ def test_best_bounds_reads_an_anchor_and_runs_no_bound_source(monkeypatch):
     assert best_bounds(6, 2) == BoundRecord(6, 2, 8, 8, "e", "e")
 
 
-# best_bounds(n, R) at every cell n <= EXACT_SEARCH_MAX_N that the coradius
-# theorem leaves open, as it was when greedy and the chain ran beside the search
-SEARCHED_CELLS = {
-    (4, 1): BoundRecord(4, 1, 6, 6, "e", "e"),
+# best_bounds(n, R) at every cell n <= 5 that the coradius theorem leaves
+# open: the chain and greedy settle (4, 1) and (5, 2), and leave (5, 1) at
+# 10-11, so its stored proof settles it
+OPEN_CELLS_TO_5 = {
+    (4, 1): BoundRecord(4, 1, 6, 6, "mono", "g"),
     (5, 1): BoundRecord(5, 1, 10, 10, "e", "e"),
-    (5, 2): BoundRecord(5, 2, 5, 5, "superdiag", "e"),
+    (5, 2): BoundRecord(5, 2, 5, 5, "superdiag", "g"),
 }
 
 
-# K+(n-1, R) below each searched cell
-SEARCHED_BELOW = {(4, 1): 3, (5, 1): 6, (5, 2): 3}
-
-
 def test_best_bounds_settles_every_cell_up_to_the_search_cap_without_general():
-    # so greedy's gate, an upper tag of "general", never opens where the search
-    # runs, nor at n = 6 and 7, where the anchors settle every cell the coradius leaves
-    assert {n for n, _ in EXACT_ANCHORS} == {EXACT_SEARCH_MAX_N + 1, EXACT_SEARCH_MAX_N + 2}
-    tags = {best_bounds(n, R).upper_tag
-            for n in range(1, EXACT_SEARCH_MAX_N + 3) for R in range(n + 1)}
-    assert tags == {"sphere", "d", "e"}
+    # every cell n <= 7 is settled, so its upper bound is never the closed
+    # form's: a shortcut, greedy at (4, 1) and (5, 2), or an anchor at the
+    # open cells of n = 5..7
+    assert {n for n, _ in EXACT_ANCHORS} == {5, 6, 7}
+    records = [best_bounds(n, R) for n in range(1, 8) for R in range(n + 1)]
+    assert all(rec.exact for rec in records)
+    assert {rec.upper_tag for rec in records} == {"sphere", "d", "e", "g"}
+    for cell, want in OPEN_CELLS_TO_5.items():
+        assert best_bounds(*cell) == want
+    # a computed source heeds the node limit, and only a stored proof ignores
+    # it: phi takes 15 nodes at (4, 1), and greedy 36 there and 85 at (5, 2)
+    assert best_bounds(4, 1, 14) == BoundRecord(4, 1, 5, 6, "superdiag", "general", True)
+    assert best_bounds(4, 1, 35) == BoundRecord(4, 1, 6, 6, "mono", "general", True)
+    assert best_bounds(5, 2, 84) == BoundRecord(5, 2, 5, 6, "superdiag", "general", True)
 
 
-def test_a_table_searches_only_below_the_anchors(monkeypatch):
-    # the n <= 10 grid of the benchmark's table searches (4, 1), (5, 1) and
-    # (5, 2) in 15 nodes; a search at (6, 1) would add 6,420
+def test_a_table_and_bound_run_no_exact_search(monkeypatch):
+    # bounds reads stored proofs and never searches: the acceptance grid, and
+    # best_bounds at every cell n <= 7, run with exact search made to fail
     from asymcover import exact
 
-    searched = []
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a bound or table ran exact search")
 
-    def search(*args, _search=exact.exact_kplus, **kwargs):
-        res = _search(*args, **kwargs)
-        searched.append(((res.n, res.R), res.nodes))
-        return res
-
-    monkeypatch.setattr(exact, "exact_kplus", search)
-    build_grid(TableSpec(n_min=1, n_max=10, r_min=0, r_max=11))
-    assert [cell for cell, _ in searched] == list(SEARCHED_CELLS)
-    assert sum(nodes for _, nodes in searched) == 15
+    monkeypatch.setattr(exact, "exact_kplus", forbidden)
+    grid = build_grid(TableSpec(n_min=1, n_max=13, r_min=0, r_max=11))
+    for n in range(1, 8):
+        for R in range(n + 1):
+            assert best_bounds(n, R) == grid[n, R], (n, R)
 
 
 # node limit -> the cells at 7 <= n <= 15 whose greedy stops at it; a
@@ -298,48 +300,8 @@ def test_limit_hit_is_set_where_phi_stops_but_another_lower_bound_wins():
     assert not best_bounds(14, 9).limit_hit
 
 
-def test_best_bounds_runs_greedy_and_the_chain_once_inside_the_search(monkeypatch):
-    from asymcover import bounds, exact, ipsolve
-
-    calls, searching = [], [0]
-
-    def counted(label, fn):
-        def wrapper(*args, **kwargs):
-            calls.append((label, searching[0] > 0))
-            return fn(*args, **kwargs)
-        return wrapper
-
-    def search(*args, _search=exact.exact_kplus, **kwargs):
-        searching[0] += 1
-        try:
-            return _search(*args, **kwargs)
-        finally:
-            searching[0] -= 1
-
-    monkeypatch.setattr(exact, "exact_kplus", search)
-    for module, name in ((bounds, "greedy_code"), (exact, "greedy_code"),
-                         (ipsolve, "ip_phi"), (ipsolve, "diff_lower")):
-        label = f"{module.__name__.rpartition('.')[2]}.{name}"
-        monkeypatch.setattr(module, name, counted(label, getattr(module, name)))
-    cells = [(n, R) for n in range(1, EXACT_SEARCH_MAX_N + 1) for R in range(1, n + 1)
-             if not superdiag_exact(n, R)]
-    assert cells == list(SEARCHED_CELLS) == list(SEARCHED_BELOW)
-    once = [("exact.greedy_code", True), ("ipsolve.diff_lower", True), ("ipsolve.ip_phi", True)]
-    # whatever the node limit: the search runs to completion, and greedy and the
-    # chain run only inside it
-    for node_limit in (DEFAULT_NODE_CAP, 1):
-        for n, R in cells:
-            calls.clear()
-            assert best_bounds(n, R, node_limit, SEARCHED_BELOW[n, R]) == SEARCHED_CELLS[n, R]
-            assert sorted(calls) == once
-            # with no (n-1, R) bound, the search runs its column: once per k = R+1..n
-            calls.clear()
-            assert best_bounds(n, R, node_limit) == SEARCHED_CELLS[n, R]
-            assert sorted(calls) == sorted(once * (n - R))
-
-
 def test_best_bounds_and_the_table_do_not_read_the_clock(monkeypatch):
-    # each search runs to completion, so a clock that jumps 1,000 s per read
+    # no bound source reads the clock, so one that jumps 1,000 s per read
     # changes no record; a per-cell time limit once left (6,1) at 17-18[e/g]
     from asymcover import exact
 
@@ -352,7 +314,7 @@ def test_best_bounds_and_the_table_do_not_read_the_clock(monkeypatch):
     brackets = {(7, 2): stopped(7, 2), (7, 1): stopped(7, 1)}
     ticks = itertools.count(step=1000.0)
     monkeypatch.setattr(time, "monotonic", lambda: next(ticks))
-    for (n, R), want in SEARCHED_CELLS.items():
+    for (n, R), want in OPEN_CELLS_TO_5.items():
         assert best_bounds(n, R) == want
     assert build_grid(spec) == steady
     assert {cell: stopped(*cell) for cell in brackets} == brackets
@@ -418,7 +380,7 @@ def test_lp_fallback_is_never_above_the_default_lower_bound():
             if (n, R) in REFERENCE_BRACKETS:
                 assert starved.lower <= REFERENCE_BRACKETS[n, R][1], (n, R)
             open_cell = not superdiag_exact(n, R) and R > 0 and (n, R) not in EXACT_ANCHORS
-            if n > EXACT_SEARCH_MAX_N and open_cell:
+            if open_cell:
                 assert starved.upper_tag == "general", (n, R)  # greedy dropped out
 
 
@@ -467,11 +429,11 @@ def test_chain_step_takes_the_tag_of_its_own_phi(monkeypatch):
 
 
 def test_best_bounds_brackets_nest_as_budget_grows():
-    # past EXACT_SEARCH_MAX_N and the anchors no search settles the cell, so the
-    # node limit shows: the phi steps of (8, 2) and (9, 2) take 919 nodes at
-    # most and greedy's (9, 2) code 1,933; at (8, 2) phi's LP value and its
-    # optimum lift the (7, 2) anchor to the same 21
-    assert 9 > EXACT_SEARCH_MAX_N and (9, 2) not in EXACT_ANCHORS
+    # no anchor settles the cell, so the node limit shows: the phi steps of
+    # (8, 2) and (9, 2) take 919 nodes at most and greedy's (9, 2) code
+    # 1,933; at (8, 2) phi's LP value and its optimum lift the (7, 2) anchor
+    # to the same 21
+    assert (9, 2) not in EXACT_ANCHORS
     lean = best_bounds(9, 2, node_limit=1)
     chain = best_bounds(9, 2, node_limit=1000)
     default = best_bounds(9, 2)

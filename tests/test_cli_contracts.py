@@ -109,8 +109,12 @@ CHECKS = [
     # although no chain step took phi's LP value; the default limit settles it
     [("bound --n 14 --r 9 --node-limit 1000", 3, ["7-12[superdiag/general]"])],
     [("bound --n 14 --r 9", 0, ["7[superdiag/g]"])],
-    # the (6, R) and (7, R) cells are stored exact proofs, which bound reads
-    # without a search and whatever the node limit
+    # no exact search runs inside bound, so the limit binds the chain and
+    # greedy at (4, 1) and (5, 2) as at every other cell without a stored proof
+    [("bound --n 4 --r 1 --node-limit 1", 3, ["5-6[superdiag/general]"])],
+    [("bound --n 5 --r 2 --node-limit 1", 3, ["5-6[superdiag/general]"])],
+    # the open (5, 1), (6, R) and (7, R) cells are stored exact proofs, which
+    # bound reads without a search and whatever the node limit
     [("bound --n 7 --r 2", 0, ["14[e/e]"])],
     [("bound --n 6 --r 1 --node-limit 1", 0, ["18[e/e]"])],
     [("bound --n 7 --r 1 --node-limit 1", 0, ["31[e/e]"])],

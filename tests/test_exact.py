@@ -15,7 +15,6 @@ from asymcover.codefiles import load_code
 from asymcover.cube import Code, DimensionCapError, ball_down, ball_sets, covers, full_set
 from asymcover.exact import EXACT_MAX_N, ExactResult, exact_kplus
 from asymcover.ipsolve import ip_plus
-from asymcover.table import TableSpec, build_grid
 
 
 def verify_optimal(result):
@@ -179,11 +178,6 @@ EXACT_PINS = {
     (7, 1, 20_000): (30, 31, 20_000, "25339eef745efd63"),
 }
 
-# nodes of the search of the cell alone, given the table's (n-1, R) lower bound:
-# the pins from before the search took its column's nodes into its count
-SEARCH_NODES = {(5, 1): 15, (6, 1): 6_420, (6, 2): 8, (7, 3): 5_885, (7, 2): 20_000,
-                (7, 1): 20_000}
-
 
 @pytest.mark.parametrize("n,R,limit", list(EXACT_PINS))
 def test_exact_pinned(n, R, limit):
@@ -210,15 +204,6 @@ def test_exact_json_is_byte_reproducible(args, capsys):
         rc = cli.main(["exact", *args.split(), "--json"])
         out = capsys.readouterr().out
         assert (rc, hashlib.sha256(out.encode()).hexdigest()) == JSON_DIGESTS[args]
-
-
-def test_search_from_the_tables_column_bound_is_unmoved():
-    grid = build_grid(TableSpec(n_min=1, n_max=6, r_min=0, r_max=6))
-    for (n, R, limit), (lower, upper, _, digest) in EXACT_PINS.items():
-        below = grid[n - 1, R].lower
-        res = exact_kplus(n, R, node_limit=limit or ipsolve.DEFAULT_NODE_CAP, below=below)
-        assert (res.lower, res.upper, res.nodes, _digest(res.witness)) == (
-            lower, upper, SEARCH_NODES[n, R], digest), (n, R)
 
 
 def test_a_request_enters_exact_kplus_once(monkeypatch):
@@ -437,7 +422,8 @@ DATA = Path(__file__).resolve().parent / "data"
 # what each anchor's proof pins beyond its value: the node count, column
 # included, and a shipped witness that the search's own must equal, where the
 # anchor passes the reference
-ANCHOR_PROOFS = {(6, 1): (6_435, None), (6, 2): (8, None), (7, 2): (4_497_154, "kplus-7-2.json")}
+ANCHOR_PROOFS = {(5, 1): (15, None), (6, 1): (6_435, None), (6, 2): (8, None),
+                 (7, 2): (4_497_154, "kplus-7-2.json")}
 
 
 @pytest.mark.parametrize("n,R", list(EXACT_ANCHORS))
@@ -454,6 +440,19 @@ def test_exact_reproves_every_anchor(n, R):
         assert res.nodes == nodes
         if witness:
             assert res.witness.words == load_code(str(DATA / witness)).words
+
+
+@pytest.mark.parametrize("n,R", [cell for cell in EXACT_ANCHORS if cell != (7, 2)])
+def test_exact_reproves_the_anchors_without_the_transposition_table(n, R, monkeypatch):
+    # a second proof of each anchor, by a search that stores no proven-infeasible
+    # state: (5, 1) takes 15 nodes, (6, 1) 12,577, (6, 2) 8, (7, 3) 6,305 and
+    # (7, 1) 2,799,530, about 2 s.  (7, 2) would take 14.8 M nodes, about 7 s,
+    # so it keeps the one proof above, whose witness equals the shipped one
+    monkeypatch.setattr(exact, "TT_CAP", 0)
+    res = exact_kplus(n, R)
+    value = EXACT_ANCHORS[n, R]
+    assert (res.status, res.lower, res.upper) == ("exact", value, value)
+    assert covers(res.witness, R)
 
 
 @pytest.mark.parametrize("R,size", [(1, 31), (2, 14)])

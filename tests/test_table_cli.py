@@ -169,7 +169,7 @@ def test_bound_has_the_tables_lower_bound(acceptance_grid):
     # byte; a change that moves a bracket re-pins it and names the cells moved
     out = json.dumps(cell_dicts(grid), indent=1, sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "23e04ff4fe3f750fe0affd041ec8f06f9e03947f055e87b40be7c6b6bcb77c2b")
+        "4a32870ab6dd1c8d1fceda13f96f16097a7ab126f3a04ba661979138e525fd28")
 
 
 @pytest.mark.parametrize("node_limit, n_max, count", [(1, 20, 189), (1000, 16, 119)])
@@ -236,7 +236,8 @@ def test_cli_bound_json(capsys):
 
 @pytest.mark.parametrize("n,R,value", [(4, 1, 6), (5, 1, 10), (5, 2, 5), (6, 1, 18), (6, 2, 8)])
 def test_cli_bound_settles_every_open_cell_up_to_n_6(n, R, value, capsys):
-    # the coradius theorem leaves these open; exact search settles them with no flag
+    # the coradius theorem leaves these open: the chain and greedy settle (4, 1)
+    # and (5, 2), and stored proofs the rest
     rc, out, _ = run_cli(["bound", "--n", str(n), "--r", str(R), "--json"], capsys)
     data = json.loads(out)
     assert (rc, data["lower"], data["upper"]) == (0, value, value)
@@ -849,25 +850,30 @@ def test_cli_table_recomputes_a_cache_whose_budget_holds_a_retired_field(stale, 
     assert written["cells"]["6,1"]["lower"] == 18
 
 
-@pytest.mark.parametrize("version, lower", [(None, 29), ("0.1.0", 29), ("0.4.0", 30)],
-                         ids=["no-version", "older-version", "0.4.0"])
-def test_cli_table_recomputes_a_cache_of_another_version(version, lower, tmp_path, capsys):
+@pytest.mark.parametrize("version, old", [
+    (None, BoundRecord(7, 1, 29, 31, "mono", "g")),
+    ("0.1.0", BoundRecord(7, 1, 29, 31, "mono", "g")),
+    ("0.4.0", BoundRecord(7, 1, 30, 31, "mono", "g")),
+    ("0.5.0", BoundRecord(4, 1, 6, 6, "e", "e")),
+], ids=["no-version", "older-version", "0.4.0", "0.5.0"])
+def test_cli_table_recomputes_a_cache_of_another_version(version, old, tmp_path, capsys):
     # a change to the package can move records under the same node limit: version
     # 0.1.0 chained (7,1) up from K+(1,1) to 29, caches before it stored no
-    # version, and 0.4.0 chained it from K+(6,1) to 30, below the anchor's 31
+    # version, 0.4.0 chained it from K+(6,1) to 30, below the anchor's 31, and
+    # 0.5.0 searched (4,1), tags "e"/"e", where the chain and greedy now settle it
     args = ["table", "--n-max", "7", "--r-max", "3", "--json"]
     _, fresh, _ = run_cli(args, capsys)
     cache = tmp_path / "cache.json"
-    old = {"node_limit": ipsolve.DEFAULT_NODE_CAP,
-           "cells": {"7,1": BoundRecord(7, 1, lower, 31, "mono", "g").to_dict()}}
+    key = f"{old.n},{old.R}"
+    stale = {"node_limit": ipsolve.DEFAULT_NODE_CAP, "cells": {key: old.to_dict()}}
     if version is not None:
-        old["version"] = version
-    cache.write_text(json.dumps(old))
+        stale["version"] = version
+    cache.write_text(json.dumps(stale))
     rc, out, err = run_cli(args + ["--cache", str(cache)], capsys)
     assert (rc, out, err) == (0, fresh, "")
     written = read_json(cache)
-    assert written["version"] == asymcover.__version__ == "0.5.0"
-    assert written["cells"]["7,1"]["lower"] == 31
+    assert written["version"] == asymcover.__version__ == "0.6.0"
+    assert written["cells"][key] == best_bounds(old.n, old.R).to_dict() != old.to_dict()
     assert load_cache(str(cache), ipsolve.DEFAULT_NODE_CAP) == build_grid(TableSpec(1, 7, 0, 3))
 
 
@@ -911,8 +917,7 @@ def test_cli_table_keeps_cached_cells_outside_its_window(tmp_path, capsys):
 
 
 def test_cli_table_without_exact_search_never_solves_the_size_program(capsys, monkeypatch):
-    # the zero-count chain is at or above ip_plus, so neither best_bounds nor
-    # exact search solves ip_plus
+    # the zero-count chain is at or above ip_plus, so best_bounds never solves it
     solved = []
     real = ipsolve.ip_plus
 
