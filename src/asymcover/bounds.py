@@ -3,13 +3,15 @@
 Lower bounds: the levelwise sphere-covering bound, the superdiagonal values,
 the stored exact proofs of `EXACT_ANCHORS`, and the difference chain, which
 lifts a proven lower bound on K+(n-1, R) (the table's own, or else the lower
-end of `_bracket(n-1, R)`, the function that builds every cell) by the
-zero-count program, or by its LP relaxation when the program runs out of
-nodes.  Upper bounds: diagonal codes, coradius splits, greedy codes, the
-stored exact proofs, and direct-sum splits applied during grid propagation.
-Every bound value is computed with exact integer arithmetic.  No exact
-search runs here: `exact.exact_kplus` is the prover of the anchors, which
-the tests re-run.
+end of `_bracket(n-1, R)`, the function that builds every cell) by
+`ipsolve.phi_step`: ceil(phi / n) for the zero-count program's optimum phi,
+proved by two closed-form bounds on phi where they agree, else by the
+program, or its LP relaxation's when the program runs out of nodes.  Upper
+bounds: diagonal codes, coradius splits, greedy codes, the stored exact
+proofs, and direct-sum splits applied during grid propagation.  Every
+bound value is computed with exact integer arithmetic.  No exact search
+runs here: `exact.exact_kplus` is the prover of the anchors, which the
+tests re-run.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ class BoundRecord:
     upper: int
     lower_tag: str
     upper_tag: str
-    limit_hit: bool = False  # some bound source of the cell stopped at its node limit
+    # some bound source behind an open bracket stopped at its node limit
+    limit_hit: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.R < 0:
@@ -53,6 +56,9 @@ class BoundRecord:
             tag = getattr(self, key)
             if tag not in order:
                 raise ValueError(f"record {key!r} must be one of {order}, got {tag!r}")
+        if self.exact:
+            # no larger node limit can tighten a closed bracket
+            object.__setattr__(self, "limit_hit", False)
 
     @property
     def exact(self) -> bool:
@@ -123,10 +129,12 @@ def best_bounds(
     nothing.  The difference chain steps from `below`, a proven lower bound
     on K+(n-1, R) such as a table's own.  Without it, the chain steps from
     `_bracket`'s bracket of (n-1, R), down the column, where no greedy runs.
-    The chain's phi program and greedy each stop after `node_limit` nodes: a
-    chain step then takes phi's LP value, tag "lp", and greedy's upper bound
-    drops out; either sets the record's `limit_hit`.  The limit binds every
-    computed source; only a stored proof ignores it.
+    The chain's phi program, run only at a step that its closed-form bounds
+    leave open, and greedy each stop after `node_limit` nodes: a chain step
+    then takes phi's LP value, tag "lp", and greedy's upper bound drops out.
+    Either sets the record's `limit_hit` while its bracket is open, and so
+    does an "lp" step down the column that the chain walks itself.  The
+    limit binds every computed source; only a stored proof ignores it.
     """
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
@@ -162,12 +170,12 @@ def _bracket(n: int, R: int, node_limit: int, below: int | None) -> BoundRecord:
         uppers.append((EXACT_ANCHORS[n, R], "e"))
     elif n <= ipsolve.MAX_IP_DIMENSION:
         if below is None:
-            below = _bracket(n - 1, R, node_limit, None).lower
-        try:
-            phi, tag = ipsolve.ip_phi(n, R, node_limit).value, "mono"
-        except ipsolve.BudgetExceededError:
-            phi, tag, limit_hit = ipsolve.ip_phi_lp(n, R), "lp", True
-        lowers.append((ipsolve.diff_lower(n, below, phi), tag))
+            # the column's own walk: a step below that stopped weakens this one too
+            column = _bracket(n - 1, R, node_limit, None)
+            below, limit_hit = column.lower, column.limit_hit
+        step, stopped = ipsolve.phi_step(n, R, node_limit)
+        lowers.append((below + step, "lp" if stopped else "mono"))
+        limit_hit = limit_hit or stopped
     # the greatest lower and least upper value; on a tie, the tag that comes first in its order
     lower, ltag = max(lowers, key=lambda c: (c[0], -LOWER_TAG_ORDER.index(c[1])))
     upper, utag = min(uppers, key=lambda c: (c[0], UPPER_TAG_ORDER.index(c[1])))

@@ -68,13 +68,14 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-_LIMIT_HELP = ("node limit of each bound source: the zero-count program of each chain step,"
-               " which takes its LP value past it, and greedy's scored candidates")
+_LIMIT_HELP = ("node limit of each bound source: the zero-count program of a chain step"
+               " that its closed-form bounds leave open, which takes its LP value past it,"
+               " and greedy's scored candidates")
 
 
 def _exit_code(records) -> int:
-    """EXIT_BUDGET when some bound source of a record's cell stopped at its
-    node limit, so a larger limit may tighten the bracket."""
+    """EXIT_BUDGET when some record's bracket is open and a bound source
+    behind it stopped at its node limit, so a larger limit may tighten it."""
     return EXIT_BUDGET if any(rec.limit_hit for rec in records) else EXIT_OK
 
 

@@ -140,7 +140,7 @@ def _search(n: int, R: int, node_limit: int, on_progress) -> ExactResult:
     incumbent = greedy_code(n, R)
     best = len(incumbent)
     # the zero-count chain is at or above ip_plus at every n <= 12
-    proven_lower = ipsolve.diff_lower(n, below, ipsolve.ip_phi(n, R).value)
+    proven_lower = below + ipsolve.phi_step(n, R)[0]
     if proven_lower >= best:
         # greedy meets the chain: nothing to search, so no tables to build
         return ExactResult(n, R, proven_lower, best, incumbent, nodes)

@@ -19,11 +19,11 @@ one subtraction away from the last.
 `lp_prices` gives optimal dual prices of the LP relaxation in closed form,
 a back-substitution in integers checked for feasibility.  They bound the
 exact search, priced over the uncovered vertices of each level, and
-`ip_phi_lp` sums them into the ceiling of the LP optimum, the bound on
-phi(n, R) that a chain step takes when `ip_phi` runs out of nodes.
-`diff_lower` takes one step of the difference chain: from a proven lower
-bound on K+(n-1, R) and the zero-count bound phi(n, R) to one on K+(n, R).
-Each caller steps from a K+(n-1, R) bound it proved itself, so the module
+`ip_phi_lp` sums them into the ceiling of the LP optimum, a lower bound on
+phi(n, R), and `ip_phi_upper` the zero count of one feasible profile.
+`phi_step` takes one difference-chain step, ceil(phi / n), from those two
+where their ceilings meet and from `ip_phi` only where they do not.  Each
+caller steps from a K+(n-1, R) bound it proved itself, so the module
 keeps no state between calls.
 """
 
@@ -208,13 +208,38 @@ def ip_phi_lp(n: int, R: int) -> int:
     return _ceildiv(sum(binomial(n, t) * x for t, x in enumerate(p)), D)
 
 
-def diff_lower(n: int, lower_prev: int, phi_lb: int) -> int:
-    """Lift a K+(n-1,R) lower bound by ceil(phi_lb / n).
+def ip_phi_upper(n: int, R: int) -> int:
+    """Zero count of a feasible integer profile, an upper bound on ip_phi's
+    optimum that needs no search.  a_n = 1 pays rows n - R..n; then each row
+    t < n - R, bottom up, takes the fewest words at level t + R that its
+    residual needs, and a_m = 0 for m < R.  A profile that fails a row
+    raises ValueError, as only a feasible one bounds the program."""
+    _check_params(n, R)
+    a = [0] * (n + 1)
+    a[n] = 1
+    for t in range(n - R):
+        rest = binomial(n, t) - sum(binomial(t + j, j) * a[t + j] for j in range(R))
+        a[t + R] = max(0, _ceildiv(rest, binomial(t + R, R)))
+    if any(
+        sum(binomial(l + j, j) * a[l + j] for j in range(min(R, n - l) + 1)) < binomial(n, l)
+        for l in range(n + 1)
+    ):
+        raise ValueError(f"the bottom-up profile is infeasible at n={n}, R={R}")
+    return sum((n - l) * x for l, x in enumerate(a))
 
-    Valid whenever phi_lb is at most the largest total zero count over
-    minimum codes: deleting a coordinate of a minimum code loses at most
-    one word per zero, averaged over the n coordinates.
-    """
-    if n < 1 or phi_lb < 0:
-        raise ValueError("need n >= 1 and phi_lb >= 0")
-    return lower_prev + _ceildiv(phi_lb, n)
+
+def phi_step(n: int, R: int, node_cap: int = DEFAULT_NODE_CAP) -> tuple[int, bool]:
+    """One difference-chain step, (step, stopped): a lower bound on
+    K+(n-1, R) plus `step` is one on K+(n, R).  The step is ceil(phi / n)
+    for ip_phi's optimum phi, which is at most the largest zero count of a
+    minimum code: deleting a coordinate loses at most one word per zero,
+    averaged over the n coordinates.  Where the ceilings of ip_phi_lp and
+    ip_phi_upper meet, that is the step; elsewhere ip_phi runs under
+    `node_cap`, past which the step is the LP's and `stopped` is True."""
+    low = _ceildiv(ip_phi_lp(n, R), n)
+    if _ceildiv(ip_phi_upper(n, R), n) == low:
+        return low, False
+    try:
+        return _ceildiv(ip_phi(n, R, node_cap).value, n), False
+    except BudgetExceededError:
+        return low, True

@@ -21,9 +21,10 @@ from asymcover.bounds import (
     superdiag_exact,
     superdiag_lower,
 )
-from asymcover.constructions import general_upper_size
+from asymcover import ipsolve
+from asymcover.constructions import GREEDY_MAX_N, general_upper_size
 from asymcover.cube import DimensionCapError
-from asymcover.ipsolve import DEFAULT_NODE_CAP, MAX_IP_DIMENSION, diff_lower, ip_phi, ip_plus
+from asymcover.ipsolve import DEFAULT_NODE_CAP, MAX_IP_DIMENSION, ip_plus, phi_step
 from asymcover.table import TableSpec, build_grid
 
 
@@ -84,21 +85,10 @@ def test_superdiag_values():
     assert superdiag_exact(4, 4)
 
 
-def test_diff_lower_arithmetic():
-    assert diff_lower(6, 10, 17) == 13
-    assert diff_lower(6, 10, 18) == 13
-    assert diff_lower(6, 10, 19) == 14
-    assert diff_lower(5, 3, 0) == 3
-    with pytest.raises(ValueError):
-        diff_lower(0, 1, 1)
-    with pytest.raises(ValueError):
-        diff_lower(3, 1, -1)
-
-
 def test_diff_chain_beats_plain_ip_at_61():
     # one step from K+(5, 1) = 10
     assert ip_plus(6, 1).value == 16
-    assert diff_lower(6, 10, ip_phi(6, 1).value) == 17
+    assert 10 + phi_step(6, 1)[0] == 17
 
 
 def test_diff_chain_stays_below_known_optima():
@@ -107,13 +97,16 @@ def test_diff_chain_stays_below_known_optima():
              (2, 2): 1, (3, 2): 2, (4, 2): 3, (5, 2): 5, (6, 2): 8}
     for (n, R), value in known.items():
         if n > R:
-            assert diff_lower(n, known[n - 1, R], ip_phi(n, R).value) <= value, (n, R)
-    assert diff_lower(3, 1, ip_phi(3, 3).value) == 1
+            assert known[n - 1, R] + phi_step(n, R)[0] <= value, (n, R)
+    assert 1 + phi_step(3, 3)[0] == 1
 
 
 def test_bound_record_validation():
     rec = BoundRecord(4, 1, 6, 6, "mono", "e")
     assert rec.exact
+    # no larger node limit can tighten a closed bracket, so it is never flagged
+    assert not BoundRecord(4, 1, 6, 6, "mono", "general", limit_hit=True).limit_hit
+    assert BoundRecord(4, 1, 5, 6, "superdiag", "general", limit_hit=True).limit_hit
     assert not BoundRecord(4, 1, 5, 6, "mono", "g").exact
     with pytest.raises(ValueError):
         BoundRecord(4, 1, 7, 6, "mono", "g")
@@ -198,7 +191,7 @@ def test_best_bounds_settles_superdiag_cells_without_search(monkeypatch):
         raise AssertionError("a settled cell ran a bound source")
 
     monkeypatch.setattr(bounds, "greedy_code", forbidden)
-    for name in ("ip_plus", "ip_phi", "diff_lower"):
+    for name in ("ip_plus", "ip_phi", "phi_step"):
         monkeypatch.setattr(ipsolve, name, forbidden)
     monkeypatch.setattr(exact, "exact_kplus", forbidden)
     settled = [(n, R) for n in range(1, 12) for R in range(1, n + 1) if superdiag_exact(n, R)]
@@ -217,7 +210,7 @@ def test_best_bounds_reads_an_anchor_and_runs_no_bound_source(monkeypatch):
         raise AssertionError("an anchored cell ran a bound source")
 
     monkeypatch.setattr(bounds, "greedy_code", forbidden)
-    for name in ("ip_plus", "ip_phi", "ip_phi_lp", "diff_lower"):
+    for name in ("ip_plus", "ip_phi", "ip_phi_lp", "ip_phi_upper", "phi_step"):
         monkeypatch.setattr(ipsolve, name, forbidden)
     monkeypatch.setattr(exact, "exact_kplus", forbidden)
     for (n, R), value in EXACT_ANCHORS.items():
@@ -251,9 +244,11 @@ def test_best_bounds_settles_every_cell_up_to_the_search_cap_without_general():
     for cell, want in OPEN_CELLS_TO_5.items():
         assert best_bounds(*cell) == want
     # a computed source heeds the node limit, and only a stored proof ignores
-    # it: phi takes 15 nodes at (4, 1), and greedy 36 there and 85 at (5, 2)
+    # it: phi takes 15 nodes at (4, 1), and greedy 36 there and 85 at (5, 2);
+    # a bracket that the chain closes is not flagged, as no larger limit can
+    # tighten it, though greedy stopped
     assert best_bounds(4, 1, 14) == BoundRecord(4, 1, 5, 6, "superdiag", "general", True)
-    assert best_bounds(4, 1, 35) == BoundRecord(4, 1, 6, 6, "mono", "general", True)
+    assert best_bounds(4, 1, 35) == BoundRecord(4, 1, 6, 6, "mono", "general", False)
     assert best_bounds(5, 2, 84) == BoundRecord(5, 2, 5, 6, "superdiag", "general", True)
 
 
@@ -272,10 +267,11 @@ def test_a_table_and_bound_run_no_exact_search(monkeypatch):
             assert best_bounds(n, R) == grid[n, R], (n, R)
 
 
-# node limit -> the cells at 7 <= n <= 15 whose greedy stops at it; a
-# BudgetExceededError from greedy_code drops its upper bound
+# node limit -> cells at 7 <= n <= 15 whose greedy stops at it: at 1,000
+# nodes every open cell from n = 9 on, and at 100,000 three where phi
+# finishes; a BudgetExceededError from greedy_code drops its upper bound
 GREEDY_CUT = {
-    1000: {(9, 1), (9, 2), (9, 5), (10, 1), (11, 6), (12, 7), (13, 8), (14, 9)},
+    1000: {(n, R) for n in range(9, 16) for R in range(1, n) if not superdiag_exact(n, R)},
     100_000: {(13, 2), (14, 1), (14, 9)},
 }
 
@@ -293,11 +289,36 @@ def test_limit_hit_is_set_where_phi_or_greedy_stops():
 
 
 def test_limit_hit_is_set_where_phi_stops_but_another_lower_bound_wins():
-    # a larger limit may lift the chain past superdiag, so the verdict stands
-    rec = best_bounds(27, 19, 1)
+    # a larger limit may lift the chain past superdiag, so the verdict stands;
+    # past n = 26 no greedy runs, so phi's stop alone sets it at (29, 20)
+    rec = best_bounds(29, 20, 1)
     assert (rec.lower, rec.upper, rec.lower_tag, rec.upper_tag, rec.limit_hit) == (
-        10, 25, "superdiag", "general", True)
+        11, 30, "superdiag", "general", True)
+    assert ipsolve.phi_step(29, 20, 1) == (1, True)
+    # every chain step of the (27, 19) column is proved without the program,
+    # so no limit can move that bracket
+    assert best_bounds(27, 19, 1) == BoundRecord(27, 19, 10, 25, "superdiag", "general")
     assert not best_bounds(14, 9).limit_hit
+
+
+def test_limit_hit_is_carried_up_the_column():
+    # bound steps from its own column, so a step below that took phi's LP value
+    # weakens every lower bound above it: at a one-node limit each record whose
+    # column took such a step is flagged, though the cell's own step is proved
+    # without the program, and past n = 26 no greedy stops to flag it instead
+    carried_alone = 0
+    for R in range(1, MAX_IP_DIMENSION):
+        took_lp = False
+        for n in range(R + 1, MAX_IP_DIMENSION + 1):
+            rec = best_bounds(n, R, 1)
+            if superdiag_exact(n, R) or (n, R) in EXACT_ANCHORS:
+                took_lp = False  # the column above steps from this exact value
+                continue
+            if took_lp:
+                assert rec.limit_hit and not rec.exact, rec
+                carried_alone += n > GREEDY_MAX_N and not ipsolve.phi_step(n, R, 1)[1]
+            took_lp = took_lp or ipsolve.phi_step(n, R, 1)[1]
+    assert carried_alone == 49
 
 
 def test_best_bounds_and_the_table_do_not_read_the_clock(monkeypatch):
@@ -352,10 +373,13 @@ def test_best_bounds_greedy_takes_a_tie_with_general(monkeypatch):
 
 
 def test_best_bounds_budget_gating():
-    # past the node limit the chain step takes phi's LP value and greedy drops out
+    # past the node limit greedy drops out; the (8, 2) step needs no program,
+    # but (9, 2)'s does, and takes phi's LP value, one below phi's own step
     starved = best_bounds(8, 2, node_limit=1)
-    assert (starved.lower, starved.lower_tag) == (21, "lp")
+    assert (starved.lower, starved.lower_tag) == (21, "mono")
     assert (starved.upper, starved.upper_tag) == (36, "general")
+    assert (best_bounds(9, 2, 1).lower, best_bounds(9, 2, 1).lower_tag) == (32, "lp")
+    assert (best_bounds(9, 2).lower, best_bounds(9, 2).lower_tag) == (33, "mono")
     analytic = best_bounds(9, 2, node_limit=1)
     assert analytic.upper_tag in ("d", "general")
 
@@ -411,21 +435,19 @@ def test_cells_past_the_ip_cap_take_the_closed_forms(monkeypatch):
 
 def test_chain_step_takes_the_tag_of_its_own_phi(monkeypatch):
     # a step whose own phi finishes is "mono" even where the (n-1, R) bound it
-    # lifts took the LP value: a cell's record is one function of (n, R), the
-    # node limit and the (n-1, R) lower bound, whoever supplies that bound
-    from asymcover import ipsolve
-
+    # lifts took the LP value: a cell's tag is one function of (n, R), the
+    # node limit and the (n-1, R) lower bound, whoever supplies that bound.
+    # (9, 2) and (10, 2) are open steps, which run the program; the (9, 2)
+    # step that took the LP value still flags the column above it
     real = ipsolve.ip_phi
 
-    def starved_at_7_and_8(n, R, node_cap=DEFAULT_NODE_CAP):
-        return real(n, R, 0 if n in (7, 8) else node_cap)
+    def starved_at_9(n, R, node_cap=DEFAULT_NODE_CAP):
+        return real(n, R, 0 if n == 9 else node_cap)
 
-    monkeypatch.setattr(ipsolve, "ip_phi", starved_at_7_and_8)
-    rec = best_bounds(9, 2)
-    assert (rec.lower, rec.lower_tag) == (33, "mono")
-    # handed a proven (8, 2) bound, as a table does, the step lifts that bound
-    rec = best_bounds(9, 2, below=20)
-    assert (rec.lower, rec.lower_tag) == (32, "mono")
+    monkeypatch.setattr(ipsolve, "ip_phi", starved_at_9)
+    assert best_bounds(10, 2) == BoundRecord(10, 2, 52, 79, "mono", "g", True)
+    # handed a proven (9, 2) bound, as a table does, the step lifts that bound
+    assert best_bounds(10, 2, below=33) == BoundRecord(10, 2, 53, 79, "mono", "g")
 
 
 def test_best_bounds_brackets_nest_as_budget_grows():
@@ -541,6 +563,14 @@ def test_propagate_uses_virtual_cells():
     assert out[(3, 2)].lower >= 2
     # upper: split with the virtual (1,0) cell (2 words) and (2,2) cell (1 word)
     assert out[(3, 2)].upper <= 4
+
+
+def test_propagate_clears_the_limit_flag_of_a_bracket_it_closes():
+    # greedy stops at (9, 5) under 1,000 nodes and leaves 6-9; the table's
+    # direct-sum split closes it at 6, and a closed bracket keeps no flag
+    assert best_bounds(9, 5, 1000) == BoundRecord(9, 5, 6, 9, "superdiag", "general", True)
+    grid = build_grid(TableSpec(n_min=1, n_max=9, r_min=0, r_max=5, node_limit=1000))
+    assert grid[9, 5] == BoundRecord(9, 5, 6, 6, "superdiag", "s")
 
 
 def test_propagate_rejects_contradiction():

@@ -97,13 +97,18 @@ CHECKS = [
        " 3060 816 153 18 1",
        "zeros total: 2359296", "ones total: 2359296", "radius: 0", "covers: true (R=0)"])],
     # the coradius theorem settles (n, 10) up to n = 15; past it a node limit
-    # of 1 stops phi, so each chain step at n = 16..20 takes ip_phi_lp's LP
-    # value; exit 3 says the limit was hit
-    [("bound --n 20 --r 10 --node-limit 1", 3, ["20-144[lp/general]"])],
+    # of 1 stops phi at the open steps (16, 18 and 19, 10), which take their
+    # LP value, and greedy; (20, 10)'s own step needs no program, so its tag
+    # is "mono", and exit 3 says the limit was hit down the column
+    [("bound --n 20 --r 10 --node-limit 1", 3, ["20-144[mono/general]"])],
     # greedy's node limit bounds its setup too: a one-node limit at (24, 12)
     # stops greedy at its first group, where listing every group's block
     # terms first took about 6 s and 480 MB
-    [("bound --n 24 --r 12 --node-limit 1", 3, ["31-256[lp/general]"])],
+    [("bound --n 24 --r 12 --node-limit 1", 3, ["31-256[mono/general]"])],
+    # past n = 26 no greedy runs, and every chain step of the (27, 19) column
+    # is proved without the program, so no source stops: exit 0 at the default
+    # limit, where phi once ran out of its 10^8 nodes at each step
+    [("bound --n 27 --r 19", 0, ["10-25[superdiag/general]"])],
     # greedy's (14, 9) code stops at a 1,000-node limit and leaves the
     # closed-form upper bound: the record's limit_hit makes bound exit 3,
     # although no chain step took phi's LP value; the default limit settles it
@@ -112,6 +117,10 @@ CHECKS = [
     # no exact search runs inside bound, so the limit binds the chain and
     # greedy at (4, 1) and (5, 2) as at every other cell without a stored proof
     [("bound --n 4 --r 1 --node-limit 1", 3, ["5-6[superdiag/general]"])],
+    # at 20 nodes phi settles (4, 1)'s step in 15 and greedy stops, but the
+    # chain meets the closed-form upper bound, and a closed bracket is not
+    # flagged, as no larger limit can tighten it
+    [("bound --n 4 --r 1 --node-limit 20", 0, ["6[mono/general]"])],
     [("bound --n 5 --r 2 --node-limit 1", 3, ["5-6[superdiag/general]"])],
     # the open (5, 1), (6, R) and (7, R) cells are stored exact proofs, which
     # bound reads without a search and whatever the node limit

@@ -370,28 +370,33 @@ def test_node_limit_boundaries(n, R, limit):
 
 def test_exact_solves_its_zero_count_chain_on_every_call(monkeypatch):
     # a cell searched before in the same process must not hide the search's own
-    # solves: it starts from the chain's phi(k, 1), k = 2..5, never from ip_plus
+    # solves: it starts from the chain's steps at (k, 1), k = 2..5, never from
+    # ip_plus, and of those only (4, 1) needs the program, as the closed-form
+    # bounds on phi settle the others
     exact_kplus(5, 1)
     seen = []
 
     def traced(name):
         real = getattr(ipsolve, name)
-        return lambda n, R: seen.append((name, n, R)) or real(n, R)
+        return lambda n, R, *cap: seen.append((name, n, R)) or real(n, R, *cap)
 
-    for name in ("ip_plus", "ip_phi"):
+    for name in ("ip_plus", "ip_phi", "phi_step"):
         monkeypatch.setattr(ipsolve, name, traced(name))
     assert exact_kplus(5, 1).upper == 10
-    assert seen == [("ip_phi", k, 1) for k in range(2, 6)]
+    assert seen == [("phi_step", 2, 1), ("phi_step", 3, 1), ("phi_step", 4, 1),
+                    ("ip_phi", 4, 1), ("phi_step", 5, 1)]
 
 
 def test_a_column_level_with_nothing_to_search_solves_no_lp(monkeypatch):
     # at (2..4, 1) greedy meets the chain's start, so those levels build no
-    # tables and solve no LP; (5, 1), (6, 1) and (7, 1) search
+    # tables and solve no size-program LP; (5, 1), (6, 1) and (7, 1) search.
+    # Every level's chain step prices the zero-count program, which is not traced
     seen = []
     real = ipsolve.lp_prices
 
     def traced(n, R, costs):
-        seen.append((n, R))
+        if costs == (1,) * (n + 1):
+            seen.append((n, R))
         return real(n, R, costs)
 
     monkeypatch.setattr(ipsolve, "lp_prices", traced)

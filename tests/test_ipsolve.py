@@ -414,3 +414,69 @@ def test_solve_matches_the_reference_at_the_dimension_cap(n, R):
 def test_profile_programs_pinned_at_13_5():
     assert ip_plus(13, 5) == IPSolution(19, 501_985)
     assert ip_phi(13, 5) == IPSolution(79, 501_985)
+
+
+def bottom_up_profile(n, R):
+    """The profile that ip_phi_upper prices: a_n = 1, then each row t < n - R
+    paid by the fewest words at level t + R that its residual needs."""
+    a = [0] * (n + 1)
+    a[n] = 1
+    for t in range(n - R):
+        rest = math.comb(n, t) - sum(math.comb(t + j, j) * a[t + j] for j in range(R))
+        a[t + R] = max(0, -(-rest // math.comb(t + R, R)))
+    return a
+
+
+def test_ip_phi_upper_prices_a_feasible_profile_above_the_lp():
+    # every row of the profile checked here, so its zero count bounds phi from
+    # above at every n <= 40, and the LP bound lies below it
+    for n in range(1, MAX_IP_DIMENSION + 1):
+        for R in range(1, n + 1):
+            a = bottom_up_profile(n, R)
+            assert min(a) >= 0, (n, R)
+            for l in range(n + 1):
+                row = sum(math.comb(l + j, j) * a[l + j] for j in range(min(R, n - l) + 1))
+                assert row >= math.comb(n, l), (n, R, l)
+            upper = ipsolve.ip_phi_upper(n, R)
+            assert upper == sum((n - l) * x for l, x in enumerate(a)), (n, R)
+            assert ipsolve.ip_phi_lp(n, R) <= upper, (n, R)
+
+
+def test_phi_step_is_the_programs_own_step():
+    # the two closed forms bracket phi, and the step is ceil(phi / n) whether
+    # they settle it or the program runs; at n <= 9 phi is also the reference's
+    for n in range(2, 13):
+        for R in range(1, n):
+            phi = ip_phi(n, R).value
+            assert ipsolve.ip_phi_lp(n, R) <= phi <= ipsolve.ip_phi_upper(n, R), (n, R)
+            assert ipsolve.phi_step(n, R) == (-(-phi // n), False), (n, R)
+            if n <= 9:
+                want = reference_solve(n, R, objectives(n)[1]).value
+                assert ipsolve.phi_step(n, R)[0] == -(-want // n), (n, R)
+
+
+def test_phi_step_takes_the_lp_step_where_the_program_stops():
+    # (9, 2) is open: the LP bound is 98 and the profile's zero count 106,
+    # phi itself, whose ceilings over 9 are 11 and 12
+    assert (ipsolve.ip_phi_lp(9, 2), ipsolve.ip_phi_upper(9, 2)) == (98, 106)
+    assert ipsolve.phi_step(9, 2, 1) == (11, True)
+    assert ipsolve.phi_step(9, 2) == (12, False)
+    # (8, 2) is settled without the program, so no limit stops it
+    assert ipsolve.phi_step(8, 2, 1) == ipsolve.phi_step(8, 2) == (7, False)
+
+
+def test_a_table_runs_the_program_only_at_the_open_steps(monkeypatch):
+    # the n <= 10, R <= 11 grid: every other chain step is settled where the
+    # LP bound and the bottom-up profile give one ceiling over n
+    from asymcover.table import TableSpec, build_grid
+
+    seen = []
+    real = ipsolve.solve
+
+    def traced(n, R, costs, node_cap=DEFAULT_NODE_CAP):
+        seen.append((n, R))
+        return real(n, R, costs, node_cap)
+
+    monkeypatch.setattr(ipsolve, "solve", traced)
+    build_grid(TableSpec(n_min=1, n_max=10, r_min=0, r_max=11))
+    assert sorted(seen) == [(4, 1), (9, 1), (9, 2), (9, 5), (10, 1), (10, 2), (10, 3), (10, 4)]

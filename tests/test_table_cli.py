@@ -636,8 +636,8 @@ def test_cli_help_states_each_limit_default(capsys):
         assert flags == {"--help", "--json", "--node-limit"} | cells, other
         assert (
             "--node-limit NODE_LIMIT node limit of each bound source: the zero-count program"
-            " of each chain step, which takes its LP value past it, and greedy's scored"
-            " candidates (default 100,000,000)"
+            " of a chain step that its closed-form bounds leave open, which takes its LP value"
+            " past it, and greedy's scored candidates (default 100,000,000)"
         ) in text, other
 
 
@@ -669,23 +669,27 @@ def test_cli_exact_reports_progress(capsys):
 
 
 def test_cli_bound_exits_3_when_a_program_runs_out_of_nodes(capsys, monkeypatch):
-    # the chain step from the (7, 2) anchor takes phi's LP value, and the
-    # bracket is still printed
+    # the (8, 2) step needs no program, but the (9, 2) step does: it takes
+    # phi's LP value, and the bracket is still printed
     def exhausted(n, R, node_cap=ipsolve.DEFAULT_NODE_CAP):
         raise ipsolve.BudgetExceededError(f"IP node budget {node_cap} exceeded")
 
     monkeypatch.setattr(ipsolve, "ip_phi", exhausted)
-    rc, out, err = run_cli(["bound", "--n", "8", "--r", "2"], capsys)
-    assert (rc, out, err) == (3, "21-24[lp/g]\n", "")
+    assert run_cli(["bound", "--n", "8", "--r", "2"], capsys) == (0, "21-24[mono/g]\n", "")
+    rc, out, err = run_cli(["bound", "--n", "9", "--r", "2"], capsys)
+    assert (rc, out, err) == (3, "32-45[lp/g]\n", "")
 
 
 def test_cli_bound_and_table_exit_3_past_the_node_limit(capsys):
-    # phi(8,2) takes 375 nodes and greedy's (8,2) code 914: at 500, greedy stops
+    # the (8, 2) step needs no program, and greedy's (8, 2) code takes 914
+    # nodes: at 1 and at 500, greedy stops
     runs = {limit: run_cli(["bound", "--n", "8", "--r", "2", "--node-limit", limit], capsys)
             for limit in ("1", "500", "1000")}
-    assert runs == {"1": (3, "21-36[lp/general]\n", ""), "500": (3, "21-36[mono/general]\n", ""),
+    assert runs == {"1": (3, "21-36[mono/general]\n", ""),
+                    "500": (3, "21-36[mono/general]\n", ""),
                     "1000": (0, "21-24[mono/g]\n", "")}
-    rc, out, _ = run_cli(["table", "--n-max", "8", "--r-max", "2", "--node-limit", "1"], capsys)
+    # phi's (9, R) steps need the program, which stops at one node
+    rc, out, _ = run_cli(["table", "--n-max", "9", "--r-max", "2", "--node-limit", "1"], capsys)
     assert rc == 3 and "[lp/" in out
     assert run_cli(["table", "--n-max", "8", "--r-max", "2", "--node-limit", "1000"],
                    capsys)[0] == 0
@@ -709,8 +713,9 @@ def test_cli_bound_runs_greedy_once(capsys, monkeypatch):
 
 
 def test_cli_bound_answers_at_20_10_within_a_node_limit():
-    # in a fresh process, as a user runs it: every chain step down to (16, 10)
-    # and greedy stop at the limit, so the call answers in seconds
+    # in a fresh process, as a user runs it: the open chain steps down to
+    # (16, 10) and greedy stop at the limit, so the call answers in seconds;
+    # (20, 10)'s own step needs no program, so its tag is "mono"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")])}
     start = time.monotonic()
@@ -718,7 +723,7 @@ def test_cli_bound_answers_at_20_10_within_a_node_limit():
         [sys.executable, "-m", "asymcover.cli", "bound", "--n", "20", "--r", "10",
          "--node-limit", "1000000"], capture_output=True, text=True, env=env, timeout=60)
     elapsed = time.monotonic() - start
-    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "20-144[lp/general]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "20-144[mono/general]\n", "")
     assert elapsed < 10.0
 
 
@@ -805,15 +810,14 @@ def test_cli_table_json_is_the_cache_cells(tmp_path, capsys):
 
 
 def test_cli_table_recomputes_a_cache_from_another_budget(tmp_path, capsys):
-    # a one-node limit starves the chain past the n = 7 anchors and greedy, so
-    # its cells differ
+    # a one-node limit starves greedy past the n = 7 anchors, so its cells differ
     args = ["table", "--n-max", "8", "--r-max", "3", "--json"]
     weak = ["--node-limit", "1"]
     cache = str(tmp_path / "cache.json")
     _, fresh, _ = run_cli(args, capsys)
     rc, weak_out, _ = run_cli(args + weak + ["--cache", cache], capsys)
     assert rc == 3 and weak_out != fresh
-    assert json.loads(weak_out)["8,2"]["lower_tag"] == "lp"
+    assert json.loads(weak_out)["8,2"]["limit_hit"]  # greedy stopped there
     assert read_json(cache)["node_limit"] == 1
     assert run_cli(args + weak + ["--cache", cache], capsys)[:2] == (3, weak_out)  # reused
     rc, reused, _ = run_cli(args + ["--cache", cache], capsys)
@@ -872,7 +876,7 @@ def test_cli_table_recomputes_a_cache_of_another_version(version, old, tmp_path,
     rc, out, err = run_cli(args + ["--cache", str(cache)], capsys)
     assert (rc, out, err) == (0, fresh, "")
     written = read_json(cache)
-    assert written["version"] == asymcover.__version__ == "0.6.0"
+    assert written["version"] == asymcover.__version__ == "0.7.0"
     assert written["cells"][key] == best_bounds(old.n, old.R).to_dict() != old.to_dict()
     assert load_cache(str(cache), ipsolve.DEFAULT_NODE_CAP) == build_grid(TableSpec(1, 7, 0, 3))
 
