@@ -17,7 +17,7 @@ tests re-run.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from . import ipsolve
 from .constructions import GREEDY_MAX_N, general_upper_size, greedy_code
@@ -70,18 +70,18 @@ class BoundRecord:
 
     @classmethod
     def from_dict(cls, d) -> "BoundRecord":
-        """Inverse of to_dict; raises ValueError naming the first bad key.  A
-        key that `d` lacks takes its field's default, if the field has one."""
+        """Inverse of to_dict; raises ValueError naming the first bad key.
+        Every field is required: a cache under an older key is never parsed."""
         if not isinstance(d, dict):
             raise ValueError(f"a record must be a JSON object, got {type(d).__name__}")
         for f in fields(cls):
-            if f.name not in d and f.default is MISSING:
+            if f.name not in d:
                 raise ValueError(f"record has no {f.name!r}")
             # the annotations are strings; __post_init__ checks the tags
             kind = {"int": "an int", "bool": "a bool"}.get(f.type)
-            if kind and f.name in d and type(d[f.name]).__name__ != f.type:
+            if kind and type(d[f.name]).__name__ != f.type:
                 raise ValueError(f"record {f.name!r} must be {kind}, got {d[f.name]!r}")
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def _check_cell(n: int, R: int) -> None:

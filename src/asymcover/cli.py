@@ -75,7 +75,8 @@ _LIMIT_HELP = ("node limit of each bound source: the zero-count program of a cha
 
 def _exit_code(records) -> int:
     """EXIT_BUDGET when some record's bracket is open and a bound source
-    behind it stopped at its node limit, so a larger limit may tighten it."""
+    behind it stopped at its node limit, so a larger limit may tighten it.
+    `table` passes its whole grid: a record's flag covers only its own cell."""
     return EXIT_BUDGET if any(rec.limit_hit for rec in records) else EXIT_OK
 
 

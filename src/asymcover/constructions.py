@@ -20,13 +20,13 @@ from fractions import Fraction
 from .cube import (
     Code,
     DimensionCapError,
-    MAX_DIMENSION,
     all_ones,
     ball_down,
     ball_sets,
     ball_size_down,
     ball_size_up,
     binomial,
+    check_dimension,
     covers,
     full_set,
     subset_tables,
@@ -69,8 +69,7 @@ def diagonal_code(n: int, coradius: int) -> Code:
 def direct_sum(c1: Code, c2: Code) -> Code:
     """All concatenations x|y; covering radii add when both are annotated."""
     n = c1.n + c2.n
-    if n > MAX_DIMENSION:
-        raise DimensionCapError(f"direct sum dimension {n} exceeds {MAX_DIMENSION}")
+    check_dimension(n)
     r = c1.r + c2.r if c1.r is not None and c2.r is not None else None
     words = [x | (y << c1.n) for y in c2.words for x in c1.words]
     return Code.from_words(n, words, r=r)
@@ -176,8 +175,7 @@ def semi_direct_sum(p: PatchedCode, c: Code) -> Code:
         raise ValueError("inner code must carry the same radius annotation as the patched code")
     k = c.n
     n = p.n + k
-    if n > MAX_DIMENSION:
-        raise DimensionCapError(f"semi-direct sum dimension {n} exceeds {MAX_DIMENSION}")
+    check_dimension(n)
     words = set()
     for x in p.S.words:
         base = x << k
@@ -210,8 +208,7 @@ def inductive_power2(m: int, R: int, seed: int, trials: int = 32) -> Code:
         raise ValueError("m must be nonnegative")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if (1 << m) > GREEDY_MAX_N:
-        raise DimensionCapError(f"2^{m} exceeds the sweep cap {GREEDY_MAX_N}")
+    _check_sweep_dim(1 << m)
     code = Code.from_words(1, [1], r=R)
     for j in range(m):
         nj = 1 << j
@@ -406,12 +403,11 @@ def general_upper_code(n: int, coradius: int) -> Code:
     runs of `diagonal_code(dim_i, r_i)` cleared in each block.  Refuses,
     before building, a code of more than GENERAL_MAX_WORDS words.
     """
-    if n > MAX_DIMENSION:
-        raise DimensionCapError(f"dimension {n} exceeds {MAX_DIMENSION}")
-    parts = coradius_split(n, coradius)
-    if (size := math.prod(p + 1 for p in parts)) > GENERAL_MAX_WORDS:
+    check_dimension(n)
+    if (size := general_upper_size(n, coradius)) > GENERAL_MAX_WORDS:
         raise DimensionCapError(
             f"general code of {size} words exceeds the word cap {GENERAL_MAX_WORDS}")
+    parts = coradius_split(n, coradius)
     dims = [p * (p + 1) // 2 for p in parts[1:]]
     words, start = [all_ones(n)], 0
     for p, dim in zip(parts, [n - sum(dims)] + dims):

@@ -73,8 +73,8 @@ def ball_size_down(n: int, l: int, R: int) -> int:
 
 
 def check_dimension(n: int) -> None:
-    """Raise DimensionCapError unless 1 <= n <= MAX_DIMENSION: the one
-    dimension check, which the bound cells and the table spec also make."""
+    """Raise DimensionCapError unless 1 <= n <= MAX_DIMENSION: the one dimension check,
+    made by Code, the bound cells, the table spec, the constructions and min_linear_dim."""
     if not 1 <= n <= MAX_DIMENSION:
         raise DimensionCapError(f"need 1 <= n <= {MAX_DIMENSION}, got n={n}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .cube import MAX_DIMENSION, Code, DimensionCapError, all_ones, covers
+from .cube import Code, DimensionCapError, all_ones, check_dimension, covers
 
 SPAN_MAX_GENS = 20
 SUBSPACE_ENUM_MAX_N = 6
@@ -80,8 +80,7 @@ def min_linear_dim(n: int, R: int, exhaustive: bool = False) -> int:
     if n < 1 or R < 1:
         raise ValueError("need n >= 1 and R >= 1")
     if not exhaustive:
-        if n > MAX_DIMENSION:
-            raise DimensionCapError(f"formula branch capped at n = {MAX_DIMENSION}")
+        check_dimension(n)
         return max(1, n - R)
     for dim in range(n + 1):
         if any(covers(code, R) for code in enumerate_subspaces(n, dim)):

@@ -5,12 +5,11 @@ every R up to min(n, r_max), so monotonicity chains and direct-sum splits
 have their neighbors available; rendering then restricts to the requested
 window.  Each column R is walked up from the cell below: a cell's difference
 chain steps from the (n-1, R) lower bound computed or cached just before it.
-The cache is a JSON object written atomically: the node limit and the
+The cache is a JSON object written atomically: its key, the node limit and
 package version its cells were computed under, and the map "n,R" -> record.
-A cache is reused only under an equal node limit and version; anything else,
-such as a cache from 0.2.0 or before, which holds a "budget" in place of the
-node limit, recomputes every cell.  A run that changes no cached record
-leaves the file untouched.
+Under the same key the cells are reused, each checked as a record; under any
+other key every cell is recomputed and the file overwritten.  A file that is
+not a cache is refused, and a run that changes no record rewrites nothing.
 """
 
 from __future__ import annotations
@@ -58,33 +57,30 @@ def _cache_key(node_limit: int) -> dict:
 
 
 def load_cache(path: str, node_limit: int) -> dict[tuple[int, int], BoundRecord]:
-    """The cells cached at `path` if this package version computed them
-    under `node_limit`, else {}.
+    """The cells cached at `path`, each checked as a record, if its key is
+    `_cache_key(node_limit)`; under any other key, {}, with no cell read.
 
-    Raises ValueError naming the path when the file is not a bound cache, so
-    that build_grid never overwrites it.
+    Raises ValueError naming the path when the file is not a bound cache or a
+    cell it would reuse is no record, so that build_grid never overwrites it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        if not (
-            isinstance(raw, dict)
-            and isinstance(raw.get("cells"), dict)
-            # 0.2.0 and before keyed a cache by a "budget" object
-            and (type(raw.get("node_limit")) is int or isinstance(raw.get("budget"), dict))
-            and raw.keys() <= {"node_limit", "budget", "version", "cells"}
-        ):
+        # 0.2.0 and before keyed a cache by a "budget" object
+        if not (isinstance(raw, dict) and isinstance(raw.get("cells"), dict)
+                and raw.keys() <= {"node_limit", "budget", "version", "cells"}):
             raise ValueError('expected an object with "node_limit" and "cells"')
+        if raw != {**_cache_key(node_limit), "cells": raw["cells"]}:
+            return {}
         grid = {}
         for key, d in raw["cells"].items():
             rec = BoundRecord.from_dict(d)
             if key != f"{rec.n},{rec.R}":
                 raise ValueError(f"cell {key!r} holds the record of n={rec.n}, R={rec.R}")
             grid[(rec.n, rec.R)] = rec
+        return grid
     except ValueError as exc:
         raise ValueError(f"{path} is not a bound cache: {exc}") from None
-    key = {k: v for k, v in raw.items() if k != "cells"}
-    return grid if key == _cache_key(node_limit) else {}
 
 
 def save_cache(path: str, grid: dict[tuple[int, int], BoundRecord], node_limit: int) -> None:
@@ -94,7 +90,9 @@ def save_cache(path: str, grid: dict[tuple[int, int], BoundRecord], node_limit: 
 
 def build_grid(spec: TableSpec) -> dict[tuple[int, int], BoundRecord]:
     """Aggregate per-cell bounds one column R at a time, each walked up from
-    the cell below it (cache hits skip the work), then propagate."""
+    the cell below it (cache hits skip the work), then propagate.  A record's
+    `limit_hit` covers only its own cell's sources, not an "lp" step below
+    it, so `table`'s exit reads the whole grid, which holds that step."""
     cached: dict[tuple[int, int], BoundRecord] = {}
     if spec.cache_path and os.path.exists(spec.cache_path):
         cached = load_cache(spec.cache_path, spec.node_limit)
@@ -126,17 +124,10 @@ def render_cell(rec: BoundRecord) -> str:
 def render_table(grid: dict[tuple[int, int], BoundRecord], spec: TableSpec) -> str:
     """Rows R, columns n; cells outside the triangle (R > n) are the constant 1."""
     ns = list(range(spec.n_min, spec.n_max + 1))
-    rows = []
     header = ["R\\n"] + [str(n) for n in ns]
-    rows.append(header)
+    rows = [header]
     for R in range(spec.r_min, spec.r_max + 1):
-        row = [str(R)]
-        for n in ns:
-            if R > n:
-                row.append("1")
-            else:
-                row.append(render_cell(grid[(n, R)]))
-        rows.append(row)
+        rows.append([str(R)] + ["1" if R > n else render_cell(grid[(n, R)]) for n in ns])
     widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
     lines = [
         "  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row)) for row in rows

@@ -125,22 +125,15 @@ def test_bound_record_validation():
         BoundRecord(4, -1, 6, 6, "mono", "e")
 
 
-# the fields a record must name; limit_hit, which defaults to False, follows them
-RECORD_FIELDS = ("n", "R", "lower", "upper", "lower_tag", "upper_tag")
+# the fields a record must name: from_dict fills in no default
+RECORD_FIELDS = ("n", "R", "lower", "upper", "lower_tag", "upper_tag", "limit_hit")
 
 
 def test_record_dict_is_the_fields_plus_exact():
     rec = BoundRecord(4, 1, 5, 6, "mono", "g")
-    assert [f.name for f in dataclasses.fields(BoundRecord)] == [*RECORD_FIELDS, "limit_hit"]
+    assert [f.name for f in dataclasses.fields(BoundRecord)] == list(RECORD_FIELDS)
     assert rec.to_dict() == {"n": 4, "R": 1, "lower": 5, "upper": 6, "lower_tag": "mono",
                              "upper_tag": "g", "limit_hit": False, "exact": False}
-
-
-def test_from_dict_takes_a_missing_limit_hit_as_false():
-    # a 0.3.0 record has no limit_hit; it parses, and its cache's version recomputes it
-    d = BoundRecord(4, 1, 5, 6, "mono", "g", limit_hit=True).to_dict()
-    del d["limit_hit"]
-    assert BoundRecord.from_dict(d) == BoundRecord(4, 1, 5, 6, "mono", "g")
 
 
 @pytest.mark.parametrize("field", RECORD_FIELDS)

@@ -565,12 +565,12 @@ def test_formula_target_is_not_a_valid_bound():
     [
         (lambda: diagonal_code(5, -1), ValueError, "coradius must be nonnegative"),
         (lambda: direct_sum(Code.from_words(62, [0]), Code.from_words(1, [0])),
-         DimensionCapError, "direct sum dimension 63 exceeds 62"),
+         DimensionCapError, "need 1 <= n <= 62, got n=63"),
         (lambda: semi_direct_sum(
             PatchedCode(62, 1, Code.from_words(62, [0]), Code.from_words(62, [])),
             Code.from_words(1, [1], r=1)),
-         DimensionCapError, "semi-direct sum dimension 63 exceeds 62"),
-        (lambda: general_upper_code(63, 1), DimensionCapError, "dimension 63 exceeds 62"),
+         DimensionCapError, "need 1 <= n <= 62, got n=63"),
+        (lambda: general_upper_code(63, 1), DimensionCapError, "need 1 <= n <= 62, got n=63"),
         (lambda: nu(-1, 1), ValueError, "parameters must be nonnegative"),
         (lambda: nu(3, -1), ValueError, "parameters must be nonnegative"),
         (lambda: estimate_alpha(0), ValueError, "radius must be at least 1"),
@@ -582,7 +582,7 @@ def test_formula_target_is_not_a_valid_bound():
         (lambda: inductive_power2(1, 1, seed=0, trials=0), ValueError,
          "trials must be at least 1"),
         (lambda: inductive_power2(5, 1, seed=0), DimensionCapError,
-         f"2^5 exceeds the sweep cap {GREEDY_MAX_N}"),
+         f"dimension 32 exceeds the sweep cap {GREEDY_MAX_N}"),
         (lambda: greedy_code(4, -1), ValueError, "radius must be nonnegative"),
         (lambda: coradius_split(4, -1), ValueError, "need 0 <= coradius <= n"),
         (lambda: coradius_split(4, 5), ValueError, "need 0 <= coradius <= n"),

@@ -173,7 +173,7 @@ def test_min_linear_dim_validation():
 
 def test_min_linear_dim_formula_runs_past_the_radius_cap():
     assert min_linear_dim(27, 3) == 24
-    with pytest.raises(DimensionCapError):
+    with pytest.raises(DimensionCapError, match=rf"^need 1 <= n <= {MAX_DIMENSION}, got n=63$"):
         min_linear_dim(MAX_DIMENSION + 1, 3)
 
 

@@ -182,6 +182,22 @@ def test_bound_has_the_tables_lower_bound_under_a_small_limit(node_limit, n_max,
         lower_brackets(grid[cell] for cell in cells))
 
 
+def test_bound_and_the_table_part_only_past_the_program_cap():
+    # up to MAX_IP_DIMENSION both chain the same lower bound; past it no step is
+    # proved, and the table's propagate lifts a cell by monotonicity over its
+    # grid, which bound does not walk
+    grid = build_grid(TableSpec(1, 41, 0, 14, node_limit=1))
+    cells = [(n, R) for (n, R) in grid if 12 <= R <= 14 and R < n <= ipsolve.MAX_IP_DIMENSION]
+    assert len(cells) == 81
+    assert lower_brackets(best_bounds(n, R, 1) for n, R in cells) == (
+        lower_brackets(grid[cell] for cell in cells))
+    past = [(41, R) for R in (12, 13, 14)]
+    assert [(grid[cell].lower, grid[cell].lower_tag) for cell in past] == [
+        (12496, "mono"), (5854, "mono"), (2900, "mono")]
+    assert [(rec.lower, rec.lower_tag) for rec in (best_bounds(*cell, 1) for cell in past)] == [
+        (11651, "sphere"), (4741, "sphere"), (2002, "sphere")]
+
+
 @pytest.mark.parametrize("n_cached", [6, 8])
 def test_table_over_a_partial_cache_equals_a_cold_one(tmp_path, n_cached):
     # a cached (n-1, R) record is propagated, a cold one is not; the chain
@@ -882,8 +898,8 @@ def test_cli_table_recomputes_a_cache_of_another_version(version, old, tmp_path,
 
 
 def test_cli_table_recomputes_a_cache_of_0_3_0(tmp_path, capsys):
-    # 0.3.0's records have no limit_hit: they parse, with the field's default,
-    # and the version recomputes them, so the cut greedy of (14, 9) exits 3
+    # 0.3.0's records have no limit_hit: its version is another key, so they are
+    # never parsed but recomputed, and the cut greedy of (14, 9) exits 3
     args = ["table", "--n-max", "14", "--r-max", "9", "--node-limit", "1000", "--json"]
     fresh = run_cli(args, capsys)
     assert fresh[0] == 3
@@ -962,17 +978,20 @@ def test_cli_table_ignores_its_retired_flags(tmp_path, capsys):
 
 
 GOOD_CELL = {"n": 2, "R": 1, "lower": 2, "upper": 2, "lower_tag": "mono", "upper_tag": "g",
-             "exact": True}
+             "limit_hit": False, "exact": True}
 
 
 def _cache_text(cell):
-    return json.dumps({"node_limit": ipsolve.DEFAULT_NODE_CAP, "cells": {"2,1": cell}})
+    # under the current key, so that every cell is read
+    return json.dumps({"node_limit": ipsolve.DEFAULT_NODE_CAP, "version": asymcover.__version__,
+                       "cells": {"2,1": cell}})
 
 
 @pytest.mark.parametrize(
     "text,named",
     [
         (_cache_text({k: v for k, v in GOOD_CELL.items() if k != "upper"}), "'upper'"),
+        (_cache_text({k: v for k, v in GOOD_CELL.items() if k != "limit_hit"}), "'limit_hit'"),
         (_cache_text({**GOOD_CELL, "lower": "2"}), "'lower'"),
         (_cache_text({**GOOD_CELL, "n": True}), "'n'"),
         (_cache_text({**GOOD_CELL, "limit_hit": 1}), "'limit_hit'"),
@@ -984,14 +1003,13 @@ def _cache_text(cell):
         (_cache_text([GOOD_CELL]), "JSON object"),
         (json.dumps([GOOD_CELL]), "node_limit"),
         (json.dumps({"2,1": GOOD_CELL}), "node_limit"),  # a cache without its key
-        (json.dumps({"budget": [], "cells": {}}), "node_limit"),
         ('{"n": 2, "words": ["11"]}', "node_limit"),  # a code file
         ("11\n01\n", "not a bound cache"),
     ],
-    ids=["missing-field", "string-lower", "bool-n", "int-limit-hit", "string-limit-hit",
-         "unknown-tag", "retired-tag",
+    ids=["missing-field", "missing-limit-hit", "string-lower", "bool-n", "int-limit-hit",
+         "string-limit-hit", "unknown-tag", "retired-tag",
          "retired-upper-tag", "key-mismatch", "list-record", "top-level-list", "no-budget",
-         "list-budget", "code-json", "code-text"],
+         "code-json", "code-text"],
 )
 def test_cli_table_refuses_a_malformed_cache(tmp_path, capsys, text, named):
     cache = tmp_path / "cache.json"
@@ -1000,3 +1018,33 @@ def test_cli_table_refuses_a_malformed_cache(tmp_path, capsys, text, named):
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and str(cache) in err and named in err
     assert cache.read_text() == text  # never overwritten
+
+
+OLD_VERSION = {"node_limit": ipsolve.DEFAULT_NODE_CAP, "version": "0.6.0"}
+LIMIT_1000 = {"node_limit": 1000, "version": asymcover.__version__}
+
+
+@pytest.mark.parametrize(
+    "stale",
+    [
+        {**OLD_VERSION, "cells": {"2,1": {**GOOD_CELL, "lower_tag": "i"}}},
+        {**OLD_VERSION, "cells": {"2,1": {**GOOD_CELL, "upper_tag": "nu"}}},
+        {**OLD_VERSION, "cells": {"2,1": {k: v for k, v in GOOD_CELL.items() if k != "limit_hit"}}},
+        {**LIMIT_1000, "cells": {"2,1": [GOOD_CELL], "3,1": {**GOOD_CELL, "n": 4}}},
+        {"budget": [], "cells": {}},
+        {"cells": {"2,1": "?"}},
+    ],
+    ids=["retired-tag", "retired-upper-tag", "no-limit-hit", "another-node-limit",
+         "list-budget", "no-key"],
+)
+def test_cli_table_recomputes_a_cache_under_another_key_whatever_its_cells_hold(
+        stale, tmp_path, capsys):
+    # the key is judged before any cell: under another key no cell is read, so
+    # the cache is recomputed and overwritten whatever it holds, not refused
+    args = ["table", "--n-max", "3", "--r-max", "2", "--json"]
+    cold = run_cli(args + ["--cache", str(tmp_path / "cold.json")], capsys)
+    assert cold[0] == 0
+    cache = tmp_path / "cache.json"
+    cache.write_text(json.dumps(stale))
+    assert run_cli(args + ["--cache", str(cache)], capsys) == cold
+    assert cache.read_bytes() == (tmp_path / "cold.json").read_bytes()
