@@ -14,7 +14,7 @@ from .ipsolve import ip_plus
 from .linear import min_linear_dim
 from .table import build_grid, render_table
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "BoundRecord",

@@ -6,7 +6,7 @@ lifts a proven lower bound on K+(n-1, R) (the table's own, or else the lower
 end of `_bracket(n-1, R)`, the function that builds every cell) by
 `ipsolve.phi_step`: ceil(phi / n) for the zero-count program's optimum phi,
 proved by two closed-form bounds on phi where they agree, else by the
-program, or its LP relaxation's when the program runs out of nodes.  Upper
+program deciding each n * k, or the last k it proved past its nodes.  Upper
 bounds: diagonal codes, coradius splits, greedy codes, the stored exact
 proofs, and direct-sum splits applied during grid propagation.  Every
 bound value is computed with exact integer arithmetic.  No exact search
@@ -131,7 +131,7 @@ def best_bounds(
     `_bracket`'s bracket of (n-1, R), down the column, where no greedy runs.
     The chain's phi program, run only at a step that its closed-form bounds
     leave open, and greedy each stop after `node_limit` nodes: a chain step
-    then takes phi's LP value, tag "lp", and greedy's upper bound drops out.
+    then takes the last step proved, tag "lp", and greedy's bound drops out.
     Either sets the record's `limit_hit` while its bracket is open, and so
     does an "lp" step down the column that the chain walks itself.  The
     limit binds every computed source; only a stored proof ignores it.

@@ -69,8 +69,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 _LIMIT_HELP = ("node limit of each bound source: the zero-count program of a chain step"
-               " that its closed-form bounds leave open, which takes its LP value past it,"
-               " and greedy's scored candidates")
+               " that its closed-form bounds leave open, which keeps the last step it proved"
+               " past it, and greedy's scored candidates")
 
 
 def _exit_code(records) -> int:

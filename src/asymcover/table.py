@@ -70,7 +70,8 @@ def load_cache(path: str, node_limit: int) -> dict[tuple[int, int], BoundRecord]
         if not (isinstance(raw, dict) and isinstance(raw.get("cells"), dict)
                 and raw.keys() <= {"node_limit", "budget", "version", "cells"}):
             raise ValueError('expected an object with "node_limit" and "cells"')
-        if raw != {**_cache_key(node_limit), "cells": raw["cells"]}:
+        # type-strict, as JSON's true and 1000.0 equal 1 and 1000 in Python
+        if raw != {**_cache_key(node_limit), "cells": raw["cells"]} or type(raw["node_limit"]) is not int:
             return {}
         grid = {}
         for key, d in raw["cells"].items():

@@ -237,10 +237,11 @@ def test_best_bounds_settles_every_cell_up_to_the_search_cap_without_general():
     for cell, want in OPEN_CELLS_TO_5.items():
         assert best_bounds(*cell) == want
     # a computed source heeds the node limit, and only a stored proof ignores
-    # it: phi takes 15 nodes at (4, 1), and greedy 36 there and 85 at (5, 2);
+    # it: phi takes 6 nodes at (4, 1), and greedy 36 there and 85 at (5, 2);
     # a bracket that the chain closes is not flagged, as no larger limit can
     # tighten it, though greedy stopped
-    assert best_bounds(4, 1, 14) == BoundRecord(4, 1, 5, 6, "superdiag", "general", True)
+    assert best_bounds(4, 1, 5) == BoundRecord(4, 1, 5, 6, "superdiag", "general", True)
+    assert best_bounds(4, 1, 6) == BoundRecord(4, 1, 6, 6, "mono", "general", False)
     assert best_bounds(4, 1, 35) == BoundRecord(4, 1, 6, 6, "mono", "general", False)
     assert best_bounds(5, 2, 84) == BoundRecord(5, 2, 5, 6, "superdiag", "general", True)
 
@@ -434,8 +435,8 @@ def test_chain_step_takes_the_tag_of_its_own_phi(monkeypatch):
     # step that took the LP value still flags the column above it
     real = ipsolve.ip_phi
 
-    def starved_at_9(n, R, node_cap=DEFAULT_NODE_CAP):
-        return real(n, R, 0 if n == 9 else node_cap)
+    def starved_at_9(n, R, node_cap=DEFAULT_NODE_CAP, cutoff=None):
+        return real(n, R, 0 if n == 9 else node_cap, cutoff)
 
     monkeypatch.setattr(ipsolve, "ip_phi", starved_at_9)
     assert best_bounds(10, 2) == BoundRecord(10, 2, 52, 79, "mono", "g", True)
@@ -444,8 +445,8 @@ def test_chain_step_takes_the_tag_of_its_own_phi(monkeypatch):
 
 
 def test_best_bounds_brackets_nest_as_budget_grows():
-    # no anchor settles the cell, so the node limit shows: the phi steps of
-    # (8, 2) and (9, 2) take 919 nodes at most and greedy's (9, 2) code
+    # no anchor settles the cell, so the node limit shows: the phi step of
+    # (9, 2) takes 180 nodes, that of (8, 2) none, and greedy's (9, 2) code
     # 1,933; at (8, 2) phi's LP value and its optimum lift the (7, 2) anchor
     # to the same 21
     assert (9, 2) not in EXACT_ANCHORS

@@ -117,7 +117,7 @@ CHECKS = [
     # no exact search runs inside bound, so the limit binds the chain and
     # greedy at (4, 1) and (5, 2) as at every other cell without a stored proof
     [("bound --n 4 --r 1 --node-limit 1", 3, ["5-6[superdiag/general]"])],
-    # at 20 nodes phi settles (4, 1)'s step in 15 and greedy stops, but the
+    # at 20 nodes phi settles (4, 1)'s step in 6 and greedy stops, but the
     # chain meets the closed-form upper bound, and a closed bracket is not
     # flagged, as no larger limit can tighten it
     [("bound --n 4 --r 1 --node-limit 20", 0, ["6[mono/general]"])],

@@ -378,7 +378,7 @@ def test_exact_solves_its_zero_count_chain_on_every_call(monkeypatch):
 
     def traced(name):
         real = getattr(ipsolve, name)
-        return lambda n, R, *cap: seen.append((name, n, R)) or real(n, R, *cap)
+        return lambda n, R, *a, **kw: seen.append((name, n, R)) or real(n, R, *a, **kw)
 
     for name in ("ip_plus", "ip_phi", "phi_step"):
         monkeypatch.setattr(ipsolve, name, traced(name))

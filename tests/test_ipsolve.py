@@ -467,16 +467,50 @@ def test_phi_step_takes_the_lp_step_where_the_program_stops():
 
 def test_a_table_runs_the_program_only_at_the_open_steps(monkeypatch):
     # the n <= 10, R <= 11 grid: every other chain step is settled where the
-    # LP bound and the bottom-up profile give one ceiling over n
+    # LP bound and the bottom-up profile give one ceiling over n, and each
+    # open step asks at n * k from the LP's k; only (10, 1) jumps and asks twice
     from asymcover.table import TableSpec, build_grid
 
     seen = []
     real = ipsolve.solve
 
-    def traced(n, R, costs, node_cap=DEFAULT_NODE_CAP):
-        seen.append((n, R))
-        return real(n, R, costs, node_cap)
+    def traced(n, R, costs, node_cap=DEFAULT_NODE_CAP, cutoff=None):
+        seen.append((n, R, cutoff))
+        return real(n, R, costs, node_cap, cutoff)
 
     monkeypatch.setattr(ipsolve, "solve", traced)
     build_grid(TableSpec(n_min=1, n_max=10, r_min=0, r_max=11))
-    assert sorted(seen) == [(4, 1), (9, 1), (9, 2), (9, 5), (10, 1), (10, 2), (10, 3), (10, 4)]
+    assert sorted(seen) == [(4, 1, 8), (9, 1, 360), (9, 2, 99), (9, 5, 9), (10, 1, 730),
+                            (10, 1, 740), (10, 2, 190), (10, 3, 70), (10, 4, 30)]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_a_cutoff_search_is_fail_soft(n):
+    # at or above the optimum, the value is the optimum; below it, a bound
+    # that lies above the cutoff and at most the optimum
+    for R in range(1, n + 1):
+        for costs in objectives(n):
+            opt = reference_solve(n, R, costs).value
+            for cutoff in range(opt - 2, opt + 2):
+                got = solve(n, R, costs, cutoff=cutoff).value
+                if opt <= cutoff:
+                    assert got == opt, (n, R, costs, cutoff)
+                else:
+                    assert cutoff < got <= opt, (n, R, costs, cutoff)
+
+
+def test_phi_step_shares_one_node_cap_across_its_questions():
+    # (10, 1) asks at 730 (77 nodes), jumps to the bound 731's step 74, and
+    # asks at 740 (481 nodes); a stop keeps the last step proved
+    assert (ipsolve.ip_phi_lp(10, 1), ipsolve.ip_phi_upper(10, 1)) == (729, 741)
+    assert ipsolve.ip_phi(10, 1, cutoff=730) == IPSolution(731, 77)
+    assert ipsolve.phi_step(10, 1, 558) == (75, False)
+    assert ipsolve.phi_step(10, 1, 557) == (74, True)
+    assert ipsolve.phi_step(10, 1, 76) == (73, True)
+
+
+def test_phi_step_decides_steps_past_the_full_programs_reach():
+    # full solves take 24 M nodes at (15, 6) and pass 10^8 at (19, 10)
+    assert ipsolve.phi_step(15, 6, node_cap=10**6) == (8, False)
+    assert ipsolve.phi_step(19, 10, node_cap=10**6) == (4, False)
+    assert ipsolve.phi_step(16, 10, node_cap=10**6) == (2, False)

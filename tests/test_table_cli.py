@@ -652,8 +652,8 @@ def test_cli_help_states_each_limit_default(capsys):
         assert flags == {"--help", "--json", "--node-limit"} | cells, other
         assert (
             "--node-limit NODE_LIMIT node limit of each bound source: the zero-count program"
-            " of a chain step that its closed-form bounds leave open, which takes its LP value"
-            " past it, and greedy's scored candidates (default 100,000,000)"
+            " of a chain step that its closed-form bounds leave open, which keeps the last step"
+            " it proved past it, and greedy's scored candidates (default 100,000,000)"
         ) in text, other
 
 
@@ -687,7 +687,7 @@ def test_cli_exact_reports_progress(capsys):
 def test_cli_bound_exits_3_when_a_program_runs_out_of_nodes(capsys, monkeypatch):
     # the (8, 2) step needs no program, but the (9, 2) step does: it takes
     # phi's LP value, and the bracket is still printed
-    def exhausted(n, R, node_cap=ipsolve.DEFAULT_NODE_CAP):
+    def exhausted(n, R, node_cap=ipsolve.DEFAULT_NODE_CAP, cutoff=None):
         raise ipsolve.BudgetExceededError(f"IP node budget {node_cap} exceeded")
 
     monkeypatch.setattr(ipsolve, "ip_phi", exhausted)
@@ -730,8 +730,9 @@ def test_cli_bound_runs_greedy_once(capsys, monkeypatch):
 
 def test_cli_bound_answers_at_20_10_within_a_node_limit():
     # in a fresh process, as a user runs it: the open chain steps down to
-    # (16, 10) and greedy stop at the limit, so the call answers in seconds;
-    # (20, 10)'s own step needs no program, so its tag is "mono"
+    # (16, 10) are decided within the limit, (19, 10)'s in 43,726 nodes, and
+    # greedy stops at it, so the call answers in seconds; (20, 10)'s own step
+    # needs no program, so its tag is "mono"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")])}
     start = time.monotonic()
@@ -739,7 +740,7 @@ def test_cli_bound_answers_at_20_10_within_a_node_limit():
         [sys.executable, "-m", "asymcover.cli", "bound", "--n", "20", "--r", "10",
          "--node-limit", "1000000"], capture_output=True, text=True, env=env, timeout=60)
     elapsed = time.monotonic() - start
-    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "20-144[mono/general]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "22-144[mono/general]\n", "")
     assert elapsed < 10.0
 
 
@@ -892,7 +893,7 @@ def test_cli_table_recomputes_a_cache_of_another_version(version, old, tmp_path,
     rc, out, err = run_cli(args + ["--cache", str(cache)], capsys)
     assert (rc, out, err) == (0, fresh, "")
     written = read_json(cache)
-    assert written["version"] == asymcover.__version__ == "0.7.0"
+    assert written["version"] == asymcover.__version__ == "0.8.0"
     assert written["cells"][key] == best_bounds(old.n, old.R).to_dict() != old.to_dict()
     assert load_cache(str(cache), ipsolve.DEFAULT_NODE_CAP) == build_grid(TableSpec(1, 7, 0, 3))
 
@@ -1024,24 +1025,34 @@ OLD_VERSION = {"node_limit": ipsolve.DEFAULT_NODE_CAP, "version": "0.6.0"}
 LIMIT_1000 = {"node_limit": 1000, "version": asymcover.__version__}
 
 
+# a cell outside the window stays in the file when a cache is reused
+OUTSIDE = {"9,1": {**GOOD_CELL, "n": 9, "lower": 1, "upper": 512, "exact": False}}
+
+
 @pytest.mark.parametrize(
-    "stale",
+    "stale, limit",
     [
-        {**OLD_VERSION, "cells": {"2,1": {**GOOD_CELL, "lower_tag": "i"}}},
-        {**OLD_VERSION, "cells": {"2,1": {**GOOD_CELL, "upper_tag": "nu"}}},
-        {**OLD_VERSION, "cells": {"2,1": {k: v for k, v in GOOD_CELL.items() if k != "limit_hit"}}},
-        {**LIMIT_1000, "cells": {"2,1": [GOOD_CELL], "3,1": {**GOOD_CELL, "n": 4}}},
-        {"budget": [], "cells": {}},
-        {"cells": {"2,1": "?"}},
+        ({**OLD_VERSION, "cells": {"2,1": {**GOOD_CELL, "lower_tag": "i"}}}, None),
+        ({**OLD_VERSION, "cells": {"2,1": {**GOOD_CELL, "upper_tag": "nu"}}}, None),
+        ({**OLD_VERSION, "cells": {"2,1": {k: v for k, v in GOOD_CELL.items()
+                                            if k != "limit_hit"}}}, None),
+        ({**LIMIT_1000, "cells": {"2,1": [GOOD_CELL], "3,1": {**GOOD_CELL, "n": 4}}}, None),
+        ({"budget": [], "cells": {}}, None),
+        ({"cells": {"2,1": "?"}}, None),
+        # JSON's true and 1000.0 equal 1 and 1000 in Python, but are not node limits
+        ({"node_limit": True, "version": asymcover.__version__, "cells": OUTSIDE}, 1),
+        ({"node_limit": 1000.0, "version": asymcover.__version__, "cells": OUTSIDE}, 1000),
     ],
     ids=["retired-tag", "retired-upper-tag", "no-limit-hit", "another-node-limit",
-         "list-budget", "no-key"],
+         "list-budget", "no-key", "bool-node-limit", "float-node-limit"],
 )
 def test_cli_table_recomputes_a_cache_under_another_key_whatever_its_cells_hold(
-        stale, tmp_path, capsys):
+        stale, limit, tmp_path, capsys):
     # the key is judged before any cell: under another key no cell is read, so
     # the cache is recomputed and overwritten whatever it holds, not refused
     args = ["table", "--n-max", "3", "--r-max", "2", "--json"]
+    if limit is not None:
+        args += ["--node-limit", str(limit)]
     cold = run_cli(args + ["--cache", str(tmp_path / "cold.json")], capsys)
     assert cold[0] == 0
     cache = tmp_path / "cache.json"
